@@ -17,6 +17,7 @@ from .bsd import (
     theorem18_check,
     torsion2_order,
 )
+from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part, central_value
 from .qfield import QuadInt, is_special_split, special_split_primes
 from .registry import Curve, builtin_curve, parse_curve_file, resolve_curve
@@ -24,9 +25,9 @@ from .registry import Curve, builtin_curve, parse_curve_file, resolve_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "BSDError", "BSDReport", "Curve", "LValueResult", "NotApplicable",
-    "QuadInt", "TwistSpec", "algebraic_part", "builtin_curve",
-    "central_value", "classify_twist", "is_special_split",
+    "BSDError", "BSDReport", "Curve", "CurveContext", "LValueResult",
+    "NotApplicable", "QuadInt", "TwistSpec", "algebraic_part",
+    "builtin_curve", "central_value", "classify_twist", "is_special_split",
     "parse_curve_file", "predicted_sha_ord2", "resolve_curve",
     "special_split_primes", "tamagawa_ord2_at", "theorem18_check",
     "torsion2_order",

@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part
 from .qfield import (
-    _is_prime,
     cornacchia_split,
+    factor_int,
+    is_prime,
     is_special_split,
     ord2_fraction,
     ord2_int,
@@ -63,19 +65,11 @@ class TwistSpec:
 
 def _factor_squarefree(M: int) -> list[int]:
     """Ascending prime factors; rejects square factors naming the prime."""
-    out = []
-    rest = M
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                raise BSDError(f"{M} is not square-free ({p}^2 divides it)")
-            out.append(p)
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append(rest)
-    return out
+    factors = factor_int(M)
+    for p, e in factors:
+        if e > 1:
+            raise BSDError(f"{M} is not square-free ({p}^2 divides it)")
+    return [p for p, _ in factors]
 
 
 def classify_twist(curve: Curve, M: int) -> TwistSpec:
@@ -114,6 +108,13 @@ def classify_twist(curve: Curve, M: int) -> TwistSpec:
     )
 
 
+def _admissible_spec(curve: Curve, M: int) -> TwistSpec:
+    spec = classify_twist(curve, M)
+    if not spec.admissible:
+        raise NotApplicable("; ".join(spec.reasons))
+    return spec
+
+
 # ------------------------------------------------------ Tamagawa factors
 
 
@@ -142,7 +143,7 @@ def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
     two routes must agree); outside its hypotheses the label is
     "division-poly-count".
     """
-    if p < 3 or not _is_prime(p):
+    if p < 3 or not is_prime(p):
         raise BSDError(f"{p} is not an odd prime")
     if curve.conductor % p == 0:
         raise BSDError(
@@ -188,9 +189,7 @@ def tamagawa_report(curve: Curve, spec: TwistSpec) -> TamagawaReport:
 
 def product_check(curve: Curve, M: int) -> bool:
     """sum_p ord2(c_p) = r(M) for admissible M with all factors 1 mod 4."""
-    spec = classify_twist(curve, M)
-    if not spec.admissible:
-        raise NotApplicable("; ".join(spec.reasons))
+    spec = _admissible_spec(curve, M)
     bad = [f.p for f in spec.factors if f.p % 4 != 1]
     if bad:
         raise NotApplicable(f"factors {bad} are not 1 mod 4")
@@ -212,21 +211,21 @@ class BSDReport:
     sha_flags: tuple[str, ...]
 
 
-def theorem18_check(
-    curve: Curve, M: int, target_digits: int = 12,
-    chi=None, ap_map=None,
-) -> BSDReport:
-    """Valuation bound ord2(lalg) >= r(M) - phi for the eps*M twist of curve.
+def _check_base(base: Fraction | None) -> None:
+    if base is None or base == 0 or ord2_fraction(base) >= 0:
+        raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
+
+
+def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12) -> BSDReport:
+    """Valuation bound ord2(lalg) >= r(M) - phi for the eps*M twist of the curve.
 
     A vanishing central value satisfies the bound by the +infinity
     convention; a failed rational recognition is reported as indeterminate
     and never counts as a pass.
     """
-    spec = classify_twist(curve, M)
-    if not spec.admissible:
-        raise NotApplicable("; ".join(spec.reasons))
-    res = algebraic_part(curve, spec.epsilon * M, target_digits=target_digits,
-                         chi=chi, ap_map=ap_map)
+    curve = ctx.curve
+    spec = _admissible_spec(curve, M)
+    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
     tama = tamagawa_report(curve, spec)
     bound_rhs = spec.r_of_M - phi_of(curve)
     indeterminate = res.lalg is None
@@ -239,7 +238,7 @@ def theorem18_check(
     sha: int | None = None
     flags: tuple[str, ...] = ()
     try:
-        sha = predicted_sha_ord2(curve, M, _spec=spec, _res=res, _tama=tama)
+        sha = _sha_ord2(curve.lalg_base, spec, res, tama)
         flags = _sha_flags(sha)
     except NotApplicable:
         pass
@@ -255,24 +254,19 @@ def theorem18_check(
     )
 
 
-def corollary_ap_check(curve: Curve, M: int, target_digits: int = 12,
-                       chi=None, ap_map=None) -> bool:
+def corollary_ap_check(ctx: CurveContext, M: int, target_digits: int = 12) -> bool:
     """ord2(lalg(M)/lalg(1)) >= 2 k(M) for all-split admissible M.
 
     Requires L(E,1) != 0 with ord2(lalg(E,1)) < 0, and every factor of M
     split in K; anything else raises NotApplicable.
     """
-    base = curve.lalg_base
-    if base is None or base == 0 or ord2_fraction(base) >= 0:
-        raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
-    spec = classify_twist(curve, M)
-    if not spec.admissible:
-        raise NotApplicable("; ".join(spec.reasons))
+    base = ctx.curve.lalg_base
+    _check_base(base)
+    spec = _admissible_spec(ctx.curve, M)
     inert = [f.p for f in spec.factors if f.kind != "split"]
     if inert:
         raise NotApplicable(f"factors {inert} are not split")
-    res = algebraic_part(curve, spec.epsilon * M, target_digits=target_digits,
-                         chi=chi, ap_map=ap_map)
+    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
     if res.lalg is None:
         raise BSDError(f"rational recognition failed for M={M}")
     if res.lalg == 0:
@@ -289,42 +283,31 @@ def _sha_flags(value: int) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def predicted_sha_ord2(
-    curve: Curve,
-    M: int,
-    target_digits: int = 12,
-    chi=None,
-    ap_map=None,
-    _spec: TwistSpec | None = None,
-    _res: LValueResult | None = None,
-    _tama: TamagawaReport | None = None,
-) -> int:
+def _sha_ord2(base: Fraction | None, spec: TwistSpec, res: LValueResult,
+              tama: TamagawaReport) -> int:
+    """ord2(lalg(M)/base) - sum_p ord2(c_p) for an admissible spec."""
+    _check_base(base)
+    bad = [f.p for f in spec.factors if f.p % 4 != 1]
+    if bad:
+        raise NotApplicable(f"factors {bad} are not 1 mod 4")
+    if res.lalg is None:
+        raise BSDError(f"rational recognition failed for M={spec.M}")
+    if res.lalg == 0:
+        raise NotApplicable("twisted central value vanishes")
+    return ord2_fraction(res.lalg / base) - tama.product_ord2
+
+
+def predicted_sha_ord2(ctx: CurveContext, M: int, target_digits: int = 12) -> int:
     """ord2(lalg(M)/lalg(1)) - sum_p ord2(c_p): the conjectural 2-part of Sha.
 
     Applies only when L(E,1) != 0 with ord2(lalg) < 0, M is admissible with
     every factor 1 mod 4, and the twisted value does not vanish.
     """
-    base = curve.lalg_base
-    if base is None or base == 0 or ord2_fraction(base) >= 0:
-        raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
-    spec = _spec if _spec is not None else classify_twist(curve, M)
-    if not spec.admissible:
-        raise NotApplicable("; ".join(spec.reasons))
-    bad = [f.p for f in spec.factors if f.p % 4 != 1]
-    if bad:
-        raise NotApplicable(f"factors {bad} are not 1 mod 4")
-    res = (
-        _res
-        if _res is not None
-        else algebraic_part(curve, spec.epsilon * M, target_digits=target_digits,
-                            chi=chi, ap_map=ap_map)
-    )
-    if res.lalg is None:
-        raise BSDError(f"rational recognition failed for M={M}")
-    if res.lalg == 0:
-        raise NotApplicable("twisted central value vanishes")
-    tama = _tama if _tama is not None else tamagawa_report(curve, spec)
-    return ord2_fraction(res.lalg / base) - tama.product_ord2
+    curve = ctx.curve
+    _check_base(curve.lalg_base)
+    spec = _admissible_spec(curve, M)
+    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
+    return _sha_ord2(curve.lalg_base, spec, res, tamagawa_report(curve, spec))
 
 
 def torsion2_order(curve: Curve) -> int:
@@ -351,12 +334,10 @@ def torsion2_order(curve: Curve) -> int:
 
 
 def _divisors_signed(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            out.extend((d, -d))
-    return out
+    divs = [1]
+    for p, e in factor_int(n):
+        divs = [d * p**k for d in divs for k in range(e + 1)]
+    return [s * d for d in sorted(divs) for s in (1, -1)]
 
 
 # ----------------------------------------------------------- CSV schema

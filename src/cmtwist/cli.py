@@ -23,23 +23,24 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import bsd
 from .bsd import BSDError, BSDReport, NotApplicable
-from .coeffs import CoeffError, ap_range
-from .lseries import LSeriesError, algebraic_part, series_cutoff
+from .coeffs import MAX_TABLE, CoeffError, CurveContext
+from .lseries import (LSeriesError, algebraic_part, recognize_rational,
+                      series_cutoff)
 from .qfield import (
     ALLOWED_Q,
     QFieldError,
     QuadInt,
     cornacchia_split,
+    is_prime,
     normalize_mod4,
     special_split_primes,
     split_type,
     sqrt_minus_q,
 )
-from .registry import Curve, RegistryError, phi_of, resolve_curve
+from .registry import Curve, RegistryError, resolve_curve
 
 ENV_PREFIX = "CMTWIST_"
 USAGE_ERROR = 2
@@ -66,10 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="curve label (default 49a; env CMTWIST_CURVE)")
     common.add_argument("--curve-file", default=_env("CURVE_FILE"),
                         help="file of curve records: label a1 a2 a3 a4 a6 q w [omega]")
-    common.add_argument("--precision", type=int,
-                        default=int(_env("PRECISION", "15")),
+    # string defaults from the environment go through type= like flags do
+    common.add_argument("--precision", type=int, default=_env("PRECISION", "15"),
                         help="working decimal digits, >= 15 (default 15)")
-    common.add_argument("--threads", type=int, default=int(_env("THREADS", "1")),
+    common.add_argument("--threads", type=int, default=_env("THREADS", "1"),
                         help="worker processes for table scans (default 1)")
     common.add_argument("--format", dest="fmt", choices=("csv", "text"),
                         default=_env("FORMAT", "text"),
@@ -111,6 +112,8 @@ def _config_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> R
         parser.error("--precision must be at least 15")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.fmt not in ("csv", "text"):     # an environment default skips choices=
+        parser.error(f"--format must be csv or text, got {args.fmt!r}")
     return RunConfig(curve_label=args.curve, curve_file=args.curve_file,
                      precision=args.precision, threads=args.threads,
                      fmt=args.fmt, output=args.output)
@@ -135,10 +138,10 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 
 # --------------------------------------------------------------- table
 
-# Per-process state for table workers: the curve, the L-series precision,
-# a calibrated Hecke character, and a shared a_p table (fork-safe, built
-# once per worker in the initializer).
-_WORKER: dict = {}
+# (context, digits) of the table command, set in each worker by its
+# initializer; a forked worker inherits the context with its a_p table
+# instead of unpickling it.
+_worker_args: tuple = ()
 
 
 def _table_digits(precision: int) -> int:
@@ -146,33 +149,32 @@ def _table_digits(precision: int) -> int:
     return max(12, precision - 3)
 
 
-def _init_table_worker(curve: Curve, digits: int, n_max: int) -> None:
-    from .eisenstein import calibrate_character
-
-    chi = calibrate_character(curve)
-    _WORKER.update(curve=curve, digits=digits, chi=chi,
-                   ap=ap_range(curve, n_max, chi=chi))
+def _init_table_worker(ctx: CurveContext, digits: int) -> None:
+    global _worker_args
+    _worker_args = (ctx, digits)
 
 
-def _table_job(M: int):
-    """(M, csv fields, slack, failure message); fields None = no row."""
-    curve: Curve = _WORKER["curve"]
+def _worker_job(M: int):
+    return _table_job(*_worker_args, M)
+
+
+def _table_job(ctx: CurveContext, digits: int, M: int):
+    """(M, report, failure message); report None = no row."""
     try:
-        rep = bsd.theorem18_check(curve, M, target_digits=_WORKER["digits"],
-                                  chi=_WORKER["chi"], ap_map=_WORKER["ap"])
+        rep = bsd.theorem18_check(ctx, M, target_digits=digits)
     except NotApplicable:
-        return M, None, None, None
+        return M, None, None
     except (BSDError, LSeriesError, CoeffError, ValueError) as exc:
-        return M, None, None, str(exc)
+        return M, None, str(exc)
     if rep.lvalue.lalg == 0:
-        return M, None, None, None          # vanishing central value
+        return M, None, None                # vanishing central value
     if rep.indeterminate:
-        return M, None, None, "rational recognition failed"
-    slack = rep.lvalue.ord2 - rep.bound_rhs
-    return M, bsd.csv_row(curve, rep), slack, None
+        return M, None, "rational recognition failed"
+    return M, rep, None
 
 
-def cmd_table(config: RunConfig, curve: Curve, m_min: int, m_max: int) -> tuple[list[str], int]:
+def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
+    curve = ctx.curve
     digits = _table_digits(config.precision)
     candidates = []
     for M in range(max(m_min, 2), m_max + 1):
@@ -181,31 +183,33 @@ def cmd_table(config: RunConfig, curve: Curve, m_min: int, m_max: int) -> tuple[
                 candidates.append(M)
         except BSDError:
             continue            # square factor: never admissible
-    n_max = series_cutoff(curve, m_max if m_max else 1, digits)
+    if candidates:
+        # one a_p table for the whole scan, built before the workers fork
+        ctx.ap_table(min(series_cutoff(curve, m_max, digits), MAX_TABLE))
     if config.threads == 1 or len(candidates) < 2:
-        _init_table_worker(curve, digits, n_max)
-        results = [_table_job(M) for M in candidates]
+        results = [_table_job(ctx, digits, M) for M in candidates]
     else:
-        ctx = multiprocessing.get_context("fork")
+        fork = multiprocessing.get_context("fork")
         chunk = max(1, len(candidates) // (4 * config.threads))
-        with ProcessPoolExecutor(max_workers=config.threads, mp_context=ctx,
+        with ProcessPoolExecutor(max_workers=config.threads, mp_context=fork,
                                  initializer=_init_table_worker,
-                                 initargs=(curve, digits, n_max)) as pool:
-            results = list(pool.map(_table_job, candidates, chunksize=chunk))
+                                 initargs=(ctx, digits)) as pool:
+            results = list(pool.map(_worker_job, candidates, chunksize=chunk))
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []
     violations = 0
     hist: dict[int, int] = {}
-    for M, fields, slack, err in sorted(results):
+    for M, rep, err in results:
         if err is not None:
             flagged.append(f"# M={M} flagged: {err}")
             continue
-        if fields is None:
+        if rep is None:
             continue
-        rows.append(fields)
+        rows.append(bsd.csv_row(curve, rep))
+        slack = rep.lvalue.ord2 - rep.bound_rhs
         hist[slack] = hist.get(slack, 0) + 1
-        if fields[8] != "1":
+        if not rep.bound_holds:
             violations += 1
     lines = _format_rows(rows, config.fmt) if len(rows) > 1 else \
         ([",".join(rows[0])] if config.fmt == "csv" else [])
@@ -266,13 +270,14 @@ def _twist_text(curve: Curve, rep: BSDReport) -> list[str]:
     return lines
 
 
-def cmd_twist(config: RunConfig, curve: Curve, M: int) -> tuple[list[str], int]:
+def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], int]:
+    curve = ctx.curve
     spec = bsd.classify_twist(curve, M)   # BSDError (e.g. square factor) -> usage
     if not spec.admissible:
         lines = [f"curve {curve.label}: twist M={M} is not admissible:"]
         lines += [f"  - {r}" for r in spec.reasons]
         return lines, 0
-    rep = bsd.theorem18_check(curve, M, target_digits=_table_digits(config.precision))
+    rep = bsd.theorem18_check(ctx, M, target_digits=_table_digits(config.precision))
     if config.fmt == "csv":
         lines = [",".join(bsd.CSV_HEADER), ",".join(bsd.csv_row(curve, rep))]
     else:
@@ -309,25 +314,21 @@ def _parse_pi_entry(entry: str, q: int) -> QuadInt:
     return QuadInt(q, p if p % 4 == 1 else -p, 0)
 
 
-def _verify_one(config: RunConfig, curve: Curve, scenario: str) -> tuple[str, bool]:
+def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[str, bool]:
     from . import eisenstein as eis
 
+    curve = ctx.curve
     prec = config.precision
     name, _, arg = scenario.partition(":")
 
     if name == "eisenstein-base":
-        ctx = eis.make_context(curve, precision=max(prec, 30))
-        char = eis.calibrate_character(curve)
-        val = eis.prop2_sum(ctx, char, sqrt_minus_q(curve.q))
+        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
+        val = eis.prop2_sum(eis_ctx, ctx.character, sqrt_minus_q(curve.q))
         import mpmath as mp
-        with mp.workdps(ctx.dps):
+        with mp.workdps(eis_ctx.dps):
             amp, _phase = eis.phase_split(val)
-            if curve.lalg_base is not None:
-                target = curve.lalg_base
-            else:
-                target = Fraction(float(amp)).limit_denominator(64)
-            residual = float(abs(amp - mp.mpf(target.numerator) / target.denominator))
-        ok = residual < 1e-8
+            target, residual = recognize_rational(amp, 64)
+        ok = residual < 1e-8 and target == curve.lalg_base
         return (f"eisenstein-base[{curve.label}]: |sum| = {float(amp):.12g}, "
                 f"recognized {target}, residual {residual:.3g}", ok)
 
@@ -335,9 +336,8 @@ def _verify_one(config: RunConfig, curve: Curve, scenario: str) -> tuple[str, bo
         if not arg:
             raise ValueError("averaging needs a pi list, e.g. averaging:-3")
         pis = [_parse_pi_entry(e, curve.q) for e in arg.split(",")]
-        ctx = eis.make_context(curve, precision=max(prec, 30))
-        char = eis.calibrate_character(curve)
-        rep = eis.averaging_check(ctx, char, pis)
+        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
+        rep = eis.averaging_check(eis_ctx, ctx.character, pis)
         ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
         msg = (f"averaging[{rep.label}: {arg}]: "
                f"|LHS-RHS| = {float(rep.residual):.3g}, "
@@ -352,7 +352,7 @@ def _verify_one(config: RunConfig, curve: Curve, scenario: str) -> tuple[str, bo
         return f"lemma-div[n={n}]: {2 ** n} sign vectors checked", ok
 
     if name == "character":
-        c1 = eis.calibrate_character(curve)
+        c1 = ctx.character
         c2 = eis.calibrate_character(curve, skip=c1.samples)
         ok = c1.values == c2.values
         return (f"character[{curve.label}]: {c1.samples} + {c2.samples} "
@@ -360,13 +360,11 @@ def _verify_one(config: RunConfig, curve: Curve, scenario: str) -> tuple[str, bo
                 f"{'agree' if ok else 'DISAGREE'}, chi(-1) = -1", ok)
 
     if name == "tamagawa-cross":
-        from .qfield import _is_prime
-
         limit = int(arg) if arg else 1000
         counts: dict[str, int] = {}
         try:
             for p in range(3, limit, 2):
-                if not _is_prime(p) or curve.conductor % p == 0:
+                if not is_prime(p) or curve.conductor % p == 0:
                     continue
                 _, rule = bsd.tamagawa_ord2_at(curve, p)
                 counts[rule] = counts.get(rule, 0) + 1
@@ -380,11 +378,11 @@ def _verify_one(config: RunConfig, curve: Curve, scenario: str) -> tuple[str, bo
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def cmd_verify(config: RunConfig, curve: Curve, scenarios: list[str]) -> tuple[list[str], int]:
+def cmd_verify(config: RunConfig, ctx: CurveContext, scenarios: list[str]) -> tuple[list[str], int]:
     lines = []
     all_ok = True
     for sc in scenarios:
-        msg, ok = _verify_one(config, curve, sc)
+        msg, ok = _verify_one(config, ctx, sc)
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'}  {msg}")
     return lines, 0 if all_ok else CHECK_FAILED
@@ -403,26 +401,28 @@ def cmd_special_primes(config: RunConfig, q: int, limit: int) -> tuple[list[str]
 
 # ----------------------------------------------------------------- main
 
-def _ensure_base_value(curve: Curve, config: RunConfig) -> Curve:
+def _ensure_base_value(ctx: CurveContext, config: RunConfig) -> None:
     """Fill in L^(alg)(E, 1) for user curves that do not record it.
 
     The valuation bound needs phi(E), which depends on the base algebraic
     value; builtin curves carry it, user curves get it computed once here.
+    The context keeps its a_p table: it does not depend on the base value.
     """
+    curve = ctx.curve
     if curve.lalg_base is not None:
-        return curve
-    res = algebraic_part(curve, 1, target_digits=_table_digits(config.precision))
+        return
+    res = algebraic_part(ctx, 1, target_digits=_table_digits(config.precision))
     if res.lalg is None:
         raise RegistryError(
             f"could not recognize the base L-value of {curve.label} "
             f"(residual {res.lalg_residual:.2e}); check omega"
         )
-    return replace(curve, lalg_base=res.lalg)
+    ctx.curve = replace(curve, lalg_base=res.lalg)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
+        parser = _build_parser()
         args = parser.parse_args(argv)
         config = _config_from(args, parser)
         if args.command == "special-primes":
@@ -432,18 +432,19 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("limit must be positive")
             lines, code = cmd_special_primes(config, args.q, args.limit)
         else:
-            curve = resolve_curve(config.curve_label, config.curve_file)
-            curve = _ensure_base_value(curve, config)
+            # one context per command: the a_p route, character and table
+            ctx = CurveContext(resolve_curve(config.curve_label, config.curve_file))
+            _ensure_base_value(ctx, config)
             if args.command == "table":
                 if not (1 <= args.m_min <= args.m_max <= 10 ** 6):
                     parser.error("need 1 <= m_min <= m_max <= 10^6")
-                lines, code = cmd_table(config, curve, args.m_min, args.m_max)
+                lines, code = cmd_table(config, ctx, args.m_min, args.m_max)
             elif args.command == "twist":
                 if args.M < 1:
                     parser.error("M must be a positive integer")
-                lines, code = cmd_twist(config, curve, args.M)
+                lines, code = cmd_twist(config, ctx, args.M)
             else:
-                lines, code = cmd_verify(config, curve, args.scenarios)
+                lines, code = cmd_verify(config, ctx, args.scenarios)
         _emit(config, lines)
         return code
     except SystemExit as exc:         # argparse uses 2 for usage errors

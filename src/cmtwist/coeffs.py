@@ -3,19 +3,20 @@
 Ground truth for a_p is point counting mod p on the Weierstrass model.  For
 the CM curves handled here a_p = 0 at inert primes, and at split primes
 a_p = chi(pi_p) * trace(pi_p) for the Hecke character chi; the fast path
-takes chi as a callable and must agree with point counts bit for bit.
-Tables extend multiplicatively with a smallest-prime-factor sieve.
+must agree with point counts bit for bit.  A CurveContext fixes the route
+once per curve and keeps the a_p table; coefficient tables extend
+multiplicatively with a smallest-prime-factor sieve.
 """
 
 from __future__ import annotations
 
-import struct
+import itertools
 from array import array
 from dataclasses import dataclass
-from math import isqrt
-from typing import Callable, Mapping
+from math import gcd, isqrt
 
-from .qfield import QuadInt, cornacchia_split, split_type
+from .qfield import (PrimeIdeal, QuadInt, cornacchia_split, factor_int,
+                     is_prime, primes_above, reduction_mod, split_type)
 from .registry import Curve
 
 MAX_TABLE = 10 ** 6  # 32-bit storage is safe: |a_n| <= n at this scale
@@ -54,8 +55,10 @@ def kronecker(d: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _affine_count(curve: Curve, p: int) -> int:
-    """Brute-force count of (x, y) on the long model mod p."""
+def ap_enumerate(curve: Curve, p: int) -> int:
+    """a_p = p - #affine points, counted on the long model; intended for p <= 3."""
+    if curve.conductor % p == 0:
+        raise CoeffError(f"p = {p} is a bad prime for {curve.label}")
     a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
     count = 0
     for x in range(p):
@@ -63,14 +66,7 @@ def _affine_count(curve: Curve, p: int) -> int:
         for y in range(p):
             if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
                 count += 1
-    return count
-
-
-def ap_enumerate(curve: Curve, p: int) -> int:
-    """a_p by direct enumeration on the long model; intended for p <= 3."""
-    if curve.conductor % p == 0:
-        raise CoeffError(f"p = {p} is a bad prime for {curve.label}")
-    return p + 1 - (1 + _affine_count(curve, p))
+    return p - count
 
 
 def ap_point_count(curve: Curve, p: int) -> int:
@@ -94,25 +90,156 @@ def ap_point_count(curve: Curve, p: int) -> int:
     return a
 
 
-def ap_cm_fast(curve: Curve, p: int,
-               chi: Callable[[QuadInt], int] | None = None) -> int:
-    """a_p via the CM splitting law: 0 at inert p, chi(pi)*trace(pi) at split p.
-
-    Without a calibrated character the split case falls back to point
-    counting, so the result is always the true trace of Frobenius.
-    """
+def ap_cm_fast(curve: Curve, p: int, chi: HeckeCharacter) -> int:
+    """a_p via the CM splitting law: 0 at inert p, chi(pi)*trace(pi) at split p."""
     if p == 2 or curve.conductor % p == 0:
         raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
     kind = split_type(curve.q, p)
     assert kind != "ramified"  # ramified p = q divides the conductor
     if kind == "inert":
         return 0
-    if chi is None:
-        return ap_point_count(curve, p)
     pi = cornacchia_split(curve.q, p)
     s = chi(pi)
     assert s in (-1, 1)
     return s * pi.trace()
+
+
+# ------------------------------------------------------ Hecke character
+
+
+@dataclass(frozen=True)
+class HeckeCharacter:
+    """The order-2 character chi on (O_K/sqrt(-q))^* with psi((beta)) = chi(beta)*beta.
+
+    values[r] is chi on the residue class r in 1..q-1 (index 0 unused); the
+    table is calibrated against point counts, not assumed from a formula.
+    """
+
+    q: int
+    ramified: PrimeIdeal
+    values: tuple[int, ...]
+    samples: int
+
+    def __call__(self, beta: QuadInt) -> int:
+        r = reduction_mod(self.ramified, beta)
+        if r == 0:
+            raise CoeffError(f"{beta} is not coprime to the conductor")
+        return self.values[r]
+
+
+def calibrate_character(
+    curve: Curve, min_samples: int = 10, skip: int = 0, prime_bound: int = 5000
+) -> HeckeCharacter:
+    """Fit chi from a_p = chi(pi_p) * trace(pi_p) at split primes of good reduction.
+
+    Each sampled prime pins one residue class mod sqrt(-q); the table is
+    completed by multiplicative closure.  Every new sample and every closure
+    product is checked against existing entries, and chi(-1) = -1 is asserted
+    at the end, so an inconsistent fit cannot be returned silently.  `skip`
+    ignores the first few usable primes (disjoint samples must agree).
+    """
+    q = curve.q
+    ram = primes_above(q, q)[0]
+    values: dict[int, int] = {1: 1}
+
+    def put(r: int, s: int) -> None:
+        if r in values:
+            if values[r] != s:
+                raise CoeffError(
+                    f"character calibration inconsistent at class {r} mod {q}"
+                )
+        else:
+            values[r] = s
+
+    def close() -> None:
+        while True:
+            items = list(values.items())
+            before = len(values)
+            for (r1, s1), (r2, s2) in itertools.product(items, items):
+                put(r1 * r2 % q, s1 * s2)
+            if len(values) == before:
+                break
+
+    used = 0
+    skipped = 0
+    for p in range(3, prime_bound):
+        if len(values) == q - 1 and used >= min_samples:
+            break
+        if curve.conductor % p == 0 or split_type(q, p) != "split":
+            continue
+        if not is_prime(p):
+            continue
+        if skipped < skip:
+            skipped += 1
+            continue
+        pi = cornacchia_split(q, p)
+        ap = ap_point_count(curve, p)
+        tr = pi.trace()
+        # CM forces |a_p| = |trace pi_p| at good split primes
+        if tr == 0 or abs(ap) != abs(tr):
+            raise CoeffError(
+                f"split prime {p}: a_p={ap} incompatible with trace {tr}"
+            )
+        put(reduction_mod(ram, pi), 1 if ap == tr else -1)
+        close()
+        used += 1
+    if len(values) != q - 1:
+        raise CoeffError("character table incomplete; raise prime_bound")
+    if values[q - 1] != -1:
+        raise CoeffError("calibrated character is even; chi(-1) must be -1")
+    table = tuple(values.get(r, 0) for r in range(q))
+    return HeckeCharacter(q=q, ramified=ram, values=table, samples=used)
+
+
+# ------------------------------------------------------- curve context
+
+
+class CurveContext:
+    """One curve and the a_p data derived from it, for the life of a command.
+
+    The a_p route is fixed by the curve: the calibrated character when its
+    conductor is sqrt(-q) (f_norm == q), otherwise point counts at split
+    primes (inert primes have a_p = 0 either way).  The character is
+    calibrated on first use, and the a_p table grows on demand up to
+    MAX_TABLE; both live only as long as the context.
+    """
+
+    def __init__(self, curve: Curve):
+        self.curve = curve
+        self._character: HeckeCharacter | None = None
+        self._ap: dict[int, int] = {}
+        self._ap_max = 0
+
+    @property
+    def character(self) -> HeckeCharacter:
+        curve = self.curve
+        if curve.f_norm != curve.q:
+            raise CoeffError(f"{curve.label}: its character has conductor norm "
+                             f"{curve.f_norm}, not {curve.q}; only sqrt(-q) is supported")
+        if self._character is None:
+            self._character = calibrate_character(curve)
+        return self._character
+
+    def ap(self, p: int) -> int:
+        """a_p at a good prime p."""
+        curve = self.curve
+        if p <= 3:
+            return ap_enumerate(curve, p)
+        if curve.f_norm == curve.q:
+            return ap_cm_fast(curve, p, self.character)
+        if split_type(curve.q, p) == "inert":
+            return 0
+        return ap_point_count(curve, p)
+
+    def ap_table(self, n_max: int) -> dict[int, int]:
+        """{p: a_p} for every good prime p <= n_max (possibly beyond)."""
+        if not 1 <= n_max <= MAX_TABLE:
+            raise CoeffError(f"n_max out of range: {n_max}")
+        if n_max > self._ap_max:
+            # doubling keeps a run of growing requests linear overall
+            self._ap_max = min(MAX_TABLE, max(n_max, 2 * self._ap_max))
+            self._ap = ap_range(self, self._ap_max)
+        return self._ap
 
 
 def spf_sieve(n: int) -> array:
@@ -126,21 +253,12 @@ def spf_sieve(n: int) -> array:
     return spf
 
 
-def ap_range(curve: Curve, n_max: int,
-             chi: Callable[[QuadInt], int] | None = None) -> dict[int, int]:
-    """a_p for every good prime p <= n_max (p = 2, 3 by enumeration)."""
+def ap_range(ctx: CurveContext, n_max: int) -> dict[int, int]:
+    """a_p for every good prime p <= n_max, by the context's route."""
     spf = spf_sieve(n_max)
-    out: dict[int, int] = {}
-    for p in range(2, n_max + 1):
-        if spf[p] != p:
-            continue
-        if curve.conductor % p == 0:
-            continue
-        if p <= 3:
-            out[p] = ap_enumerate(curve, p)
-        else:
-            out[p] = ap_cm_fast(curve, p, chi)
-    return out
+    conductor = ctx.curve.conductor
+    return {p: ctx.ap(p) for p in range(2, n_max + 1)
+            if spf[p] == p and conductor % p}
 
 
 @dataclass(frozen=True)
@@ -160,35 +278,24 @@ def _check_twist_disc(curve: Curve, d: int) -> None:
         return
     if d % 4 != 1:
         raise CoeffError(f"twist discriminant {d} is not 1 mod 4")
-    m = abs(d)
-    if curve.conductor % 2 == 0 or _gcd(m, curve.conductor) != 1:
+    if curve.conductor % 2 == 0 or gcd(d, curve.conductor) != 1:
         raise CoeffError(f"twist discriminant {d} shares a factor with the conductor")
-    k = 2
-    while k * k <= m:
-        if m % (k * k) == 0:
-            raise CoeffError(f"twist discriminant {d} is not square-free")
-        k += 1
+    if any(e > 1 for _, e in factor_int(d)):
+        raise CoeffError(f"twist discriminant {d} is not square-free")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def build_table(curve: Curve, d: int, n_max: int,
-                chi: Callable[[QuadInt], int] | None = None,
-                ap_map: Mapping[int, int] | None = None) -> CoeffTable:
+def build_table(ctx: CurveContext, d: int, n_max: int) -> CoeffTable:
     """Coefficient table of L(E^(d), s) up to n_max.
 
     a'(p) = a(p) * kronecker(d, p) at primes p coprime to N(E)*d and 0
     otherwise; prime powers follow a(p^{k+1}) = a(p)a(p^k) - p a(p^{k-1});
-    composites fill multiplicatively.  A precomputed {p: a_p} map for the
-    untwisted curve may be supplied and is used for every good prime.
+    composites fill multiplicatively.  a(p) comes from the context's table.
     """
+    curve = ctx.curve
     if not 1 <= n_max <= MAX_TABLE:
         raise CoeffError(f"n_max out of range: {n_max}")
     _check_twist_disc(curve, d)
+    base_ap = ctx.ap_table(n_max)
     d_eff = d if d != 0 else 1
     spf = spf_sieve(n_max)
     a = array("i", bytes(4 * (n_max + 1)))
@@ -196,18 +303,9 @@ def build_table(curve: Curve, d: int, n_max: int,
     for p in range(2, n_max + 1):
         if spf[p] != p:
             continue
-        if curve.conductor % p == 0 or d_eff % p == 0:
-            ap = 0
-        else:
-            if ap_map is not None and p in ap_map:
-                base = ap_map[p]
-            elif p <= 3:
-                base = ap_enumerate(curve, p)
-            else:
-                base = ap_cm_fast(curve, p, chi)
-            ap = base * kronecker(d_eff, p)
-        a[p] = ap
         good = curve.conductor % p != 0 and d_eff % p != 0
+        ap = base_ap[p] * kronecker(d_eff, p) if good else 0
+        a[p] = ap
         pk_prev, pk = 1, p  # a(p^k) recursion
         while pk * p <= n_max:
             nxt = ap * a[pk] - (p * a[pk_prev] if good else 0)
@@ -225,54 +323,3 @@ def build_table(curve: Curve, d: int, n_max: int,
             a[n] = a[pk] * a[m]
     assert a[1] == 1
     return CoeffTable(curve=curve, twist_disc=d, n_max=n_max, a=a)
-
-
-# ---- advisory binary cache ------------------------------------------------
-# layout: magic "CMAP", u16 version, u16 label length, label bytes,
-# u64 pair count, then (int64 p, int64 a_p) little-endian, p ascending.
-
-_CACHE_MAGIC = b"CMAP"
-_CACHE_VERSION = 1
-
-
-def save_ap_cache(path: str, label: str, ap_map: Mapping[int, int]) -> None:
-    lab = label.encode("utf-8")
-    pairs = sorted(ap_map.items())
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<HH", _CACHE_VERSION, len(lab)))
-        fh.write(lab)
-        fh.write(struct.pack("<Q", len(pairs)))
-        for p, ap in pairs:
-            fh.write(struct.pack("<qq", p, ap))
-
-
-def load_ap_cache(path: str, label: str) -> dict[int, int]:
-    """Read a coefficient cache, validating header, order and Hasse bounds."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _CACHE_MAGIC:
-        raise CoeffError(f"{path}: not a coefficient cache")
-    version, lab_len = struct.unpack_from("<HH", data, 4)
-    if version != _CACHE_VERSION:
-        raise CoeffError(f"{path}: unsupported cache version {version}")
-    lab = data[8:8 + lab_len].decode("utf-8")
-    if lab != label:
-        raise CoeffError(f"{path}: cache is for curve {lab!r}, not {label!r}")
-    off = 8 + lab_len
-    (count,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    if len(data) != off + 16 * count:
-        raise CoeffError(f"{path}: truncated cache")
-    out: dict[int, int] = {}
-    prev = 0
-    for _ in range(count):
-        p, ap = struct.unpack_from("<qq", data, off)
-        off += 16
-        if p <= prev:
-            raise CoeffError(f"{path}: primes out of order at {p}")
-        if ap * ap > 4 * p:
-            raise CoeffError(f"{path}: Hasse bound fails at p = {p}")
-        out[p] = ap
-        prev = p
-    return out

@@ -35,20 +35,17 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .coeffs import ap_point_count
+# the character lives next to the a_p code; it is re-exported from here
+from .coeffs import HeckeCharacter, calibrate_character
+from .lseries import recognize_rational
 from .qfield import (
-    PrimeIdeal,
     QuadInt,
     ResidueRing,
     chi_m_symbol,
-    cornacchia_split,
     divide_exact,
     factor_ideal,
     from_int,
     min_ord2_roots,
-    primes_above,
-    reduction_mod,
-    split_type,
     sqrt_minus_q,
 )
 from .registry import Curve, omega_lattice
@@ -325,101 +322,6 @@ def e1star_torsion(ctx: EisensteinContext, point: TorsionPoint):
 # ------------------------------------------------------ Hecke character
 
 
-@dataclass(frozen=True)
-class HeckeCharacter:
-    """The order-2 character chi on (O_K/sqrt(-q))^* with psi((beta)) = chi(beta)*beta.
-
-    values[r] is chi on the residue class r in 1..q-1 (index 0 unused); the
-    table is calibrated against point counts, not assumed from a formula.
-    """
-
-    q: int
-    ramified: PrimeIdeal
-    values: tuple[int, ...]
-    samples: int
-
-    def __call__(self, beta: QuadInt) -> int:
-        r = reduction_mod(self.ramified, beta)
-        if r == 0:
-            raise EisensteinError(f"{beta} is not coprime to the conductor")
-        return self.values[r]
-
-
-def calibrate_character(
-    curve: Curve, min_samples: int = 10, skip: int = 0, prime_bound: int = 5000
-) -> HeckeCharacter:
-    """Fit chi from a_p = chi(pi_p) * trace(pi_p) at split primes of good reduction.
-
-    Each sampled prime pins one residue class mod sqrt(-q); the table is
-    completed by multiplicative closure.  Every new sample and every closure
-    product is checked against existing entries, and chi(-1) = -1 is asserted
-    at the end, so an inconsistent fit cannot be returned silently.  `skip`
-    ignores the first few usable primes (disjoint samples must agree).
-    """
-    q = curve.q
-    ram = primes_above(q, q)[0]
-    values: dict[int, int] = {1: 1}
-
-    def put(r: int, s: int) -> None:
-        if r in values:
-            if values[r] != s:
-                raise EisensteinError(
-                    f"character calibration inconsistent at class {r} mod {q}"
-                )
-        else:
-            values[r] = s
-
-    def close() -> None:
-        while True:
-            items = list(values.items())
-            before = len(values)
-            for (r1, s1), (r2, s2) in itertools.product(items, items):
-                put(r1 * r2 % q, s1 * s2)
-            if len(values) == before:
-                break
-
-    used = 0
-    skipped = 0
-    for p in range(3, prime_bound):
-        if len(values) == q - 1 and used >= min_samples:
-            break
-        if curve.conductor % p == 0 or split_type(q, p) != "split":
-            continue
-        if not _is_prime_small(p):
-            continue
-        if skipped < skip:
-            skipped += 1
-            continue
-        pi = cornacchia_split(q, p)
-        ap = ap_point_count(curve, p)
-        tr = pi.trace()
-        # CM forces |a_p| = |trace pi_p| at good split primes
-        if tr == 0 or abs(ap) != abs(tr):
-            raise EisensteinError(
-                f"split prime {p}: a_p={ap} incompatible with trace {tr}"
-            )
-        put(reduction_mod(ram, pi), 1 if ap == tr else -1)
-        close()
-        used += 1
-    if len(values) != q - 1:
-        raise EisensteinError("character table incomplete; raise prime_bound")
-    if values[q - 1] != -1:
-        raise EisensteinError("calibrated character is even; chi(-1) must be -1")
-    table = tuple(values.get(r, 0) for r in range(q))
-    return HeckeCharacter(q=q, ramified=ram, values=table, samples=used)
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def psi_eval(char: HeckeCharacter, beta: QuadInt) -> QuadInt:
     """psi((beta)) = chi(beta) * beta: the canonical generator attached to (beta)."""
     return beta.scale(char(beta))
@@ -621,11 +523,6 @@ def _element_min_ord2(m: int, pis_k: list, elem: dict, dim_n: int) -> Fraction |
     return min_ord2_roots(coeffs)
 
 
-def _recognize_fraction(x, max_den: int = 10**7):
-    fr = Fraction(float(x)).limit_denominator(max_den)
-    return fr, abs(x - mp.mpf(fr.numerator) / fr.denominator)
-
-
 def averaging_check(
     ctx: EisensteinContext,
     char: HeckeCharacter,
@@ -684,7 +581,7 @@ def averaging_check(
         m_par = (q + 1) // 4
         pis_k = [_k_of(pi) for pi in pis]
         coeffs: list[tuple] = []
-        rec_residual = mp.mpf(0)
+        rec_residual = 0.0
         rec_ok = True
         elem: dict[int, tuple] = {}
         for mask in range(1 << n):
@@ -695,8 +592,8 @@ def averaging_check(
             s_val = terms[mask] * root
             y_c = 2 * mp.im(s_val) / ctx.root_q
             x_c = mp.re(s_val) - y_c / 2
-            xf, xres = _recognize_fraction(x_c)
-            yf, yres = _recognize_fraction(y_c)
+            xf, xres = recognize_rational(x_c, 10**7)
+            yf, yres = recognize_rational(y_c, 10**7)
             rec_residual = max(rec_residual, xres, yres)
             if xres > tol or yres > tol:
                 rec_ok = False
@@ -744,7 +641,7 @@ def averaging_check(
             residual=residual,
             terms=tuple(terms),
             coeffs=tuple(coeffs) if rec_ok else None,
-            recognition_residual=+rec_residual,
+            recognition_residual=rec_residual,
             ord2=ord2,
             bound=bound,
             ok=ok,

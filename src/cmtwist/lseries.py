@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
 import mpmath as mp
 
-from .coeffs import MAX_TABLE, CoeffError, build_table, kronecker
+from .coeffs import (MAX_TABLE, CurveContext, HeckeCharacter, build_table,
+                     kronecker)
 from .qfield import (PrimeIdeal, QuadInt, as_quadint, from_int,
                      min_ord2_roots, ord2_fraction, qr_symbol)
 from .registry import Curve, omega_lattice
@@ -58,20 +59,19 @@ class LValueResult:
     ord2: int | None
 
 
-def central_value(curve: Curve, d: int, target_digits: int = 10,
-                  chi: Callable[[QuadInt], int] | None = None,
-                  ap_map: Mapping[int, int] | None = None):
+def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     """L(E^(d), 1) and the term count, as (value, n_terms, tail_bound).
 
     Exact 0 without summation when the twist root number is -1.
     """
+    curve = ctx.curve
     if twist_root_number(curve, d) == -1:
         return (0.0 if target_digits <= FLOAT_DIGIT_LIMIT else mp.mpf(0)), 0, 0.0
     n_max = series_cutoff(curve, d, target_digits)
     if n_max > MAX_TABLE:
         raise LSeriesError(
             f"precision unattainable at this scale: {n_max} terms needed")
-    table = build_table(curve, d, n_max, chi=chi, ap_map=ap_map)
+    table = build_table(ctx, d, n_max)
     c = math.sqrt(curve.conductor) * max(abs(d), 1)
     if target_digits <= FLOAT_DIGIT_LIMIT:
         x = math.exp(-2 * math.pi / c)
@@ -108,14 +108,16 @@ def central_value(curve: Curve, d: int, target_digits: int = 10,
 
 
 def recognize_rational(x, max_den: int = 64) -> tuple[Fraction, float]:
-    """Nearest rational with denominator <= max_den, plus the residual."""
+    """Nearest rational with denominator <= max_den, plus the residual.
+
+    The residual |x - candidate| is computed by mpmath at the caller's
+    working precision and returned as a float.
+    """
     fr = Fraction(float(x)).limit_denominator(max_den)
-    return fr, abs(float(x) - float(fr))
+    return fr, float(abs(mp.mpf(x) - mp.mpf(fr.numerator) / fr.denominator))
 
 
-def algebraic_part(curve: Curve, d: int, target_digits: int = 10,
-                   chi: Callable[[QuadInt], int] | None = None,
-                   ap_map: Mapping[int, int] | None = None,
+def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
                    max_den: int = 64) -> LValueResult:
     """|L(E^(d),1)| * sqrt(|d|) / Omega_L recognized as an exact rational.
 
@@ -125,9 +127,9 @@ def algebraic_part(curve: Curve, d: int, target_digits: int = 10,
     claimed (lalg = None) and the raw ratio stays available through
     analytic_value and lalg_residual.
     """
+    curve = ctx.curve
     eps = twist_root_number(curve, d)
-    value, n_terms, tail = central_value(curve, d, target_digits, chi=chi,
-                                         ap_map=ap_map)
+    value, n_terms, tail = central_value(ctx, d, target_digits)
     if eps == -1:
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             Fraction(0), 0.0, None)
@@ -170,19 +172,8 @@ def _element_ord2(num: QuadInt, den: int) -> Fraction:
     return min_ord2_roots([nm, -tr, Fraction(1)])
 
 
-def psi_bar_at(curve: Curve, prime: PrimeIdeal,
-               chi: Callable[[QuadInt], int]) -> QuadInt:
-    """conj(psi_E(prime)) for a prime ideal coprime to the conductor."""
-    if curve.f_norm % prime.p == 0:
-        raise LSeriesError(f"prime above {prime.p} divides the conductor")
-    gen = prime.gen
-    s = chi(gen)
-    assert s in (-1, 1)
-    return gen.conj().scale(s)
-
-
 def euler_strip(curve: Curve, m_twist: int, s_primes: Iterable[PrimeIdeal],
-                chi: Callable[[QuadInt], int]) -> EulerStrip:
+                chi: HeckeCharacter) -> EulerStrip:
     """prod_{P in S} (1 - conj(psi_M(P))/N(P)) as an exact element of K.
 
     psi_M = psi_E * (M/.) is the twisted character; every P must be
@@ -194,11 +185,14 @@ def euler_strip(curve: Curve, m_twist: int, s_primes: Iterable[PrimeIdeal],
     den = 1
     factors = []
     for prime in s_primes:
+        if curve.f_norm % prime.p == 0:
+            raise LSeriesError(f"prime above {prime.p} divides the conductor")
         if m_twist % prime.p == 0:
             raise LSeriesError(f"prime above {prime.p} divides the twist {m_twist}")
         tw = qr_symbol(m_elem, prime)
         assert tw in (-1, 1)
-        psi_bar = psi_bar_at(curve, prime, chi).scale(tw)
+        # conj(psi_M(P)) = (M/P) * chi(gen) * conj(gen)
+        psi_bar = prime.gen.conj().scale(tw * chi(prime.gen))
         n_p = prime.residue_size
         fac_num = from_int(curve.q, n_p) - psi_bar
         factors.append(StripFactor(prime, fac_num, n_p,

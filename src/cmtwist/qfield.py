@@ -219,10 +219,10 @@ def is_special_split(q: int, p: int) -> bool:
 
 def special_split_primes(q: int, bound: int) -> list[int]:
     """All special split primes p <= bound, ascending."""
-    return [p for p in range(5, bound + 1) if _is_prime(p) and is_special_split(q, p)]
+    return [p for p in range(5, bound + 1) if is_prime(p) and is_special_split(q, p)]
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -244,6 +244,26 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factor_int(n: int) -> list[tuple[int, int]]:
+    """Ascending (p, e) pairs with |n| = prod p^e, by trial division."""
+    if n == 0:
+        raise QFieldError("cannot factor 0")
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 # ------------------------------------------------------------- prime ideals
@@ -338,26 +358,10 @@ def factor_ideal(beta: QuadInt) -> list[tuple[PrimeIdeal, int]]:
     """Prime ideal factorization of (beta), by trial division of the norm."""
     if beta.a == 0 and beta.b == 0:
         raise QFieldError("cannot factor the zero ideal")
-    n = beta.norm()
     out: list[tuple[PrimeIdeal, int]] = []
     rest = beta
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            for P in primes_above(beta.q, p):
-                e = 0
-                nxt = divide_exact(rest, P)
-                while nxt is not None:
-                    rest = nxt
-                    e += 1
-                    nxt = divide_exact(rest, P)
-                if e:
-                    out.append((P, e))
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        for P in primes_above(beta.q, n):
+    for p, _ in factor_int(beta.norm()):
+        for P in primes_above(beta.q, p):
             e = 0
             nxt = divide_exact(rest, P)
             while nxt is not None:
@@ -416,7 +420,7 @@ class ResidueRing:
             d1, d2, r0 = abs(a), abs(a), 0
         else:
             # unimodular combination with second coordinate e
-            u, v = _ext_gcd(b, a + b)
+            u, v = _bezout(b, a + b)
             r0 = u * a + v * (-m * b)
             d1 = n // e
             d2 = e
@@ -477,7 +481,7 @@ class ResidueRing:
         return reps
 
 
-def _ext_gcd(x: int, y: int) -> tuple[int, int]:
+def _bezout(x: int, y: int) -> tuple[int, int]:
     """(u, v) with u*x + v*y = gcd(x, y)."""
     old_r, r = x, y
     old_u, u = 1, 0

@@ -17,7 +17,7 @@ from math import isqrt
 
 import mpmath as mp
 
-from .qfield import ALLOWED_Q, ord2_fraction
+from .qfield import ALLOWED_Q, factor_int, ord2_fraction
 
 
 class RegistryError(ValueError):
@@ -86,10 +86,6 @@ class Curve:
     def division2_cubic(self) -> tuple[int, int, int, int]:
         """Coefficients of 4x^3 + b2 x^2 + 2 b4 x + b6 (the 2-division cubic)."""
         return (4, self.b2, 2 * self.b4, self.b6)
-
-    @property
-    def tamagawa_note(self) -> str:
-        return f"c_{self.q} = 2 for every admissible twist"
 
 
 # Quadratic residues mod q index the Gamma factors of the period formula.
@@ -192,16 +188,8 @@ def validate_user_curve(
     if disc % 2 == 0:
         raise RegistryError("bad reduction at 2 (even discriminant)")
     n = 1
-    rest = abs(disc)
-    p = 3
-    while p * p <= rest:
-        if rest % p == 0:
-            n *= p * p
-            while rest % p == 0:
-                rest //= p
-        p += 2
-    if rest > 1:
-        n *= rest * rest
+    for p, _ in factor_int(disc):
+        n *= p * p
     if n % (q * q) != 0:
         raise RegistryError("conductor mismatch: q does not divide the conductor twice")
     r = isqrt(n)

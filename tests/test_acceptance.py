@@ -16,7 +16,7 @@ import pytest
 
 from cmtwist.bsd import BSDError, classify_twist, product_check, tamagawa_report
 from cmtwist.cli import RunConfig, cmd_table
-from cmtwist.coeffs import ap_cm_fast, ap_point_count
+from cmtwist.coeffs import CurveContext, ap_cm_fast, ap_point_count
 from cmtwist.eisenstein import (
     averaging_check,
     calibrate_character,
@@ -26,7 +26,7 @@ from cmtwist.eisenstein import (
     prop2_sum,
 )
 from cmtwist.lseries import algebraic_part
-from cmtwist.qfield import QuadInt, _is_prime, special_split_primes, sqrt_minus_q
+from cmtwist.qfield import QuadInt, is_prime, special_split_primes, sqrt_minus_q
 from cmtwist.registry import builtin_curve
 from golden_tables import SPECIAL_PRIMES_11, TABLE_121B, TABLE_49A
 
@@ -51,14 +51,14 @@ def _parse_rows(lines):
 @pytest.fixture(scope="module")
 def table49():
     t0 = time.perf_counter()
-    lines, code = cmd_table(_config(), C49, 1, 1000)
+    lines, code = cmd_table(_config(), CurveContext(C49), 1, 1000)
     return lines, code, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def table121():
     t0 = time.perf_counter()
-    lines, code = cmd_table(_config(), C121, 1, 1000)
+    lines, code = cmd_table(_config(), CurveContext(C121), 1, 1000)
     return lines, code, time.perf_counter() - t0
 
 
@@ -110,7 +110,7 @@ def test_criterion_02_reference_rows_121b(table121):
 
 
 def test_criterion_03_base_algebraic_value():
-    res = algebraic_part(C49, 1, target_digits=15)
+    res = algebraic_part(CurveContext(C49), 1, target_digits=15)
     assert res.lalg == Fraction(1, 2)
     assert res.lalg_residual < 1e-12
 
@@ -173,7 +173,7 @@ def test_criterion_09_coefficient_and_local_rules(chi49, chi121):
     # prime factor of every admissible twist
     for curve, chi in ((C49, chi49), (C121, chi121)):
         for p in range(3, 2000):
-            if _is_prime(p) and curve.conductor % p:
+            if is_prime(p) and curve.conductor % p:
                 assert ap_cm_fast(curve, p, chi) == ap_point_count(curve, p), \
                     (curve.label, p)
         for M in range(2, 1001):
@@ -211,6 +211,6 @@ def test_criterion_11_order_predictions(table49):
 
 
 def test_criterion_12_thread_determinism(table49):
-    lines8, code8 = cmd_table(_config(threads=8), C49, 1, 1000)
+    lines8, code8 = cmd_table(_config(threads=8), CurveContext(C49), 1, 1000)
     assert code8 == table49[1]
     assert "\n".join(lines8) == "\n".join(table49[0])

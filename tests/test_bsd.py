@@ -18,8 +18,8 @@ from cmtwist.bsd import (
     torsion2_order,
     _sha_flags,
 )
-from cmtwist.eisenstein import calibrate_character
-from cmtwist.registry import builtin_curve
+from cmtwist.coeffs import CurveContext
+from cmtwist.registry import builtin_curve, validate_user_curve
 from golden_tables import TABLE_121B, TABLE_49A
 
 C49 = builtin_curve("49a")
@@ -27,13 +27,13 @@ C121 = builtin_curve("121b")
 
 
 @pytest.fixture(scope="module")
-def chi49():
-    return calibrate_character(C49)
+def ctx49():
+    return CurveContext(C49)
 
 
 @pytest.fixture(scope="module")
-def chi121():
-    return calibrate_character(C121)
+def ctx121():
+    return CurveContext(C121)
 
 
 def test_classify_admissible_split():
@@ -107,55 +107,55 @@ def test_product_identity():
         product_check(C49, 3)        # factor 3 mod 4
 
 
-def test_theorem18_tight_row(chi49):
-    rep = theorem18_check(C49, 29, chi=chi49)
+def test_theorem18_tight_row(ctx49):
+    rep = theorem18_check(ctx49, 29)
     assert rep.lvalue.lalg == 2 and rep.lvalue.ord2 == 1
     assert rep.bound_rhs == 1 and rep.bound_holds and not rep.indeterminate
     assert rep.sha_ord2_predicted == 0 and rep.sha_flags == ()
 
 
-def test_theorem18_large_sha_row(chi49):
-    rep = theorem18_check(C49, 449, chi=chi49)
+def test_theorem18_large_sha_row(ctx49):
+    rep = theorem18_check(ctx49, 449)
     assert rep.lvalue.lalg == 32 and rep.lvalue.ord2 == 5
     assert rep.sha_ord2_predicted == 4  # order-16 prediction
 
 
-def test_theorem18_mixed_row(chi121):
-    rep = theorem18_check(C121, 371, chi=chi121)
+def test_theorem18_mixed_row(ctx121):
+    rep = theorem18_check(ctx121, 371)
     assert rep.lvalue.lalg == 16 and rep.lvalue.ord2 == 4
     assert rep.bound_rhs == 3 and rep.bound_holds
     assert rep.sha_ord2_predicted is None  # base value vanishes: no ratio
 
 
-def test_theorem18_slack_statistic(chi121):
-    rep = theorem18_check(C121, 7, chi=chi121)
+def test_theorem18_slack_statistic(ctx121):
+    rep = theorem18_check(ctx121, 7)
     assert rep.lvalue.ord2 == 2 and rep.bound_rhs == 1
     assert rep.lvalue.ord2 - rep.bound_rhs == 1  # min slack on this curve
 
 
-def test_theorem18_vanishing_twist():
+def test_theorem18_vanishing_twist(ctx49):
     # inadmissible M (wrong class mod 4) still yields a report when the
     # L-value is forced to zero: the bound holds vacuously
-    rep = theorem18_check(C49, 1)
+    rep = theorem18_check(ctx49, 1)
     assert rep.lvalue.lalg == Fraction(1, 2)
     assert rep.bound_holds
 
 
-def test_corollary_divisibility(chi49):
-    assert corollary_ap_check(C49, 29, chi=chi49)
-    assert corollary_ap_check(C49, 1, chi=chi49)
+def test_corollary_divisibility(ctx49, ctx121):
+    assert corollary_ap_check(ctx49, 29)
+    assert corollary_ap_check(ctx49, 1)
     with pytest.raises(NotApplicable):
-        corollary_ap_check(C49, 145)   # inert factor 5
+        corollary_ap_check(ctx49, 145)   # inert factor 5
     with pytest.raises(NotApplicable):
-        corollary_ap_check(C121, 53)   # vanishing base value
+        corollary_ap_check(ctx121, 53)   # vanishing base value
 
 
-def test_predicted_sha_anchors(chi49):
-    assert predicted_sha_ord2(C49, 29, chi=chi49) == 0
-    assert predicted_sha_ord2(C49, 145, chi=chi49) == 0
-    assert predicted_sha_ord2(C49, 449, chi=chi49) == 4
+def test_predicted_sha_anchors(ctx49, ctx121):
+    assert predicted_sha_ord2(ctx49, 29) == 0
+    assert predicted_sha_ord2(ctx49, 145) == 0
+    assert predicted_sha_ord2(ctx49, 449) == 4
     with pytest.raises(NotApplicable):
-        predicted_sha_ord2(C121, 7)
+        predicted_sha_ord2(ctx121, 7)
 
 
 def test_sha_flags():
@@ -172,3 +172,13 @@ def test_torsion2_order():
     assert 2 * y + C49.a1 * x + C49.a3 == 0
     assert torsion2_order(C49) == 2
     assert torsion2_order(C121) == 1
+
+
+def test_torsion2_order_large_b6():
+    # the 6301-twist of 49a: b6 = -4 * 6301^3, about -10^12, so a divisor
+    # scan over 1..|b6| would never finish
+    d = 6301
+    curve = validate_user_curve("e6301", (1, (-3 * d - 1) // 4, 0, -2 * d * d, -d**3),
+                                q=7, w=1, omega="1.0")
+    assert abs(curve.b6) > 10**12
+    assert torsion2_order(curve) == 2

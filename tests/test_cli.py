@@ -2,7 +2,9 @@
 
 import pytest
 
+from cmtwist import coeffs
 from cmtwist.cli import main
+from cmtwist.registry import builtin_curve
 
 
 def run(capsys, *argv):
@@ -132,6 +134,34 @@ def test_env_defaults(capsys, monkeypatch):
     assert out.strip() == "53"
 
 
+@pytest.mark.parametrize("name, value", [
+    ("PRECISION", "abc"), ("THREADS", "two"), ("FORMAT", "xml"),
+])
+def test_bad_env_default_is_usage_error(capsys, monkeypatch, name, value):
+    monkeypatch.setenv("CMTWIST_" + name, value)
+    code, out, err = run(capsys, "special-primes", "7", "60")
+    assert code == 2 and out == "" and value in err
+
+
+def test_twist_uses_the_character_not_point_counts(capsys, monkeypatch):
+    # twist 449 needs a_p at ~1000 split primes; the only point counts
+    # allowed are those of the character calibration
+    calls = []
+    counted = coeffs.ap_point_count
+
+    def counting(curve, p):
+        calls.append(p)
+        return counted(curve, p)
+
+    monkeypatch.setattr(coeffs, "ap_point_count", counting)
+    code, out, _ = run(capsys, "twist", "449", "--curve", "49a")
+    assert code == 0 and "L^alg = 32/1" in out
+    during_twist = list(calls)
+    calls.clear()
+    coeffs.calibrate_character(builtin_curve("49a"))
+    assert during_twist == calls
+
+
 def test_curve_file_resolution(capsys, tmp_path):
     f = tmp_path / "curves.txt"
     f.write_text("121b 0 -1 1 -7 10 11 -1\n")
@@ -144,14 +174,42 @@ def test_user_curve_base_value_derived(capsys, tmp_path):
     # a user curve records no base L-value; the CLI must compute it before
     # applying the bound.  This curve is the 29-twist of the builtin 49a,
     # so its 5-twist must reproduce the builtin M=145 row: lalg 4, ord2 2.
+    code, out, _ = run(capsys, "twist", "5", "--curve", "e29",
+                       "--curve-file", _e29_file(tmp_path))
+    assert code == 0
+    assert "L^alg = 4/1  (ord2 = 2)" in out
+    assert "holds" in out
+
+
+def _e29_file(tmp_path):
+    """The 29-twist of 49a as a user curve, with its period."""
     import mpmath as mp
-    from cmtwist.registry import builtin_curve, omega_infinity
+    from cmtwist.registry import omega_infinity
     with mp.workdps(40):
         om = mp.nstr(omega_infinity(builtin_curve("49a"), 30) / mp.sqrt(29), 25)
     f = tmp_path / "c.txt"
     f.write_text(f"e29 1 -22 0 -1682 -24389 7 1 {om}\n")
-    code, out, _ = run(capsys, "twist", "5", "--curve", "e29",
-                       "--curve-file", str(f))
+    return str(f)
+
+
+def test_user_curve_table_matches_twist(capsys, tmp_path):
+    # e29's character has conductor sqrt(-7)*29, so its a_p come from point
+    # counts; the table must not try to calibrate a sqrt(-7) character
+    f = _e29_file(tmp_path)
+    code, table, err = run(capsys, "table", "2", "6", "--curve", "e29",
+                           "--curve-file", f, "--format", "csv")
+    assert code == 0, err
+    code, twist, _ = run(capsys, "twist", "5", "--curve", "e29",
+                         "--curve-file", f, "--format", "csv")
     assert code == 0
-    assert "L^alg = 4/1  (ord2 = 2)" in out
-    assert "holds" in out
+    rows = [ln for ln in table.splitlines() if not ln.startswith("#")]
+    assert rows == twist.splitlines()
+    assert rows[1].startswith("5,+1,") and ",4,1,2," in rows[1]
+
+
+def test_user_curve_verify_refuses_character(capsys, tmp_path):
+    # the Eisenstein scenarios need a character of conductor sqrt(-q);
+    # e29's has norm 7 * 29^2, so calibration is refused up front
+    code, _, err = run(capsys, "verify", "character", "--curve", "e29",
+                       "--curve-file", _e29_file(tmp_path))
+    assert code == 2 and "conductor norm 5887" in err

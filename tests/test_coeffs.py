@@ -1,21 +1,20 @@
-"""Dirichlet coefficients: point counts, CM fast path, tables, cache."""
+"""Dirichlet coefficients: point counts, CM fast path, contexts, tables."""
 
 import pytest
 
 from cmtwist.coeffs import (
     CoeffError,
+    CurveContext,
     ap_cm_fast,
     ap_enumerate,
     ap_point_count,
     ap_range,
     build_table,
     kronecker,
-    load_ap_cache,
-    save_ap_cache,
     spf_sieve,
 )
 from cmtwist.eisenstein import calibrate_character
-from cmtwist.qfield import _is_prime
+from cmtwist.qfield import is_prime
 from cmtwist.registry import builtin_curve
 
 C49 = builtin_curve("49a")
@@ -23,7 +22,7 @@ C121 = builtin_curve("121b")
 
 
 def _odd_good_primes(curve, bound):
-    return [p for p in range(3, bound) if _is_prime(p) and curve.conductor % p]
+    return [p for p in range(3, bound) if is_prime(p) and curve.conductor % p]
 
 
 def test_kronecker_matches_legendre():
@@ -58,14 +57,14 @@ def test_ap_known_values():
     assert ap_point_count(C121, 5) == -3
     # inert primes have trace zero
     assert ap_point_count(C49, 5) == 0 and ap_point_count(C49, 13) == 0
-    assert ap_cm_fast(C121, 13, None) == 0
+    assert ap_cm_fast(C121, 13, calibrate_character(C121)) == 0
 
 
 def test_ap_bad_prime_rejected():
     with pytest.raises(CoeffError):
         ap_point_count(C49, 7)
     with pytest.raises(CoeffError):
-        ap_cm_fast(C121, 11)
+        ap_cm_fast(C121, 11, calibrate_character(C121))
     with pytest.raises(CoeffError):
         ap_point_count(C49, 2)
 
@@ -78,8 +77,7 @@ def test_cm_fast_path_agrees_with_point_counts():
 
 
 def test_ap_range_matches_singletons():
-    chi = calibrate_character(C49)
-    table = ap_range(C49, 200, chi=chi)
+    table = ap_range(CurveContext(C49), 200)
     assert table[2] == ap_enumerate(C49, 2) == 1
     assert 7 not in table
     for p, ap in table.items():
@@ -95,7 +93,7 @@ def test_spf_sieve():
 
 
 def test_table_multiplicative_structure():
-    t = build_table(C49, 0, 5000)
+    t = build_table(CurveContext(C49), 0, 5000)
     # coprime multiplicativity
     for m, n in ((3, 11), (4, 23), (9, 29), (11, 37)):
         assert t.coeff(m * n) == t.coeff(m) * t.coeff(n)
@@ -108,8 +106,9 @@ def test_table_multiplicative_structure():
 
 def test_table_twist_relation():
     d = 29
-    base = build_table(C49, 0, 1500)
-    tw = build_table(C49, d, 1500)
+    ctx = CurveContext(C49)
+    base = build_table(ctx, 0, 1500)
+    tw = build_table(ctx, d, 1500)
     # a'(n) = (d/n) a(n) whenever n is coprime to d (the symbol is totally
     # multiplicative, so this holds for composites too)
     for n in range(1, 1501):
@@ -119,38 +118,12 @@ def test_table_twist_relation():
 
 
 def test_table_twist_disc_validation():
+    ctx = CurveContext(C49)
     with pytest.raises(CoeffError):
-        build_table(C49, 7, 100)       # shares 7 with the conductor
+        build_table(ctx, 7, 100)       # shares 7 with the conductor
     with pytest.raises(CoeffError):
-        build_table(C49, 6, 100)       # 6 != 1 mod 4
+        build_table(ctx, 6, 100)       # 6 != 1 mod 4
     with pytest.raises(CoeffError):
-        build_table(C49, 45, 100)      # 45 = 1 mod 4 but not square-free
+        build_table(ctx, 45, 100)      # 45 = 1 mod 4 but not square-free
     with pytest.raises(CoeffError):
-        build_table(C49, 5, 0)
-
-
-def test_cache_round_trip(tmp_path):
-    chi = calibrate_character(C121)
-    ap = ap_range(C121, 300, chi=chi)
-    path = str(tmp_path / "c121.apc")
-    save_ap_cache(path, "121b", ap)
-    assert load_ap_cache(path, "121b") == ap
-
-
-def test_cache_rejects_corruption(tmp_path):
-    ap = {3: -2, 5: 4}
-    path = str(tmp_path / "x.apc")
-    save_ap_cache(path, "121b", ap)
-    with pytest.raises(CoeffError):
-        load_ap_cache(path, "49a")     # wrong curve
-    data = open(path, "rb").read()
-    open(path, "wb").write(b"XXXX" + data[4:])
-    with pytest.raises(CoeffError):
-        load_ap_cache(path, "121b")    # bad magic
-    open(path, "wb").write(data[:-8])
-    with pytest.raises(CoeffError):
-        load_ap_cache(path, "121b")    # truncated
-    # Hasse violation
-    save_ap_cache(path, "121b", {3: 9})
-    with pytest.raises(CoeffError):
-        load_ap_cache(path, "121b")
+        build_table(ctx, 5, 0)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cmtwist.coeffs import CoeffError
 from cmtwist.eisenstein import (
     EisensteinError,
     averaging_check,
@@ -135,7 +136,7 @@ def test_character_disjoint_calibration(chi49):
 
 
 def test_character_rejects_ramified_argument(chi49):
-    with pytest.raises(EisensteinError):
+    with pytest.raises(CoeffError):
         chi49(sqrt_minus_q(7))
 
 

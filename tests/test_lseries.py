@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.eisenstein import calibrate_character
 from cmtwist.lseries import (
     LSeriesError,
@@ -42,7 +43,7 @@ def test_series_cutoff_scaling():
 
 
 def test_central_value_base_49a():
-    value, n_terms, tail = central_value(C49, 1, target_digits=18)
+    value, n_terms, tail = central_value(CurveContext(C49), 1, target_digits=18)
     assert n_terms >= 8 and tail < 1e-18
     with mp.workdps(30):
         om = omega_lattice(C49, 25)
@@ -51,38 +52,41 @@ def test_central_value_base_49a():
 
 def test_central_value_forced_zero():
     # odd functional equation means an exact zero without summation
-    value, n_terms, tail = central_value(C49, -3, target_digits=12)
+    value, n_terms, tail = central_value(CurveContext(C49), -3, target_digits=12)
     assert value == 0 and n_terms == 0 and tail == 0
-    value2, n2, _ = central_value(C121, 37, target_digits=12)
+    value2, n2, _ = central_value(CurveContext(C121), 37, target_digits=12)
     assert value2 == 0 and n2 == 0
 
 
 def test_algebraic_part_anchors():
-    assert algebraic_part(C49, 1, target_digits=15).lalg == Fraction(1, 2)
-    r29 = algebraic_part(C49, 29, target_digits=12)
+    ctx49, ctx121 = CurveContext(C49), CurveContext(C121)
+    assert algebraic_part(ctx49, 1, target_digits=15).lalg == Fraction(1, 2)
+    r29 = algebraic_part(ctx49, 29, target_digits=12)
     assert r29.lalg == 2 and r29.ord2 == 1
-    assert algebraic_part(C121, -7, target_digits=12).lalg == 4
-    z = algebraic_part(C121, 1, target_digits=12)
+    assert algebraic_part(ctx121, -7, target_digits=12).lalg == 4
+    z = algebraic_part(ctx121, 1, target_digits=12)
     assert z.lalg == 0 and z.ord2 is None
 
 
 def test_algebraic_part_residual_small():
-    res = algebraic_part(C49, 113, target_digits=12)
+    res = algebraic_part(CurveContext(C49), 113, target_digits=12)
     assert res.lalg == Fraction(8)
     assert res.lalg_residual < 1e-9
     assert res.tail_bound < 1e-12
 
 
 def test_algebraic_part_shared_ap_map():
-    from cmtwist.coeffs import ap_range
-    chi = calibrate_character(C49)
+    # the context's character-route a_p table, which the series used, must
+    # equal point counts at every good prime the series needed
+    ctx = CurveContext(C49)
+    res = algebraic_part(ctx, 53, target_digits=12)
+    assert res.lalg == 0               # this twist's central value vanishes
     n_max = series_cutoff(C49, 53, 12)
-    ap_map = ap_range(C49, n_max, chi=chi)
-    a = algebraic_part(C49, 53, target_digits=12)
-    b = algebraic_part(C49, 53, target_digits=12, chi=chi, ap_map=ap_map)
-    assert a.lalg == b.lalg
-    with mp.workdps(25):
-        assert abs(a.analytic_value - b.analytic_value) == 0
+    table = ctx.ap_table(n_max)
+    primes = [p for p in table if 3 < p <= n_max]
+    assert len(primes) > 250
+    for p in primes:
+        assert table[p] == ap_point_count(C49, p), p
 
 
 def test_euler_strip_exact_and_ord2():
@@ -93,7 +97,6 @@ def test_euler_strip_exact_and_ord2():
         assert strip.den == p
         fac = strip.factors[0]
         # 1 - conj(psi(P))/p has norm (p + 1 - a_p)/p: the local point count
-        from cmtwist.coeffs import ap_point_count
         ap = ap_point_count(C49, p)
         assert Fraction(fac.num.norm(), p * p) == Fraction(p + 1 - ap, p)
         assert fac.ord2 >= 0

@@ -13,7 +13,9 @@ from cmtwist.qfield import (
     chi_m_symbol,
     cornacchia_split,
     factor_ideal,
+    factor_int,
     from_int,
+    is_prime,
     is_special_split,
     legendre,
     min_ord2_roots,
@@ -102,8 +104,19 @@ def test_sqrt_mod():
 
 
 def _odd_primes(bound):
-    from cmtwist.qfield import _is_prime
-    return [p for p in range(3, bound, 2) if _is_prime(p)]
+    return [p for p in range(3, bound, 2) if is_prime(p)]
+
+
+def test_factor_int():
+    assert factor_int(1) == []
+    assert factor_int(-360) == [(2, 3), (3, 2), (5, 1)]
+    assert factor_int(7**3 * 29**6) == [(7, 3), (29, 6)]
+    big = 999983 * 1000003          # two primes near 10^6
+    assert factor_int(big) == [(999983, 1), (1000003, 1)]
+    assert [p for p in range(2, 60) if is_prime(p)] == \
+        [p for p in range(2, 60) if factor_int(p) == [(p, 1)]]
+    with pytest.raises(QFieldError):
+        factor_int(0)
 
 
 def test_cornacchia_produces_generators():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cmtwist.coeffs import CurveContext
 from cmtwist.lseries import algebraic_part
 from cmtwist.registry import (
     BUILTIN,
@@ -93,7 +94,7 @@ def test_user_curve_end_to_end_algebraic_part(tmp_path):
     om = mp.nstr(omega_infinity(c49, 30) / mp.sqrt(29), 25)
     f = _write(tmp_path / "c.txt", f"e29 1 -22 0 -1682 -24389 7 1 {om}\n")
     e29 = resolve_curve("e29", f)
-    res = algebraic_part(e29, 1, target_digits=12)
+    res = algebraic_part(CurveContext(e29), 1, target_digits=12)
     assert res.lalg == 2
 
 
