@@ -24,6 +24,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+import mpmath as mp
+
 from . import bsd
 from .bsd import BSDError, BSDReport, NotApplicable
 from .coeffs import MAX_TABLE, CoeffError, CurveContext
@@ -35,6 +37,7 @@ from .qfield import (
     QuadInt,
     cornacchia_split,
     is_prime,
+    is_special_split,
     normalize_mod4,
     special_split_primes,
     split_type,
@@ -95,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="identity checks: eisenstein-base, "
-                            "averaging:<pi,...>, lemma-div:<n>, character, "
-                            "tamagawa-cross")
+                            "averaging:<pi,...>, e1-ladder[:<pi,...>], "
+                            "lemma-div:<n>, character, tamagawa-cross")
     p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
 
     p = sub.add_parser("special-primes", parents=[common],
@@ -310,6 +313,11 @@ def _parse_pi_entry(entry: str, q: int) -> QuadInt:
     if kind == "ramified":
         raise ValueError(f"{p} ramifies in Q(sqrt(-{q}))")
     if kind == "split":
+        if not is_special_split(q, abs(p)):
+            raise ValueError(
+                f"{abs(p)} is a split prime of Q(sqrt(-{q})) that is not "
+                f"special: no generator of a prime above it is congruent "
+                f"to 1 mod 4")
         return normalize_mod4(cornacchia_split(q, abs(p)))
     return QuadInt(q, p if p % 4 == 1 else -p, 0)
 
@@ -324,7 +332,6 @@ def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[st
     if name == "eisenstein-base":
         eis_ctx = eis.make_context(curve, precision=max(prec, 30))
         val = eis.prop2_sum(eis_ctx, ctx.character, sqrt_minus_q(curve.q))
-        import mpmath as mp
         with mp.workdps(eis_ctx.dps):
             amp, _phase = eis.phase_split(val)
             target, residual = recognize_rational(amp, 64)
@@ -345,6 +352,18 @@ def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[st
         if rep.note:
             msg += f" [{rep.note}]"
         return msg, rep.ok
+
+    if name == "e1-ladder":
+        entries = arg.split(",") if arg else []
+        g = sqrt_minus_q(curve.q)
+        for e in entries:
+            g = g * _parse_pi_entry(e, curve.q)
+        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
+        count, worst = eis.ladder_discrepancy(eis_ctx, g)
+        ok = worst < mp.mpf(10) ** (5 - eis_ctx.precision)
+        where = "*".join([f"sqrt(-{curve.q})"] + [f"({e})" for e in entries])
+        return (f"e1-ladder[{curve.label}: {where}]: {count} representatives, "
+                f"worst |direct - ladder| = {mp.nstr(worst, 3)}", ok)
 
     if name == "lemma-div":
         n = int(arg) if arg else 10

@@ -3,24 +3,37 @@
 The period lattice of each supported curve is lam * O_K with lam = i^rot *
 Omega for a positive real Omega (see registry.omega_lattice; rot is the
 curve's quarter-turn count), where O_K = Z + Z*tau, tau = (1+sqrt(-q))/2.
-This module evaluates the Weierstrass functions wp, wp' on that lattice via
-q-expansions, builds the modified Eisenstein value E1*(w) at odd-order torsion
-points w through the classical ladder
+The modified Eisenstein value E1*(z) = zeta(z) - z*s2 - conj(z)/A is
+evaluated at a torsion point z = (s + t*tau)*lam, s and t exact Fractions,
+directly from its q-expansion: with u = e^(2*pi*i*(s + t*tau)), 0 <= t <= 1/2
+(E1* is odd) and qtau = e^(2*pi*i*tau) = -e^(-pi*sqrt(q)),
 
-    2 B_m(z) = wp''(z)/wp'(z)
-             + sum_{k=2}^{m-1} (wp'(kz) - wp'(z)) / (wp(kz) - wp(z)),
+    E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
+             + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
 
-    E1*(w) = -B_{m-1}(w) / m      (w of exact odd order m >= 3),
-
-and assembles the character-weighted full and partial torsion sums
+one short series per point (Goldstein-Schappacher, J. reine angew. Math.
+327 (1981); de Shalit, Iwasawa Theory of Elliptic Curves with Complex
+Multiplication (1987), ch. II).  The weight-one torsion sums
 
     S(g)      = g^{-1} sum_{beta} chi(beta) E1*(beta*lam/g),
     S_M(g)    = g^{-1} sum_{beta} chi_M((beta)) chi(beta) E1*(beta*lam/g),
 
-with beta running over odd representatives of (O_K/g)^* / {+-1}.  These sums
+with beta running over odd representatives of (O_K/g)^* / {+-1}, are
+reductions of one per-modulus array of chi(beta)*E1*(beta*lam/g).  They
 compute partially stripped Hecke L-values divided by Omega; averaging_check
 verifies the subset-average identity relating the S_M to a sign-condition
 sub-sum and bounds the 2-adic valuation of the average.
+
+The oracle for the direct values is the classical ladder built from wp, wp'
+(themselves q-expansions) at the multiples of a point w of exact odd order m,
+
+    2 B_m(z) = wp''(z)/wp'(z)
+             + sum_{k=2}^{m-1} (wp'(kz) - wp'(z)) / (wp(kz) - wp(z)),
+
+    E1*(w) = -B_{m-1}(w) / m,
+
+which costs m - 1 divisions per point (b_ladder, e1star_torsion,
+ladder_discrepancy); the tests and `verify e1-ladder` use it.
 
 All floating work is mpmath at a caller-chosen precision plus guard digits;
 torsion points are located by exact rational coordinates so that phases are
@@ -66,8 +79,8 @@ class EisensteinContext:
     """Precomputed lattice constants for one curve at one working precision.
 
     omega is the positive real lattice scale and lam = i^rotation * omega the
-    actual lattice multiplier (period lattice = lam * O_K); fac2 =
-    (2*pi*i/lam)^2 and fac3 = (2*pi*i/lam)^3 are the prefactors of the wp and
+    actual lattice multiplier (period lattice = lam * O_K); scale = 2*pi*i/lam,
+    fac2 = scale^2 and fac3 = scale^3 are the prefactors of the E1*, wp and
     wp' q-expansions, and series_terms bounds the q-power tail at the working
     precision (|qtau| = exp(-pi*sqrt(q))).
     """
@@ -82,6 +95,7 @@ class EisensteinContext:
     qtau: object           # mpf, -exp(-pi*sqrt(q))
     g2: object             # mpf, c4/12 on the lam*O_K lattice
     g3: object             # mpf, c6/216
+    scale: object
     fac2: object
     fac3: object
     series_terms: int
@@ -113,7 +127,7 @@ def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
         ctx = EisensteinContext(
             curve=curve, precision=precision, dps=dps, omega=+omega,
             lam=+lam, root_q=+root_q, tau=+tau, qtau=+qtau, g2=+g2, g3=+g3,
-            fac2=+fac2, fac3=+fac3, series_terms=n_terms,
+            scale=+scale, fac2=+fac2, fac3=+fac3, series_terms=n_terms,
         )
         # tripwire: the weight-4/6 Eisenstein series of omega*O_K must equal
         # the exact model invariants c4/12, c6/216
@@ -149,7 +163,7 @@ def _invariants_from_series(ctx: EisensteinContext):
         )
 
 
-# ---------------------------------------------------- wp via q-expansion
+# -------------------------------------------- wp and E1* via q-expansions
 
 
 def _as_mpf(x) -> mp.mpf:
@@ -158,36 +172,44 @@ def _as_mpf(x) -> mp.mpf:
     return mp.mpf(x)
 
 
-def _wp_from_st(ctx: EisensteinContext, s, t):
-    """(wp(z), wp'(z)) for z = (s + t*tau)*lam, s and t rational or real.
+def _reduced_phase(ctx: EisensteinContext, s, t):
+    """(u, t, flip) for z = (s + t*tau)*lam, s and t rational or real.
 
-    Fraction inputs keep the phase e^(2*pi*i*(s + t/2)) exact to working
-    precision; the pole at z in the lattice is rejected.
+    z is reduced modulo the lattice and, when t > 1/2, replaced by -z
+    (flip = True), so 0 <= t <= 1/2 and u = e^(2*pi*i*(s + t*tau)) has
+    |u| <= 1.  Fraction inputs keep the phase e^(2*pi*i*(s + t/2)) exact to
+    working precision; the lattice itself is rejected.  Call inside
+    mp.workdps(ctx.dps).
     """
+    if isinstance(s, Fraction) and isinstance(t, Fraction):
+        s %= 1
+        t %= 1
+        if s == 0 and t == 0:
+            raise EisensteinError("pole: z lies on the lattice")
+        flip = t > Fraction(1, 2)
+        if flip:
+            s, t = (-s) % 1, 1 - t
+    else:
+        s = mp.mpf(s)
+        t = mp.mpf(t)
+        s -= mp.floor(s)
+        t -= mp.floor(t)
+        eps = mp.mpf(10) ** (-(ctx.dps - 5))
+        if min(s, 1 - s) < eps and min(t, 1 - t) < eps:
+            raise EisensteinError("pole: z is too close to the lattice")
+        flip = t > mp.mpf(1) / 2
+        if flip:
+            s, t = (1 - s) % 1, 1 - t
+    phase = _as_mpf(2 * s + t)
+    t = _as_mpf(t)
+    u = mp.expjpi(phase) * mp.exp(-mp.pi * ctx.root_q * t)
+    return u, t, flip
+
+
+def _wp_from_st(ctx: EisensteinContext, s, t):
+    """(wp(z), wp'(z)) for z = (s + t*tau)*lam, s and t rational or real."""
     with mp.workdps(ctx.dps):
-        exact = isinstance(s, Fraction) and isinstance(t, Fraction)
-        if exact:
-            s %= 1
-            t %= 1
-            if s == 0 and t == 0:
-                raise EisensteinError("wp pole: z lies on the lattice")
-            flip = t > Fraction(1, 2)
-            if flip:
-                s, t = (-s) % 1, 1 - t
-        else:
-            s = mp.mpf(s)
-            t = mp.mpf(t)
-            s -= mp.floor(s)
-            t -= mp.floor(t)
-            eps = mp.mpf(10) ** (-(ctx.dps - 5))
-            if min(s, 1 - s) < eps and min(t, 1 - t) < eps:
-                raise EisensteinError("wp pole: z is too close to the lattice")
-            flip = t > mp.mpf(1) / 2
-            if flip:
-                s, t = (1 - s) % 1, 1 - t
-        # u = e^(2*pi*i*z/lam) with z/lam = s + t*tau
-        phase = _as_mpf(2 * s + t)
-        u = mp.expjpi(phase) * mp.exp(-mp.pi * ctx.root_q * _as_mpf(t))
+        u, _, flip = _reduced_phase(ctx, s, t)
         u_inv = 1 / u
         omu = 1 - u
         wp = mp.mpf(1) / 12 + u / (omu * omu)
@@ -207,6 +229,30 @@ def _wp_from_st(ctx: EisensteinContext, s, t):
         if flip:
             wpd = -wpd
         return +wp, +wpd
+
+
+def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
+    """E1*(z) for z = (s + t*tau)*lam off the lattice, from its q-expansion.
+
+    With u = e^(2*pi*i*(s + t*tau)) and 0 <= t <= 1/2 (E1* is odd),
+
+        E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
+                 + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
+
+    the two fractions of each term merged over one denominator.
+    """
+    with mp.workdps(ctx.dps):
+        u, t, flip = _reduced_phase(ctx, s, t)
+        u_inv = 1 / u
+        acc = (1 + u) / (2 * (u - 1)) + t
+        qn = mp.mpf(1)
+        for _ in range(ctx.series_terms):
+            qn *= ctx.qtau
+            a = qn * u
+            b = qn * u_inv
+            acc += (b - a) / ((1 - a) * (1 - b))
+        val = ctx.scale * acc
+        return -val if flip else +val
 
 
 def wp_values(ctx: EisensteinContext, z):
@@ -234,10 +280,11 @@ def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
     ring = ResidueRing(g)
     if not ring.is_coprime(beta):
         raise EisensteinError(f"{beta} is not coprime to the modulus {g}")
-    order = ring.smallest_positive_integer
-    # odd modulus => odd order; non-unit => order > 1
-    assert order % 2 == 1 and order >= 3
-    return TorsionPoint(beta=beta, g=g, order=order)
+    # ResidueRing admits only odd non-unit moduli, so the order is odd, >= 3
+    return TorsionPoint(beta=beta, g=g, order=ring.smallest_positive_integer)
+
+
+# ------------------------------------------------- the B-ladder oracle
 
 
 class _WpCache:
@@ -350,6 +397,53 @@ def _require_conductor(char: HeckeCharacter, g: QuadInt) -> None:
         )
 
 
+def e1star_values(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list]:
+    """Representatives beta of (O_K/g)^*/{+-1} and E1*(beta*lam/g) at each.
+
+    beta/g = beta*conj(g)/N(g) = s + t*tau with exact Fractions s, t, and
+    each value is one q-expansion; the ladder (e1star_torsion) is its oracle.
+    """
+    reps = ResidueRing(g).coprime_residues_mod_units()
+    g_conj = g.conj()
+    g_norm = g.norm()
+    values = []
+    for b in reps:
+        w = b * g_conj
+        values.append(
+            _e1star_from_st(ctx, Fraction(w.a, g_norm), Fraction(w.b, g_norm))
+        )
+    return reps, values
+
+
+def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]:
+    """(count, worst |direct - ladder|) over every representative of g.
+
+    Compares e1star_values with -B_{m-1}/m from the B-ladder, the value
+    e1star_torsion returns, on all of (O_K/g)^*/{+-1}; the ladders share
+    one wp cache.
+    """
+    reps, direct = e1star_values(ctx, g)
+    cache = _WpCache(ctx, g)
+    with mp.workdps(ctx.dps):
+        worst = max(
+            abs(d - _e1star_cached(cache, b)) for b, d in zip(reps, direct)
+        )
+    return len(reps), worst
+
+
+def _torsion_terms(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt):
+    """(reps, [chi(beta) * E1*(beta*lam/g)], embedding of g).
+
+    The per-modulus data that prop2_sum, twisted_sum and averaging_check
+    reduce; the symbol weights they add are +-1 or 0, so every product
+    with these terms is exact.
+    """
+    _require_conductor(char, g)
+    reps, e1 = e1star_values(ctx, g)
+    with mp.workdps(ctx.dps):
+        return reps, [char(b) * v for b, v in zip(reps, e1)], ctx.embed(g)
+
+
 def prop2_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt):
     """g^{-1} * sum over (O_K/g)^*/{+-1} of chi(beta) * E1*(beta*lam/g).
 
@@ -357,12 +451,9 @@ def prop2_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt):
     dividing g; chi(beta)*E1*(beta...) = E1*(psi((beta))*lam/g) since E1*
     is odd, so the result only depends on the ideal (beta).
     """
-    _require_conductor(char, g)
-    cache = _WpCache(ctx, g)
-    reps = cache.ring.coprime_residues_mod_units()
+    _, terms, g_c = _torsion_terms(ctx, char, g)
     with mp.workdps(ctx.dps):
-        terms = [char(b) * _e1star_cached(cache, b) for b in reps]
-        return +(_pairwise_sum(terms) / ctx.embed(g))
+        return +(_pairwise_sum(terms) / g_c)
 
 
 def twisted_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt, m_twist):
@@ -371,18 +462,13 @@ def twisted_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt, m_twis
     m_twist is a QuadInt (or int) with odd norm, coprime to g's residue
     classes being summed; m_twist = 1 recovers prop2_sum exactly.
     """
-    _require_conductor(char, g)
     m_el = from_int(g.q, m_twist) if isinstance(m_twist, int) else m_twist
     if not m_el.is_odd():
         raise EisensteinError("twisting element must have odd norm")
-    cache = _WpCache(ctx, g)
-    reps = cache.ring.coprime_residues_mod_units()
+    reps, terms, g_c = _torsion_terms(ctx, char, g)
     with mp.workdps(ctx.dps):
-        terms = [
-            chi_m_symbol(m_el, b) * char(b) * _e1star_cached(cache, b)
-            for b in reps
-        ]
-        return +(_pairwise_sum(terms) / ctx.embed(g))
+        weighted = [chi_m_symbol(m_el, b) * v for b, v in zip(reps, terms)]
+        return +(_pairwise_sum(weighted) / g_c)
 
 
 # ------------------------------------------------- averaged torsion sums
@@ -544,33 +630,26 @@ def averaging_check(
     g = sqrt_minus_q(q)
     for pi in pis:
         g = g * pi
-    _require_conductor(char, g)
-    cache = _WpCache(ctx, g)
-    reps = cache.ring.coprime_residues_mod_units()
+    reps, chi_e1, g_c = _torsion_terms(ctx, char, g)
     with mp.workdps(ctx.dps):
-        g_c = ctx.embed(g)
-        e1 = [_e1star_cached(cache, b) for b in reps]
-        chi_b = [char(b) for b in reps]
         sym = [[chi_m_symbol(pi, b) for b in reps] for pi in pis]
 
         # left side: one twisted sum per subset of the pi_i
         terms = []
         for mask in range(1 << n):
-            coefs = []
-            for j in range(len(reps)):
-                c = chi_b[j]
+            weighted = []
+            for j, v in enumerate(chi_e1):
+                c = 1
                 for i in range(n):
                     if mask >> i & 1:
                         c *= sym[i][j]
-                coefs.append(c)
-            t_m = _pairwise_sum([c * v for c, v in zip(coefs, e1)]) / g_c
-            terms.append(+t_m)
+                weighted.append(c * v)
+            terms.append(+(_pairwise_sum(weighted) / g_c))
         lhs = +_pairwise_sum(terms)
 
         # right side: 2^n times the sub-sum over the all-plus sign classes
         keep = [
-            chi_b[j] * e1[j]
-            for j in range(len(reps))
+            v for j, v in enumerate(chi_e1)
             if all(sym[i][j] == 1 for i in range(n))
         ]
         rhs = +(2**n * _pairwise_sum(keep) / g_c)

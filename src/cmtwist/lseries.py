@@ -103,7 +103,10 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
                 total += mp.mpf(a[n]) / n * xn
             value = +(2 * total)
             tail = float(4 * xn * x / (1 - x))
-    assert tail < 10.0 ** (-target_digits)
+    if tail >= 10.0 ** (-target_digits):
+        raise LSeriesError(
+            f"series tail bound {tail:.3g} exceeds 10^-{target_digits} "
+            f"after {n_max} terms")
     return value, n_max, tail
 
 
@@ -190,7 +193,10 @@ def euler_strip(curve: Curve, m_twist: int, s_primes: Iterable[PrimeIdeal],
         if m_twist % prime.p == 0:
             raise LSeriesError(f"prime above {prime.p} divides the twist {m_twist}")
         tw = qr_symbol(m_elem, prime)
-        assert tw in (-1, 1)
+        if tw not in (-1, 1):
+            raise LSeriesError(
+                f"symbol of {m_twist} at the prime above {prime.p} is {tw}, "
+                f"not +-1")
         # conj(psi_M(P)) = (M/P) * chi(gen) * conj(gen)
         psi_bar = prime.gen.conj().scale(tw * chi(prime.gen))
         n_p = prime.residue_size

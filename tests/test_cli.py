@@ -92,6 +92,33 @@ def test_verify_bad_averaging_prime(capsys):
     assert code == 2 and "norm" in err
 
 
+@pytest.mark.parametrize("curve, p, q", [
+    ("121b", "3", 11), ("49a", "2", 7), ("49a", "11", 7),
+])
+def test_verify_averaging_rejects_non_special_split_prime(capsys, curve, p, q):
+    code, out, err = run(capsys, "verify", f"averaging:{p}", "--curve", curve)
+    assert code == 2 and out == ""
+    assert f"{p} is a split prime of Q(sqrt(-{q})) that is not special" in err
+
+
+def test_verify_e1_ladder(capsys):
+    code, out, _ = run(capsys, "verify", "e1-ladder", "e1-ladder:-3",
+                       "--curve", "49a")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS  e1-ladder[49a: sqrt(-7)]: 3 representatives")
+    assert lines[1].startswith("PASS  e1-ladder[49a: sqrt(-7)*(-3)]: 24 ")
+
+
+def test_verify_e1_ladder_fails_on_disagreement(capsys, monkeypatch):
+    import mpmath as mp
+    from cmtwist import eisenstein
+    monkeypatch.setattr(eisenstein, "ladder_discrepancy",
+                        lambda ctx, g: (3, mp.mpf(10) ** -20))
+    code, out, _ = run(capsys, "verify", "e1-ladder", "--curve", "49a")
+    assert code == 1 and out.startswith("FAIL  e1-ladder[49a: sqrt(-7)]")
+
+
 def test_special_primes(capsys):
     code, out, _ = run(capsys, "special-primes", "11", "1000")
     assert code == 0

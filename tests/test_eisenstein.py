@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cmtwist import eisenstein
 from cmtwist.coeffs import CoeffError
 from cmtwist.eisenstein import (
     EisensteinError,
@@ -12,6 +13,8 @@ from cmtwist.eisenstein import (
     b_ladder,
     calibrate_character,
     e1star_torsion,
+    e1star_values,
+    ladder_discrepancy,
     lemma_div_bruteforce,
     make_context,
     phase_split,
@@ -21,7 +24,7 @@ from cmtwist.eisenstein import (
     twisted_sum,
     wp_values,
 )
-from cmtwist.qfield import QuadInt, from_int, legendre, sqrt_minus_q
+from cmtwist.qfield import QFieldError, QuadInt, from_int, legendre, sqrt_minus_q
 from cmtwist.registry import builtin_curve
 
 C49 = builtin_curve("49a")
@@ -101,6 +104,14 @@ def test_torsion_point_orders():
     assert torsion_point(QuadInt(7, 1, 0), g7 * pi29).order == 7 * 29
     with pytest.raises(EisensteinError):
         torsion_point(g7, g7)  # not coprime to the modulus
+
+
+@pytest.mark.parametrize("modulus", [2, 1])
+def test_torsion_point_rejects_even_and_unit_moduli(modulus):
+    # the residue ring refuses these, which is what keeps every order odd
+    # and at least 3
+    with pytest.raises(QFieldError):
+        torsion_point(QuadInt(7, 1, 0), from_int(7, modulus))
 
 
 def test_b_ladder_range_check(ctx49):
@@ -196,6 +207,40 @@ def test_twisted_sum_dual_route_49a(chi49):
 
 PI3 = QuadInt(7, -3, 0)
 PI29 = QuadInt(7, 1, -4)
+
+
+@pytest.mark.parametrize("q, factor, count", [
+    (7, from_int(7, 1), 3),
+    (7, PI3, 24),
+    (7, PI29, 84),
+    (11, from_int(11, 3), 20),
+], ids=["sqrt-7", "sqrt-7*3", "sqrt-7*(1-4t)", "sqrt-11*3"])
+def test_direct_e1star_matches_ladder(ctx49, ctx121, q, factor, count):
+    # the q-expansion of E1* against the B-ladder oracle on every
+    # representative of (O_K/g)^*/{+-1}, g = sqrt(-q)*factor
+    ctx = ctx49 if q == 7 else ctx121
+    g = sqrt_minus_q(q) * factor
+    tol = mp.mpf(10) ** (5 - ctx.precision)
+    n, worst = ladder_discrepancy(ctx, g)
+    assert n == count and worst < tol
+    reps, values = e1star_values(ctx, g)
+    with mp.workdps(ctx.dps):
+        for b, v in list(zip(reps, values))[:2]:
+            assert abs(v - e1star_torsion(ctx, torsion_point(b, g))) < tol
+
+
+def test_torsion_sums_do_not_walk_the_ladder(ctx49, chi49, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("a torsion sum walked the B-ladder")
+
+    monkeypatch.setattr(eisenstein, "_b_ladder_cached", refuse)
+    g = sqrt_minus_q(7)
+    with mp.workdps(ctx49.dps):
+        assert abs(prop2_sum(ctx49, chi49, g) - mp.mpf(1) / 2) < mp.mpf(10) ** -18
+    # the {pi_3} subset term of test_averaging_single_inert, whose exact
+    # coefficient is 0
+    assert abs(twisted_sum(ctx49, chi49, g * PI3, -3)) < mp.mpf(10) ** -18
+    assert averaging_check(ctx49, chi49, [PI3]).ok
 
 
 def test_averaging_single_inert(ctx49, chi49):
