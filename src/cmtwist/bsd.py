@@ -155,7 +155,9 @@ def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
     for x in range(p):
         if (((four * x + b2) * x + two_b4) * x + b6) % p == 0:
             count += 1
-    assert count in (0, 1, 3)
+    if count not in (0, 1, 3):
+        raise BSDError(f"the 2-division cubic of {curve.label} has a repeated "
+                       f"root mod {p}, so {p} is not a good prime")
     val = ord2_int(1 + count)
     kind = split_type(curve.q, p)
     expected: int | None = None

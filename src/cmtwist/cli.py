@@ -142,7 +142,7 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 # --------------------------------------------------------------- table
 
 # (context, digits) of the table command, set in each worker by its
-# initializer; a forked worker inherits the context with its a_p table
+# initializer; a forked worker inherits the context with its a_n table
 # instead of unpickling it.
 _worker_args: tuple = ()
 
@@ -187,8 +187,9 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
         except BSDError:
             continue            # square factor: never admissible
     if candidates:
-        # one a_p table for the whole scan, built before the workers fork
-        ctx.ap_table(min(series_cutoff(curve, m_max, digits), MAX_TABLE))
+        # one untwisted a_n table for the whole scan, built before the
+        # workers fork, up to the cutoff of the largest twist
+        ctx.an_table(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
     if config.threads == 1 or len(candidates) < 2:
         results = [_table_job(ctx, digits, M) for M in candidates]
     else:
@@ -197,7 +198,10 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
         with ProcessPoolExecutor(max_workers=config.threads, mp_context=fork,
                                  initializer=_init_table_worker,
                                  initargs=(ctx, digits)) as pool:
-            results = list(pool.map(_worker_job, candidates, chunksize=chunk))
+            # the longest series first, so no worker is left with a big
+            # twist at the end; the rows go back to ascending M
+            results = list(pool.map(_worker_job, candidates[::-1], chunksize=chunk))
+        results.reverse()
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []
@@ -425,7 +429,7 @@ def _ensure_base_value(ctx: CurveContext, config: RunConfig) -> None:
 
     The valuation bound needs phi(E), which depends on the base algebraic
     value; builtin curves carry it, user curves get it computed once here.
-    The context keeps its a_p table: it does not depend on the base value.
+    The context keeps its a_n table: it does not depend on the base value.
     """
     curve = ctx.curve
     if curve.lalg_base is not None:
@@ -451,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("limit must be positive")
             lines, code = cmd_special_primes(config, args.q, args.limit)
         else:
-            # one context per command: the a_p route, character and table
+            # one context per command: the a_n route, character and table
             ctx = CurveContext(resolve_curve(config.curve_label, config.curve_file))
             _ensure_base_value(ctx, config)
             if args.command == "table":

@@ -3,17 +3,26 @@
 Ground truth for a_p is point counting mod p on the Weierstrass model.  For
 the CM curves handled here a_p = 0 at inert primes, and at split primes
 a_p = chi(pi_p) * trace(pi_p) for the Hecke character chi; the fast path
-must agree with point counts bit for bit.  A CurveContext fixes the route
-once per curve and keeps the a_p table; coefficient tables extend
-multiplicatively with a smallest-prime-factor sieve.
+must agree with point counts bit for bit.
+
+A CurveContext keeps one untwisted a_n table per command.  When the
+character has conductor sqrt(-q), L(E, s) = L(psi, s) with
+psi((alpha)) = chi(alpha) * alpha, so the table is the theta series of psi
+over O_K (theta_table): no sieve and no a_p.  Other curves fill it
+multiplicatively from point-count a_p over a smallest-prime-factor sieve.
+A twist by a discriminant d coprime to N multiplies a_n by the Kronecker
+symbol (d/n), which is periodic mod |d|; twisted_coeffs streams that
+product from the shared table.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
+from itertools import cycle, islice, product
 from math import gcd, isqrt
+from operator import mul
+from typing import Iterator
 
 from .qfield import (PrimeIdeal, QuadInt, cornacchia_split, factor_int,
                      is_prime, primes_above, reduction_mod, split_type)
@@ -86,7 +95,8 @@ def ap_point_count(curve: Curve, p: int) -> int:
         v = ((4 * x * x * x + b2 * x * x + b4 * x + b6)) % p
         total += kronecker(v, p)
     a = -total
-    assert a * a <= 4 * p, f"Hasse bound violated at {p}: {a}"
+    if a * a > 4 * p:
+        raise CoeffError(f"Hasse bound violated at {p}: a_p = {a}")
     return a
 
 
@@ -95,12 +105,15 @@ def ap_cm_fast(curve: Curve, p: int, chi: HeckeCharacter) -> int:
     if p == 2 or curve.conductor % p == 0:
         raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
     kind = split_type(curve.q, p)
-    assert kind != "ramified"  # ramified p = q divides the conductor
+    if kind == "ramified":
+        raise CoeffError(f"p = {p} ramifies in Q(sqrt(-{curve.q})) but does not "
+                         f"divide the conductor of {curve.label}")
     if kind == "inert":
         return 0
     pi = cornacchia_split(curve.q, p)
     s = chi(pi)
-    assert s in (-1, 1)
+    if s not in (-1, 1):
+        raise CoeffError(f"character value {s} at {pi} is not +-1")
     return s * pi.trace()
 
 
@@ -155,7 +168,7 @@ def calibrate_character(
         while True:
             items = list(values.items())
             before = len(values)
-            for (r1, s1), (r2, s2) in itertools.product(items, items):
+            for (r1, s1), (r2, s2) in product(items, items):
                 put(r1 * r2 % q, s1 * s2)
             if len(values) == before:
                 break
@@ -195,20 +208,22 @@ def calibrate_character(
 
 
 class CurveContext:
-    """One curve and the a_p data derived from it, for the life of a command.
+    """One curve and the coefficient data derived from it, for one command.
 
-    The a_p route is fixed by the curve: the calibrated character when its
-    conductor is sqrt(-q) (f_norm == q), otherwise point counts at split
-    primes (inert primes have a_p = 0 either way).  The character is
-    calibrated on first use, and the a_p table grows on demand up to
-    MAX_TABLE; both live only as long as the context.
+    The route is fixed by the curve.  When the character has conductor
+    sqrt(-q) (f_norm == q), a_p comes from the calibrated character and the
+    a_n table from the theta series of psi; otherwise a_p comes from point
+    counts at split primes (inert primes have a_p = 0 either way) and the
+    a_n table is filled multiplicatively.  The character is calibrated on
+    first use, and the untwisted a_n table grows on demand up to MAX_TABLE;
+    both live only as long as the context.
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
         self._character: HeckeCharacter | None = None
-        self._ap: dict[int, int] = {}
-        self._ap_max = 0
+        self._an = array("i")
+        self._an_max = 0
 
     @property
     def character(self) -> HeckeCharacter:
@@ -231,15 +246,54 @@ class CurveContext:
             return 0
         return ap_point_count(curve, p)
 
-    def ap_table(self, n_max: int) -> dict[int, int]:
-        """{p: a_p} for every good prime p <= n_max (possibly beyond)."""
+    def an_table(self, n_max: int) -> array:
+        """Untwisted a_n for 0..n_max (possibly beyond); index 0 is unused."""
         if not 1 <= n_max <= MAX_TABLE:
             raise CoeffError(f"n_max out of range: {n_max}")
-        if n_max > self._ap_max:
+        if n_max > self._an_max:
             # doubling keeps a run of growing requests linear overall
-            self._ap_max = min(MAX_TABLE, max(n_max, 2 * self._ap_max))
-            self._ap = ap_range(self, self._ap_max)
-        return self._ap
+            size = min(MAX_TABLE, max(n_max, 2 * self._an_max))
+            curve = self.curve
+            if curve.f_norm == curve.q:
+                table = theta_table(self.character, size)
+            else:
+                table = multiplicative_table(ap_range(self, size), size)
+            if table[1] != 1:
+                raise CoeffError(f"{curve.label}: a_1 = {table[1]}, not 1")
+            self._an, self._an_max = table, size
+        return self._an
+
+
+def theta_table(chi: HeckeCharacter, n_max: int) -> array:
+    """a_n of L(psi, s) for 0..n_max, where psi((alpha)) = chi(alpha) * alpha.
+
+    An ideal of norm n has the two generators +-alpha and chi is odd, and
+    chi(conj alpha) = chi(alpha), so a_n is 1/4 of the sum of
+    chi(alpha) * (alpha + conj alpha) over the alpha of norm n.  With
+    alpha = (a + b sqrt(-q))/2, a = b mod 2: N(alpha) = (a^2 + q b^2)/4,
+    alpha + conj alpha = a and alpha = a/2 mod sqrt(-q).  Collecting the
+    signs of a and b,
+
+        a_n = sum_{a, b > 0, a^2 + q b^2 = 4n} chi(a/2) a + [n = c^2] chi(c) c.
+
+    Every supported q is 3 mod 4, so n = floor(a^2/4) + floor((q b^2 + 3)/4).
+    """
+    q, values = chi.q, chi.values
+    half = (q + 1) // 2                     # the inverse of 2 mod q
+    top = isqrt(4 * n_max)
+    term = [values[a * half % q] * a for a in range(top + 1)]
+    quarter = [a * a >> 2 for a in range(top + 1)]
+    t = array("i", bytes(4 * (n_max + 1)))
+    for c in range(1, isqrt(n_max) + 1):
+        t[c * c] = values[c % q] * c
+    for b in range(1, isqrt(4 * n_max // q) + 1):
+        qb = q * b * b
+        offset = (qb + 3) >> 2
+        end = isqrt(4 * n_max - qb) + 1
+        start = 2 - b % 2                   # a = b mod 2, a > 0
+        for k, v in zip(quarter[start:end:2], term[start:end:2]):
+            t[k + offset] += v
+    return t
 
 
 def spf_sieve(n: int) -> array:
@@ -261,6 +315,36 @@ def ap_range(ctx: CurveContext, n_max: int) -> dict[int, int]:
             if spf[p] == p and conductor % p}
 
 
+def multiplicative_table(ap: dict[int, int], n_max: int) -> array:
+    """a_n for 0..n_max from a_p at the good primes p <= n_max.
+
+    A prime absent from ap is bad, with a(p^k) = 0 (the bad primes of a CM
+    curve are additive); at good primes a(p^{k+1}) = a(p)a(p^k) - p a(p^{k-1}),
+    and composites fill multiplicatively over a smallest-prime-factor sieve.
+    """
+    spf = spf_sieve(n_max)
+    a = array("i", bytes(4 * (n_max + 1)))
+    a[1] = 1
+    for p, ap_p in ap.items():
+        a[p] = ap_p
+        pk_prev, pk = 1, p
+        while pk * p <= n_max:
+            nxt = ap_p * a[pk] - p * a[pk_prev]
+            pk_prev, pk = pk, pk * p
+            a[pk] = nxt
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        if p == n:
+            continue
+        pk, m = p, n // p
+        while m % p == 0:
+            pk *= p
+            m //= p
+        if m > 1:
+            a[n] = a[pk] * a[m]
+    return a
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     curve: Curve
@@ -269,7 +353,8 @@ class CoeffTable:
     a: array  # signed 32-bit, index 0 unused
 
     def coeff(self, n: int) -> int:
-        assert 1 <= n <= self.n_max
+        if not 1 <= n <= self.n_max:
+            raise CoeffError(f"n = {n} is outside the table 1..{self.n_max}")
         return self.a[n]
 
 
@@ -284,42 +369,40 @@ def _check_twist_disc(curve: Curve, d: int) -> None:
         raise CoeffError(f"twist discriminant {d} is not square-free")
 
 
-def build_table(ctx: CurveContext, d: int, n_max: int) -> CoeffTable:
-    """Coefficient table of L(E^(d), s) up to n_max.
+def _kronecker_period(d: int) -> list[int]:
+    """(d/n) for n = 0..|d|-1, d a square-free discriminant other than 1.
 
-    a'(p) = a(p) * kronecker(d, p) at primes p coprime to N(E)*d and 0
-    otherwise; prime powers follow a(p^{k+1}) = a(p)a(p^k) - p a(p^{k-1});
-    composites fill multiplicatively.  a(p) comes from the context's table.
+    Such a d is the product of p* = (-1)^((p-1)/2) p over the primes p | d,
+    and (p*/n) = (n/p) by quadratic reciprocity, so (d/.) is the product of
+    the Legendre symbols mod the p | d and has period |d|.
     """
-    curve = ctx.curve
-    if not 1 <= n_max <= MAX_TABLE:
-        raise CoeffError(f"n_max out of range: {n_max}")
-    _check_twist_disc(curve, d)
-    base_ap = ctx.ap_table(n_max)
-    d_eff = d if d != 0 else 1
-    spf = spf_sieve(n_max)
-    a = array("i", bytes(4 * (n_max + 1)))
-    a[1] = 1
-    for p in range(2, n_max + 1):
-        if spf[p] != p:
-            continue
-        good = curve.conductor % p != 0 and d_eff % p != 0
-        ap = base_ap[p] * kronecker(d_eff, p) if good else 0
-        a[p] = ap
-        pk_prev, pk = 1, p  # a(p^k) recursion
-        while pk * p <= n_max:
-            nxt = ap * a[pk] - (p * a[pk_prev] if good else 0)
-            pk_prev, pk = pk, pk * p
-            a[pk] = nxt
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        if p == n:
-            continue
-        pk, m = p, n // p
-        while m % p == 0:
-            pk *= p
-            m //= p
-        if m > 1:
-            a[n] = a[pk] * a[m]
-    assert a[1] == 1
-    return CoeffTable(curve=curve, twist_disc=d, n_max=n_max, a=a)
+    m = abs(d)
+    period = [1] * m
+    for p, _ in factor_int(d):
+        legendre = [-1] * p
+        legendre[0] = 0
+        for x in range(1, p // 2 + 1):
+            legendre[x * x % p] = 1
+        period = list(map(mul, period, legendre * (m // p)))
+    return period
+
+
+def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[int]:
+    """a_1, ..., a_{n_max} of L(E^(d), s), streamed from the context's table.
+
+    For a discriminant d coprime to N(E), a_n(E^(d)) = (d/n) * a_n(E), and
+    (d/.) is periodic mod |d|, so one period of the symbol is cycled
+    against the untwisted table.  d = 0 or 1 means untwisted.
+    """
+    _check_twist_disc(ctx.curve, d)
+    coeffs = islice(ctx.an_table(n_max), 1, n_max + 1)
+    if d in (0, 1):
+        return coeffs
+    return map(mul, islice(cycle(_kronecker_period(d)), 1, n_max + 1), coeffs)
+
+
+def build_table(ctx: CurveContext, d: int, n_max: int) -> CoeffTable:
+    """Coefficient table of L(E^(d), s) up to n_max."""
+    a = array("i", [0])
+    a.extend(twisted_coeffs(ctx, d, n_max))
+    return CoeffTable(curve=ctx.curve, twist_disc=d, n_max=n_max, a=a)

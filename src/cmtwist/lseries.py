@@ -3,8 +3,12 @@
 L(E^(D), 1) is evaluated through the exponentially convergent series
 2 * sum_{n>=1} (a'_n/n) exp(-2 pi n / (sqrt(N) |D|)); the cutoff is chosen
 so the rigorous tail bound (|a_n| <= 2n) is below the digit target.  The
-algebraic part L * sqrt(|D|) / Omega is recognized as a small-denominator
-rational by continued fractions.
+twisted a'_n are streamed from the context's untwisted table times the
+periodic Kronecker symbol (coeffs.twisted_coeffs).  Up to 13 digits the
+terms are floats, with x^n as a running product, summed by math.fsum
+(correctly rounded); beyond that the sum runs in mpmath.  The algebraic part
+L * sqrt(|D|) / Omega is recognized as a small-denominator rational by
+continued fractions.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul, truediv
 from typing import Iterable
 
 import mpmath as mp
 
-from .coeffs import (MAX_TABLE, CurveContext, HeckeCharacter, build_table,
-                     kronecker)
+from .coeffs import (MAX_TABLE, CurveContext, HeckeCharacter, kronecker,
+                     twisted_coeffs)
 from .qfield import (PrimeIdeal, QuadInt, as_quadint, from_int,
                      min_ord2_roots, ord2_fraction, qr_symbol)
 from .registry import Curve, omega_lattice
@@ -71,36 +77,23 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     if n_max > MAX_TABLE:
         raise LSeriesError(
             f"precision unattainable at this scale: {n_max} terms needed")
-    table = build_table(ctx, d, n_max)
+    coeffs = twisted_coeffs(ctx, d, n_max)
     c = math.sqrt(curve.conductor) * max(abs(d), 1)
     if target_digits <= FLOAT_DIGIT_LIMIT:
         x = math.exp(-2 * math.pi / c)
-        total = 0.0
-        comp = 0.0  # Kahan compensation
-        xn = 1.0
-        a = table.a
-        for n in range(1, n_max + 1):
-            xn *= x
-            if not a[n]:
-                continue
-            term = (a[n] / n) * xn
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        value = 2.0 * total
-        tail = 4.0 * xn * x / (1.0 - x)
+        powers = accumulate(repeat(x, n_max), mul)       # x, x*x, (x*x)*x, ...
+        terms = map(mul, map(truediv, coeffs, range(1, n_max + 1)), powers)
+        value = 2.0 * math.fsum(terms)
+        tail = 4.0 * x ** (n_max + 1) / (1.0 - x)
     else:
         with mp.workdps(target_digits + 10):
             x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * abs(d if d else 1)))
             total = mp.mpf(0)
             xn = mp.mpf(1)
-            a = table.a
-            for n in range(1, n_max + 1):
+            for n, a_n in enumerate(coeffs, 1):
                 xn *= x
-                if not a[n]:
-                    continue
-                total += mp.mpf(a[n]) / n * xn
+                if a_n:
+                    total += mp.mpf(a_n) / n * xn
             value = +(2 * total)
             tail = float(4 * xn * x / (1 - x))
     if tail >= 10.0 ** (-target_digits):

@@ -62,7 +62,9 @@ class Curve:
     @property
     def b8(self) -> int:
         num = self.b2 * self.b6 - self.b4 * self.b4
-        assert num % 4 == 0
+        if num % 4:
+            raise RegistryError(f"{self.label}: b2*b6 - b4^2 = {num} is not "
+                                f"divisible by 4")
         return num // 4
 
     @property

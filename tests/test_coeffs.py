@@ -1,9 +1,14 @@
 """Dirichlet coefficients: point counts, CM fast path, contexts, tables."""
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmtwist.coeffs import (
     CoeffError,
+    CoeffTable,
     CurveContext,
     ap_cm_fast,
     ap_enumerate,
@@ -11,10 +16,12 @@ from cmtwist.coeffs import (
     ap_range,
     build_table,
     kronecker,
+    multiplicative_table,
     spf_sieve,
+    theta_table,
 )
 from cmtwist.eisenstein import calibrate_character
-from cmtwist.qfield import is_prime
+from cmtwist.qfield import factor_int, is_prime
 from cmtwist.registry import builtin_curve
 
 C49 = builtin_curve("49a")
@@ -127,3 +134,42 @@ def test_table_twist_disc_validation():
         build_table(ctx, 45, 100)      # 45 = 1 mod 4 but not square-free
     with pytest.raises(CoeffError):
         build_table(ctx, 5, 0)
+
+
+@pytest.mark.parametrize("curve", [C49, C121], ids=lambda c: c.label)
+def test_theta_table_matches_point_count_fill(curve):
+    # the theta series of psi against the multiplicative fill from point
+    # counts, at every n <= 3000 (prime powers, q | n and n = 2, 4 included)
+    n_max = 3000
+    ap = {p: ap_enumerate(curve, 2) if p == 2 else ap_point_count(curve, p)
+          for p in range(2, n_max + 1) if is_prime(p) and curve.conductor % p}
+    theta = theta_table(calibrate_character(curve), n_max)
+    assert list(theta) == list(multiplicative_table(ap, n_max))
+
+
+CTX = {c.label: CurveContext(c) for c in (C49, C121)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(label=st.sampled_from(sorted(CTX)), k=st.integers(-500, 499))
+def test_gathered_twist_is_kronecker_times_untwisted(label, k):
+    ctx = CTX[label]
+    d = 4 * k + 1
+    assume(abs(d) > 1 and gcd(d, ctx.curve.conductor) == 1
+           and all(e == 1 for _, e in factor_int(d)))
+    n_max = 3 * abs(d)
+    base = ctx.an_table(n_max)
+    twisted = build_table(ctx, d, n_max)
+    for n in range(1, n_max + 1):
+        assert twisted.coeff(n) == kronecker(d, n) * base[n], (d, n)
+    # the gather rests on (d/.) being periodic mod |d|
+    assert all(kronecker(d, n) == kronecker(d, n + abs(d))
+               for n in range(1, 2 * abs(d) + 1))
+
+
+def test_coeff_out_of_range_raises():
+    table = build_table(CurveContext(C49), 0, 10)
+    assert isinstance(table, CoeffTable) and table.coeff(10) == table.a[10]
+    for n in (0, 11):
+        with pytest.raises(CoeffError):
+            table.coeff(n)

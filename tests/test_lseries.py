@@ -16,7 +16,7 @@ from cmtwist.lseries import (
     series_cutoff,
     twist_root_number,
 )
-from cmtwist.qfield import primes_above
+from cmtwist.qfield import is_prime, primes_above
 from cmtwist.registry import builtin_curve, omega_lattice
 
 C49 = builtin_curve("49a")
@@ -76,17 +76,36 @@ def test_algebraic_part_residual_small():
 
 
 def test_algebraic_part_shared_ap_map():
-    # the context's character-route a_p table, which the series used, must
-    # equal point counts at every good prime the series needed
+    # the untwisted a_n table the series read from the context (the theta
+    # series on the character route) must equal point counts at every good
+    # prime the series needed
     ctx = CurveContext(C49)
+    read = []
+    an_table = ctx.an_table
+    ctx.an_table = lambda n: read.append(an_table(n)) or read[-1]
     res = algebraic_part(ctx, 53, target_digits=12)
     assert res.lalg == 0               # this twist's central value vanishes
     n_max = series_cutoff(C49, 53, 12)
-    table = ctx.ap_table(n_max)
-    primes = [p for p in table if 3 < p <= n_max]
+    assert len(read) == 1 and len(read[0]) > n_max
+    table = read[0]
+    primes = [p for p in range(5, n_max + 1) if is_prime(p) and p != 7]
     assert len(primes) > 250
     for p in primes:
         assert table[p] == ap_point_count(C49, p), p
+
+
+@pytest.mark.parametrize("label, d", [("49a", 29), ("49a", 545),
+                                      ("121b", -7), ("121b", -347)])
+def test_float_and_mpf_sums_agree(label, d):
+    # the fsum over float terms against the mpmath sum at 30 digits; 545 and
+    # -347 need more than 20,000 terms
+    ctx = CurveContext(builtin_curve(label))
+    value, n_terms, _ = central_value(ctx, d, target_digits=13)
+    exact, _, _ = central_value(ctx, d, target_digits=30)
+    assert isinstance(value, float) and exact != 0
+    if abs(d) > 300:
+        assert n_terms > 20000
+    assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_euler_strip_exact_and_ord2():

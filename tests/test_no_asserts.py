@@ -4,10 +4,10 @@ import ast
 
 import pytest
 
-from cmtwist import eisenstein, lseries
+from cmtwist import bsd, coeffs, eisenstein, lseries, registry
 
 
-@pytest.mark.parametrize("module", [eisenstein, lseries],
+@pytest.mark.parametrize("module", [bsd, coeffs, eisenstein, lseries, registry],
                          ids=lambda m: m.__name__)
 def test_no_assert_statements(module):
     with open(module.__file__, encoding="utf-8") as fh:
