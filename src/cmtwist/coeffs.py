@@ -2,8 +2,8 @@
 
 Ground truth for a_p is point counting mod p on the Weierstrass model.  For
 the CM curves handled here a_p = 0 at inert primes, and at split primes
-a_p = chi(pi_p) * trace(pi_p) for the Hecke character chi; the fast path
-must agree with point counts bit for bit.
+a_p = chi(pi_p) * trace(pi_p) for the Hecke character chi; the theta
+table built from chi must agree with point counts bit for bit.
 
 A CurveContext keeps one untwisted a_n table per command.  When the
 character has conductor sqrt(-q), L(E, s) = L(psi, s) with
@@ -100,23 +100,6 @@ def ap_point_count(curve: Curve, p: int) -> int:
     return a
 
 
-def ap_cm_fast(curve: Curve, p: int, chi: HeckeCharacter) -> int:
-    """a_p via the CM splitting law: 0 at inert p, chi(pi)*trace(pi) at split p."""
-    if p == 2 or curve.conductor % p == 0:
-        raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
-    kind = split_type(curve.q, p)
-    if kind == "ramified":
-        raise CoeffError(f"p = {p} ramifies in Q(sqrt(-{curve.q})) but does not "
-                         f"divide the conductor of {curve.label}")
-    if kind == "inert":
-        return 0
-    pi = cornacchia_split(curve.q, p)
-    s = chi(pi)
-    if s not in (-1, 1):
-        raise CoeffError(f"character value {s} at {pi} is not +-1")
-    return s * pi.trace()
-
-
 # ------------------------------------------------------ Hecke character
 
 
@@ -211,10 +194,9 @@ class CurveContext:
     """One curve and the coefficient data derived from it, for one command.
 
     The route is fixed by the curve.  When the character has conductor
-    sqrt(-q) (f_norm == q), a_p comes from the calibrated character and the
-    a_n table from the theta series of psi; otherwise a_p comes from point
-    counts at split primes (inert primes have a_p = 0 either way) and the
-    a_n table is filled multiplicatively.  The character is calibrated on
+    sqrt(-q) (f_norm == q), the a_n table is the theta series of psi;
+    otherwise it is filled multiplicatively from point-count a_p at split
+    primes (inert primes have a_p = 0).  The character is calibrated on
     first use, and the untwisted a_n table grows on demand up to MAX_TABLE;
     both live only as long as the context.
     """
@@ -236,12 +218,10 @@ class CurveContext:
         return self._character
 
     def ap(self, p: int) -> int:
-        """a_p at a good prime p."""
+        """a_p at a good prime p, by point counts (0 at inert p > 3)."""
         curve = self.curve
         if p <= 3:
             return ap_enumerate(curve, p)
-        if curve.f_norm == curve.q:
-            return ap_cm_fast(curve, p, self.character)
         if split_type(curve.q, p) == "inert":
             return 0
         return ap_point_count(curve, p)
@@ -345,19 +325,6 @@ def multiplicative_table(ap: dict[int, int], n_max: int) -> array:
     return a
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    curve: Curve
-    twist_disc: int  # 0 means untwisted
-    n_max: int
-    a: array  # signed 32-bit, index 0 unused
-
-    def coeff(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise CoeffError(f"n = {n} is outside the table 1..{self.n_max}")
-        return self.a[n]
-
-
 def _check_twist_disc(curve: Curve, d: int) -> None:
     if d == 0 or d == 1:
         return
@@ -399,10 +366,3 @@ def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[int]:
     if d in (0, 1):
         return coeffs
     return map(mul, islice(cycle(_kronecker_period(d)), 1, n_max + 1), coeffs)
-
-
-def build_table(ctx: CurveContext, d: int, n_max: int) -> CoeffTable:
-    """Coefficient table of L(E^(d), s) up to n_max."""
-    a = array("i", [0])
-    a.extend(twisted_coeffs(ctx, d, n_max))
-    return CoeffTable(curve=ctx.curve, twist_disc=d, n_max=n_max, a=a)

@@ -54,10 +54,10 @@ from .lseries import recognize_rational
 from .qfield import (
     QuadInt,
     ResidueRing,
+    as_quadint,
     chi_m_symbol,
     divide_exact,
     factor_ideal,
-    from_int,
     min_ord2_roots,
     sqrt_minus_q,
 )
@@ -366,14 +366,6 @@ def e1star_torsion(ctx: EisensteinContext, point: TorsionPoint):
     return _e1star_cached(_WpCache(ctx, point.g), point.beta)
 
 
-# ------------------------------------------------------ Hecke character
-
-
-def psi_eval(char: HeckeCharacter, beta: QuadInt) -> QuadInt:
-    """psi((beta)) = chi(beta) * beta: the canonical generator attached to (beta)."""
-    return beta.scale(char(beta))
-
-
 # -------------------------------------------------------- torsion sums
 
 
@@ -462,7 +454,7 @@ def twisted_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt, m_twis
     m_twist is a QuadInt (or int) with odd norm, coprime to g's residue
     classes being summed; m_twist = 1 recovers prop2_sum exactly.
     """
-    m_el = from_int(g.q, m_twist) if isinstance(m_twist, int) else m_twist
+    m_el = as_quadint(g.q, m_twist)
     if not m_el.is_odd():
         raise EisensteinError("twisting element must have odd norm")
     reps, terms, g_c = _torsion_terms(ctx, char, g)
@@ -522,44 +514,21 @@ def _validate_pis(char: HeckeCharacter, pis: list[QuadInt]) -> None:
             seen.add(key)
 
 
-# exact arithmetic in K = Q(tau) on (x, y) ~ x + y*tau, tau^2 = tau - m
-
-
-def _k_mul(m: int, u, v):
-    x1, y1 = u
-    x2, y2 = v
-    yy = y1 * y2
-    return (x1 * x2 - m * yy, x1 * y2 + y1 * x2 + yy)
-
-
-def _k_inv(m: int, u):
-    x, y = u
-    n = x * x + x * y + m * y * y
-    if n == 0:
-        raise EisensteinError("division by zero in K")
-    return ((x + y) / n, -y / n)
-
-
-def _k_of(x: QuadInt):
-    return (Fraction(x.a), Fraction(x.b))
-
-
-def _alg_mul(m: int, pis_k: list, x: dict, y: dict) -> dict:
+def _alg_mul(pis: list[QuadInt], x: dict, y: dict) -> dict:
     """Product in K[x_1..x_n]/(x_i^2 - pi_i); keys are subset bitmasks."""
-    out: dict[int, tuple] = {}
+    out: dict[int, QuadInt] = {}
     for tx, cx in x.items():
         for ty, cy in y.items():
-            c = _k_mul(m, cx, cy)
+            c = cx * cy
             inter = tx & ty
             i = 0
             while inter:
                 if inter & 1:
-                    c = _k_mul(m, c, pis_k[i])
+                    c = c * pis[i]
                 inter >>= 1
                 i += 1
             t = tx ^ ty
-            ax, ay = out.get(t, (Fraction(0), Fraction(0)))
-            out[t] = (ax + c[0], ay + c[1])
+            out[t] = out[t] + c if t in out else c
     return out
 
 
@@ -582,25 +551,26 @@ def _charpoly_ascending(mat: list[list[Fraction]]) -> list[Fraction]:
     return coeffs
 
 
-def _element_min_ord2(m: int, pis_k: list, elem: dict, dim_n: int) -> Fraction | None:
+def _element_min_ord2(pis: list[QuadInt], elem: dict, dim_n: int) -> Fraction | None:
     """min over places above 2 of ord2(elem) in K(sqrt(pi_1)..sqrt(pi_n)).
 
     Computed as the minimal 2-adic Newton slope of the characteristic
     polynomial of multiplication by elem on the 2^(n+1)-dimensional algebra;
     None when elem = 0.
     """
-    if all(c == (0, 0) for c in elem.values()) or not elem:
+    if all(c.norm() == 0 for c in elem.values()):
         return None
+    q = next(iter(elem.values())).q
     d = 1 << (dim_n + 1)
     cols: list[list[Fraction]] = []
     for mask in range(1 << dim_n):
         for a in range(2):
-            basis = {mask: (Fraction(1 - a), Fraction(a))}
-            prod = _alg_mul(m, pis_k, elem, basis)
+            basis = {mask: QuadInt(q, Fraction(1 - a), Fraction(a))}
+            prod = _alg_mul(pis, elem, basis)
             col = []
             for mask2 in range(1 << dim_n):
-                x, y = prod.get(mask2, (Fraction(0), Fraction(0)))
-                col.extend([x, y])
+                c = prod.get(mask2)
+                col.extend([c.a, c.b] if c else [Fraction(0), Fraction(0)])
             cols.append(col)
     mat = [[cols[j][i] for j in range(d)] for i in range(d)]
     coeffs = _charpoly_ascending(mat)
@@ -657,12 +627,10 @@ def averaging_check(
 
         # exact recognition: t_M * sqrt(M) lies in K for each subset M
         sqrt_pi = [mp.sqrt(ctx.embed(pi)) for pi in pis]
-        m_par = (q + 1) // 4
-        pis_k = [_k_of(pi) for pi in pis]
         coeffs: list[tuple] = []
         rec_residual = 0.0
         rec_ok = True
-        elem: dict[int, tuple] = {}
+        elem: dict[int, QuadInt] = {}
         for mask in range(1 << n):
             root = mp.mpc(1)
             for i in range(n):
@@ -676,19 +644,19 @@ def averaging_check(
             rec_residual = max(rec_residual, xres, yres)
             if xres > tol or yres > tol:
                 rec_ok = False
-            c_m = (xf, yf)
+            c_m = QuadInt(q, xf, yf)
             for i in range(n):
                 if mask >> i & 1:
-                    c_m = _k_mul(m_par, c_m, _k_inv(m_par, pis_k[i]))
-            coeffs.append(c_m)
-            if c_m != (Fraction(0), Fraction(0)):
+                    c_m = c_m / pis[i]
+            coeffs.append((c_m.a, c_m.b))
+            if c_m.norm() != 0:
                 elem[mask] = c_m
 
         bound = n - curve.alpha
         ord2: Fraction | None = None
         note = ""
         if rec_ok:
-            ord2 = _element_min_ord2(m_par, pis_k, elem, n)
+            ord2 = _element_min_ord2(pis, elem, n)
             if ord2 is None:
                 note = "average vanishes exactly"
             # evaluate the recognized element back, same branches

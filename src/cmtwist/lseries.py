@@ -1,4 +1,4 @@
-"""Central L-values of quadratic twists, algebraic parts, Euler factors.
+"""Central L-values of quadratic twists and their algebraic parts.
 
 L(E^(D), 1) is evaluated through the exponentially convergent series
 2 * sum_{n>=1} (a'_n/n) exp(-2 pi n / (sqrt(N) |D|)); the cutoff is chosen
@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, truediv
-from typing import Iterable
 
 import mpmath as mp
 
-from .coeffs import (MAX_TABLE, CurveContext, HeckeCharacter, kronecker,
-                     twisted_coeffs)
-from .qfield import (PrimeIdeal, QuadInt, as_quadint, from_int,
-                     min_ord2_roots, ord2_fraction, qr_symbol)
+from .coeffs import MAX_TABLE, CurveContext, kronecker, twisted_coeffs
+from .qfield import ord2_fraction
 from .registry import Curve, omega_lattice
 
 FLOAT_DIGIT_LIMIT = 13  # beyond this the series runs under mpmath
@@ -136,66 +133,9 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
     if residual >= 1e-6 * max(1.0, abs(float(fr))):
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             None, residual, None)
-    ord2 = ord2_fraction(fr) if fr != 0 else None
+    if fr == 0:
+        # the sum only approximates a vanishing value; report the exact zero
+        return LValueResult(curve.label, d, eps, type(value)(0), n_terms, tail,
+                            fr, residual, None)
     return LValueResult(curve.label, d, eps, value, n_terms, tail,
-                        fr, residual, ord2)
-
-
-# ---- exact Euler factors over K -------------------------------------------
-
-@dataclass(frozen=True)
-class StripFactor:
-    prime: PrimeIdeal
-    num: QuadInt  # factor = num / den with den = N(prime)
-    den: int
-    ord2: Fraction  # 2-adic valuation of the factor, minimum over places
-
-
-@dataclass(frozen=True)
-class EulerStrip:
-    num: QuadInt
-    den: int
-    factors: tuple[StripFactor, ...]
-
-
-def _element_ord2(num: QuadInt, den: int) -> Fraction:
-    """min over places above 2 of ord_2(num/den), via the Newton polygon
-    of the characteristic polynomial x^2 - tr(z) x + N(z)."""
-    tr = Fraction(num.trace(), den)
-    nm = Fraction(num.norm(), den * den)
-    if nm == 0:
-        raise LSeriesError("ord2 of zero")
-    return min_ord2_roots([nm, -tr, Fraction(1)])
-
-
-def euler_strip(curve: Curve, m_twist: int, s_primes: Iterable[PrimeIdeal],
-                chi: HeckeCharacter) -> EulerStrip:
-    """prod_{P in S} (1 - conj(psi_M(P))/N(P)) as an exact element of K.
-
-    psi_M = psi_E * (M/.) is the twisted character; every P must be
-    coprime to its conductor (in particular to M and to the base conductor).
-    Per-factor 2-adic valuations are exposed for order-of-vanishing checks.
-    """
-    m_elem = as_quadint(curve.q, m_twist)
-    num = from_int(curve.q, 1)
-    den = 1
-    factors = []
-    for prime in s_primes:
-        if curve.f_norm % prime.p == 0:
-            raise LSeriesError(f"prime above {prime.p} divides the conductor")
-        if m_twist % prime.p == 0:
-            raise LSeriesError(f"prime above {prime.p} divides the twist {m_twist}")
-        tw = qr_symbol(m_elem, prime)
-        if tw not in (-1, 1):
-            raise LSeriesError(
-                f"symbol of {m_twist} at the prime above {prime.p} is {tw}, "
-                f"not +-1")
-        # conj(psi_M(P)) = (M/P) * chi(gen) * conj(gen)
-        psi_bar = prime.gen.conj().scale(tw * chi(prime.gen))
-        n_p = prime.residue_size
-        fac_num = from_int(curve.q, n_p) - psi_bar
-        factors.append(StripFactor(prime, fac_num, n_p,
-                                   _element_ord2(fac_num, n_p)))
-        num = num * fac_num
-        den *= n_p
-    return EulerStrip(num, den, tuple(factors))
+                        fr, residual, ord2_fraction(fr))

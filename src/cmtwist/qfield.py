@@ -2,10 +2,11 @@
 
 Supported fields have q in {7, 11, 19, 43, 67, 163}: class number one, q = 3
 (mod 4), so the ring of integers is Z[tau] with tau = (1 + sqrt(-q))/2 and
-tau^2 = tau - m, m = (q+1)/4.  Everything here is integer arithmetic: prime
-splitting, Cornacchia's norm equation, unit normalization mod 4, quadratic
-residue symbols in residue fields, ideal factorization, and residue rings
-modulo an odd element (used to enumerate torsion points exactly).
+tau^2 = tau - m, m = (q+1)/4.  Everything here is exact: QuadInt arithmetic
+in K (integral or with Fraction coordinates), prime splitting, Cornacchia's
+norm equation, unit normalization mod 4, quadratic residue symbols in residue
+fields, ideal factorization, and residue rings modulo an odd element (used to
+enumerate torsion points exactly).
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ def _check_q(q: int) -> None:
 
 @dataclass(frozen=True)
 class QuadInt:
-    """a + b*tau in the ring of integers of Q(sqrt(-q))."""
+    """a + b*tau, an element of K = Q(sqrt(-q)).
+
+    It lies in the ring of integers O_K = Z[tau] when a and b are ints;
+    Fraction coordinates give the other elements of K.
+    """
 
     q: int
     a: int
@@ -38,12 +43,16 @@ class QuadInt:
     def m(self) -> int:
         return (self.q + 1) // 4
 
+    def _same_field(self, other: "QuadInt") -> None:
+        if self.q != other.q:
+            raise QFieldError(f"elements of different fields: q={self.q}, q={other.q}")
+
     def __add__(self, other: "QuadInt") -> "QuadInt":
-        assert self.q == other.q
+        self._same_field(other)
         return QuadInt(self.q, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "QuadInt") -> "QuadInt":
-        assert self.q == other.q
+        self._same_field(other)
         return QuadInt(self.q, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "QuadInt":
@@ -51,9 +60,17 @@ class QuadInt:
 
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         # (a1 + b1 t)(a2 + b2 t) with t^2 = t - m
-        assert self.q == other.q
+        self._same_field(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return QuadInt(self.q, a1 * a2 - self.m * b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+    def __truediv__(self, other: "QuadInt") -> "QuadInt":
+        """self / other in K, with Fraction coordinates: other^-1 = conj/norm."""
+        n = other.norm()
+        if n == 0:
+            raise QFieldError("division by zero in K")
+        c = other.conj()
+        return self * QuadInt(other.q, Fraction(c.a, n), Fraction(c.b, n))
 
     def scale(self, n: int) -> "QuadInt":
         return QuadInt(self.q, n * self.a, n * self.b)
@@ -99,7 +116,8 @@ def sqrt_minus_q(q: int) -> QuadInt:
 
 def as_quadint(q: int, x) -> QuadInt:
     if isinstance(x, QuadInt):
-        assert x.q == q
+        if x.q != q:
+            raise QFieldError(f"{x} is not in Q(sqrt(-{q}))")
         return x
     return QuadInt(q, int(x), 0)
 
@@ -156,7 +174,8 @@ def sqrt_mod(n: int, p: int) -> int:
         c = b * b % p
         t = t * c % p
         s = i
-    assert x * x % p == n
+    if x * x % p != n:
+        raise QFieldError(f"square root of {n} mod {p} failed; is {p} prime?")
     return x
 
 
@@ -171,7 +190,8 @@ def cornacchia_split(q: int, p: int) -> QuadInt:
         raise QFieldError(f"{p} is not split in Q(sqrt(-{q}))")
     if p == 2:  # only q = 7; norm equation 4*2 = 1 + 7
         pi = QuadInt(q, 0, 1)
-        assert pi.norm() == 2
+        if pi.norm() != 2:
+            raise QFieldError(f"{pi} has norm {pi.norm()}, not 2")
         return pi
     x0 = sqrt_mod(-q, p)
     if x0 % 2 == 0:
@@ -188,9 +208,11 @@ def cornacchia_split(q: int, p: int) -> QuadInt:
     y = isqrt(ysq)
     if y * y != ysq:
         raise QFieldError(f"norm equation x^2 + {q}y^2 = 4*{p} has no solution")
-    assert (x - y) % 2 == 0
+    if (x - y) % 2:
+        raise QFieldError(f"x = {x} and y = {y} differ in parity")
     pi = QuadInt(q, (x - y) // 2, y)
-    assert pi.norm() == p, (pi, p)
+    if pi.norm() != p:
+        raise QFieldError(f"{pi} has norm {pi.norm()}, not {p}")
     return pi
 
 
@@ -313,10 +335,12 @@ def divide_exact(beta: QuadInt, P: PrimeIdeal) -> QuadInt | None:
 
 def reduction_mod(P: PrimeIdeal, beta: QuadInt) -> int:
     """Image of beta in O_K/P = F_p (split or ramified P only)."""
-    assert P.kind != "inert"
+    if P.kind == "inert":
+        raise QFieldError(f"the residue field of the inert prime {P} is not F_p")
     p = P.p
     d = P.gen.b % p
-    assert d != 0  # a norm-p generator cannot have p | b
+    if d == 0:  # a norm-p generator cannot have p | b
+        raise QFieldError(f"generator {P.gen} of {P} has p | b")
     t0 = (-P.gen.a) * pow(d, -1, p) % p  # image of tau
     return (beta.a + beta.b * t0) % p
 
@@ -370,7 +394,8 @@ def factor_ideal(beta: QuadInt) -> list[tuple[PrimeIdeal, int]]:
                 nxt = divide_exact(rest, P)
             if e:
                 out.append((P, e))
-    assert rest.is_unit(), f"factorization of {beta} left non-unit {rest}"
+    if not rest.is_unit():
+        raise QFieldError(f"factorization of {beta} left non-unit {rest}")
     out.sort(key=lambda t: (t[0].p, t[0].gen.a, t[0].gen.b))
     return out
 
@@ -426,7 +451,8 @@ class ResidueRing:
             d2 = e
             r0 %= d1
         self.d1, self.d2, self.r0 = d1, d2, r0
-        assert d1 * d2 == n
+        if d1 * d2 != n:
+            raise QFieldError(f"Hermite basis of ({g}) has index {d1 * d2}, not {n}")
         self.prime_factors = [P for P, _ in factor_ideal(g)]
 
     @property
@@ -518,7 +544,8 @@ def min_ord2_roots(coeffs: list[Fraction]) -> Fraction:
     Zero coefficients are skipped (zero roots contribute valuation +inf).
     """
     d = len(coeffs) - 1
-    assert coeffs[d] == 1
+    if coeffs[d] != 1:
+        raise QFieldError(f"polynomial is not monic: leading coefficient {coeffs[d]}")
     best: Fraction | None = None
     for k in range(d):
         c = coeffs[k]

@@ -16,7 +16,7 @@ import pytest
 
 from cmtwist.bsd import BSDError, classify_twist, product_check, tamagawa_report
 from cmtwist.cli import RunConfig, cmd_table
-from cmtwist.coeffs import CurveContext, ap_cm_fast, ap_point_count
+from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.eisenstein import (
     averaging_check,
     calibrate_character,
@@ -167,15 +167,15 @@ def test_criterion_08_valuation_bound_full_scan(table49, table121):
     assert min(slack121) >= 1
 
 
-def test_criterion_09_coefficient_and_local_rules(chi49, chi121):
-    # character route vs point counts at every good odd prime below 2000,
-    # then the local-factor rule labels against root counts for every
-    # prime factor of every admissible twist
-    for curve, chi in ((C49, chi49), (C121, chi121)):
+def test_criterion_09_coefficient_and_local_rules():
+    # character route (the theta table) vs point counts at every good odd
+    # prime below 2000, then the local-factor rule labels against root
+    # counts for every prime factor of every admissible twist
+    for curve in (C49, C121):
+        table = CurveContext(curve).an_table(2000)
         for p in range(3, 2000):
             if is_prime(p) and curve.conductor % p:
-                assert ap_cm_fast(curve, p, chi) == ap_point_count(curve, p), \
-                    (curve.label, p)
+                assert table[p] == ap_point_count(curve, p), (curve.label, p)
         for M in range(2, 1001):
             try:
                 spec = classify_twist(curve, M)

@@ -63,6 +63,18 @@ def test_twist_text_report(capsys):
     assert "ord2=2 [split-even-ap]" in out and "predicted sha ord2 = 0" in out
 
 
+def test_vanishing_twist_prints_exact_zero(capsys):
+    # L(E^(53), 1) = 0 with root number +1: the series leaves ~1e-15 of
+    # rounding noise, which must not be printed as a value
+    code, out, _ = run(capsys, "twist", "53", "--curve", "49a", "--format", "csv")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")]
+    rec = dict(zip(*rows))
+    assert rec["L_alg_num"] == "0" and rec["L_value"] == "0"
+    code, out, _ = run(capsys, "twist", "53", "--curve", "49a")
+    assert code == 0 and "|L(E^(D),1)| = 0  (" in out
+
+
 def test_twist_square_free_error(capsys):
     code, _, err = run(capsys, "twist", "12", "--curve", "49a")
     assert code == 2 and "square-free" in err

@@ -1,4 +1,4 @@
-"""Dirichlet coefficients: point counts, CM fast path, contexts, tables."""
+"""Dirichlet coefficients: point counts, contexts, the theta table, twists."""
 
 from math import gcd
 
@@ -7,18 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmtwist.coeffs import (
+    MAX_TABLE,
     CoeffError,
-    CoeffTable,
     CurveContext,
-    ap_cm_fast,
     ap_enumerate,
     ap_point_count,
     ap_range,
-    build_table,
     kronecker,
     multiplicative_table,
     spf_sieve,
     theta_table,
+    twisted_coeffs,
 )
 from cmtwist.eisenstein import calibrate_character
 from cmtwist.qfield import factor_int, is_prime
@@ -30,6 +29,11 @@ C121 = builtin_curve("121b")
 
 def _odd_good_primes(curve, bound):
     return [p for p in range(3, bound) if is_prime(p) and curve.conductor % p]
+
+
+def _twisted(ctx, d, n_max):
+    """[0, a_1, ..., a_{n_max}] of the twist by d, so that t[n] = a_n."""
+    return [0, *twisted_coeffs(ctx, d, n_max)]
 
 
 def test_kronecker_matches_legendre():
@@ -50,6 +54,12 @@ def test_kronecker_units_and_twos():
         kronecker(5, 0)
 
 
+@given(d=st.integers(-10 ** 6, 10 ** 6), m=st.integers(1, 10 ** 4),
+       n=st.integers(1, 10 ** 4))
+def test_kronecker_multiplicative_in_bottom(d, m, n):
+    assert kronecker(d, m * n) == kronecker(d, m) * kronecker(d, n)
+
+
 def test_ap_small_primes_against_enumeration():
     # the Legendre-sum formula must equal direct enumeration
     for curve in (C49, C121):
@@ -64,23 +74,16 @@ def test_ap_known_values():
     assert ap_point_count(C121, 5) == -3
     # inert primes have trace zero
     assert ap_point_count(C49, 5) == 0 and ap_point_count(C49, 13) == 0
-    assert ap_cm_fast(C121, 13, calibrate_character(C121)) == 0
+    assert CurveContext(C121).ap(13) == 0
 
 
 def test_ap_bad_prime_rejected():
     with pytest.raises(CoeffError):
         ap_point_count(C49, 7)
     with pytest.raises(CoeffError):
-        ap_cm_fast(C121, 11, calibrate_character(C121))
+        CurveContext(C121).ap(11)
     with pytest.raises(CoeffError):
         ap_point_count(C49, 2)
-
-
-def test_cm_fast_path_agrees_with_point_counts():
-    for curve in (C49, C121):
-        chi = calibrate_character(curve)
-        for p in _odd_good_primes(curve, 500):
-            assert ap_cm_fast(curve, p, chi) == ap_point_count(curve, p), (curve.label, p)
 
 
 def test_ap_range_matches_singletons():
@@ -100,40 +103,40 @@ def test_spf_sieve():
 
 
 def test_table_multiplicative_structure():
-    t = build_table(CurveContext(C49), 0, 5000)
+    t = _twisted(CurveContext(C49), 0, 5000)
     # coprime multiplicativity
     for m, n in ((3, 11), (4, 23), (9, 29), (11, 37)):
-        assert t.coeff(m * n) == t.coeff(m) * t.coeff(n)
+        assert t[m * n] == t[m] * t[n]
     # prime-power recursion a(p^2) = a(p)^2 - p at good p
     for p in (3, 11, 23):
-        assert t.coeff(p * p) == t.coeff(p) ** 2 - p
+        assert t[p * p] == t[p] ** 2 - p
     # bad prime: a(7^k) = a(7)^k = 0
-    assert t.coeff(7) == 0 and t.coeff(49) == 0
+    assert t[7] == 0 and t[49] == 0
 
 
 def test_table_twist_relation():
     d = 29
     ctx = CurveContext(C49)
-    base = build_table(ctx, 0, 1500)
-    tw = build_table(ctx, d, 1500)
+    base = _twisted(ctx, 0, 1500)
+    tw = _twisted(ctx, d, 1500)
     # a'(n) = (d/n) a(n) whenever n is coprime to d (the symbol is totally
     # multiplicative, so this holds for composites too)
     for n in range(1, 1501):
         if n % d:
-            assert tw.coeff(n) == kronecker(d, n) * base.coeff(n), n
-    assert tw.coeff(29) == 0 and tw.coeff(58) == 0
+            assert tw[n] == kronecker(d, n) * base[n], n
+    assert tw[29] == 0 and tw[58] == 0
 
 
 def test_table_twist_disc_validation():
     ctx = CurveContext(C49)
     with pytest.raises(CoeffError):
-        build_table(ctx, 7, 100)       # shares 7 with the conductor
+        twisted_coeffs(ctx, 7, 100)    # shares 7 with the conductor
     with pytest.raises(CoeffError):
-        build_table(ctx, 6, 100)       # 6 != 1 mod 4
+        twisted_coeffs(ctx, 6, 100)    # 6 != 1 mod 4
     with pytest.raises(CoeffError):
-        build_table(ctx, 45, 100)      # 45 = 1 mod 4 but not square-free
+        twisted_coeffs(ctx, 45, 100)   # 45 = 1 mod 4 but not square-free
     with pytest.raises(CoeffError):
-        build_table(ctx, 5, 0)
+        twisted_coeffs(ctx, 5, 0)
 
 
 @pytest.mark.parametrize("curve", [C49, C121], ids=lambda c: c.label)
@@ -159,17 +162,19 @@ def test_gathered_twist_is_kronecker_times_untwisted(label, k):
            and all(e == 1 for _, e in factor_int(d)))
     n_max = 3 * abs(d)
     base = ctx.an_table(n_max)
-    twisted = build_table(ctx, d, n_max)
+    twisted = _twisted(ctx, d, n_max)
     for n in range(1, n_max + 1):
-        assert twisted.coeff(n) == kronecker(d, n) * base[n], (d, n)
+        assert twisted[n] == kronecker(d, n) * base[n], (d, n)
     # the gather rests on (d/.) being periodic mod |d|
     assert all(kronecker(d, n) == kronecker(d, n + abs(d))
                for n in range(1, 2 * abs(d) + 1))
 
 
 def test_coeff_out_of_range_raises():
-    table = build_table(CurveContext(C49), 0, 10)
-    assert isinstance(table, CoeffTable) and table.coeff(10) == table.a[10]
-    for n in (0, 11):
+    ctx = CurveContext(C49)
+    assert _twisted(ctx, 0, 10) == list(ctx.an_table(10)[:11])
+    for n_max in (0, MAX_TABLE + 1):
         with pytest.raises(CoeffError):
-            table.coeff(n)
+            twisted_coeffs(ctx, 0, n_max)
+        with pytest.raises(CoeffError):
+            ctx.an_table(n_max)

@@ -19,7 +19,6 @@ from cmtwist.eisenstein import (
     make_context,
     phase_split,
     prop2_sum,
-    psi_eval,
     torsion_point,
     twisted_sum,
     wp_values,
@@ -151,12 +150,6 @@ def test_character_rejects_ramified_argument(chi49):
         chi49(sqrt_minus_q(7))
 
 
-def test_psi_eval_depends_only_on_ideal(chi49):
-    beta = QuadInt(7, 1, -4)
-    assert psi_eval(chi49, beta) == psi_eval(chi49, -beta)
-    assert psi_eval(chi49, beta).norm() == beta.norm()
-
-
 def test_prop2_base_values(ctx49, ctx121, chi49, chi121):
     # principal torsion sum equals the base algebraic L-value: 1/2 for the
     # first curve, 0 for the second (odd functional equation)
@@ -276,6 +269,17 @@ def test_averaging_pair(ctx49, chi49):
     )
     assert rep.ord2 == 2 and rep.bound == 1
     assert rep.n == 2 and len(rep.terms) == 4
+
+
+def test_subset_algebra_squares_to_the_primes():
+    # ord2 of the averaged element is read off multiplication in
+    # K[x_1, x_2]/(x_i^2 - pi_i): (x_1 x_2)^2 = pi_1 pi_2 and
+    # (x_1 + x_2)^2 = pi_1 + pi_2 + 2 x_1 x_2
+    one = QuadInt(7, Fraction(1), Fraction(0))
+    mul = eisenstein._alg_mul
+    assert mul([PI3, PI29], {3: one}, {3: one}) == {0: PI3 * PI29}
+    x = {1: one, 2: one}
+    assert mul([PI3, PI29], x, x) == {0: PI3 + PI29, 3: one + one}
 
 
 def test_averaging_validation_errors(ctx49, chi49):

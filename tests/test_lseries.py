@@ -1,4 +1,4 @@
-"""Central values, rational recognition, Euler-factor strips."""
+"""Central values and rational recognition."""
 
 from fractions import Fraction
 
@@ -6,17 +6,14 @@ import mpmath as mp
 import pytest
 
 from cmtwist.coeffs import CurveContext, ap_point_count
-from cmtwist.eisenstein import calibrate_character
 from cmtwist.lseries import (
-    LSeriesError,
     algebraic_part,
     central_value,
-    euler_strip,
     recognize_rational,
     series_cutoff,
     twist_root_number,
 )
-from cmtwist.qfield import is_prime, primes_above
+from cmtwist.qfield import is_prime
 from cmtwist.registry import builtin_curve, omega_lattice
 
 C49 = builtin_curve("49a")
@@ -106,26 +103,6 @@ def test_float_and_mpf_sums_agree(label, d):
     if abs(d) > 300:
         assert n_terms > 20000
     assert abs(value - exact) <= 1e-12 * abs(exact)
-
-
-def test_euler_strip_exact_and_ord2():
-    chi = calibrate_character(C49)
-    for p in (29, 37):
-        prime = primes_above(7, p)[0]
-        strip = euler_strip(C49, 1, [prime], chi)
-        assert strip.den == p
-        fac = strip.factors[0]
-        # 1 - conj(psi(P))/p has norm (p + 1 - a_p)/p: the local point count
-        ap = ap_point_count(C49, p)
-        assert Fraction(fac.num.norm(), p * p) == Fraction(p + 1 - ap, p)
-        assert fac.ord2 >= 0
-
-
-def test_euler_strip_rejects_twist_divisor():
-    chi = calibrate_character(C49)
-    prime = primes_above(7, 29)[0]
-    with pytest.raises(LSeriesError):
-        euler_strip(C49, 29, [prime], chi)
 
 
 def test_recognize_rational():

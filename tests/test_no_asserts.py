@@ -1,14 +1,18 @@
 """Correctness checks raise errors: `python -O` strips assert statements."""
 
 import ast
+import importlib
+import pkgutil
 
 import pytest
 
-from cmtwist import bsd, coeffs, eisenstein, lseries, registry
+import cmtwist
+
+MODULES = [cmtwist] + [importlib.import_module(f"cmtwist.{info.name}")
+                       for info in pkgutil.iter_modules(cmtwist.__path__)]
 
 
-@pytest.mark.parametrize("module", [bsd, coeffs, eisenstein, lseries, registry],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_assert_statements(module):
     with open(module.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), module.__file__)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmtwist.qfield import (
     ALLOWED_Q,
@@ -228,3 +230,52 @@ def test_min_ord2_roots_newton_polygon():
     assert min_ord2_roots([Fraction(16), Fraction(-10), Fraction(1)]) == 1
     # (x-1)(x-4) = x^2 - 5x + 4: min valuation 0
     assert min_ord2_roots([Fraction(4), Fraction(-5), Fraction(1)]) == 0
+
+
+# ------------------------------------------------------- property tests
+
+FIELD = st.sampled_from(ALLOWED_Q)
+SMALL = st.integers(-60, 60)
+RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@given(q=FIELD, a=SMALL, b=SMALL, c=SMALL, d=SMALL)
+def test_norm_multiplicative_over_ints(q, a, b, c, d):
+    x, y = QuadInt(q, a, b), QuadInt(q, c, d)
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+@given(q=FIELD, a=RATIONAL, b=RATIONAL, c=RATIONAL, d=RATIONAL)
+def test_norm_multiplicative_over_fractions(q, a, b, c, d):
+    x, y = QuadInt(q, a, b), QuadInt(q, c, d)
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+@given(q=FIELD, a=RATIONAL, b=RATIONAL, c=RATIONAL, d=RATIONAL)
+def test_division_inverts_multiplication(q, a, b, c, d):
+    x, y = QuadInt(q, a, b), QuadInt(q, c, d)
+    assume(y.norm() != 0)
+    assert (x / y) * y == x
+
+
+def test_division_by_zero_and_mixed_fields_raise():
+    with pytest.raises(QFieldError):
+        QuadInt(7, 1, 2) / QuadInt(7, 0, 0)
+    with pytest.raises(QFieldError):
+        QuadInt(7, 1, 2) * QuadInt(11, 1, 2)
+    with pytest.raises(QFieldError):
+        QuadInt(7, 1, 2) + QuadInt(11, 1, 2)
+    with pytest.raises(QFieldError):
+        QuadInt(7, 1, 2) / QuadInt(11, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from((7, 11, 19)), a=st.integers(-25, 25), b=st.integers(-12, 12),
+       x=st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)))
+def test_residue_ring_reduce_and_unit_classes(q, a, b, x):
+    g = QuadInt(q, a, b)
+    assume(g.is_odd() and not g.is_unit() and g.norm() <= 3000)
+    ring = ResidueRing(g)
+    r = ring.reduce(QuadInt(q, *x))
+    assert ring.reduce(r) == r
+    assert len(ring.coprime_residues_mod_units()) == ring.unit_count() // 2
