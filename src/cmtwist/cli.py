@@ -194,8 +194,10 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
         results = [_table_job(ctx, digits, M) for M in candidates]
     else:
         fork = multiprocessing.get_context("fork")
-        chunk = max(1, len(candidates) // (4 * config.threads))
-        with ProcessPoolExecutor(max_workers=config.threads, mp_context=fork,
+        # the pool forks all its workers at the first submit
+        workers = min(config.threads, len(candidates))
+        chunk = max(1, len(candidates) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
                                  initializer=_init_table_worker,
                                  initargs=(ctx, digits)) as pool:
             # the longest series first, so no worker is left with a big
@@ -332,6 +334,11 @@ def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[st
     curve = ctx.curve
     prec = config.precision
     name, _, arg = scenario.partition(":")
+    if name in ("eisenstein-base", "averaging") and curve.base_twist != 1:
+        raise ValueError(
+            f"{name} needs the period lattice of the curve whose character "
+            f"has conductor sqrt(-{curve.q}); {curve.label} is its twist by "
+            f"{curve.base_twist}")
 
     if name == "eisenstein-base":
         eis_ctx = eis.make_context(curve, precision=max(prec, 30))
@@ -384,6 +391,8 @@ def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[st
 
     if name == "tamagawa-cross":
         limit = int(arg) if arg else 1000
+        if limit <= 3:
+            raise ValueError(f"tamagawa-cross needs a limit above 3, got {limit}")
         counts: dict[str, int] = {}
         try:
             for p in range(3, limit, 2):

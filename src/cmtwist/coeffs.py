@@ -1,18 +1,19 @@
 """Dirichlet coefficients a_n of L(E, s) and of its quadratic twists.
 
-Ground truth for a_p is point counting mod p on the Weierstrass model.  For
-the CM curves handled here a_p = 0 at inert primes, and at split primes
-a_p = chi(pi_p) * trace(pi_p) for the Hecke character chi; the theta
-table built from chi must agree with point counts bit for bit.
+Ground truth for a_p is point counting mod p on the Weierstrass model.  A
+curve E with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
+Hecke character chi has conductor sqrt(-q) (d0 = Curve.base_twist, 1 for
+the built-in curves).  For E0, a_p = 0 at inert primes and
+a_p = chi(pi_p) * trace(pi_p) at split primes; chi is calibrated from the
+point counts of E times (d0/p), and the theta table built from it must
+agree with point counts bit for bit.
 
-A CurveContext keeps one untwisted a_n table per command.  When the
-character has conductor sqrt(-q), L(E, s) = L(psi, s) with
-psi((alpha)) = chi(alpha) * alpha, so the table is the theta series of psi
-over O_K (theta_table): no sieve and no a_p.  Other curves fill it
-multiplicatively from point-count a_p over a smallest-prime-factor sieve.
+A CurveContext keeps one untwisted a_n table of E0 per command.
+L(E0, s) = L(psi, s) with psi((alpha)) = chi(alpha) * alpha, so the table
+is the theta series of psi over O_K (theta_table): no sieve and no a_p.
 A twist by a discriminant d coprime to N multiplies a_n by the Kronecker
-symbol (d/n), which is periodic mod |d|; twisted_coeffs streams that
-product from the shared table.
+symbol (d/n), which is periodic mod |d|; twisted_coeffs streams
+a_n(E^(d)) = (d d0/n) a_n(E0) from the shared table.
 """
 
 from __future__ import annotations
@@ -126,15 +127,18 @@ class HeckeCharacter:
 def calibrate_character(
     curve: Curve, min_samples: int = 10, skip: int = 0, prime_bound: int = 5000
 ) -> HeckeCharacter:
-    """Fit chi from a_p = chi(pi_p) * trace(pi_p) at split primes of good reduction.
+    """Fit the character chi of E0 from a_p(E0) = chi(pi_p) * trace(pi_p).
 
-    Each sampled prime pins one residue class mod sqrt(-q); the table is
-    completed by multiplicative closure.  Every new sample and every closure
-    product is checked against existing entries, and chi(-1) = -1 is asserted
-    at the end, so an inconsistent fit cannot be returned silently.  `skip`
-    ignores the first few usable primes (disjoint samples must agree).
+    The curve is E0^(d0), so a_p(E0) = a_p(E) * (d0/p) at the split primes
+    of good reduction, and E0 needs no Weierstrass model.  Each sampled
+    prime pins one residue class mod sqrt(-q); the table is completed by
+    multiplicative closure.  Every new sample and every closure product is
+    checked against existing entries, and chi(-1) = -1 is checked at the
+    end; any failure raises CoeffError, so an inconsistent fit cannot be
+    returned silently.  `skip` ignores the first few usable primes
+    (disjoint samples must agree).
     """
-    q = curve.q
+    q, d0 = curve.q, curve.base_twist
     ram = primes_above(q, q)[0]
     values: dict[int, int] = {1: 1}
 
@@ -169,7 +173,7 @@ def calibrate_character(
             skipped += 1
             continue
         pi = cornacchia_split(q, p)
-        ap = ap_point_count(curve, p)
+        ap = ap_point_count(curve, p) * kronecker(d0, p)
         tr = pi.trace()
         # CM forces |a_p| = |trace pi_p| at good split primes
         if tr == 0 or abs(ap) != abs(tr):
@@ -193,12 +197,10 @@ def calibrate_character(
 class CurveContext:
     """One curve and the coefficient data derived from it, for one command.
 
-    The route is fixed by the curve.  When the character has conductor
-    sqrt(-q) (f_norm == q), the a_n table is the theta series of psi;
-    otherwise it is filled multiplicatively from point-count a_p at split
-    primes (inert primes have a_p = 0).  The character is calibrated on
-    first use, and the untwisted a_n table grows on demand up to MAX_TABLE;
-    both live only as long as the context.
+    The character is that of E0, the curve whose twist by curve.base_twist
+    is this one, and the untwisted a_n table is E0's theta series of psi.
+    The character is calibrated on first use, and the table grows on
+    demand up to MAX_TABLE; both live only as long as the context.
     """
 
     def __init__(self, curve: Curve):
@@ -209,37 +211,20 @@ class CurveContext:
 
     @property
     def character(self) -> HeckeCharacter:
-        curve = self.curve
-        if curve.f_norm != curve.q:
-            raise CoeffError(f"{curve.label}: its character has conductor norm "
-                             f"{curve.f_norm}, not {curve.q}; only sqrt(-q) is supported")
         if self._character is None:
-            self._character = calibrate_character(curve)
+            self._character = calibrate_character(self.curve)
         return self._character
 
-    def ap(self, p: int) -> int:
-        """a_p at a good prime p, by point counts (0 at inert p > 3)."""
-        curve = self.curve
-        if p <= 3:
-            return ap_enumerate(curve, p)
-        if split_type(curve.q, p) == "inert":
-            return 0
-        return ap_point_count(curve, p)
-
     def an_table(self, n_max: int) -> array:
-        """Untwisted a_n for 0..n_max (possibly beyond); index 0 is unused."""
+        """a_n of E0 for 0..n_max (possibly beyond); index 0 is unused."""
         if not 1 <= n_max <= MAX_TABLE:
             raise CoeffError(f"n_max out of range: {n_max}")
         if n_max > self._an_max:
             # doubling keeps a run of growing requests linear overall
             size = min(MAX_TABLE, max(n_max, 2 * self._an_max))
-            curve = self.curve
-            if curve.f_norm == curve.q:
-                table = theta_table(self.character, size)
-            else:
-                table = multiplicative_table(ap_range(self, size), size)
+            table = theta_table(self.character, size)
             if table[1] != 1:
-                raise CoeffError(f"{curve.label}: a_1 = {table[1]}, not 1")
+                raise CoeffError(f"{self.curve.label}: a_1 = {table[1]}, not 1")
             self._an, self._an_max = table, size
         return self._an
 
@@ -276,55 +261,6 @@ def theta_table(chi: HeckeCharacter, n_max: int) -> array:
     return t
 
 
-def spf_sieve(n: int) -> array:
-    """Smallest-prime-factor table for 0..n (spf[k] = k marks k prime)."""
-    spf = array("l", range(n + 1))
-    for i in range(2, isqrt(n) + 1):
-        if spf[i] == i:
-            for j in range(i * i, n + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
-def ap_range(ctx: CurveContext, n_max: int) -> dict[int, int]:
-    """a_p for every good prime p <= n_max, by the context's route."""
-    spf = spf_sieve(n_max)
-    conductor = ctx.curve.conductor
-    return {p: ctx.ap(p) for p in range(2, n_max + 1)
-            if spf[p] == p and conductor % p}
-
-
-def multiplicative_table(ap: dict[int, int], n_max: int) -> array:
-    """a_n for 0..n_max from a_p at the good primes p <= n_max.
-
-    A prime absent from ap is bad, with a(p^k) = 0 (the bad primes of a CM
-    curve are additive); at good primes a(p^{k+1}) = a(p)a(p^k) - p a(p^{k-1}),
-    and composites fill multiplicatively over a smallest-prime-factor sieve.
-    """
-    spf = spf_sieve(n_max)
-    a = array("i", bytes(4 * (n_max + 1)))
-    a[1] = 1
-    for p, ap_p in ap.items():
-        a[p] = ap_p
-        pk_prev, pk = 1, p
-        while pk * p <= n_max:
-            nxt = ap_p * a[pk] - p * a[pk_prev]
-            pk_prev, pk = pk, pk * p
-            a[pk] = nxt
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        if p == n:
-            continue
-        pk, m = p, n // p
-        while m % p == 0:
-            pk *= p
-            m //= p
-        if m > 1:
-            a[n] = a[pk] * a[m]
-    return a
-
-
 def _check_twist_disc(curve: Curve, d: int) -> None:
     if d == 0 or d == 1:
         return
@@ -357,12 +293,14 @@ def _kronecker_period(d: int) -> list[int]:
 def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[int]:
     """a_1, ..., a_{n_max} of L(E^(d), s), streamed from the context's table.
 
-    For a discriminant d coprime to N(E), a_n(E^(d)) = (d/n) * a_n(E), and
-    (d/.) is periodic mod |d|, so one period of the symbol is cycled
-    against the untwisted table.  d = 0 or 1 means untwisted.
+    For a discriminant d coprime to N(E), a_n(E^(d)) = (d/n) * a_n(E) =
+    (d d0/n) * a_n(E0), and (d d0/.) is periodic mod |d d0|, so one period
+    of the symbol is cycled against E0's table.  d = 0 or 1 means E itself,
+    the twist of E0 by d0.
     """
     _check_twist_disc(ctx.curve, d)
     coeffs = islice(ctx.an_table(n_max), 1, n_max + 1)
-    if d in (0, 1):
+    d = (d or 1) * ctx.curve.base_twist
+    if d == 1:
         return coeffs
     return map(mul, islice(cycle(_kronecker_period(d)), 1, n_max + 1), coeffs)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
 
 import mpmath as mp
 
@@ -35,7 +34,9 @@ class Curve:
     q: int
     w: int  # global root number, +1 or -1
     conductor: int
-    f_norm: int  # norm of the conductor of the Hecke character
+    # d0: the curve is E0^(d0), E0 the curve of K whose Hecke character
+    # has conductor sqrt(-q); 1 for the built-in curves
+    base_twist: int
     lalg_base: Fraction | None  # algebraic L(E,1)/Omega when known
     omega_override: str | None = None  # decimal |Omega| for user curves
     # The minimal-model period lattice is
@@ -98,11 +99,11 @@ def _period_residues(q: int) -> tuple[int, ...]:
 BUILTIN: dict[str, Curve] = {
     "49a": Curve(
         label="49a", a1=1, a2=-1, a3=0, a4=-2, a6=-1,
-        q=7, w=+1, conductor=49, f_norm=7, lalg_base=Fraction(1, 2),
+        q=7, w=+1, conductor=49, base_twist=1, lalg_base=Fraction(1, 2),
     ),
     "121b": Curve(
         label="121b", a1=0, a2=-1, a3=1, a4=-7, a6=10,
-        q=11, w=-1, conductor=121, f_norm=11, lalg_base=Fraction(0),
+        q=11, w=-1, conductor=121, base_twist=1, lalg_base=Fraction(0),
         lattice_shift=1, lattice_rotation=1,
     ),
 }
@@ -171,10 +172,16 @@ def validate_user_curve(
     """Build a Curve from user data, checking the printed hypotheses.
 
     Checks: integral nonsingular model, odd discriminant (good reduction
-    at 2), q in the allow-list, conductor q * (norm of character conductor)
-    a perfect square with q^2 dividing it.  The conductor is derived from
-    the bad primes of the (assumed minimal) model, each entering squared.
-    CM by O_K itself is assumed, not verified.
+    at 2), q in the allow-list, q^2 dividing the conductor.  The conductor
+    is derived from the bad primes of the (assumed minimal) model, each
+    entering squared.  CM by O_K itself is assumed, not verified here; the
+    character calibration raises on point counts that fit no character.
+
+    A curve with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
+    character has conductor sqrt(-q).  base_twist is d0, the product of
+    p* = (-1)^((p-1)/2) p over the bad primes p != q: the one odd
+    fundamental discriminant with those primes (the twist by -q leaves
+    the a_n unchanged, so there is no sign to choose).
     """
     if q not in ALLOWED_Q:
         raise RegistryError(f"field not supported: q={q}")
@@ -182,24 +189,23 @@ def validate_user_curve(
         raise RegistryError(f"root number must be +-1, got {w}")
     a1, a2, a3, a4, a6 = (int(a) for a in a_invariants)
     curve = Curve(label=label, a1=a1, a2=a2, a3=a3, a4=a4, a6=a6,
-                  q=q, w=w, conductor=0, f_norm=0,
+                  q=q, w=w, conductor=0, base_twist=1,
                   lalg_base=lalg_base, omega_override=omega)
     disc = curve.discriminant
     if disc == 0:
         raise RegistryError("singular model")
     if disc % 2 == 0:
         raise RegistryError("bad reduction at 2 (even discriminant)")
-    n = 1
+    n, d0 = 1, 1
     for p, _ in factor_int(disc):
         n *= p * p
+        if p != q:
+            d0 *= p if p % 4 == 1 else -p
     if n % (q * q) != 0:
         raise RegistryError("conductor mismatch: q does not divide the conductor twice")
-    r = isqrt(n)
-    if r * r != n:
-        raise RegistryError("conductor mismatch: conductor is not a square")
     if omega is None:
         raise RegistryError("user curves require an omega override")
-    return replace(curve, conductor=n, f_norm=n // q)
+    return replace(curve, conductor=n, base_twist=d0)
 
 
 def parse_curve_file(path: str) -> list[Curve]:

@@ -2,9 +2,9 @@
 
 import pytest
 
-from cmtwist import coeffs
+from cmtwist import cli, coeffs
 from cmtwist.cli import main
-from cmtwist.registry import builtin_curve
+from cmtwist.registry import resolve_curve
 
 
 def run(capsys, *argv):
@@ -41,6 +41,33 @@ def test_table_thread_determinism(capsys):
     _, out8, _ = run(capsys, "table", "1", "120", "--curve", "49a",
                      "--format", "csv", "--threads", "8")
     assert out1 == out8
+
+
+def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
+    # the pool forks all of its workers at the first submit, so it must not
+    # be sized past the number of rows; the recorder starts no process
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers, initializer, initargs, **kwargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "_worker_args", ())    # set by the initializer
+    code, out, _ = run(capsys, "table", "2", "16", "--curve", "49a",
+                       "--threads", "64")
+    assert code == 0 and "# rows=2" in out     # M = 5 and 13
+    assert sizes == [2]
 
 
 def test_table_output_file(capsys, tmp_path):
@@ -90,6 +117,16 @@ def test_verify_lemma_div(capsys):
     code, out, _ = run(capsys, "verify", "lemma-div:4")
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_verify_tamagawa_cross_needs_a_prime(capsys):
+    # below 4 the scan visits no prime and would pass vacuously
+    for limit in ("2", "3"):
+        code, out, err = run(capsys, "verify", f"tamagawa-cross:{limit}",
+                             "--curve", "49a")
+        assert code == 2 and out == "" and "above 3" in err
+    code, out, _ = run(capsys, "verify", "tamagawa-cross:4", "--curve", "49a")
+    assert code == 0 and out.startswith("PASS  tamagawa-cross[49a]: 1 primes < 4")
 
 
 def test_verify_unknown_scenario(capsys):
@@ -182,23 +219,31 @@ def test_bad_env_default_is_usage_error(capsys, monkeypatch, name, value):
     assert code == 2 and out == "" and value in err
 
 
-def test_twist_uses_the_character_not_point_counts(capsys, monkeypatch):
-    # twist 449 needs a_p at ~1000 split primes; the only point counts
-    # allowed are those of the character calibration
-    calls = []
+def test_twist_uses_the_character_not_point_counts(capsys, monkeypatch, e29_file):
+    # twist 449 of 49a needs a_p at ~1000 split primes, table 2 60 of the
+    # user curve e29 at ~2000; the only point counts allowed are those of
+    # the character calibration
     counted = coeffs.ap_point_count
+    for argv, expect in ((("twist", "449", "--curve", "49a"), "L^alg = 32/1"),
+                         (("table", "2", "60", "--curve", "e29"), "# rows=5")):
+        calibration, during = [], []
 
-    def counting(curve, p):
-        calls.append(p)
-        return counted(curve, p)
+        def recording(curve, p):
+            calibration.append(p)
+            return counted(curve, p)
 
-    monkeypatch.setattr(coeffs, "ap_point_count", counting)
-    code, out, _ = run(capsys, "twist", "449", "--curve", "49a")
-    assert code == 0 and "L^alg = 32/1" in out
-    during_twist = list(calls)
-    calls.clear()
-    coeffs.calibrate_character(builtin_curve("49a"))
-    assert during_twist == calls
+        def counting(curve, p):
+            # stop at the first count the calibration does not make
+            assert p in calibration, p
+            during.append(p)
+            return counted(curve, p)
+
+        monkeypatch.setattr(coeffs, "ap_point_count", recording)
+        coeffs.calibrate_character(resolve_curve(argv[-1], e29_file))
+        monkeypatch.setattr(coeffs, "ap_point_count", counting)
+        code, out, _ = run(capsys, *argv, "--curve-file", e29_file)
+        assert code == 0 and expect in out
+        assert during == calibration
 
 
 def test_curve_file_resolution(capsys, tmp_path):
@@ -209,32 +254,20 @@ def test_curve_file_resolution(capsys, tmp_path):
     assert code == 0 and "twist M=7" in out
 
 
-def test_user_curve_base_value_derived(capsys, tmp_path):
+def test_user_curve_base_value_derived(capsys, e29_file):
     # a user curve records no base L-value; the CLI must compute it before
     # applying the bound.  This curve is the 29-twist of the builtin 49a,
     # so its 5-twist must reproduce the builtin M=145 row: lalg 4, ord2 2.
     code, out, _ = run(capsys, "twist", "5", "--curve", "e29",
-                       "--curve-file", _e29_file(tmp_path))
+                       "--curve-file", e29_file)
     assert code == 0
     assert "L^alg = 4/1  (ord2 = 2)" in out
     assert "holds" in out
 
 
-def _e29_file(tmp_path):
-    """The 29-twist of 49a as a user curve, with its period."""
-    import mpmath as mp
-    from cmtwist.registry import omega_infinity
-    with mp.workdps(40):
-        om = mp.nstr(omega_infinity(builtin_curve("49a"), 30) / mp.sqrt(29), 25)
-    f = tmp_path / "c.txt"
-    f.write_text(f"e29 1 -22 0 -1682 -24389 7 1 {om}\n")
-    return str(f)
-
-
-def test_user_curve_table_matches_twist(capsys, tmp_path):
-    # e29's character has conductor sqrt(-7)*29, so its a_p come from point
-    # counts; the table must not try to calibrate a sqrt(-7) character
-    f = _e29_file(tmp_path)
+def test_user_curve_table_matches_twist(capsys, e29_file):
+    # e29 = 49a^(29): its rows come from 49a's theta table twisted by 29*M
+    f = e29_file
     code, table, err = run(capsys, "table", "2", "6", "--curve", "e29",
                            "--curve-file", f, "--format", "csv")
     assert code == 0, err
@@ -246,9 +279,17 @@ def test_user_curve_table_matches_twist(capsys, tmp_path):
     assert rows[1].startswith("5,+1,") and ",4,1,2," in rows[1]
 
 
-def test_user_curve_verify_refuses_character(capsys, tmp_path):
-    # the Eisenstein scenarios need a character of conductor sqrt(-q);
-    # e29's has norm 7 * 29^2, so calibration is refused up front
-    code, _, err = run(capsys, "verify", "character", "--curve", "e29",
-                       "--curve-file", _e29_file(tmp_path))
-    assert code == 2 and "conductor norm 5887" in err
+def test_user_curve_verify_refuses_only_lattice_scenarios(capsys, e29_file):
+    # the character of 49a is calibrated from e29's point counts; the sums
+    # over torsion points need 49a's own period lattice, so they are refused
+    code, out, err = run(capsys, "verify", "character", "--curve", "e29",
+                         "--curve-file", e29_file)
+    assert code == 0 and err == ""
+    assert out.startswith("PASS  character[e29]: 10 + 10 disjoint split primes")
+    for scenario in ("eisenstein-base", "averaging:-3"):
+        code, out, err = run(capsys, "verify", scenario, "--curve", "e29",
+                             "--curve-file", e29_file, "--precision", "50")
+        assert code == 2 and out == ""
+        name = scenario.partition(":")[0]
+        assert (f"error: {name} needs the period lattice of the curve whose "
+                f"character has conductor sqrt(-7); e29 is its twist by 29") in err

@@ -1,6 +1,6 @@
 """Dirichlet coefficients: point counts, contexts, the theta table, twists."""
 
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,19 +12,17 @@ from cmtwist.coeffs import (
     CurveContext,
     ap_enumerate,
     ap_point_count,
-    ap_range,
     kronecker,
-    multiplicative_table,
-    spf_sieve,
-    theta_table,
     twisted_coeffs,
 )
-from cmtwist.eisenstein import calibrate_character
 from cmtwist.qfield import factor_int, is_prime
-from cmtwist.registry import builtin_curve
+from cmtwist.registry import builtin_curve, resolve_curve, validate_user_curve
 
 C49 = builtin_curve("49a")
 C121 = builtin_curve("121b")
+# 49a twisted by D = -3, whose p* is negative: a2' = D a2 + (D - 1)/4,
+# a4' = D^2 a4, a6' = D^3 a6 keep a1 = 1 and good reduction at 2
+CM3 = validate_user_curve("49a(-3)", (1, 2, 0, -18, 27), q=7, w=-1, omega="1")
 
 
 def _odd_good_primes(curve, bound):
@@ -34,6 +32,40 @@ def _odd_good_primes(curve, bound):
 def _twisted(ctx, d, n_max):
     """[0, a_1, ..., a_{n_max}] of the twist by d, so that t[n] = a_n."""
     return [0, *twisted_coeffs(ctx, d, n_max)]
+
+
+def _point_count_fill(curve, n_max):
+    """[0, a_1, ..., a_{n_max}] of the curve's own model, from point counts.
+
+    a_p by counting at every good prime, a(p^k) = 0 at the bad primes (the
+    bad primes of a CM curve are additive), a(p^{k+1}) = a(p)a(p^k) -
+    p a(p^{k-1}) at good ones, and composites multiplicatively over a
+    smallest-prime-factor sieve.
+    """
+    spf = list(range(n_max + 1))
+    for i in range(2, isqrt(n_max) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n_max + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    a = [0] * (n_max + 1)
+    a[1] = 1
+    for p in range(2, n_max + 1):
+        if spf[p] != p or curve.conductor % p == 0:
+            continue
+        a[p] = ap_enumerate(curve, 2) if p == 2 else ap_point_count(curve, p)
+        pk_prev, pk = 1, p
+        while pk * p <= n_max:
+            a[pk * p] = a[p] * a[pk] - p * a[pk_prev]
+            pk_prev, pk = pk, pk * p
+    for n in range(2, n_max + 1):
+        p, m, pk = spf[n], n, 1
+        while m % p == 0:
+            m //= p
+            pk *= p
+        if m > 1:
+            a[n] = a[pk] * a[m]
+    return a
 
 
 def test_kronecker_matches_legendre():
@@ -74,32 +106,16 @@ def test_ap_known_values():
     assert ap_point_count(C121, 5) == -3
     # inert primes have trace zero
     assert ap_point_count(C49, 5) == 0 and ap_point_count(C49, 13) == 0
-    assert CurveContext(C121).ap(13) == 0
+    assert ap_point_count(C121, 13) == 0
 
 
 def test_ap_bad_prime_rejected():
     with pytest.raises(CoeffError):
         ap_point_count(C49, 7)
     with pytest.raises(CoeffError):
-        CurveContext(C121).ap(11)
+        ap_point_count(C121, 11)
     with pytest.raises(CoeffError):
         ap_point_count(C49, 2)
-
-
-def test_ap_range_matches_singletons():
-    table = ap_range(CurveContext(C49), 200)
-    assert table[2] == ap_enumerate(C49, 2) == 1
-    assert 7 not in table
-    for p, ap in table.items():
-        if p > 3:
-            assert ap == ap_point_count(C49, p)
-
-
-def test_spf_sieve():
-    spf = spf_sieve(100)
-    assert spf[97] == 97 and spf[91] == 7 and spf[64] == 2
-    primes = [k for k in range(2, 101) if spf[k] == k]
-    assert len(primes) == 25
 
 
 def test_table_multiplicative_structure():
@@ -139,15 +155,14 @@ def test_table_twist_disc_validation():
         twisted_coeffs(ctx, 5, 0)
 
 
-@pytest.mark.parametrize("curve", [C49, C121], ids=lambda c: c.label)
-def test_theta_table_matches_point_count_fill(curve):
-    # the theta series of psi against the multiplicative fill from point
-    # counts, at every n <= 3000 (prime powers, q | n and n = 2, 4 included)
+@pytest.mark.parametrize("label", ["49a", "121b", "e29", "49a(-3)"])
+def test_theta_table_matches_point_count_fill(label, e29_file):
+    # the context's untwisted stream (the theta series of E0's psi, twisted
+    # by d0 for a user curve) against the point-count fill of the curve's
+    # own model, at every n <= 3000 (prime powers, q | n, d0 | n and n = 2, 4)
+    curve = CM3 if label == CM3.label else resolve_curve(label, e29_file)
     n_max = 3000
-    ap = {p: ap_enumerate(curve, 2) if p == 2 else ap_point_count(curve, p)
-          for p in range(2, n_max + 1) if is_prime(p) and curve.conductor % p}
-    theta = theta_table(calibrate_character(curve), n_max)
-    assert list(theta) == list(multiplicative_table(ap, n_max))
+    assert _twisted(CurveContext(curve), 0, n_max) == _point_count_fill(curve, n_max)
 
 
 CTX = {c.label: CurveContext(c) for c in (C49, C121)}

@@ -72,28 +72,22 @@ def _write(path, text):
     return str(path)
 
 
-def test_parse_curve_file_roundtrip(tmp_path):
-    c49 = builtin_curve("49a")
-    om = mp.nstr(omega_infinity(c49, 30) / mp.sqrt(29), 25)
-    f = _write(tmp_path / "curves.txt", f"""
-# quadratic twist of the conductor-49 curve by 29
-e29 1 -22 0 -1682 -24389 7 1 {om}
-49a 1 -1 0 -2 -1 7 1
-""")
-    curves = parse_curve_file(f)
+def test_parse_curve_file_roundtrip(e29_file):
+    with open(e29_file, "a", encoding="utf-8") as fh:
+        fh.write("# a built-in line without omega\n49a 1 -1 0 -2 -1 7 1\n")
+    curves = parse_curve_file(e29_file)
     assert [c.label for c in curves] == ["e29", "49a"]
     e29 = curves[0]
     assert e29.conductor == 49 * 29 * 29
+    assert e29.base_twist == 29            # 49a^(29); 29* = +29
     assert curves[1] is BUILTIN["49a"]     # builtin line resolves to builtin
+    assert BUILTIN["49a"].base_twist == BUILTIN["121b"].base_twist == 1
 
 
-def test_user_curve_end_to_end_algebraic_part(tmp_path):
+def test_user_curve_end_to_end_algebraic_part(e29_file):
     # the 29-twist as a standalone curve: its base algebraic value must
     # equal the twisted value computed from the builtin model
-    c49 = builtin_curve("49a")
-    om = mp.nstr(omega_infinity(c49, 30) / mp.sqrt(29), 25)
-    f = _write(tmp_path / "c.txt", f"e29 1 -22 0 -1682 -24389 7 1 {om}\n")
-    e29 = resolve_curve("e29", f)
+    e29 = resolve_curve("e29", e29_file)
     res = algebraic_part(CurveContext(e29), 1, target_digits=12)
     assert res.lalg == 2
 
