@@ -328,93 +328,153 @@ def _parse_pi_entry(entry: str, q: int) -> QuadInt:
     return QuadInt(q, p if p % 4 == 1 else -p, 0)
 
 
-def _verify_one(config: RunConfig, ctx: CurveContext, scenario: str) -> tuple[str, bool]:
+def _int_arg(name: str, arg: str, default: int, low: int, high: int | None = None) -> int:
+    try:
+        n = int(arg) if arg else default
+    except ValueError:
+        raise ValueError(f"{name} needs an integer argument, got {arg!r}") from None
+    if n < low or (high is not None and n > high):
+        at_most = "" if high is None else f" and at most {high}"
+        raise ValueError(f"{name} needs an integer above {low - 1}{at_most}, got {n}")
+    return n
+
+
+def _pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+    entries = arg.split(",") if arg else []
+    return entries, [_parse_pi_entry(e, curve.q) for e in entries]
+
+
+def _nonempty_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+    if not arg:
+        raise ValueError(f"{name} needs a pi list, e.g. {name}:-3")
+    return _pi_list(curve, name, arg)
+
+
+def _lemma_div_n(curve: Curve, name: str, arg: str) -> int:
+    from .eisenstein import LEMMA_DIV_MAX_N
+    return _int_arg(name, arg, 10, 1, LEMMA_DIV_MAX_N)
+
+
+def _eis_context(config: RunConfig, curve: Curve):
     from . import eisenstein as eis
+    return eis.make_context(curve, precision=max(config.precision, 30))
 
+
+def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
+    from . import eisenstein as eis
     curve = ctx.curve
-    prec = config.precision
-    name, _, arg = scenario.partition(":")
-    if name in ("eisenstein-base", "averaging") and curve.base_twist != 1:
-        raise ValueError(
-            f"{name} needs the period lattice of the curve whose character "
-            f"has conductor sqrt(-{curve.q}); {curve.label} is its twist by "
-            f"{curve.base_twist}")
-
-    if name == "eisenstein-base":
-        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
-        val = eis.prop2_sum(eis_ctx, ctx.character, sqrt_minus_q(curve.q))
-        with mp.workdps(eis_ctx.dps):
-            amp, _phase = eis.phase_split(val)
-            target, residual = recognize_rational(amp, 64)
-        ok = residual < 1e-8 and target == curve.lalg_base
-        return (f"eisenstein-base[{curve.label}]: |sum| = {float(amp):.12g}, "
-                f"recognized {target}, residual {residual:.3g}", ok)
-
-    if name == "averaging":
-        if not arg:
-            raise ValueError("averaging needs a pi list, e.g. averaging:-3")
-        pis = [_parse_pi_entry(e, curve.q) for e in arg.split(",")]
-        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
-        rep = eis.averaging_check(eis_ctx, ctx.character, pis)
-        ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
-        msg = (f"averaging[{rep.label}: {arg}]: "
-               f"|LHS-RHS| = {float(rep.residual):.3g}, "
-               f"ord2 = {ord2} (need >= {rep.bound})")
-        if rep.note:
-            msg += f" [{rep.note}]"
-        return msg, rep.ok
-
-    if name == "e1-ladder":
-        entries = arg.split(",") if arg else []
-        g = sqrt_minus_q(curve.q)
-        for e in entries:
-            g = g * _parse_pi_entry(e, curve.q)
-        eis_ctx = eis.make_context(curve, precision=max(prec, 30))
-        count, worst = eis.ladder_discrepancy(eis_ctx, g)
-        ok = worst < mp.mpf(10) ** (5 - eis_ctx.precision)
-        where = "*".join([f"sqrt(-{curve.q})"] + [f"({e})" for e in entries])
-        return (f"e1-ladder[{curve.label}: {where}]: {count} representatives, "
-                f"worst |direct - ladder| = {mp.nstr(worst, 3)}", ok)
-
-    if name == "lemma-div":
-        n = int(arg) if arg else 10
-        ok = eis.lemma_div_bruteforce(n)
-        return f"lemma-div[n={n}]: {2 ** n} sign vectors checked", ok
-
-    if name == "character":
-        c1 = ctx.character
-        c2 = eis.calibrate_character(curve, skip=c1.samples)
-        ok = c1.values == c2.values
-        return (f"character[{curve.label}]: {c1.samples} + {c2.samples} "
-                f"disjoint split primes, tables "
-                f"{'agree' if ok else 'DISAGREE'}, chi(-1) = -1", ok)
-
-    if name == "tamagawa-cross":
-        limit = int(arg) if arg else 1000
-        if limit <= 3:
-            raise ValueError(f"tamagawa-cross needs a limit above 3, got {limit}")
-        counts: dict[str, int] = {}
-        try:
-            for p in range(3, limit, 2):
-                if not is_prime(p) or curve.conductor % p == 0:
-                    continue
-                _, rule = bsd.tamagawa_ord2_at(curve, p)
-                counts[rule] = counts.get(rule, 0) + 1
-        except BSDError as exc:
-            return f"tamagawa-cross[{curve.label}]: {exc}", False
-        total = sum(counts.values())
-        detail = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
-        return (f"tamagawa-cross[{curve.label}]: {total} primes < {limit} "
-                f"agree ({detail})", True)
-
-    raise ValueError(f"unknown scenario {scenario!r}")
+    eis_ctx = _eis_context(config, curve)
+    val = eis.prop2_sum(eis_ctx, ctx.character, sqrt_minus_q(curve.q))
+    with mp.workdps(eis_ctx.dps):
+        amp, _phase = eis.phase_split(val)
+        target, residual = recognize_rational(amp, 64)
+    ok = residual < 1e-8 and target == curve.lalg_base
+    return (f"eisenstein-base[{curve.label}]: |sum| = {float(amp):.12g}, "
+            f"recognized {target}, residual {residual:.3g}", ok)
 
 
-def cmd_verify(config: RunConfig, ctx: CurveContext, scenarios: list[str]) -> tuple[list[str], int]:
+def _averaging(config: RunConfig, ctx: CurveContext,
+               pis: tuple[list[str], list[QuadInt]]) -> tuple[str, bool]:
+    from . import eisenstein as eis
+    entries, elements = pis
+    eis_ctx = _eis_context(config, ctx.curve)
+    rep = eis.averaging_check(eis_ctx, ctx.character, elements)
+    ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
+    msg = (f"averaging[{rep.label}: {','.join(entries)}]: "
+           f"|LHS-RHS| = {float(rep.residual):.3g}, "
+           f"ord2 = {ord2} (need >= {rep.bound})")
+    if rep.note:
+        msg += f" [{rep.note}]"
+    return msg, rep.ok
+
+
+def _e1_ladder(config: RunConfig, ctx: CurveContext,
+               pis: tuple[list[str], list[QuadInt]]) -> tuple[str, bool]:
+    from . import eisenstein as eis
+    curve = ctx.curve
+    entries, elements = pis
+    g = sqrt_minus_q(curve.q)
+    for pi in elements:
+        g = g * pi
+    eis_ctx = _eis_context(config, curve)
+    count, worst = eis.ladder_discrepancy(eis_ctx, g)
+    ok = worst < mp.mpf(10) ** (5 - eis_ctx.precision)
+    where = "*".join([f"sqrt(-{curve.q})"] + [f"({e})" for e in entries])
+    return (f"e1-ladder[{curve.label}: {where}]: {count} representatives, "
+            f"worst |direct - ladder| = {mp.nstr(worst, 3)}", ok)
+
+
+def _lemma_div(config: RunConfig, ctx: CurveContext, n: int) -> tuple[str, bool]:
+    from . import eisenstein as eis
+    ok = eis.lemma_div_bruteforce(n)
+    return f"lemma-div[n={n}]: {2 ** n} sign vectors checked", ok
+
+
+def _character(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
+    from . import eisenstein as eis
+    curve = ctx.curve
+    c1 = ctx.character
+    c2 = eis.calibrate_character(curve, skip=c1.samples)
+    ok = c1.values == c2.values
+    return (f"character[{curve.label}]: {c1.samples} + {c2.samples} "
+            f"disjoint split primes, tables "
+            f"{'agree' if ok else 'DISAGREE'}, chi(-1) = -1", ok)
+
+
+def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[str, bool]:
+    curve = ctx.curve
+    counts: dict[str, int] = {}
+    try:
+        for p in range(3, limit, 2):
+            if not is_prime(p) or curve.conductor % p == 0:
+                continue
+            _, rule = bsd.tamagawa_ord2_at(curve, p)
+            counts[rule] = counts.get(rule, 0) + 1
+    except BSDError as exc:
+        return f"tamagawa-cross[{curve.label}]: {exc}", False
+    total = sum(counts.values())
+    detail = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
+    return (f"tamagawa-cross[{curve.label}]: {total} primes < {limit} "
+            f"agree ({detail})", True)
+
+
+# name -> (parse the argument after the colon, or None; run the check)
+SCENARIOS = {
+    "eisenstein-base": (None, _eisenstein_base),
+    "averaging": (_nonempty_pi_list, _averaging),
+    "e1-ladder": (_pi_list, _e1_ladder),
+    "lemma-div": (_lemma_div_n, _lemma_div),
+    "character": (None, _character),
+    "tamagawa-cross": (lambda curve, name, arg: _int_arg(name, arg, 1000, 4),
+                       _tamagawa_cross),
+}
+# the sums over torsion points that need E0's own period lattice
+LATTICE_SCENARIOS = ("eisenstein-base", "averaging")
+
+
+def parse_scenarios(curve: Curve, scenarios: list[str]) -> list[tuple]:
+    """(run, parsed argument) for every scenario, or a ValueError for the
+    first usage error, before any scenario runs."""
+    checks = []
+    for scenario in scenarios:
+        name, _, arg = scenario.partition(":")
+        if name not in SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}")
+        if name in LATTICE_SCENARIOS and curve.base_twist != 1:
+            raise ValueError(
+                f"{name} needs the period lattice of the curve whose character "
+                f"has conductor sqrt(-{curve.q}); {curve.label} is its twist by "
+                f"{curve.base_twist}")
+        parse, run = SCENARIOS[name]
+        checks.append((run, parse and parse(curve, name, arg)))
+    return checks
+
+
+def cmd_verify(config: RunConfig, ctx: CurveContext, checks: list[tuple]) -> tuple[list[str], int]:
     lines = []
     all_ok = True
-    for sc in scenarios:
-        msg, ok = _verify_one(config, ctx, sc)
+    for run, parsed in checks:
+        msg, ok = run(config, ctx, parsed)
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'}  {msg}")
     return lines, 0 if all_ok else CHECK_FAILED
@@ -466,6 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             # one context per command: the a_n route, character and table
             ctx = CurveContext(resolve_curve(config.curve_label, config.curve_file))
+            if args.command == "verify":
+                checks = parse_scenarios(ctx.curve, args.scenarios)
             _ensure_base_value(ctx, config)
             if args.command == "table":
                 if not (1 <= args.m_min <= args.m_max <= 10 ** 6):
@@ -476,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
                     parser.error("M must be a positive integer")
                 lines, code = cmd_twist(config, ctx, args.M)
             else:
-                lines, code = cmd_verify(config, ctx, args.scenarios)
+                lines, code = cmd_verify(config, ctx, checks)
         _emit(config, lines)
         return code
     except SystemExit as exc:         # argparse uses 2 for usage errors

@@ -12,17 +12,17 @@ A CurveContext keeps one untwisted a_n table of E0 per command.
 L(E0, s) = L(psi, s) with psi((alpha)) = chi(alpha) * alpha, so the table
 is the theta series of psi over O_K (theta_table): no sieve and no a_p.
 A twist by a discriminant d coprime to N multiplies a_n by the Kronecker
-symbol (d/n), which is periodic mod |d|; twisted_coeffs streams
-a_n(E^(d)) = (d d0/n) a_n(E0) from the shared table.
+symbol (d/n), which is periodic mod |d|; twisted_coeffs streams the
+nonzero a_n(E^(d)) = (d d0/n) a_n(E0) from the shared table.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import cycle, islice, product
+from itertools import count, cycle, islice, product
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .qfield import (PrimeIdeal, QuadInt, cornacchia_split, factor_int,
@@ -290,8 +290,9 @@ def _kronecker_period(d: int) -> list[int]:
     return period
 
 
-def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[int]:
-    """a_1, ..., a_{n_max} of L(E^(d), s), streamed from the context's table.
+def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[tuple[int, int]]:
+    """The nonzero a_n of L(E^(d), s) for n <= n_max, as (n, a_n) pairs in
+    increasing n, streamed from the context's table.
 
     For a discriminant d coprime to N(E), a_n(E^(d)) = (d/n) * a_n(E) =
     (d d0/n) * a_n(E0), and (d d0/.) is periodic mod |d d0|, so one period
@@ -301,6 +302,6 @@ def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[int]:
     _check_twist_disc(ctx.curve, d)
     coeffs = islice(ctx.an_table(n_max), 1, n_max + 1)
     d = (d or 1) * ctx.curve.base_twist
-    if d == 1:
-        return coeffs
-    return map(mul, islice(cycle(_kronecker_period(d)), 1, n_max + 1), coeffs)
+    if d != 1:
+        coeffs = map(mul, islice(cycle(_kronecker_period(d)), 1, n_max + 1), coeffs)
+    return filter(itemgetter(1), zip(count(1), coeffs))

@@ -108,9 +108,25 @@ class EisensteinContext:
             return +(mp.mpc(x.a) + x.b * self.tau)
 
 
+def _significant_digits(decimal: str) -> int:
+    mantissa = decimal.strip().lstrip("+-").lower().partition("e")[0]
+    return len(mantissa.replace(".", "").lstrip("0"))
+
+
 def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
     if precision < 15:
         raise EisensteinError("precision below 15 digits is not supported")
+    # the tripwire below allows a relative error of 10^-tol_digits in
+    # g3 ~ omega^-6; an omega rounded to s significant digits is off by up
+    # to 10^(1-s)/2 relative, and 6 * 10^(1-s)/2 <= 10^-tol_digits needs
+    # s >= tol_digits + 2
+    tol_digits = precision - 2
+    if curve.omega_override is not None:
+        have, need = _significant_digits(curve.omega_override), tol_digits + 2
+        if have < need:
+            raise EisensteinError(
+                f"omega of {curve.label} has {have} significant digits; the "
+                f"lattice check at {precision} digits needs at least {need}")
     dps = precision + GUARD_DIGITS
     with mp.workdps(dps):
         omega = omega_lattice(curve, dps)
@@ -132,7 +148,7 @@ def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
         # tripwire: the weight-4/6 Eisenstein series of omega*O_K must equal
         # the exact model invariants c4/12, c6/216
         g2s, g3s = _invariants_from_series(ctx)
-        tol = mp.mpf(10) ** (-(precision - 2))
+        tol = mp.mpf(10) ** -tol_digits
         if abs(g2s - g2) > tol * abs(g2) or abs(g3s - g3) > tol * abs(g3):
             raise EisensteinError(
                 f"lattice normalization drift for {curve.label}: "
@@ -696,6 +712,9 @@ def averaging_check(
         )
 
 
+LEMMA_DIV_MAX_N = 12  # 2^n sign vectors, each a 2^n-entry subset table
+
+
 def lemma_div_bruteforce(n: int) -> bool:
     """Exhaustively verify sum_{T subset [n]} prod_{i in T} s_i = 2^n or 0.
 
@@ -703,8 +722,8 @@ def lemma_div_bruteforce(n: int) -> bool:
     every s_i = +1 and vanishes otherwise; checked literally for all 2^n
     vectors via subset-product dynamic programming.
     """
-    if not 1 <= n <= 12:
-        raise EisensteinError("n must be between 1 and 12")
+    if not 1 <= n <= LEMMA_DIV_MAX_N:
+        raise EisensteinError(f"n must be between 1 and {LEMMA_DIV_MAX_N}")
     size = 1 << n
     for signs in itertools.product((1, -1), repeat=n):
         prods = [1] * size

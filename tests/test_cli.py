@@ -2,7 +2,7 @@
 
 import pytest
 
-from cmtwist import cli, coeffs
+from cmtwist import cli, coeffs, eisenstein
 from cmtwist.cli import main
 from cmtwist.registry import resolve_curve
 
@@ -127,6 +127,36 @@ def test_verify_tamagawa_cross_needs_a_prime(capsys):
         assert code == 2 and out == "" and "above 3" in err
     code, out, _ = run(capsys, "verify", "tamagawa-cross:4", "--curve", "49a")
     assert code == 0 and out.startswith("PASS  tamagawa-cross[49a]: 1 primes < 4")
+
+
+@pytest.mark.parametrize("scenario", ["lemma-div:x", "tamagawa-cross:y"])
+def test_verify_bad_integer_argument_names_the_scenario(capsys, scenario):
+    name, _, arg = scenario.partition(":")
+    code, out, err = run(capsys, "verify", "lemma-div:4", scenario)
+    assert code == 2 and out == ""
+    assert f"error: {name} needs an integer argument, got '{arg}'" in err
+
+
+def test_verify_parses_every_scenario_before_running_any(capsys, monkeypatch,
+                                                         e29_file):
+    # the refusal of eisenstein-base on e29 must come before the character
+    # scenario (or the base value of e29) calibrates anything
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_character called")
+    monkeypatch.setattr(coeffs, "calibrate_character", calibrate)
+    monkeypatch.setattr(eisenstein, "calibrate_character", calibrate)
+    code, out, err = run(capsys, "verify", "character", "eisenstein-base",
+                         "--curve", "e29", "--curve-file", e29_file)
+    assert code == 2 and out == ""
+    assert "error: eisenstein-base needs the period lattice" in err
+
+
+def test_verify_refuses_an_omega_too_short_for_the_lattice(capsys, e29_file_25):
+    code, out, err = run(capsys, "verify", "e1-ladder", "--curve", "e29",
+                         "--curve-file", e29_file_25)
+    assert code == 2 and out == ""
+    assert ("error: omega of e29 has 25 significant digits; the lattice "
+            "check at 30 digits needs at least 30") in err
 
 
 def test_verify_unknown_scenario(capsys):

@@ -31,7 +31,10 @@ def _odd_good_primes(curve, bound):
 
 def _twisted(ctx, d, n_max):
     """[0, a_1, ..., a_{n_max}] of the twist by d, so that t[n] = a_n."""
-    return [0, *twisted_coeffs(ctx, d, n_max)]
+    t = [0] * (n_max + 1)
+    for n, a_n in twisted_coeffs(ctx, d, n_max):
+        t[n] = a_n
+    return t
 
 
 def _point_count_fill(curve, n_max):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmtwist.coeffs import CurveContext, ap_point_count
+from cmtwist.coeffs import CurveContext, ap_point_count, kronecker
 from cmtwist.lseries import (
     algebraic_part,
     central_value,
@@ -91,18 +91,46 @@ def test_algebraic_part_shared_ap_map():
         assert table[p] == ap_point_count(C49, p), p
 
 
-@pytest.mark.parametrize("label, d", [("49a", 29), ("49a", 545),
-                                      ("121b", -7), ("121b", -347)])
-def test_float_and_mpf_sums_agree(label, d):
-    # the fsum over float terms against the mpmath sum at 30 digits; 545 and
-    # -347 need more than 20,000 terms
+def _oracle_sum(ctx, d, n_max, digits):
+    """2 * sum_{n <= n_max} a_n x^n / n term by term in mpmath, the a_n
+    from the untwisted table times the Kronecker symbol (d d0 / n)."""
+    curve = ctx.curve
+    dd0 = (d or 1) * curve.base_twist
+    table = ctx.an_table(n_max)
+    # the running product x^n loses about log10(n_max) digits
+    with mp.workdps(digits + 15):
+        x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * abs(d or 1)))
+        total = mp.mpf(0)
+        xn = mp.mpf(1)
+        for n in range(1, n_max + 1):
+            xn *= x
+            a_n = table[n] and table[n] * kronecker(dd0, n)
+            if a_n:
+                total += mp.mpf(a_n) / n * xn
+        return 2 * total
+
+
+@pytest.mark.parametrize("label, d, digits", [
+    *((label, d, digits) for label, d in [("49a", 29), ("49a", 545),
+                                          ("121b", -7), ("121b", -347)]
+      for digits in (13, 27, 47)),
+    # 832,045 terms: a float running product for x^n drifts by 5.3e-13
+    # here, five times the truncation tail
+    ("49a", 18113, 13),
+])
+def test_integer_sum_within_its_bound_of_mpf_oracle(label, d, digits):
+    # 545 and -347 need more than 20,000 terms even at 13 digits
     ctx = CurveContext(builtin_curve(label))
-    value, n_terms, _ = central_value(ctx, d, target_digits=13)
-    exact, _, _ = central_value(ctx, d, target_digits=30)
-    assert isinstance(value, float) and exact != 0
+    value, n_terms, bound = central_value(ctx, d, target_digits=digits)
+    assert 0 < bound < 10.0 ** -digits
     if abs(d) > 300:
         assert n_terms > 20000
-    assert abs(value - exact) <= 1e-12 * abs(exact)
+    # the oracle runs to 3 more digits, so the bound is checked against
+    # L(E^(d), 1) itself, truncated tail included
+    oracle = _oracle_sum(ctx, d, series_cutoff(ctx.curve, d, digits + 3), digits + 3)
+    with mp.workdps(digits + 15):
+        assert abs(value - oracle) <= bound + 10.0 ** -(digits + 3)
+    assert isinstance(value, mp.mpf) and value != 0
 
 
 def test_recognize_rational():
