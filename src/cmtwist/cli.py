@@ -23,12 +23,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import takewhile
 
 import mpmath as mp
 
 from . import bsd
 from .bsd import BSDError, BSDReport, NotApplicable
-from .coeffs import MAX_TABLE, CoeffError, CurveContext
+from .coeffs import (MAX_TABLE, CoeffError, CurveContext, check_point_counts,
+                     good_odd_primes)
 from .lseries import (LSeriesError, algebraic_part, recognize_rational,
                       series_cutoff)
 from .qfield import (
@@ -48,6 +50,7 @@ from .registry import Curve, RegistryError, resolve_curve
 ENV_PREFIX = "CMTWIST_"
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+CHARACTER_BOUND = 200   # verify character checks every odd good prime below
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="identity checks: eisenstein-base, "
                             "averaging:<pi,...>, e1-ladder[:<pi,...>], "
-                            "lemma-div:<n>, character, tamagawa-cross")
+                            "lemma-div[:<n>], character, "
+                            "tamagawa-cross[:<limit>]")
     p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
 
     p = sub.add_parser("special-primes", parents=[common],
@@ -362,9 +366,11 @@ def _eis_context(config: RunConfig, curve: Curve):
 
 def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
     from . import eisenstein as eis
+    ctx.check_character()
+    _ensure_base_value(ctx, config)
     curve = ctx.curve
     eis_ctx = _eis_context(config, curve)
-    val = eis.prop2_sum(eis_ctx, ctx.character, sqrt_minus_q(curve.q))
+    val = eis.prop2_sum(eis_ctx, sqrt_minus_q(curve.q))
     with mp.workdps(eis_ctx.dps):
         amp, _phase = eis.phase_split(val)
         target, residual = recognize_rational(amp, 64)
@@ -377,8 +383,9 @@ def _averaging(config: RunConfig, ctx: CurveContext,
                pis: tuple[list[str], list[QuadInt]]) -> tuple[str, bool]:
     from . import eisenstein as eis
     entries, elements = pis
+    ctx.check_character()
     eis_ctx = _eis_context(config, ctx.curve)
-    rep = eis.averaging_check(eis_ctx, ctx.character, elements)
+    rep = eis.averaging_check(eis_ctx, elements)
     ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
     msg = (f"averaging[{rep.label}: {','.join(entries)}]: "
            f"|LHS-RHS| = {float(rep.residual):.3g}, "
@@ -411,14 +418,15 @@ def _lemma_div(config: RunConfig, ctx: CurveContext, n: int) -> tuple[str, bool]
 
 
 def _character(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
-    from . import eisenstein as eis
     curve = ctx.curve
-    c1 = ctx.character
-    c2 = eis.calibrate_character(curve, skip=c1.samples)
-    ok = c1.values == c2.values
-    return (f"character[{curve.label}]: {c1.samples} + {c2.samples} "
-            f"disjoint split primes, tables "
-            f"{'agree' if ok else 'DISAGREE'}, chi(-1) = -1", ok)
+    primes = takewhile(lambda p: p < CHARACTER_BOUND, good_odd_primes(curve))
+    try:
+        n = check_point_counts(curve, primes)
+    except CoeffError as exc:
+        return f"character[{curve.label}]: {exc}", False
+    return (f"character[{curve.label}]: a_p at {n} odd good primes "
+            f"p < {CHARACTER_BOUND} match chi = (./{curve.q}) mod "
+            f"sqrt(-{curve.q}), d0 = {curve.base_twist}", True)
 
 
 def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[str, bool]:
@@ -466,6 +474,8 @@ def parse_scenarios(curve: Curve, scenarios: list[str]) -> list[tuple]:
                 f"has conductor sqrt(-{curve.q}); {curve.label} is its twist by "
                 f"{curve.base_twist}")
         parse, run = SCENARIOS[name]
+        if parse is None and arg:
+            raise ValueError(f"{name} takes no argument, got {arg!r}")
         checks.append((run, parse and parse(curve, name, arg)))
     return checks
 
@@ -524,20 +534,20 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("limit must be positive")
             lines, code = cmd_special_primes(config, args.q, args.limit)
         else:
-            # one context per command: the a_n route, character and table
+            # one context per command: the curve and its a_n table
             ctx = CurveContext(resolve_curve(config.curve_label, config.curve_file))
-            if args.command == "verify":
-                checks = parse_scenarios(ctx.curve, args.scenarios)
-            _ensure_base_value(ctx, config)
             if args.command == "table":
                 if not (1 <= args.m_min <= args.m_max <= 10 ** 6):
                     parser.error("need 1 <= m_min <= m_max <= 10^6")
+                _ensure_base_value(ctx, config)
                 lines, code = cmd_table(config, ctx, args.m_min, args.m_max)
             elif args.command == "twist":
                 if args.M < 1:
                     parser.error("M must be a positive integer")
+                _ensure_base_value(ctx, config)
                 lines, code = cmd_twist(config, ctx, args.M)
             else:
+                checks = parse_scenarios(ctx.curve, args.scenarios)
                 lines, code = cmd_verify(config, ctx, checks)
         _emit(config, lines)
         return code

@@ -1,95 +1,51 @@
 """Dirichlet coefficients a_n of L(E, s) and of its quadratic twists.
 
-Ground truth for a_p is point counting mod p on the Weierstrass model.  A
-curve E with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
-Hecke character chi has conductor sqrt(-q) (d0 = Curve.base_twist, 1 for
-the built-in curves).  For E0, a_p = 0 at inert primes and
-a_p = chi(pi_p) * trace(pi_p) at split primes; chi is calibrated from the
-point counts of E times (d0/p), and the theta table built from it must
-agree with point counts bit for bit.
+A curve E with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
+Hecke character psi((alpha)) = chi(alpha) * alpha has conductor sqrt(-q)
+(d0 = Curve.base_twist, 1 for the built-in curves); chi is the Legendre
+symbol mod sqrt(-q) (qfield.hecke_chi).  For E0, a_p = 0 at inert primes
+and a_p = chi(pi_p) * trace(pi_p) at split primes, so
+a_p(E) = (d0/p) chi(pi_p) trace(pi_p).  Point counts mod p on the
+Weierstrass model check that formula (check_point_counts); they do not
+feed the coefficients.
 
 A CurveContext keeps one untwisted a_n table of E0 per command.
-L(E0, s) = L(psi, s) with psi((alpha)) = chi(alpha) * alpha, so the table
-is the theta series of psi over O_K (theta_table): no sieve and no a_p.
-A twist by a discriminant d coprime to N multiplies a_n by the Kronecker
-symbol (d/n), which is periodic mod |d|; twisted_coeffs streams the
-nonzero a_n(E^(d)) = (d d0/n) a_n(E0) from the shared table.
+L(E0, s) = L(psi, s), so the table is the theta series of psi over O_K
+(theta_table): no sieve and no a_p.  A twist by a discriminant d coprime
+to N multiplies a_n by the Kronecker symbol (d/n), which is periodic mod
+|d|; twisted_coeffs streams the nonzero a_n(E^(d)) = (d d0/n) a_n(E0) from
+the shared table.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from itertools import count, cycle, islice, product
+from itertools import count, cycle, islice
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .qfield import (PrimeIdeal, QuadInt, cornacchia_split, factor_int,
-                     is_prime, primes_above, reduction_mod, split_type)
+from .qfield import (cornacchia_split, factor_int, hecke_chi, is_prime,
+                     kronecker, split_type)
 from .registry import Curve
 
 MAX_TABLE = 10 ** 6  # 32-bit storage is safe: |a_n| <= n at this scale
+CHECK_SPLIT_PRIMES = 10  # good split primes whose point counts each context checks
 
 
 class CoeffError(ValueError):
     pass
 
 
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n) for n >= 1."""
-    if n < 1:
-        raise CoeffError(f"kronecker needs a positive second argument, got {n}")
-    if n == 1:
-        return 1
-    if d % 2 == 0 and n % 2 == 0:
-        return 0
-    result = 1
-    # strip factors of 2 from n: (d/2) = 0, +1, -1 for d mod 8 in {even},{1,7},{3,5}
-    while n % 2 == 0:
-        n //= 2
-        if d % 8 in (3, 5):
-            result = -result
-    if n == 1:
-        return result
-    a = d % n
-    # jacobi loop for odd n > 1; reciprocity flip uses the pre-swap pair
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
-
-
-def ap_enumerate(curve: Curve, p: int) -> int:
-    """a_p = p - #affine points, counted on the long model; intended for p <= 3."""
-    if curve.conductor % p == 0:
-        raise CoeffError(f"p = {p} is a bad prime for {curve.label}")
-    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
-    count = 0
-    for x in range(p):
-        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
-        for y in range(p):
-            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
-                count += 1
-    return p - count
-
-
 def ap_point_count(curve: Curve, p: int) -> int:
     """Trace of Frobenius at an odd good prime, from Legendre sums.
 
-    For p >= 5 the substitution u = 2y + a1*x + a3 is a bijection, so
+    For odd p the substitution u = 2y + a1*x + a3 is a bijection, so
     #E(F_p) = 1 + sum_x (1 + (f(x)/p)) with f = 4x^3 + b2 x^2 + 2 b4 x + b6,
-    giving a_p = -sum_x (f(x)/p).  p = 3 falls back to enumeration.
+    giving a_p = -sum_x (f(x)/p).
     """
     if p == 2 or curve.conductor % p == 0:
         raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
-    if p == 3:
-        return ap_enumerate(curve, 3)
     b2, b4, b6 = curve.b2 % p, (2 * curve.b4) % p, curve.b6 % p
     total = 0
     for x in range(p):
@@ -101,94 +57,34 @@ def ap_point_count(curve: Curve, p: int) -> int:
     return a
 
 
-# ------------------------------------------------------ Hecke character
+def good_odd_primes(curve: Curve) -> Iterator[int]:
+    """The odd primes of good reduction of the curve, ascending, without end."""
+    return (p for p in count(3, 2) if curve.conductor % p and is_prime(p))
 
 
-@dataclass(frozen=True)
-class HeckeCharacter:
-    """The order-2 character chi on (O_K/sqrt(-q))^* with psi((beta)) = chi(beta)*beta.
+def check_point_counts(curve: Curve, primes: Iterable[int]) -> int:
+    """Check a_p(E) = (d0/p) chi(pi_p) trace(pi_p) at split p and a_p = 0 at
+    inert p, for each odd good prime p given; the count of primes checked.
 
-    values[r] is chi on the residue class r in 1..q-1 (index 0 unused); the
-    table is calibrated against point counts, not assumed from a formula.
-    """
-
-    q: int
-    ramified: PrimeIdeal
-    values: tuple[int, ...]
-    samples: int
-
-    def __call__(self, beta: QuadInt) -> int:
-        r = reduction_mod(self.ramified, beta)
-        if r == 0:
-            raise CoeffError(f"{beta} is not coprime to the conductor")
-        return self.values[r]
-
-
-def calibrate_character(
-    curve: Curve, min_samples: int = 10, skip: int = 0, prime_bound: int = 5000
-) -> HeckeCharacter:
-    """Fit the character chi of E0 from a_p(E0) = chi(pi_p) * trace(pi_p).
-
-    The curve is E0^(d0), so a_p(E0) = a_p(E) * (d0/p) at the split primes
-    of good reduction, and E0 needs no Weierstrass model.  Each sampled
-    prime pins one residue class mod sqrt(-q); the table is completed by
-    multiplicative closure.  Every new sample and every closure product is
-    checked against existing entries, and chi(-1) = -1 is checked at the
-    end; any failure raises CoeffError, so an inconsistent fit cannot be
-    returned silently.  `skip` ignores the first few usable primes
-    (disjoint samples must agree).
+    Raises CoeffError at the first p whose point count disagrees: the curve
+    is then not the twist by d0 of the curve whose character has conductor
+    sqrt(-q), and the theta table would not be its a_n.
     """
     q, d0 = curve.q, curve.base_twist
-    ram = primes_above(q, q)[0]
-    values: dict[int, int] = {1: 1}
-
-    def put(r: int, s: int) -> None:
-        if r in values:
-            if values[r] != s:
-                raise CoeffError(
-                    f"character calibration inconsistent at class {r} mod {q}"
-                )
-        else:
-            values[r] = s
-
-    def close() -> None:
-        while True:
-            items = list(values.items())
-            before = len(values)
-            for (r1, s1), (r2, s2) in product(items, items):
-                put(r1 * r2 % q, s1 * s2)
-            if len(values) == before:
-                break
-
-    used = 0
-    skipped = 0
-    for p in range(3, prime_bound):
-        if len(values) == q - 1 and used >= min_samples:
-            break
-        if curve.conductor % p == 0 or split_type(q, p) != "split":
-            continue
-        if not is_prime(p):
-            continue
-        if skipped < skip:
-            skipped += 1
-            continue
-        pi = cornacchia_split(q, p)
-        ap = ap_point_count(curve, p) * kronecker(d0, p)
-        tr = pi.trace()
-        # CM forces |a_p| = |trace pi_p| at good split primes
-        if tr == 0 or abs(ap) != abs(tr):
+    checked = 0
+    for p in primes:
+        ap = ap_point_count(curve, p)
+        want = 0
+        if split_type(q, p) == "split":
+            pi = cornacchia_split(q, p)
+            want = kronecker(d0, p) * hecke_chi(pi) * pi.trace()
+        if ap != want:
             raise CoeffError(
-                f"split prime {p}: a_p={ap} incompatible with trace {tr}"
-            )
-        put(reduction_mod(ram, pi), 1 if ap == tr else -1)
-        close()
-        used += 1
-    if len(values) != q - 1:
-        raise CoeffError("character table incomplete; raise prime_bound")
-    if values[q - 1] != -1:
-        raise CoeffError("calibrated character is even; chi(-1) must be -1")
-    table = tuple(values.get(r, 0) for r in range(q))
-    return HeckeCharacter(q=q, ramified=ram, values=table, samples=used)
+                f"{curve.label} is not the twist by {d0} of the curve whose "
+                f"character has conductor sqrt(-{q}): a_{p} = {ap} by point "
+                f"count, {want} from the character")
+        checked += 1
+    return checked
 
 
 # ------------------------------------------------------- curve context
@@ -197,40 +93,46 @@ def calibrate_character(
 class CurveContext:
     """One curve and the coefficient data derived from it, for one command.
 
-    The character is that of E0, the curve whose twist by curve.base_twist
-    is this one, and the untwisted a_n table is E0's theta series of psi.
-    The character is calibrated on first use, and the table grows on
-    demand up to MAX_TABLE; both live only as long as the context.
+    The untwisted a_n table is the theta series of psi of E0, the curve
+    whose twist by curve.base_twist is this one.  The first table build
+    checks the point counts at the first CHECK_SPLIT_PRIMES good split
+    primes (check_character); the table grows on demand up to MAX_TABLE,
+    and both live only as long as the context.
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
-        self._character: HeckeCharacter | None = None
+        self._checked = False
         self._an = array("i")
         self._an_max = 0
 
-    @property
-    def character(self) -> HeckeCharacter:
-        if self._character is None:
-            self._character = calibrate_character(self.curve)
-        return self._character
+    def check_character(self) -> None:
+        """check_point_counts at the first good split primes, once per context."""
+        if not self._checked:
+            q = self.curve.q
+            split = (p for p in good_odd_primes(self.curve)
+                     if split_type(q, p) == "split")
+            check_point_counts(self.curve, islice(split, CHECK_SPLIT_PRIMES))
+            self._checked = True
 
     def an_table(self, n_max: int) -> array:
         """a_n of E0 for 0..n_max (possibly beyond); index 0 is unused."""
         if not 1 <= n_max <= MAX_TABLE:
             raise CoeffError(f"n_max out of range: {n_max}")
         if n_max > self._an_max:
+            self.check_character()
             # doubling keeps a run of growing requests linear overall
             size = min(MAX_TABLE, max(n_max, 2 * self._an_max))
-            table = theta_table(self.character, size)
+            table = theta_table(self.curve.q, size)
             if table[1] != 1:
                 raise CoeffError(f"{self.curve.label}: a_1 = {table[1]}, not 1")
             self._an, self._an_max = table, size
         return self._an
 
 
-def theta_table(chi: HeckeCharacter, n_max: int) -> array:
-    """a_n of L(psi, s) for 0..n_max, where psi((alpha)) = chi(alpha) * alpha.
+def theta_table(q: int, n_max: int) -> array:
+    """a_n of L(psi, s) for 0..n_max, where psi((alpha)) = chi(alpha) * alpha
+    and chi = hecke_chi is the Legendre symbol mod sqrt(-q).
 
     An ideal of norm n has the two generators +-alpha and chi is odd, and
     chi(conj alpha) = chi(alpha), so a_n is 1/4 of the sum of
@@ -243,7 +145,7 @@ def theta_table(chi: HeckeCharacter, n_max: int) -> array:
 
     Every supported q is 3 mod 4, so n = floor(a^2/4) + floor((q b^2 + 3)/4).
     """
-    q, values = chi.q, chi.values
+    values = [kronecker(r, q) for r in range(q)]
     half = (q + 1) // 2                     # the inverse of 2 mod q
     top = isqrt(4 * n_max)
     term = [values[a * half % q] * a for a in range(top + 1)]

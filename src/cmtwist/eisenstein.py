@@ -18,7 +18,8 @@ Multiplication (1987), ch. II).  The weight-one torsion sums
     S(g)      = g^{-1} sum_{beta} chi(beta) E1*(beta*lam/g),
     S_M(g)    = g^{-1} sum_{beta} chi_M((beta)) chi(beta) E1*(beta*lam/g),
 
-with beta running over odd representatives of (O_K/g)^* / {+-1}, are
+with chi the character of conductor sqrt(-q) (qfield.hecke_chi) and
+beta running over odd representatives of (O_K/g)^* / {+-1}, are
 reductions of one per-modulus array of chi(beta)*E1*(beta*lam/g).  They
 compute partially stripped Hecke L-values divided by Omega; averaging_check
 verifies the subset-average identity relating the S_M to a sign-condition
@@ -48,16 +49,14 @@ from fractions import Fraction
 
 import mpmath as mp
 
-# the character lives next to the a_p code; it is re-exported from here
-from .coeffs import HeckeCharacter, calibrate_character
 from .lseries import recognize_rational
 from .qfield import (
     QuadInt,
     ResidueRing,
     as_quadint,
     chi_m_symbol,
-    divide_exact,
     factor_ideal,
+    hecke_chi,
     min_ord2_roots,
     sqrt_minus_q,
 )
@@ -398,8 +397,9 @@ def _pairwise_sum(values: list):
     return layer[0]
 
 
-def _require_conductor(char: HeckeCharacter, g: QuadInt) -> None:
-    if divide_exact(g, char.ramified) is None:
+def _require_conductor(g: QuadInt) -> None:
+    # (sqrt(-q)) is the only prime above q, so it divides g iff q | N(g)
+    if g.norm() % g.q:
         raise EisensteinError(
             f"modulus {g} is not divisible by the character conductor"
         )
@@ -439,32 +439,32 @@ def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]
     return len(reps), worst
 
 
-def _torsion_terms(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt):
+def _torsion_terms(ctx: EisensteinContext, g: QuadInt):
     """(reps, [chi(beta) * E1*(beta*lam/g)], embedding of g).
 
     The per-modulus data that prop2_sum, twisted_sum and averaging_check
     reduce; the symbol weights they add are +-1 or 0, so every product
     with these terms is exact.
     """
-    _require_conductor(char, g)
+    _require_conductor(g)
     reps, e1 = e1star_values(ctx, g)
     with mp.workdps(ctx.dps):
-        return reps, [char(b) * v for b, v in zip(reps, e1)], ctx.embed(g)
+        return reps, [hecke_chi(b) * v for b, v in zip(reps, e1)], ctx.embed(g)
 
 
-def prop2_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt):
+def prop2_sum(ctx: EisensteinContext, g: QuadInt):
     """g^{-1} * sum over (O_K/g)^*/{+-1} of chi(beta) * E1*(beta*lam/g).
 
     Equals the partially stripped L-value L_S(psibar, 1)/Omega, S the primes
     dividing g; chi(beta)*E1*(beta...) = E1*(psi((beta))*lam/g) since E1*
     is odd, so the result only depends on the ideal (beta).
     """
-    _, terms, g_c = _torsion_terms(ctx, char, g)
+    _, terms, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
         return +(_pairwise_sum(terms) / g_c)
 
 
-def twisted_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt, m_twist):
+def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
     """prop2_sum with the extra quadratic-symbol weight chi_M((beta)).
 
     m_twist is a QuadInt (or int) with odd norm, coprime to g's residue
@@ -473,7 +473,7 @@ def twisted_sum(ctx: EisensteinContext, char: HeckeCharacter, g: QuadInt, m_twis
     m_el = as_quadint(g.q, m_twist)
     if not m_el.is_odd():
         raise EisensteinError("twisting element must have odd norm")
-    reps, terms, g_c = _torsion_terms(ctx, char, g)
+    reps, terms, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
         weighted = [chi_m_symbol(m_el, b) * v for b, v in zip(reps, terms)]
         return +(_pairwise_sum(weighted) / g_c)
@@ -510,10 +510,10 @@ class AveragingReport:
     note: str
 
 
-def _validate_pis(char: HeckeCharacter, pis: list[QuadInt]) -> None:
+def _validate_pis(q: int, pis: list[QuadInt]) -> None:
     seen: set[tuple[int, int, str]] = set()
     for pi in pis:
-        if pi.q != char.q:
+        if pi.q != q:
             raise EisensteinError("twisting prime from a different field")
         if not pi.is_odd():
             raise EisensteinError(f"{pi} has even norm")
@@ -521,7 +521,7 @@ def _validate_pis(char: HeckeCharacter, pis: list[QuadInt]) -> None:
             raise EisensteinError(f"{pi} is a unit")
         if pi.a % 4 != 1 or pi.b % 4 != 0:
             raise EisensteinError(f"{pi} is not congruent to 1 mod 4")
-        if pi.norm() % char.q == 0:
+        if pi.norm() % q == 0:
             raise EisensteinError(f"{pi} is not coprime to the conductor")
         for prime, _ in factor_ideal(pi):
             key = (prime.p, prime.gen.a, prime.gen.b, prime.kind)
@@ -597,7 +597,6 @@ def _element_min_ord2(pis: list[QuadInt], elem: dict, dim_n: int) -> Fraction | 
 
 def averaging_check(
     ctx: EisensteinContext,
-    char: HeckeCharacter,
     pis: list[QuadInt],
     tol: float = 1e-8,
 ) -> AveragingReport:
@@ -609,14 +608,14 @@ def averaging_check(
     side is recognized as an exact element sum_M c_M sqrt(M) (c_M in K) and
     its minimal 2-adic valuation is compared against n - alpha.
     """
-    _validate_pis(char, pis)
+    _validate_pis(ctx.curve.q, pis)
     n = len(pis)
     curve = ctx.curve
     q = curve.q
     g = sqrt_minus_q(q)
     for pi in pis:
         g = g * pi
-    reps, chi_e1, g_c = _torsion_terms(ctx, char, g)
+    reps, chi_e1, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
         sym = [[chi_m_symbol(pi, b) for b in reps] for pi in pis]
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .coeffs import MAX_TABLE, CurveContext, kronecker, twisted_coeffs
-from .qfield import ord2_fraction
+from .coeffs import MAX_TABLE, CurveContext, twisted_coeffs
+from .qfield import kronecker, ord2_fraction
 from .registry import Curve, omega_lattice
 
 

@@ -4,7 +4,8 @@ Supported fields have q in {7, 11, 19, 43, 67, 163}: class number one, q = 3
 (mod 4), so the ring of integers is Z[tau] with tau = (1 + sqrt(-q))/2 and
 tau^2 = tau - m, m = (q+1)/4.  Everything here is exact: QuadInt arithmetic
 in K (integral or with Fraction coordinates), prime splitting, Cornacchia's
-norm equation, unit normalization mod 4, quadratic residue symbols in residue
+norm equation, unit normalization mod 4, the Kronecker symbol, the character
+chi of conductor sqrt(-q) (hecke_chi), quadratic residue symbols in residue
 fields, ideal factorization, and residue rings modulo an odd element (used to
 enumerate torsion points exactly).
 """
@@ -124,13 +125,47 @@ def as_quadint(q: int, x) -> QuadInt:
 
 # ---------------------------------------------------------------- splitting
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, values in {-1, 0, 1}."""
-    a %= p
-    if a == 0:
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n) for n >= 1; the Legendre symbol at an odd prime n."""
+    if n < 1:
+        raise QFieldError(f"kronecker needs a positive second argument, got {n}")
+    if n == 1:
+        return 1
+    if d % 2 == 0 and n % 2 == 0:
         return 0
-    s = pow(a, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    result = 1
+    # strip factors of 2 from n: (d/2) = 0, +1, -1 for d mod 8 in {even},{1,7},{3,5}
+    while n % 2 == 0:
+        n //= 2
+        if d % 8 in (3, 5):
+            result = -result
+    if n == 1:
+        return result
+    a = d % n
+    # jacobi loop for odd n > 1; reciprocity flip uses the pre-swap pair
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def hecke_chi(beta: QuadInt) -> int:
+    """chi(beta), the character of E0 with psi((beta)) = chi(beta) * beta.
+
+    chi is a +-1-valued character of (O_K/sqrt(-q))^* = F_q^*, and odd,
+    since psi((-beta)) = psi((beta)); for q = 3 mod 4 the Legendre symbol
+    mod q is the only such character.  tau = 1/2 = (q+1)/2 mod sqrt(-q).
+    """
+    q = beta.q
+    r = (beta.a + beta.b * ((q + 1) // 2)) % q
+    if r == 0:
+        raise QFieldError(f"{beta} is not coprime to the conductor sqrt(-{q})")
+    return kronecker(r, q)
 
 
 def split_type(q: int, p: int) -> str:
@@ -141,7 +176,7 @@ def split_type(q: int, p: int) -> str:
     if p == 2:
         # 2 splits iff -q = 1 (mod 8)
         return "split" if q % 8 == 7 else "inert"
-    return "split" if legendre(-q, p) == 1 else "inert"
+    return "split" if kronecker(-q, p) == 1 else "inert"
 
 
 def sqrt_mod(n: int, p: int) -> int:
@@ -149,7 +184,7 @@ def sqrt_mod(n: int, p: int) -> int:
     n %= p
     if n == 0:
         return 0
-    if legendre(n, p) != 1:
+    if kronecker(n, p) != 1:
         raise QFieldError(f"{n} is not a square mod {p}")
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
@@ -159,7 +194,7 @@ def sqrt_mod(n: int, p: int) -> int:
         odd //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:
+    while kronecker(z, p) != -1:
         z += 1
     c = pow(z, odd, p)
     x = pow(n, (odd + 1) // 2, p)
@@ -360,7 +395,7 @@ def qr_symbol(alpha, P: PrimeIdeal) -> int:
         r = reduction_mod(P, alpha)
         if r == 0:
             raise QFieldError(f"symbol undefined: {alpha} lies in {P}")
-        return legendre(r, P.p)
+        return kronecker(r, P.p)
     # inert: residue field F_{p^2} = F_p[t]/(t^2 - t + m)
     p, m = P.p, alpha.m
     a, b = alpha.a % p, alpha.b % p

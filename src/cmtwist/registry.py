@@ -175,7 +175,8 @@ def validate_user_curve(
     at 2), q in the allow-list, q^2 dividing the conductor.  The conductor
     is derived from the bad primes of the (assumed minimal) model, each
     entering squared.  CM by O_K itself is assumed, not verified here; the
-    character calibration raises on point counts that fit no character.
+    point-count check of coeffs.CurveContext raises on a curve that is not
+    E0^(d0).
 
     A curve with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
     character has conductor sqrt(-q).  base_twist is d0, the product of

@@ -19,7 +19,6 @@ from cmtwist.cli import RunConfig, cmd_table
 from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.eisenstein import (
     averaging_check,
-    calibrate_character,
     lemma_div_bruteforce,
     make_context,
     phase_split,
@@ -60,16 +59,6 @@ def table121():
     t0 = time.perf_counter()
     lines, code = cmd_table(_config(), CurveContext(C121), 1, 1000)
     return lines, code, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def chi49():
-    return calibrate_character(C49)
-
-
-@pytest.fixture(scope="module")
-def chi121():
-    return calibrate_character(C121)
 
 
 @pytest.fixture(scope="module")
@@ -119,25 +108,25 @@ def test_criterion_04_special_primes():
     assert special_split_primes(11, 1000) == SPECIAL_PRIMES_11
 
 
-def test_criterion_05_principal_torsion_sums(ctx49_50, chi49, chi121):
-    v = prop2_sum(ctx49_50, chi49, sqrt_minus_q(7))
+def test_criterion_05_principal_torsion_sums(ctx49_50):
+    v = prop2_sum(ctx49_50, sqrt_minus_q(7))
     with mp.workdps(ctx49_50.dps):
         mag, phase = phase_split(v)
         assert abs(mag - mp.mpf(1) / 2) < 1e-8
         assert abs(phase - 1) < 1e-8
     ctx121 = make_context(C121, 50)
-    z = prop2_sum(ctx121, chi121, sqrt_minus_q(11))
+    z = prop2_sum(ctx121, sqrt_minus_q(11))
     assert abs(z) < 1e-8
 
 
-def test_criterion_06_subset_averaging(ctx49_50, chi49):
+def test_criterion_06_subset_averaging(ctx49_50):
     # inert -3, split 1-4t (norm 29), and the pair; residuals below 1e-8,
     # valuation at least n - alpha, all three inside the 120s budget
     pi3 = QuadInt(7, -3, 0)
     pi29 = QuadInt(7, 1, -4)
     t0 = time.perf_counter()
     for pis in ([pi3], [pi29], [pi3, pi29]):
-        rep = averaging_check(ctx49_50, chi49, pis)
+        rep = averaging_check(ctx49_50, pis)
         assert float(rep.residual) < 1e-8, rep.pis
         assert rep.coeffs is not None, rep.note
         assert rep.ord2 is not None and rep.ord2 >= rep.n - C49.alpha, rep.pis

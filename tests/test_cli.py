@@ -1,10 +1,17 @@
 """Command-line interface: arguments, output formats, exit codes."""
 
+import argparse
+import os
+import re
+
 import pytest
 
-from cmtwist import cli, coeffs, eisenstein
+from cmtwist import cli, coeffs
 from cmtwist.cli import main
+from cmtwist.qfield import is_prime, split_type
 from cmtwist.registry import resolve_curve
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, *argv):
@@ -137,18 +144,56 @@ def test_verify_bad_integer_argument_names_the_scenario(capsys, scenario):
     assert f"error: {name} needs an integer argument, got '{arg}'" in err
 
 
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+    return refuse
+
+
 def test_verify_parses_every_scenario_before_running_any(capsys, monkeypatch,
                                                          e29_file):
     # the refusal of eisenstein-base on e29 must come before the character
-    # scenario (or the base value of e29) calibrates anything
-    def calibrate(*args, **kwargs):
-        raise AssertionError("calibrate_character called")
-    monkeypatch.setattr(coeffs, "calibrate_character", calibrate)
-    monkeypatch.setattr(eisenstein, "calibrate_character", calibrate)
+    # scenario (or the base value of e29) counts a point or builds a table
+    monkeypatch.setattr(coeffs, "ap_point_count", _refuse("ap_point_count"))
+    monkeypatch.setattr(coeffs, "theta_table", _refuse("theta_table"))
     code, out, err = run(capsys, "verify", "character", "eisenstein-base",
                          "--curve", "e29", "--curve-file", e29_file)
     assert code == 2 and out == ""
     assert "error: eisenstein-base needs the period lattice" in err
+
+
+@pytest.mark.parametrize("scenario", ["character:zzz", "eisenstein-base:7"])
+def test_verify_refuses_an_argument_to_a_scenario_without_one(capsys, scenario):
+    name, _, arg = scenario.partition(":")
+    code, out, err = run(capsys, "verify", "lemma-div:2", scenario,
+                         "--curve", "49a")
+    assert code == 2 and out == ""
+    assert f"error: {name} takes no argument, got '{arg}'" in err
+
+
+def test_verify_computes_no_base_value_it_does_not_read(capsys, monkeypatch,
+                                                        e29_file):
+    # e29 records no base L-value; lemma-div never reads it
+    monkeypatch.setattr(coeffs, "ap_point_count", _refuse("ap_point_count"))
+    monkeypatch.setattr(coeffs, "theta_table", _refuse("theta_table"))
+    code, out, err = run(capsys, "verify", "lemma-div:2", "--curve", "e29",
+                         "--curve-file", e29_file)
+    assert code == 0 and err == "" and out.startswith("PASS  lemma-div[n=2]")
+
+
+def test_scenarios_are_documented():
+    # every scenario appears in the README's verify list and in the help
+    # string of the verify subcommand
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("### `verify", 1)[1].split("\n### ", 1)[0]
+    listed = set(re.findall(r"^- `([a-z0-9-]+)", section, re.MULTILINE))
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helped = next(a.help for a in sub._choices_actions if a.dest == "verify")
+    helped = set(re.findall(r"[a-z0-9-]+", helped))
+    assert set(cli.SCENARIOS) <= listed
+    assert set(cli.SCENARIOS) <= helped
 
 
 def test_verify_refuses_an_omega_too_short_for_the_lattice(capsys, e29_file_25):
@@ -251,29 +296,54 @@ def test_bad_env_default_is_usage_error(capsys, monkeypatch, name, value):
 
 def test_twist_uses_the_character_not_point_counts(capsys, monkeypatch, e29_file):
     # twist 449 of 49a needs a_p at ~1000 split primes, table 2 60 of the
-    # user curve e29 at ~2000; the only point counts allowed are those of
-    # the character calibration
+    # user curve e29 at ~2000; the only point counts allowed are the check
+    # of the character at the first ten good split primes, made once
     counted = coeffs.ap_point_count
     for argv, expect in ((("twist", "449", "--curve", "49a"), "L^alg = 32/1"),
                          (("table", "2", "60", "--curve", "e29"), "# rows=5")):
-        calibration, during = [], []
-
-        def recording(curve, p):
-            calibration.append(p)
-            return counted(curve, p)
+        curve = resolve_curve(argv[-1], e29_file)
+        checked = [p for p in range(3, 200) if is_prime(p) and curve.conductor % p
+                   and split_type(curve.q, p) == "split"][:10]
+        during = []
 
         def counting(curve, p):
-            # stop at the first count the calibration does not make
-            assert p in calibration, p
+            # stop at the first count the check does not make
+            assert p in checked, p
             during.append(p)
             return counted(curve, p)
 
-        monkeypatch.setattr(coeffs, "ap_point_count", recording)
-        coeffs.calibrate_character(resolve_curve(argv[-1], e29_file))
         monkeypatch.setattr(coeffs, "ap_point_count", counting)
         code, out, _ = run(capsys, *argv, "--curve-file", e29_file)
         assert code == 0 and expect in out
-        assert during == calibration
+        assert during == checked
+
+
+def test_verify_character_checks_every_prime_below_200(capsys, e29_file):
+    # a_p by point count against (d0/p) chi(pi_p) tr(pi_p), or 0 when p is
+    # inert, at every odd good prime below 200 (29 is a bad prime of e29)
+    for curve, q, n, d0 in (("49a", 7, 44, 1), ("121b", 11, 44, 1),
+                            ("e29", 7, 43, 29)):
+        code, out, err = run(capsys, "verify", "character", "--curve", curve,
+                             "--curve-file", e29_file)
+        assert code == 0 and err == ""
+        assert out == (f"PASS  character[{curve}]: a_p at {n} odd good primes "
+                       f"p < 200 match chi = (./{q}) mod sqrt(-{q}), "
+                       f"d0 = {d0}\n")
+
+
+def test_curve_that_is_no_twist_is_refused(capsys, tmp_path):
+    # 49a with a6 = 13 passes the curve-file checks (q = 7, 7 | disc, odd
+    # disc) but is not a twist of 49a: a_11 is 2, the character gives 4
+    f = tmp_path / "bad.txt"
+    f.write_text("bad 1 -1 0 -2 13 7 1 1.0\n", encoding="utf-8")
+    why = "a_11 = 2 by point count, 4 from the character"
+    for argv in (("twist", "5"), ("table", "2", "30")):
+        code, out, err = run(capsys, *argv, "--curve", "bad",
+                             "--curve-file", str(f))
+        assert code == 2 and out == "" and why in err
+    code, out, _ = run(capsys, "verify", "character", "--curve", "bad",
+                       "--curve-file", str(f))
+    assert code == 1 and out.startswith("FAIL  character[bad]") and why in out
 
 
 def test_curve_file_resolution(capsys, tmp_path):
@@ -310,12 +380,12 @@ def test_user_curve_table_matches_twist(capsys, e29_file):
 
 
 def test_user_curve_verify_refuses_only_lattice_scenarios(capsys, e29_file):
-    # the character of 49a is calibrated from e29's point counts; the sums
+    # e29's point counts are checked against the character of 49a; the sums
     # over torsion points need 49a's own period lattice, so they are refused
     code, out, err = run(capsys, "verify", "character", "--curve", "e29",
                          "--curve-file", e29_file)
     assert code == 0 and err == ""
-    assert out.startswith("PASS  character[e29]: 10 + 10 disjoint split primes")
+    assert out.startswith("PASS  character[e29]: a_p at 43 odd good primes")
     for scenario in ("eisenstein-base", "averaging:-3"):
         code, out, err = run(capsys, "verify", scenario, "--curve", "e29",
                              "--curve-file", e29_file, "--precision", "50")

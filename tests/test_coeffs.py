@@ -10,12 +10,11 @@ from cmtwist.coeffs import (
     MAX_TABLE,
     CoeffError,
     CurveContext,
-    ap_enumerate,
     ap_point_count,
-    kronecker,
+    check_point_counts,
     twisted_coeffs,
 )
-from cmtwist.qfield import factor_int, is_prime
+from cmtwist.qfield import QFieldError, factor_int, is_prime, kronecker
 from cmtwist.registry import builtin_curve, resolve_curve, validate_user_curve
 
 C49 = builtin_curve("49a")
@@ -27,6 +26,18 @@ CM3 = validate_user_curve("49a(-3)", (1, 2, 0, -18, 27), q=7, w=-1, omega="1")
 
 def _odd_good_primes(curve, bound):
     return [p for p in range(3, bound) if is_prime(p) and curve.conductor % p]
+
+
+def ap_enumerate(curve, p):
+    """a_p = p - #affine points, counted on the long model point by point."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    count = 0
+    for x in range(p):
+        rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
+        for y in range(p):
+            if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
+                count += 1
+    return p - count
 
 
 def _twisted(ctx, d, n_max):
@@ -85,7 +96,7 @@ def test_kronecker_units_and_twos():
     assert kronecker(2, 2) == 0
     # (d/2) by d mod 8
     assert [kronecker(d, 2) for d in (1, 3, 5, 7)] == [1, -1, -1, 1]
-    with pytest.raises(CoeffError):
+    with pytest.raises(QFieldError):
         kronecker(5, 0)
 
 
@@ -96,7 +107,7 @@ def test_kronecker_multiplicative_in_bottom(d, m, n):
 
 
 def test_ap_small_primes_against_enumeration():
-    # the Legendre-sum formula must equal direct enumeration
+    # the Legendre-sum formula must equal direct enumeration, p = 3 included
     for curve in (C49, C121):
         for p in _odd_good_primes(curve, 50):
             assert ap_point_count(curve, p) == ap_enumerate(curve, p), (curve.label, p)
@@ -166,6 +177,16 @@ def test_theta_table_matches_point_count_fill(label, e29_file):
     curve = CM3 if label == CM3.label else resolve_curve(label, e29_file)
     n_max = 3000
     assert _twisted(CurveContext(curve), 0, n_max) == _point_count_fill(curve, n_max)
+
+
+def test_point_count_check_names_the_first_disagreeing_prime():
+    # 49a with a6 = 13 instead of -1 keeps q = 7 and 7 | disc but is no
+    # twist of 49a: its point count at the split prime 11 is 2, not 4
+    bad = validate_user_curve("bad", (1, -1, 0, -2, 13), q=7, w=1, omega="1")
+    with pytest.raises(CoeffError, match=r"a_11 = 2 by point count, 4 from"):
+        check_point_counts(bad, _odd_good_primes(bad, 200))
+    with pytest.raises(CoeffError, match="a_11 = 2"):
+        CurveContext(bad).an_table(10)
 
 
 CTX = {c.label: CurveContext(c) for c in (C49, C121)}

@@ -1,4 +1,4 @@
-"""Lattice sums: wp ladders, character calibration, torsion-sum identities."""
+"""Lattice sums: wp ladders, the character chi, torsion-sum identities."""
 
 from fractions import Fraction
 
@@ -6,12 +6,10 @@ import mpmath as mp
 import pytest
 
 from cmtwist import eisenstein
-from cmtwist.coeffs import CoeffError
 from cmtwist.eisenstein import (
     EisensteinError,
     averaging_check,
     b_ladder,
-    calibrate_character,
     e1star_torsion,
     e1star_values,
     ladder_discrepancy,
@@ -23,7 +21,8 @@ from cmtwist.eisenstein import (
     twisted_sum,
     wp_values,
 )
-from cmtwist.qfield import QFieldError, QuadInt, from_int, legendre, sqrt_minus_q
+from cmtwist.qfield import (QFieldError, QuadInt, from_int, hecke_chi,
+                            primes_above, reduction_mod, sqrt_minus_q)
 from cmtwist.registry import builtin_curve
 
 C49 = builtin_curve("49a")
@@ -38,16 +37,6 @@ def ctx49():
 @pytest.fixture(scope="module")
 def ctx121():
     return make_context(C121, 20)
-
-
-@pytest.fixture(scope="module")
-def chi49():
-    return calibrate_character(C49)
-
-
-@pytest.fixture(scope="module")
-def chi121():
-    return calibrate_character(C121)
 
 
 def test_context_rejects_low_precision():
@@ -131,68 +120,73 @@ def test_e1star_is_odd(ctx49):
         assert abs(e_plus) > 1  # nonzero: the sum below has real content
 
 
-def test_character_matches_quadratic_residues(chi49, chi121):
-    # on (O/sqrt(-q))* = F_q* the calibrated character is the Legendre symbol
-    for chi, q in ((chi49, 7), (chi121, 11)):
-        for r in range(1, q):
-            assert chi.values[r] == legendre(r, q), (q, r)
-        assert chi.values[q - 1] == -1  # chi(-1) = -1
+def test_character_matches_quadratic_residues():
+    # on (O/sqrt(-q))* = F_q* chi is the Legendre symbol: the residue of
+    # beta = a + b*tau through the ramified prime ideal, by Euler's criterion
+    for q in (7, 11):
+        ram = primes_above(q, q)[0]
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                beta = QuadInt(q, a, b)
+                r = reduction_mod(ram, beta)
+                if r == 0:
+                    continue
+                euler = 1 if pow(r, (q - 1) // 2, q) == 1 else -1
+                assert hecke_chi(beta) == euler, (q, a, b)
+                assert hecke_chi(-beta) == -euler        # chi is odd
 
 
-def test_character_disjoint_calibration(chi49):
-    again = calibrate_character(C49, skip=chi49.samples)
-    assert again.values == chi49.values
-    assert again.samples >= 10
+def test_character_rejects_ramified_argument():
+    for q in (7, 11):
+        with pytest.raises(QFieldError):
+            hecke_chi(sqrt_minus_q(q))
+        with pytest.raises(QFieldError):
+            hecke_chi(from_int(q, q))
 
 
-def test_character_rejects_ramified_argument(chi49):
-    with pytest.raises(CoeffError):
-        chi49(sqrt_minus_q(7))
-
-
-def test_prop2_base_values(ctx49, ctx121, chi49, chi121):
+def test_prop2_base_values(ctx49, ctx121):
     # principal torsion sum equals the base algebraic L-value: 1/2 for the
     # first curve, 0 for the second (odd functional equation)
-    v = prop2_sum(ctx49, chi49, sqrt_minus_q(7))
+    v = prop2_sum(ctx49, sqrt_minus_q(7))
     mag, phase = phase_split(v)
     with mp.workdps(ctx49.dps):
         assert abs(mag - mp.mpf(1) / 2) < mp.mpf(10) ** -18
         assert abs(phase - 1) < mp.mpf(10) ** -18
-    z = prop2_sum(ctx121, chi121, sqrt_minus_q(11))
+    z = prop2_sum(ctx121, sqrt_minus_q(11))
     assert abs(z) < mp.mpf(10) ** -18
 
 
-def test_twisted_sum_unit_twist_is_prop2(ctx49, chi49):
+def test_twisted_sum_unit_twist_is_prop2(ctx49):
     g = sqrt_minus_q(7)
-    assert twisted_sum(ctx49, chi49, g, 1) == prop2_sum(ctx49, chi49, g)
+    assert twisted_sum(ctx49, g, 1) == prop2_sum(ctx49, g)
 
 
-def test_twisted_sum_rejects_even_twist(ctx49, chi49):
+def test_twisted_sum_rejects_even_twist(ctx49):
     with pytest.raises(EisensteinError):
-        twisted_sum(ctx49, chi49, sqrt_minus_q(7), 2)
+        twisted_sum(ctx49, sqrt_minus_q(7), 2)
 
 
-def test_twisted_sum_conductor_guard(ctx49, chi49):
+def test_twisted_sum_conductor_guard(ctx49):
     # modulus must absorb the character conductor sqrt(-q)
     with pytest.raises(EisensteinError):
-        prop2_sum(ctx49, chi49, QuadInt(7, 1, -4))
+        prop2_sum(ctx49, QuadInt(7, 1, -4))
 
 
-def test_twisted_sum_dual_route_121b(ctx121, chi121):
+def test_twisted_sum_dual_route_121b(ctx121):
     # independent route to L(E^(-3), 1): the twisted torsion sum over
     # modulus sqrt(-11)*3 must have magnitude lalg/sqrt(3) with lalg = 2,
     # the value the series summation recognizes (test_lseries pins it)
-    v = twisted_sum(ctx121, chi121, sqrt_minus_q(11) * from_int(11, 3), -3)
+    v = twisted_sum(ctx121, sqrt_minus_q(11) * from_int(11, 3), -3)
     mag, _ = phase_split(v)
     with mp.workdps(ctx121.dps):
         assert abs(mag - 2 / mp.sqrt(3)) < mp.mpf(10) ** -15
 
 
 @pytest.mark.slow
-def test_twisted_sum_dual_route_49a(chi49):
+def test_twisted_sum_dual_route_49a():
     # heavyweight cross-check against the series value L^alg(E^(29)) = 2
     ctx = make_context(C49, 15)
-    v = twisted_sum(ctx, chi49, sqrt_minus_q(7) * from_int(7, 29), 29)
+    v = twisted_sum(ctx, sqrt_minus_q(7) * from_int(7, 29), 29)
     mag, _ = phase_split(v)
     with mp.workdps(ctx.dps):
         assert abs(mag - 2 / mp.sqrt(29)) < mp.mpf(10) ** -14
@@ -222,22 +216,22 @@ def test_direct_e1star_matches_ladder(ctx49, ctx121, q, factor, count):
             assert abs(v - e1star_torsion(ctx, torsion_point(b, g))) < tol
 
 
-def test_torsion_sums_do_not_walk_the_ladder(ctx49, chi49, monkeypatch):
+def test_torsion_sums_do_not_walk_the_ladder(ctx49, monkeypatch):
     def refuse(*args):
         raise RuntimeError("a torsion sum walked the B-ladder")
 
     monkeypatch.setattr(eisenstein, "_b_ladder_cached", refuse)
     g = sqrt_minus_q(7)
     with mp.workdps(ctx49.dps):
-        assert abs(prop2_sum(ctx49, chi49, g) - mp.mpf(1) / 2) < mp.mpf(10) ** -18
+        assert abs(prop2_sum(ctx49, g) - mp.mpf(1) / 2) < mp.mpf(10) ** -18
     # the {pi_3} subset term of test_averaging_single_inert, whose exact
     # coefficient is 0
-    assert abs(twisted_sum(ctx49, chi49, g * PI3, -3)) < mp.mpf(10) ** -18
-    assert averaging_check(ctx49, chi49, [PI3]).ok
+    assert abs(twisted_sum(ctx49, g * PI3, -3)) < mp.mpf(10) ** -18
+    assert averaging_check(ctx49, [PI3]).ok
 
 
-def test_averaging_single_inert(ctx49, chi49):
-    rep = averaging_check(ctx49, chi49, [PI3])
+def test_averaging_single_inert(ctx49):
+    rep = averaging_check(ctx49, [PI3])
     assert rep.ok and float(rep.residual) < 1e-20
     assert rep.coeffs == (
         (Fraction(2, 3), Fraction(0)),
@@ -248,8 +242,8 @@ def test_averaging_single_inert(ctx49, chi49):
     assert rep.ord2 == 1 and rep.bound == 0
 
 
-def test_averaging_single_split(ctx49, chi49):
-    rep = averaging_check(ctx49, chi49, [PI29])
+def test_averaging_single_split(ctx49):
+    rep = averaging_check(ctx49, [PI29])
     assert rep.ok and float(rep.residual) < 1e-20
     assert rep.coeffs == (
         (Fraction(13, 29), Fraction(2, 29)),
@@ -258,8 +252,8 @@ def test_averaging_single_split(ctx49, chi49):
     assert rep.ord2 == 1 and rep.bound == 0
 
 
-def test_averaging_pair(ctx49, chi49):
-    rep = averaging_check(ctx49, chi49, [PI3, PI29])
+def test_averaging_pair(ctx49):
+    rep = averaging_check(ctx49, [PI3, PI29])
     assert rep.ok and float(rep.residual) < 1e-20
     assert rep.coeffs == (
         (Fraction(52, 87), Fraction(8, 87)),
@@ -282,17 +276,17 @@ def test_subset_algebra_squares_to_the_primes():
     assert mul([PI3, PI29], x, x) == {0: PI3 + PI29, 3: one + one}
 
 
-def test_averaging_validation_errors(ctx49, chi49):
+def test_averaging_validation_errors(ctx49):
     with pytest.raises(EisensteinError, match="even norm"):
-        averaging_check(ctx49, chi49, [QuadInt(7, 2, 0)])
+        averaging_check(ctx49, [QuadInt(7, 2, 0)])
     with pytest.raises(EisensteinError, match="unit"):
-        averaging_check(ctx49, chi49, [QuadInt(7, 1, 0)])
+        averaging_check(ctx49, [QuadInt(7, 1, 0)])
     with pytest.raises(EisensteinError, match="1 mod 4"):
-        averaging_check(ctx49, chi49, [QuadInt(7, 3, 0)])
+        averaging_check(ctx49, [QuadInt(7, 3, 0)])
     with pytest.raises(EisensteinError, match="coprime to the conductor"):
-        averaging_check(ctx49, chi49, [QuadInt(7, -7, 0)])
+        averaging_check(ctx49, [QuadInt(7, -7, 0)])
     with pytest.raises(EisensteinError, match="pairwise coprime"):
-        averaging_check(ctx49, chi49, [PI3, PI3])
+        averaging_check(ctx49, [PI3, PI3])
 
 
 def test_lemma_div_small():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmtwist.coeffs import CurveContext, ap_point_count, kronecker
+from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.lseries import (
     algebraic_part,
     central_value,
@@ -13,7 +13,7 @@ from cmtwist.lseries import (
     series_cutoff,
     twist_root_number,
 )
-from cmtwist.qfield import is_prime
+from cmtwist.qfield import is_prime, kronecker
 from cmtwist.registry import builtin_curve, omega_lattice
 
 C49 = builtin_curve("49a")

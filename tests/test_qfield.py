@@ -19,7 +19,7 @@ from cmtwist.qfield import (
     from_int,
     is_prime,
     is_special_split,
-    legendre,
+    kronecker,
     min_ord2_roots,
     normalize_mod4,
     ord2_fraction,
@@ -71,11 +71,13 @@ def test_parity_and_units():
 
 
 def test_legendre_matches_euler_criterion():
+    # at an odd prime the Kronecker symbol is the Legendre symbol
     for p in (3, 5, 7, 11, 29, 97):
         for a in range(1, p):
             e = pow(a, (p - 1) // 2, p)
-            assert legendre(a, p) == (1 if e == 1 else -1)
-        assert legendre(0, p) == 0
+            assert kronecker(a, p) == (1 if e == 1 else -1)
+            assert kronecker(a - 3 * p, p) == kronecker(a, p)
+        assert kronecker(0, p) == 0
 
 
 def test_split_type_examples():
@@ -98,7 +100,7 @@ def test_two_splits_only_for_q_7_mod_8():
 def test_sqrt_mod():
     for p in (13, 29, 97, 193):
         for a in range(1, p):
-            if legendre(a, p) == 1:
+            if kronecker(a, p) == 1:
                 r = sqrt_mod(a, p)
                 assert (r * r - a) % p == 0
     with pytest.raises(QFieldError):
