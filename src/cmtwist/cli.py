@@ -129,8 +129,12 @@ def _config_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> R
 def _emit(config: RunConfig, lines: list[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {config.output}: "
+                             f"{exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -192,7 +196,8 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
             continue            # square factor: never admissible
     if candidates:
         # one untwisted a_n table for the whole scan, built before the
-        # workers fork, up to the cutoff of the largest twist
+        # workers fork, up to the cutoff of the largest twist; its nonzero
+        # view is left to the first twist in each process
         ctx.an_table(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
     if config.threads == 1 or len(candidates) < 2:
         results = [_table_job(ctx, digits, M) for M in candidates]

@@ -3,12 +3,14 @@
 L(E^(D), 1) is evaluated through the exponentially convergent series
 2 * sum_{n>=1} (a'_n/n) exp(-2 pi n / (sqrt(N) |D|)); the cutoff is chosen
 so the rigorous tail bound (|a_n| <= 2n) is below the digit target.  The
-nonzero twisted a'_n are streamed from the context's untwisted table times
-the periodic Kronecker symbol (coeffs.twisted_coeffs) and summed at every
+nonzero twisted a'_n are streamed from the context's nonzero view of the
+untwisted table times the periodic Kronecker symbol (coeffs.twisted_coeffs;
+the view is built lazily, once per process and table) and summed at every
 precision in integers scaled by a power of 2, with a proven bound on the
-tail plus the rounding (central_value).  The algebraic part
+tail plus the rounding (central_value), carried in logarithms so that no
+float under- or overflows at any precision.  The algebraic part
 L * sqrt(|D|) / Omega is recognized as a small-denominator rational by
-continued fractions.
+continued fractions, Omega taken once per context and precision.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import mpmath as mp
 
 from .coeffs import MAX_TABLE, CurveContext, twisted_coeffs
 from .qfield import kronecker, ord2_fraction
-from .registry import Curve, omega_lattice
+from .registry import Curve
 
 
 class LSeriesError(ValueError):
@@ -52,7 +54,7 @@ class LValueResult:
     root_number: int
     analytic_value: object  # mpf, |L(E^(D), 1)|
     n_terms: int
-    tail_bound: float       # total series error: truncated tail plus rounding
+    tail_bound: object      # mpf, total series error: truncated tail plus rounding
     lalg: Fraction | None
     lalg_residual: float
     ord2: int | None
@@ -80,7 +82,7 @@ class _ScaledPowers(dict):
 
 
 def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
-    """L(E^(d), 1) as (value, n_terms, bound), value an mpf.
+    """L(E^(d), 1) as (value, n_terms, bound), value and bound mpfs.
 
     The series 2 * sum_{n <= n_max} a_n x^n / n, x = exp(-2 pi / c),
     c = sqrt(N) |d|, is summed in integers scaled by S = 2^b over the
@@ -94,12 +96,16 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     x^{n_{j-1}} <= 1, plus one floor), so |e_j| <= 3j while 3k <= S.
     With |a_n| <= d(n) sqrt(n) <= 2n, the j-th term is off by at most
     2 * 3j + 1 units, and 2 T / S by at most 2 (3k(k+1) + k) / S.  The
-    truncated tail is 2 sum_{n > n_max} 2 x^n = 4 x^{n_max+1} / (1 - x),
-    evaluated in floats to a relative error below 1e-12 and scaled by
-    1 + 1e-9 to stay an upper bound.  The bound returned is tail plus
-    rounding, and it must lie below 10^-target_digits.  b is chosen so
-    that the rounding, with k <= n_max, is at most half of the slack the
-    tail leaves below 10^-target_digits.
+    truncated tail is 2 sum_{n > n_max} 2 x^n = 4 x^{n_max+1} / (1 - x).
+    The bound returned is tail plus rounding, and it must lie below
+    eps = 10^-target_digits.  b is chosen so that the rounding, with
+    k <= n_max, is at most half of the slack the tail leaves below eps.
+
+    The budget is carried relative to eps through base-2 logarithms, so no
+    float under- or overflows at any precision: tail / eps is
+    2^(2 - (n_max+1) r / ln 2 - log2(1 - x) - log2 eps), r = 2 pi / c,
+    with the exponent raised by 1e-9 plus 2^-40 of the size of its terms,
+    past their float error.  The bound is rounded up as an mpf.
 
     Exact 0 without summation when the twist root number is -1.
     """
@@ -111,12 +117,16 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
         raise LSeriesError(
             f"precision unattainable at this scale: {n_max} terms needed")
     r = 2 * math.pi / (math.sqrt(curve.conductor) * max(abs(d), 1))
-    tail = 4.0 * math.exp(-r * (n_max + 1)) / -math.expm1(-r) * (1 + 1e-9)
-    slack = 10.0 ** -target_digits - tail
-    if slack <= 0:
-        raise LSeriesError(f"series tail bound {tail:.3g} exceeds "
-                           f"10^-{target_digits} after {n_max} terms")
-    b = math.ceil(math.log2(4 * (3 * n_max * (n_max + 1) + n_max) / slack))
+    log2_eps = -target_digits * math.log2(10)
+    y = r * (n_max + 1) / math.log(2)       # -log2 x^(n_max+1)
+    slop = 1e-9 + 2.0 ** -40 * (y - log2_eps + 64)
+    log2_tail = 2 - y - math.log2(-math.expm1(-r)) - log2_eps + slop
+    tail = 2.0 ** min(log2_tail, 0)         # tail / eps, capped at 1
+    if tail >= 1:
+        raise LSeriesError(f"series tail bound exceeds 10^-{target_digits} "
+                           f"after {n_max} terms")
+    b = math.ceil(math.log2(4 * (3 * n_max * (n_max + 1) + n_max))
+                  - log2_eps - math.log2(1 - tail))
     power = _ScaledPowers(curve, d, b)
     total = k = prev = 0
     p = 1 << b
@@ -127,12 +137,14 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
         k += 1
     with mp.workprec(max(total.bit_length(), 1)):
         value = mp.ldexp(total, 1 - b)
-    bound = tail + math.ldexp(2 * (3 * k * (k + 1) + k), -b)
-    if bound >= 10.0 ** -target_digits:
+    # (tail + rounding) / eps; 2^-b / eps is within float range
+    bound = tail + 2 * (3 * k * (k + 1) + k) * 2.0 ** (slop - b - log2_eps)
+    if bound >= 1:
         raise LSeriesError(
-            f"series error bound {bound:.3g} exceeds 10^-{target_digits} "
+            f"series error bound exceeds 10^-{target_digits} "
             f"after {n_max} terms")
-    return value, n_max, bound
+    eps = mp.ldexp(mp.fdiv(1, 5 ** target_digits, rounding="u"), -target_digits)
+    return value, n_max, mp.fmul(bound, eps, rounding="u")
 
 
 def recognize_rational(x, max_den: int = 64) -> tuple[Fraction, float]:
@@ -149,7 +161,8 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
                    max_den: int = 64) -> LValueResult:
     """|L(E^(d),1)| * sqrt(|d|) / Omega_L recognized as an exact rational.
 
-    Omega_L is the period-lattice scale (omega_lattice), the normalization
+    Omega_L is the period-lattice scale (omega_lattice, taken once per
+    context and precision through CurveContext.omega), the normalization
     under which the algebraic part is a 2-integral-denominator rational.
     When the residual exceeds 1e-6 * max(1, |candidate|) no rational is
     claimed (lalg = None) and the raw ratio stays available through
@@ -162,7 +175,7 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             Fraction(0), 0.0, None)
     with mp.workdps(max(target_digits, 15) + 10):
-        omega = omega_lattice(curve, max(target_digits, 15))
+        omega = ctx.omega(max(target_digits, 15))
         ratio = abs(mp.mpf(value)) * mp.sqrt(abs(d) if d else 1) / omega
         fr, residual = recognize_rational(ratio, max_den)
     if residual >= 1e-6 * max(1.0, abs(float(fr))):

@@ -85,6 +85,14 @@ def test_table_output_file(capsys, tmp_path):
     assert "# rows=2" in target.read_text()
 
 
+def test_table_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run(capsys, "table", "1", "30", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err and not target.exists()
+
+
 def test_table_rejects_bad_range(capsys):
     code, _, err = run(capsys, "table", "50", "20")
     assert code == 2 and "m_min" in err
@@ -268,6 +276,14 @@ def test_unknown_curve(capsys):
 def test_precision_floor(capsys):
     code, _, err = run(capsys, "twist", "29", "--precision", "10")
     assert code == 2 and "15" in err
+
+
+@pytest.mark.parametrize("precision", ["300", "310", "326", "330"])
+def test_twist_precision_past_the_float_range(capsys, precision):
+    # the series budget of 10^-(precision - 3) lies below the float range
+    code, out, err = run(capsys, "twist", "5", "--precision", precision)
+    assert code == 0 and err == ""
+    assert "|L(E^(D),1)| = 0.8646032791" in out and "L^alg = 1/1" in out
 
 
 def test_threads_floor(capsys):

@@ -12,9 +12,11 @@ from cmtwist.coeffs import (
     CurveContext,
     ap_point_count,
     check_point_counts,
+    theta_table,
     twisted_coeffs,
 )
-from cmtwist.qfield import QFieldError, factor_int, is_prime, kronecker
+from cmtwist.qfield import (ALLOWED_Q, QFieldError, QuadInt, factor_int,
+                            hecke_chi, is_prime, kronecker)
 from cmtwist.registry import builtin_curve, resolve_curve, validate_user_curve
 
 C49 = builtin_curve("49a")
@@ -22,6 +24,8 @@ C121 = builtin_curve("121b")
 # 49a twisted by D = -3, whose p* is negative: a2' = D a2 + (D - 1)/4,
 # a4' = D^2 a4, a6' = D^3 a6 keep a1 = 1 and good reduction at 2
 CM3 = validate_user_curve("49a(-3)", (1, 2, 0, -18, 27), q=7, w=-1, omega="1")
+# the 29-twist of 49a as a user curve (d0 = 29); coefficients need no omega
+E29 = validate_user_curve("e29", (1, -22, 0, -1682, -24389), q=7, w=1, omega="1")
 
 
 def _odd_good_primes(curve, bound):
@@ -217,3 +221,68 @@ def test_coeff_out_of_range_raises():
             twisted_coeffs(ctx, 0, n_max)
         with pytest.raises(CoeffError):
             ctx.an_table(n_max)
+
+
+def _theta_direct(q, n_max):
+    """4 a_n of L(psi, s) for 0..n_max by the definition: each ideal of
+    norm n has the two generators +-alpha, so 2 a_n is the sum of
+    chi(alpha) * alpha over every alpha = (a + b sqrt(-q))/2 of norm n
+    (a = b mod 2, any signs), and its real part chi(alpha) * a/2."""
+    t = [0] * (n_max + 1)
+    b_top = isqrt(4 * n_max // q)
+    for b in range(-b_top, b_top + 1):
+        a_top = isqrt(4 * n_max - q * b * b)
+        for a in range(-a_top, a_top + 1):
+            if (a - b) % 2:
+                continue
+            try:
+                chi = hecke_chi(QuadInt(q, (a - b) // 2, b))   # (a-b)/2 + b tau
+            except QFieldError:
+                continue                                        # alpha in (sqrt(-q))
+            t[(a * a + q * b * b) // 4] += chi * a
+    return t
+
+
+@pytest.mark.parametrize("q", sorted(ALLOWED_Q))
+def test_theta_table_matches_the_definition(q):
+    n_max = 20000
+    assert [4 * v for v in theta_table(q, n_max)] == _theta_direct(q, n_max)
+
+
+VIEW_CTX = {c.label: CurveContext(c) for c in (C49, C121, E29, CM3)}
+
+
+def _dense_gather(ctx, d, n_max):
+    """The nonzero kronecker(d d0, n) * a_n(E0), n <= n_max, read off the
+    dense table one n at a time."""
+    dd0 = (d or 1) * ctx.curve.base_twist
+    table = ctx.an_table(n_max)
+    pairs = ((n, kronecker(dd0, n) * table[n]) for n in range(1, n_max + 1))
+    return [(n, a) for n, a in pairs if a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(label=st.sampled_from(sorted(VIEW_CTX)), k=st.integers(-300, 299),
+       index=st.integers(0, 4000), past=st.booleans())
+def test_nonzero_view_streams_the_dense_gather(label, k, index, past):
+    ctx = VIEW_CTX[label]
+    d = 4 * k + 1
+    assume(d == 1 or (gcd(d, ctx.curve.conductor) == 1
+                      and all(e == 1 for _, e in factor_int(d))))
+    # n_max on a nonzero position of E0's table, or just past it (each of
+    # the four tables has over 4,100 nonzero a_n below 20,000)
+    positions, _ = ctx.nonzero(20000)
+    n_max = positions[index] + past
+    assert list(twisted_coeffs(ctx, d, n_max)) == _dense_gather(ctx, d, n_max)
+
+
+def test_nonzero_view_follows_a_growing_table():
+    # the table doubles from 100 to 200; a view left from the 100-entry
+    # table would cut every later series at n = 100
+    ctx = CurveContext(C49)
+    assert list(twisted_coeffs(ctx, 29, 100)) == _dense_gather(ctx, 29, 100)
+    first = ctx.nonzero(100)
+    stream = list(twisted_coeffs(ctx, 29, 150))
+    assert len(ctx.an_table(150)) == 201 and ctx.nonzero(150) is not first
+    assert stream == _dense_gather(ctx, 29, 150) and stream[-1][0] > 100
+    assert ctx.nonzero(150) is ctx.nonzero(200)    # no rebuild without growth

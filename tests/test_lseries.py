@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from cmtwist import coeffs
 from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.lseries import (
     algebraic_part,
@@ -131,6 +132,29 @@ def test_integer_sum_within_its_bound_of_mpf_oracle(label, d, digits):
     with mp.workdps(digits + 15):
         assert abs(value - oracle) <= bound + 10.0 ** -(digits + 3)
     assert isinstance(value, mp.mpf) and value != 0
+
+
+def test_integer_sum_within_its_bound_past_the_float_range():
+    # 10^-330 is below the smallest float: the budget must not underflow
+    ctx, digits = CurveContext(C49), 330
+    value, n_terms, bound = central_value(ctx, 29, target_digits=digits)
+    oracle = _oracle_sum(ctx, 29, series_cutoff(C49, 29, digits + 3), digits + 3)
+    with mp.workdps(digits + 15):
+        eps = mp.mpf(10) ** -digits
+        assert 0 < bound < eps
+        assert abs(value - oracle) <= bound + eps / 1000
+
+
+def test_omega_computed_once_per_context(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coeffs, "omega_lattice",
+                        lambda curve, precision: calls.append(precision)
+                        or omega_lattice(curve, precision))
+    ctx = CurveContext(C49)
+    for d in (29, 113, 29):
+        algebraic_part(ctx, d, target_digits=12)
+    algebraic_part(ctx, 29, target_digits=20)
+    assert calls == [15, 20]
 
 
 def test_recognize_rational():
