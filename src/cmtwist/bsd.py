@@ -6,9 +6,9 @@ A square-free M >= 1 is admissible for a curve when (i) gcd(M, N) = 1,
 For admissible M the valuation of the algebraic central value of the
 eps*M-twist is bounded below by r(M) - phi, r(M) the number of primes of K
 over M; this module classifies twists, computes ord2 of the Tamagawa factors
-c_p at p | M from the 2-division polynomial, checks the product identity
-sum ord2(c_p) = r(M) when all factors are 1 mod 4, and forms the resulting
-prediction for the 2-part of the Tate-Shafarevich order.
+c_p at p | M from the 2-division polynomial and their sum (equal to r(M)
+when all factors are 1 mod 4, which the tests check), and forms the
+resulting prediction for the 2-part of the Tate-Shafarevich order.
 """
 
 from __future__ import annotations
@@ -189,15 +189,6 @@ def tamagawa_report(curve: Curve, spec: TwistSpec) -> TamagawaReport:
     return TamagawaReport(entries=tuple(entries), product_ord2=total)
 
 
-def product_check(curve: Curve, M: int) -> bool:
-    """sum_p ord2(c_p) = r(M) for admissible M with all factors 1 mod 4."""
-    spec = _admissible_spec(curve, M)
-    bad = [f.p for f in spec.factors if f.p % 4 != 1]
-    if bad:
-        raise NotApplicable(f"factors {bad} are not 1 mod 4")
-    return tamagawa_report(curve, spec).product_ord2 == spec.r_of_M
-
-
 # ------------------------------------------------------------- reports
 
 
@@ -254,26 +245,6 @@ def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12) -> BSDRe
         sha_ord2_predicted=sha,
         sha_flags=flags,
     )
-
-
-def corollary_ap_check(ctx: CurveContext, M: int, target_digits: int = 12) -> bool:
-    """ord2(lalg(M)/lalg(1)) >= 2 k(M) for all-split admissible M.
-
-    Requires L(E,1) != 0 with ord2(lalg(E,1)) < 0, and every factor of M
-    split in K; anything else raises NotApplicable.
-    """
-    base = ctx.curve.lalg_base
-    _check_base(base)
-    spec = _admissible_spec(ctx.curve, M)
-    inert = [f.p for f in spec.factors if f.kind != "split"]
-    if inert:
-        raise NotApplicable(f"factors {inert} are not split")
-    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
-    if res.lalg is None:
-        raise BSDError(f"rational recognition failed for M={M}")
-    if res.lalg == 0:
-        return True
-    return ord2_fraction(res.lalg / base) >= 2 * spec.k_of_M
 
 
 def _sha_flags(value: int) -> tuple[str, ...]:

@@ -36,9 +36,13 @@ The oracle for the direct values is the classical ladder built from wp, wp'
 which costs m - 1 divisions per point (b_ladder, e1star_torsion,
 ladder_discrepancy); the tests and `verify e1-ladder` use it.
 
-All floating work is mpmath at a caller-chosen precision plus guard digits;
-torsion points are located by exact rational coordinates so that phases are
-computed from Fractions, never from accumulated float error.
+The E1* series is summed in Gaussian integers scaled by 2^B, with a proven
+rounding bound below one rounding at the working precision
+(_e1star_from_st); its leading part, wp, wp' and the ladder are mpmath at a
+caller-chosen precision plus guard digits, so the oracle's q-series and
+the direct route's share no arithmetic kernel.  Torsion points are located by
+exact rational coordinates so that phases are computed from Fractions,
+never from accumulated float error.
 """
 
 from __future__ import annotations
@@ -81,7 +85,9 @@ class EisensteinContext:
     actual lattice multiplier (period lattice = lam * O_K); scale = 2*pi*i/lam,
     fac2 = scale^2 and fac3 = scale^3 are the prefactors of the E1*, wp and
     wp' q-expansions, and series_terms bounds the q-power tail at the working
-    precision (|qtau| = exp(-pi*sqrt(q))).
+    precision (|qtau| = exp(-pi*sqrt(q))).  bits, qtau_scaled and
+    qtau2_scaled are the scale and the integer constants of the E1* sum
+    (_e1star_from_st).
     """
 
     curve: Curve
@@ -98,6 +104,9 @@ class EisensteinContext:
     fac2: object
     fac3: object
     series_terms: int
+    bits: int              # B: the E1* series is summed in units of 2^-B
+    qtau_scaled: int       # qtau * 2^B, rounded
+    qtau2_scaled: int      # qtau^2 * 2^B, rounded
 
     def embed(self, x: QuadInt):
         """Complex value of x = a + b*tau under tau -> (1+i*sqrt(q))/2."""
@@ -105,6 +114,11 @@ class EisensteinContext:
             raise EisensteinError("element belongs to a different field")
         with mp.workdps(self.dps):
             return +(mp.mpc(x.a) + x.b * self.tau)
+
+
+def _scaled(x, bits: int) -> int:
+    """The integer nearest to x * 2^bits, x an mpf; exact at any precision."""
+    return int(mp.nint(mp.ldexp(x, bits)))
 
 
 def _significant_digits(decimal: str) -> int:
@@ -139,10 +153,16 @@ def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
         g2 = mp.mpf(curve.c4) / 12
         g3 = mp.mpf(curve.c6) / 216
         n_terms = int((dps + 2) * mp.log(10) / (mp.pi * root_q)) + 6
+        qtau = +qtau
+        bits = mp.mp.prec + (6 * n_terms).bit_length() + 8
+        with mp.workprec(2 * mp.mp.prec):
+            qtau2 = qtau * qtau     # exact: twice the mantissa bits
         ctx = EisensteinContext(
             curve=curve, precision=precision, dps=dps, omega=+omega,
-            lam=+lam, root_q=+root_q, tau=+tau, qtau=+qtau, g2=+g2, g3=+g3,
+            lam=+lam, root_q=+root_q, tau=+tau, qtau=qtau, g2=+g2, g3=+g3,
             scale=+scale, fac2=+fac2, fac3=+fac3, series_terms=n_terms,
+            bits=bits, qtau_scaled=_scaled(qtau, bits),
+            qtau2_scaled=_scaled(qtau2, bits),
         )
         # tripwire: the weight-4/6 Eisenstein series of omega*O_K must equal
         # the exact model invariants c4/12, c6/216
@@ -254,29 +274,55 @@ def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
         E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
                  + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
 
-    the two fractions of each term merged over one denominator.
+    the two fractions of each term merged over one denominator: with
+    a = qtau^n*u and b = qtau^n/u, so that ab = qtau^2n, the term is
+    (b - a)/((1 - a)(1 - b)).  The terms n <= K = ctx.series_terms are
+    summed in Gaussian integers scaled by 2^B, B = ctx.bits; the leading
+    part stays in mpmath at ctx.dps.  X, Y and R, the scaled a, b and ab,
+    start as qtau*u, qtau/u and qtau^2 times 2^B, each component rounded,
+    and step by one multiply by Q = qtau*2^B (R by its start value) and a
+    floor.  Each term is floor(2^B * N*conj(D) / |D|^2) per component,
+    with N = Y - X and D = 2^B - X - Y + R.
+
+    Error bound, in units of 2^-B, against the same sum taken exactly with
+    the mpf qtau and mpc u.  Let r = |qtau| <= e^(-pi*sqrt(7)) < 2.5e-4.
+    Then |a| <= r^n and, as t <= 1/2, |b| <= r^(n-1/2) < 0.016, so
+    |1 - a|*|1 - b| >= (1 - r)(1 - e^(-pi*sqrt(7)/2)) > 0.98.  X, Y and R
+    start within 1; a step from an error e <= 2 on a value x, with
+    |Q - qtau*2^B| <= 1/2, leaves r*e + |x|/2 + 2^-B + sqrt(2) < 2 (sqrt(2)
+    bounds a floor in each component).  N is then off by at most 4 and D
+    by at most 6, so 2^B * N/D is off by at most
+    (4*1.02 + 0.016*6) / (0.98*0.97) < 4.5, and with the floor each term
+    by at most 6: the sum by at most 6K.  B = prec + 8 + the bit length of
+    6K, prec the mantissa bits at ctx.dps, so the series is off by less
+    than 2^-(prec+8): under 1/256 of one rounding of a unit-size running
+    sum, where an mpc loop at ctx.dps rounds its running sum K times.
     """
     with mp.workdps(ctx.dps):
         u, t, flip = _reduced_phase(ctx, s, t)
-        u_inv = 1 / u
-        acc = (1 + u) / (2 * (u - 1)) + t
-        qn = mp.mpf(1)
+        bits = ctx.bits
+        with mp.workprec(bits + 8):
+            a = ctx.qtau * u
+            b = ctx.qtau / u
+        x_re, x_im = _scaled(a.real, bits), _scaled(a.imag, bits)
+        y_re, y_im = _scaled(b.real, bits), _scaled(b.imag, bits)
+        one = 1 << bits
+        q_sc = ctx.qtau_scaled
+        q2_sc = r = ctx.qtau2_scaled
+        sum_re = sum_im = 0
         for _ in range(ctx.series_terms):
-            qn *= ctx.qtau
-            a = qn * u
-            b = qn * u_inv
-            acc += (b - a) / ((1 - a) * (1 - b))
+            n_re, n_im = y_re - x_re, y_im - x_im
+            d_re, d_im = one - x_re - y_re + r, -x_im - y_im
+            den = d_re * d_re + d_im * d_im
+            sum_re += ((n_re * d_re + n_im * d_im) << bits) // den
+            sum_im += ((n_im * d_re - n_re * d_im) << bits) // den
+            x_re, x_im = x_re * q_sc >> bits, x_im * q_sc >> bits
+            y_re, y_im = y_re * q_sc >> bits, y_im * q_sc >> bits
+            r = r * q2_sc >> bits
+        series = mp.mpc(mp.ldexp(sum_re, -bits), mp.ldexp(sum_im, -bits))
+        acc = (1 + u) / (2 * (u - 1)) + t + series
         val = ctx.scale * acc
         return -val if flip else +val
-
-
-def wp_values(ctx: EisensteinContext, z):
-    """(wp(z), wp'(z)) on the curve's period lattice for a complex z."""
-    with mp.workdps(ctx.dps):
-        w = mp.mpc(z) / ctx.lam
-        t = 2 * mp.im(w) / ctx.root_q
-        s = mp.re(w) - t / 2
-        return _wp_from_st(ctx, s, t)
 
 
 # ------------------------------------------------------- torsion points
@@ -289,14 +335,6 @@ class TorsionPoint:
     beta: QuadInt
     g: QuadInt
     order: int
-
-
-def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
-    ring = ResidueRing(g)
-    if not ring.is_coprime(beta):
-        raise EisensteinError(f"{beta} is not coprime to the modulus {g}")
-    # ResidueRing admits only odd non-unit moduli, so the order is odd, >= 3
-    return TorsionPoint(beta=beta, g=g, order=ring.smallest_positive_integer)
 
 
 # ------------------------------------------------- the B-ladder oracle
@@ -719,16 +757,16 @@ def lemma_div_bruteforce(n: int) -> bool:
 
     The sum over all subsets of a sign vector s in {+-1}^n equals 2^n when
     every s_i = +1 and vanishes otherwise; checked literally for all 2^n
-    vectors via subset-product dynamic programming.
+    vectors.  The subset products are built by doubling: after s_1..s_i
+    the list holds the product over each mask below 2^i, in mask order.
     """
     if not 1 <= n <= LEMMA_DIV_MAX_N:
         raise EisensteinError(f"n must be between 1 and {LEMMA_DIV_MAX_N}")
     size = 1 << n
     for signs in itertools.product((1, -1), repeat=n):
-        prods = [1] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            prods[mask] = prods[mask ^ low] * signs[low.bit_length() - 1]
+        prods = [1]
+        for s in signs:
+            prods += [x * s for x in prods]
         total = sum(prods)
         expected = size if all(s == 1 for s in signs) else 0
         if total != expected:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from cmtwist.bsd import BSDError, classify_twist, product_check, tamagawa_report
+from cmtwist.bsd import BSDError, classify_twist, tamagawa_report
 from cmtwist.cli import RunConfig, cmd_table
 from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.eisenstein import (
@@ -183,7 +183,9 @@ def test_criterion_10_local_product_identity():
             except BSDError:
                 continue
             if spec.admissible and all(f.p % 4 == 1 for f in spec.factors):
-                assert product_check(curve, M), (curve.label, M)
+                # sum_p ord2(c_p) = r(M)
+                product = tamagawa_report(curve, spec).product_ord2
+                assert product == spec.r_of_M, (curve.label, M)
                 checked += 1
     assert checked >= 40
 

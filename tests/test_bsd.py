@@ -9,16 +9,18 @@ from cmtwist.bsd import (
     BSDError,
     NotApplicable,
     classify_twist,
-    corollary_ap_check,
     predicted_sha_ord2,
-    product_check,
     tamagawa_ord2_at,
     tamagawa_report,
     theorem18_check,
     torsion2_order,
+    _admissible_spec,
+    _check_base,
     _sha_flags,
 )
 from cmtwist.coeffs import CurveContext
+from cmtwist.lseries import algebraic_part
+from cmtwist.qfield import ord2_fraction
 from cmtwist.registry import builtin_curve, validate_user_curve
 from golden_tables import TABLE_121B, TABLE_49A
 
@@ -98,6 +100,15 @@ def test_tamagawa_matches_golden_tables():
             assert rep.product_ord2 == sum(e.ord2 for e in rep.entries)
 
 
+def product_check(curve, M: int) -> bool:
+    """sum_p ord2(c_p) = r(M) for admissible M with all factors 1 mod 4."""
+    spec = _admissible_spec(curve, M)
+    bad = [f.p for f in spec.factors if f.p % 4 != 1]
+    if bad:
+        raise NotApplicable(f"factors {bad} are not 1 mod 4")
+    return tamagawa_report(curve, spec).product_ord2 == spec.r_of_M
+
+
 def test_product_identity():
     assert product_check(C49, 145)   # 5 inert + 29 split: 1 + 2 = r
     assert product_check(C49, 29)
@@ -139,6 +150,26 @@ def test_theorem18_vanishing_twist(ctx49):
     rep = theorem18_check(ctx49, 1)
     assert rep.lvalue.lalg == Fraction(1, 2)
     assert rep.bound_holds
+
+
+def corollary_ap_check(ctx: CurveContext, M: int, target_digits: int = 12) -> bool:
+    """ord2(lalg(M)/lalg(1)) >= 2 k(M) for all-split admissible M.
+
+    Requires L(E,1) != 0 with ord2(lalg(E,1)) < 0, and every factor of M
+    split in K; anything else raises NotApplicable.
+    """
+    base = ctx.curve.lalg_base
+    _check_base(base)
+    spec = _admissible_spec(ctx.curve, M)
+    inert = [f.p for f in spec.factors if f.kind != "split"]
+    if inert:
+        raise NotApplicable(f"factors {inert} are not split")
+    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
+    if res.lalg is None:
+        raise BSDError(f"rational recognition failed for M={M}")
+    if res.lalg == 0:
+        return True
+    return ord2_fraction(res.lalg / base) >= 2 * spec.k_of_M
 
 
 def test_corollary_divisibility(ctx49, ctx121):

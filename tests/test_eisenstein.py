@@ -1,6 +1,7 @@
 """Lattice sums: wp ladders, the character chi, torsion-sum identities."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cmtwist import eisenstein
 from cmtwist.eisenstein import (
     EisensteinError,
+    TorsionPoint,
     averaging_check,
     b_ladder,
     e1star_torsion,
@@ -17,26 +19,65 @@ from cmtwist.eisenstein import (
     make_context,
     phase_split,
     prop2_sum,
-    torsion_point,
     twisted_sum,
-    wp_values,
 )
-from cmtwist.qfield import (QFieldError, QuadInt, from_int, hecke_chi,
-                            primes_above, reduction_mod, sqrt_minus_q)
+from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, from_int,
+                            hecke_chi, primes_above, reduction_mod,
+                            sqrt_minus_q)
 from cmtwist.registry import builtin_curve
 
 C49 = builtin_curve("49a")
 C121 = builtin_curve("121b")
 
 
+def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
+    ring = ResidueRing(g)
+    if not ring.is_coprime(beta):
+        raise EisensteinError(f"{beta} is not coprime to the modulus {g}")
+    # ResidueRing admits only odd non-unit moduli, so the order is odd, >= 3
+    return TorsionPoint(beta=beta, g=g, order=ring.smallest_positive_integer)
+
+
+def wp_values(ctx, z):
+    """(wp(z), wp'(z)) on the curve's period lattice for a complex z."""
+    with mp.workdps(ctx.dps):
+        w = mp.mpc(z) / ctx.lam
+        t = 2 * mp.im(w) / ctx.root_q
+        s = mp.re(w) - t / 2
+        return eisenstein._wp_from_st(ctx, s, t)
+
+
+def _e1star_mpc(ctx, s, t):
+    """E1*(z) for z = (s + t*tau)*lam by the same q-expansion as
+    eisenstein._e1star_from_st, every term summed in mpc at ctx.dps: the
+    oracle for the scaled-integer sum."""
+    with mp.workdps(ctx.dps):
+        u, t, flip = eisenstein._reduced_phase(ctx, s, t)
+        u_inv = 1 / u
+        acc = (1 + u) / (2 * (u - 1)) + t
+        qn = mp.mpf(1)
+        for _ in range(ctx.series_terms):
+            qn *= ctx.qtau
+            a = qn * u
+            b = qn * u_inv
+            acc += (b - a) / ((1 - a) * (1 - b))
+        val = ctx.scale * acc
+        return -val if flip else +val
+
+
+@lru_cache(maxsize=None)
+def _context(q: int, precision: int):
+    return make_context(C49 if q == 7 else C121, precision)
+
+
 @pytest.fixture(scope="module")
 def ctx49():
-    return make_context(C49, 20)
+    return _context(7, 20)
 
 
 @pytest.fixture(scope="module")
 def ctx121():
-    return make_context(C121, 20)
+    return _context(11, 20)
 
 
 def test_context_rejects_low_precision():
@@ -214,6 +255,46 @@ def test_direct_e1star_matches_ladder(ctx49, ctx121, q, factor, count):
     with mp.workdps(ctx.dps):
         for b, v in list(zip(reps, values))[:2]:
             assert abs(v - e1star_torsion(ctx, torsion_point(b, g))) < tol
+
+
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("q, factor", [
+    (7, from_int(7, 1)),
+    (7, from_int(7, 29)),
+    (7, PI29),
+    (11, from_int(11, -7)),
+], ids=["sqrt-7", "sqrt-7*29", "sqrt-7*(1-4t)", "sqrt-11*(-7)"])
+def test_integer_e1star_matches_mpc_oracle(q, factor, precision):
+    # the scaled-integer series against the same series summed in mpc, on
+    # every representative of (O_K/g)^*/{+-1}, g = sqrt(-q)*factor
+    ctx = _context(q, precision)
+    g = sqrt_minus_q(q) * factor
+    g_conj, g_norm = g.conj(), g.norm()
+    tol = mp.mpf(10) ** (5 - ctx.dps)
+    reps, values = e1star_values(ctx, g)
+    flips = 0
+    with mp.workdps(ctx.dps):
+        for b, v in zip(reps, values):
+            w = b * g_conj
+            s, t = Fraction(w.a, g_norm), Fraction(w.b, g_norm)
+            flips += t % 1 > Fraction(1, 2)
+            assert abs(v - _e1star_mpc(ctx, s, t)) < tol, b
+    assert flips  # some points go through the reflection z -> -z
+
+
+@pytest.mark.parametrize("precision", [20, 50])
+@pytest.mark.parametrize("s, t", [
+    (Fraction(1, 3), Fraction(1, 2)),    # |qtau/u| = |qtau|^(1/2), largest
+    (Fraction(0), Fraction(1, 2)),
+    (Fraction(2, 5), Fraction(5, 7)),    # t > 1/2: reflected to -z
+    (Fraction(-3, 11), Fraction(13, 9)),
+])
+def test_integer_e1star_at_half_and_flip(s, t, precision):
+    for q in (7, 11):
+        ctx = _context(q, precision)
+        with mp.workdps(ctx.dps):
+            got = eisenstein._e1star_from_st(ctx, s, t)
+            assert abs(got - _e1star_mpc(ctx, s, t)) < mp.mpf(10) ** (5 - ctx.dps)
 
 
 def test_torsion_sums_do_not_walk_the_ladder(ctx49, monkeypatch):
