@@ -5,7 +5,7 @@ Commands
     table [m_min] [m_max]   BSD-style rows for admissible twists in range
     twist M                 full report for one twisting integer
     verify SCENARIO...      run named identity checks; exit 0 iff all pass
-    special-primes q limit  ascending special split primes up to limit
+    special-primes q limit  ascending special split primes p <= limit
 
 Global flags may be given after the command name: --curve, --curve-file,
 --precision, --threads, --format, --output.  Each flag has an environment
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
 
     p = sub.add_parser("special-primes", parents=[common],
-                       help="ascending special split primes up to a limit")
+                       help="ascending special split primes p <= limit")
     p.add_argument("q", type=int)
     p.add_argument("limit", type=int)
 

@@ -33,16 +33,22 @@ The oracle for the direct values is the classical ladder built from wp, wp'
 
     E1*(w) = -B_{m-1}(w) / m,
 
-which costs m - 1 divisions per point (b_ladder, e1star_torsion,
+which costs m - 1 divisions per point (_b_ladder_cached, _e1star_cached,
 ladder_discrepancy); the tests and `verify e1-ladder` use it.
 
-The E1* series is summed in Gaussian integers scaled by 2^B, with a proven
-rounding bound below one rounding at the working precision
-(_e1star_from_st); its leading part, wp, wp' and the ladder are mpmath at a
-caller-chosen precision plus guard digits, so the oracle's q-series and
-the direct route's share no arithmetic kernel.  Torsion points are located by
-exact rational coordinates so that phases are computed from Fractions,
-never from accumulated float error.
+The torsion points of one modulus g have coordinates s = j/N, t = k/N,
+N = N(g), so their phases u = omega^l * rho^k (omega = e^(pi*i/N),
+rho = e^(-pi*sqrt(q)/N)) and the start values qtau*u, qtau/u of the series
+come from per-modulus tables of omega^l and rho^j in integers scaled by
+2^(B+G), built from one expjpi and one exp (_PhaseTable).  Each point then
+costs integer products, one Gaussian division for its leading part and the
+E1* series summed in Gaussian integers scaled by 2^B, with a proven bound
+on the table and series error below one rounding at the working precision
+(_PhaseTable.e1star).  wp, wp', their phase (_reduced_phase, from exact
+Fractions) and the ladder stay in mpmath at a caller-chosen precision plus
+guard digits, so the oracle and the direct route share no arithmetic
+kernel.  Torsion points are located by exact rational coordinates, never by
+accumulated float error.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 
@@ -58,7 +65,7 @@ from .qfield import (
     QuadInt,
     ResidueRing,
     as_quadint,
-    chi_m_symbol,
+    chi_m_symbol_table,
     factor_ideal,
     hecke_chi,
     min_ord2_roots,
@@ -87,7 +94,7 @@ class EisensteinContext:
     wp' q-expansions, and series_terms bounds the q-power tail at the working
     precision (|qtau| = exp(-pi*sqrt(q))).  bits, qtau_scaled and
     qtau2_scaled are the scale and the integer constants of the E1* sum
-    (_e1star_from_st).
+    (_PhaseTable.e1star).
     """
 
     curve: Curve
@@ -118,7 +125,13 @@ class EisensteinContext:
 
 def _scaled(x, bits: int) -> int:
     """The integer nearest to x * 2^bits, x an mpf; exact at any precision."""
-    return int(mp.nint(mp.ldexp(x, bits)))
+    man, exp = x.man_exp    # |x| = man * 2^exp
+    if x < 0:
+        man = -man
+    shift = exp + bits
+    if shift >= 0:
+        return man << shift
+    return (man + (1 << (-shift - 1))) >> -shift
 
 
 def _significant_digits(decimal: str) -> int:
@@ -201,48 +214,33 @@ def _invariants_from_series(ctx: EisensteinContext):
 # -------------------------------------------- wp and E1* via q-expansions
 
 
-def _as_mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def _as_mpf(x: Fraction) -> mp.mpf:
+    return mp.mpf(x.numerator) / x.denominator
 
 
-def _reduced_phase(ctx: EisensteinContext, s, t):
-    """(u, t, flip) for z = (s + t*tau)*lam, s and t rational or real.
+def _reduced_phase(ctx: EisensteinContext, s: Fraction, t: Fraction):
+    """(u, t, flip) for z = (s + t*tau)*lam, s and t exact Fractions.
 
     z is reduced modulo the lattice and, when t > 1/2, replaced by -z
     (flip = True), so 0 <= t <= 1/2 and u = e^(2*pi*i*(s + t*tau)) has
-    |u| <= 1.  Fraction inputs keep the phase e^(2*pi*i*(s + t/2)) exact to
-    working precision; the lattice itself is rejected.  Call inside
-    mp.workdps(ctx.dps).
+    |u| <= 1; the phase e^(2*pi*i*(s + t/2)) is exact to working precision
+    and the lattice itself is rejected.  Call inside mp.workdps(ctx.dps).
     """
-    if isinstance(s, Fraction) and isinstance(t, Fraction):
-        s %= 1
-        t %= 1
-        if s == 0 and t == 0:
-            raise EisensteinError("pole: z lies on the lattice")
-        flip = t > Fraction(1, 2)
-        if flip:
-            s, t = (-s) % 1, 1 - t
-    else:
-        s = mp.mpf(s)
-        t = mp.mpf(t)
-        s -= mp.floor(s)
-        t -= mp.floor(t)
-        eps = mp.mpf(10) ** (-(ctx.dps - 5))
-        if min(s, 1 - s) < eps and min(t, 1 - t) < eps:
-            raise EisensteinError("pole: z is too close to the lattice")
-        flip = t > mp.mpf(1) / 2
-        if flip:
-            s, t = (1 - s) % 1, 1 - t
+    s %= 1
+    t %= 1
+    if s == 0 and t == 0:
+        raise EisensteinError("pole: z lies on the lattice")
+    flip = t > Fraction(1, 2)
+    if flip:
+        s, t = (-s) % 1, 1 - t
     phase = _as_mpf(2 * s + t)
     t = _as_mpf(t)
     u = mp.expjpi(phase) * mp.exp(-mp.pi * ctx.root_q * t)
     return u, t, flip
 
 
-def _wp_from_st(ctx: EisensteinContext, s, t):
-    """(wp(z), wp'(z)) for z = (s + t*tau)*lam, s and t rational or real."""
+def _wp_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
+    """(wp(z), wp'(z)) for z = (s + t*tau)*lam, s and t exact Fractions."""
     with mp.workdps(ctx.dps):
         u, _, flip = _reduced_phase(ctx, s, t)
         u_inv = 1 / u
@@ -266,46 +264,129 @@ def _wp_from_st(ctx: EisensteinContext, s, t):
         return +wp, +wpd
 
 
-def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
-    """E1*(z) for z = (s + t*tau)*lam off the lattice, from its q-expansion.
+def _torsion_coords(wa: int, wb: int, d: int) -> tuple[int, int, int, bool]:
+    """(j, k, l, flip) for z = ((wa + wb*tau)/d)*lam, reduced as _reduced_phase.
 
-    With u = e^(2*pi*i*(s + t*tau)) and 0 <= t <= 1/2 (E1* is odd),
-
-        E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
-                 + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
-
-    the two fractions of each term merged over one denominator: with
-    a = qtau^n*u and b = qtau^n/u, so that ab = qtau^2n, the term is
-    (b - a)/((1 - a)(1 - b)).  The terms n <= K = ctx.series_terms are
-    summed in Gaussian integers scaled by 2^B, B = ctx.bits; the leading
-    part stays in mpmath at ctx.dps.  X, Y and R, the scaled a, b and ab,
-    start as qtau*u, qtau/u and qtau^2 times 2^B, each component rounded,
-    and step by one multiply by Q = qtau*2^B (R by its start value) and a
-    floor.  Each term is floor(2^B * N*conj(D) / |D|^2) per component,
-    with N = Y - X and D = 2^B - X - Y + R.
-
-    Error bound, in units of 2^-B, against the same sum taken exactly with
-    the mpf qtau and mpc u.  Let r = |qtau| <= e^(-pi*sqrt(7)) < 2.5e-4.
-    Then |a| <= r^n and, as t <= 1/2, |b| <= r^(n-1/2) < 0.016, so
-    |1 - a|*|1 - b| >= (1 - r)(1 - e^(-pi*sqrt(7)/2)) > 0.98.  X, Y and R
-    start within 1; a step from an error e <= 2 on a value x, with
-    |Q - qtau*2^B| <= 1/2, leaves r*e + |x|/2 + 2^-B + sqrt(2) < 2 (sqrt(2)
-    bounds a floor in each component).  N is then off by at most 4 and D
-    by at most 6, so 2^B * N/D is off by at most
-    (4*1.02 + 0.016*6) / (0.98*0.97) < 4.5, and with the floor each term
-    by at most 6: the sum by at most 6K.  B = prec + 8 + the bit length of
-    6K, prec the mantissa bits at ctx.dps, so the series is off by less
-    than 2^-(prec+8): under 1/256 of one rounding of a unit-size running
-    sum, where an mpc loop at ctx.dps rounds its running sum K times.
+    s = j/d and t = k/d after the reduction modulo the lattice and, when
+    t > 1/2, the flip z -> -z, so 0 <= k <= d/2; l = (2j + k) mod 2d is the
+    exponent of the phase e^(2*pi*i*(s + t/2)) = e^(pi*i/d)^l.
     """
-    with mp.workdps(ctx.dps):
-        u, t, flip = _reduced_phase(ctx, s, t)
-        bits = ctx.bits
-        with mp.workprec(bits + 8):
-            a = ctx.qtau * u
-            b = ctx.qtau / u
-        x_re, x_im = _scaled(a.real, bits), _scaled(a.imag, bits)
-        y_re, y_im = _scaled(b.real, bits), _scaled(b.imag, bits)
+    j, k = wa % d, wb % d
+    if j == 0 and k == 0:
+        raise EisensteinError("pole: z lies on the lattice")
+    flip = 2 * k > d
+    if flip:
+        j, k = -j % d, d - k
+    return j, k, (2 * j + k) % (2 * d), flip
+
+
+class _PhaseTable:
+    """E1* at the torsion points (s + t*tau)*lam with s, t in (1/d)Z.
+
+    With omega = e^(pi*i/d) and rho = (-qtau)^(1/d) = e^(-pi*sqrt(q')/d),
+    the point s = j/d, t = k/d has u = omega^l * rho^k, l = (2j + k) mod 2d,
+    and, as qtau = -rho^d, qtau*u = -omega^l * rho^(d+k) and
+    qtau/u = -conj(omega^l) * rho^(d-k).  So omega^l (0 <= l < 2d) and
+    rho^j (0 <= j <= 3d/2) are tabulated once, as integers scaled by 2^T,
+    T = B + G with B = ctx.bits and G = 4 + the bit length of 2d + 1 guard
+    bits, from one expjpi and one exp; each point then needs integer
+    products only.  q' is the q of ctx.qtau = -e^(-pi*sqrt(q')), which
+    make_context rounds from the exact value, so |sqrt(q') - sqrt(q)| is
+    a few units in the last place of ctx.root_q.
+    """
+
+    def __init__(self, ctx: EisensteinContext, d: int):
+        self.ctx = ctx
+        self.d = d
+        self.guard = (2 * d + 1).bit_length() + 4
+        self.shift = shift = ctx.bits + self.guard
+        with mp.workprec(shift + 16):
+            omega = mp.expjpi(mp.mpf(1) / d)
+            rho = mp.exp(mp.log(-ctx.qtau) / d)
+        one, half = 1 << shift, 1 << (shift - 1)
+        c, s = _scaled(omega.real, shift), _scaled(omega.imag, shift)
+        w_re, w_im = [one], [0]
+        for _ in range(d - 1):
+            x, y = w_re[-1], w_im[-1]
+            w_re.append((x * c - y * s + half) >> shift)
+            w_im.append((x * s + y * c + half) >> shift)
+        # omega^(d+l) = -omega^l
+        self.w_re = w_re + [-x for x in w_re]
+        self.w_im = w_im + [-y for y in w_im]
+        r = _scaled(rho, shift)
+        powers = [one]
+        for _ in range(3 * d // 2):
+            powers.append((powers[-1] * r + half) >> shift)
+        self.rho = powers
+
+    def e1star(self, k: int, l: int, flip: bool):
+        """E1*(z) at the point (k, l, flip) of _torsion_coords, from its q-expansion.
+
+        With u = e^(2*pi*i*(s + t*tau)) and 0 <= t <= 1/2 (E1* is odd),
+
+            E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
+                     + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
+
+        the two fractions of each term merged over one denominator: with
+        a = qtau^n*u and b = qtau^n/u, so that ab = qtau^2n, the term is
+        (b - a)/((1 - a)(1 - b)).  The terms n <= K = ctx.series_terms are
+        summed in Gaussian integers scaled by 2^B.  X, Y and R, the scaled
+        a, b and ab, start as qtau*u and qtau/u, rounded from products of
+        two table entries, and qtau^2 times 2^B, and step by one multiply by
+        Q = qtau*2^B (R by its start value) and a floor.  Each term is
+        floor(2^B * N*conj(D) / |D|^2) per component, with N = Y - X and
+        D = 2^B - X - Y + R.  The leading part is one Gaussian division at
+        scale 2^T; the bracket is rounded to ctx.dps once, then multiplied
+        by ctx.scale.
+
+        Table error, in units of 2^-T, against omega^l and rho^j times 2^T.
+        omega and rho, computed at T + 16 bits, round to entries within
+        0.71 and 0.51 (sqrt(2)/2 bounds a rounding in both components).
+        Each step of the omega recurrence adds at most 0.71 (the error of
+        the factor) + 0.71 (its rounding) + a product of errors below 2^-T,
+        so omega^l, 0 <= l < d, is within 1.43d, and so is
+        omega^(d+l) = -omega^l; each step of the rho recurrence adds at most
+        0.51 + 0.5 + 2^-T, so rho^j is within 1.02j <= 1.53d.  X is
+        -omega^l * rho^(d+k) rounded to 2^B: within sqrt(2)/2 of the exact
+        product of the entries, which is within (1.43d*r + 1.53d)/2^G of
+        qtau*u*2^B (r = |qtau| below; the entries are at most 2^T).  As
+        2^G > 16(2d + 1), X is within 0.71 + 0.05 < 1, and so is Y, whose
+        rho^(d-k) <= r^(1/2); R starts within 1/2.  u, rounded to 2^T, is
+        within 1.43d + 0.51d + 0.71 < 2d + 1 units of 2^-T (k <= d/2), that
+        is within 2^-(B+4).
+
+        Series error, in units of 2^-B, against the same sum taken exactly
+        with the mpf qtau and that u.  Let r = |qtau| <= e^(-pi*sqrt(7)) <
+        2.5e-4.  Then |a| <= r^n and, as t <= 1/2, |b| <= r^(n-1/2) < 0.016,
+        so |1 - a|*|1 - b| >= (1 - r)(1 - e^(-pi*sqrt(7)/2)) > 0.98.  X, Y
+        and R start within 1; a step from an error e <= 2 on a value x,
+        with |Q - qtau*2^B| <= 1/2, leaves r*e + |x|/2 + 2^-B + sqrt(2) < 2
+        (sqrt(2) bounds a floor in each component).  N is then off by at
+        most 4 and D by at most 6, so 2^B * N/D is off by at most
+        (4*1.02 + 0.016*6) / (0.98*0.97) < 4.5, and with the floor each
+        term by at most 6: the sum by at most 6K.  B = prec + 8 + the bit
+        length of 6K, prec the mantissa bits at ctx.dps, so the series is
+        off by less than 2^-(prec+8): under 1/256 of one rounding of a
+        unit-size running sum, where an mpc loop at ctx.dps rounds its
+        running sum K times.
+
+        Leading part: (1+u)/(2(u-1)) moves by about |du|/|u-1|^2 for an
+        error du in u, and the floors of the division and of t*2^T add
+        less than 3 units of 2^-T.  With |du| < 2^-(B+4) <= 2^-(prec+20)
+        that is what a u 2^20 times finer than one rounding at ctx.dps
+        gives, where an mpc evaluation at ctx.dps meets the same 1/|u-1|^2
+        with a u rounded to 2^-prec.
+        """
+        ctx = self.ctx
+        bits, guard, shift = ctx.bits, self.guard, self.shift
+        d = self.d
+        w_re, w_im = self.w_re[l], self.w_im[l]
+        # products of two entries carry 2^(2T); shifting by T + G leaves 2^B
+        down = shift + guard
+        half = 1 << (down - 1)
+        r_x, r_y = self.rho[d + k], self.rho[d - k]
+        x_re, x_im = -((w_re * r_x + half) >> down), -((w_im * r_x + half) >> down)
+        y_re, y_im = -((w_re * r_y + half) >> down), (w_im * r_y + half) >> down
         one = 1 << bits
         q_sc = ctx.qtau_scaled
         q2_sc = r = ctx.qtau2_scaled
@@ -319,22 +400,30 @@ def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
             x_re, x_im = x_re * q_sc >> bits, x_im * q_sc >> bits
             y_re, y_im = y_re * q_sc >> bits, y_im * q_sc >> bits
             r = r * q2_sc >> bits
-        series = mp.mpc(mp.ldexp(sum_re, -bits), mp.ldexp(sum_im, -bits))
-        acc = (1 + u) / (2 * (u - 1)) + t + series
-        val = ctx.scale * acc
-        return -val if flip else +val
+        # (1+u)/(2(u-1)) + t at scale 2^T, u = omega^l * rho^k
+        one_t, half_t = 1 << shift, 1 << (shift - 1)
+        u_re = (w_re * self.rho[k] + half_t) >> shift
+        u_im = (w_im * self.rho[k] + half_t) >> shift
+        p_re, p_im = one_t + u_re, u_im
+        m_re, m_im = u_re - one_t, u_im
+        den = m_re * m_re + m_im * m_im
+        lead_re = ((p_re * m_re + p_im * m_im) << (shift - 1)) // den
+        lead_im = ((p_im * m_re - p_re * m_im) << (shift - 1)) // den
+        acc_re = lead_re + (k << shift) // d + (sum_re << guard)
+        acc_im = lead_im + (sum_im << guard)
+        with mp.workdps(ctx.dps):
+            acc = mp.mpc(mp.ldexp(acc_re, -shift), mp.ldexp(acc_im, -shift))
+            val = ctx.scale * acc
+            return -val if flip else +val
 
 
-# ------------------------------------------------------- torsion points
-
-
-@dataclass(frozen=True)
-class TorsionPoint:
-    """beta*lam/g modulo the lattice, beta coprime to the odd modulus g."""
-
-    beta: QuadInt
-    g: QuadInt
-    order: int
+def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
+    """E1*(z) for z = (s + t*tau)*lam off the lattice: the one point of the
+    phase table of the common denominator d of s and t (O(d) to build)."""
+    d = lcm(s.denominator, t.denominator)
+    _, k, l, flip = _torsion_coords(
+        s.numerator * (d // s.denominator), t.numerator * (d // t.denominator), d)
+    return _PhaseTable(ctx, d).e1star(k, l, flip)
 
 
 # ------------------------------------------------- the B-ladder oracle
@@ -403,20 +492,12 @@ def _b_ladder_cached(cache: _WpCache, beta: QuadInt, limit: int) -> list:
         return out
 
 
-def b_ladder(ctx: EisensteinContext, point: TorsionPoint, limit: int) -> list:
-    return _b_ladder_cached(_WpCache(ctx, point.g), point.beta, limit)
-
-
 def _e1star_cached(cache: _WpCache, beta: QuadInt):
+    """E1*(beta*lam/g) = -B_{m-1}/m at a point of exact odd order m."""
     m = cache.order
     ladder = _b_ladder_cached(cache, beta, m - 1)
     with mp.workdps(cache.ctx.dps):
         return +(-ladder[-1] / m)
-
-
-def e1star_torsion(ctx: EisensteinContext, point: TorsionPoint):
-    """E1*(beta*lam/g) = -B_{m-1}/m at a point of exact odd order m."""
-    return _e1star_cached(_WpCache(ctx, point.g), point.beta)
 
 
 # -------------------------------------------------------- torsion sums
@@ -446,27 +527,27 @@ def _require_conductor(g: QuadInt) -> None:
 def e1star_values(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list]:
     """Representatives beta of (O_K/g)^*/{+-1} and E1*(beta*lam/g) at each.
 
-    beta/g = beta*conj(g)/N(g) = s + t*tau with exact Fractions s, t, and
-    each value is one q-expansion; the ladder (e1star_torsion) is its oracle.
+    beta/g = beta*conj(g)/N(g) = s + t*tau with s, t in (1/N(g))Z, so every
+    value comes from one phase table; the ladder (_e1star_cached) is its
+    oracle.
     """
     reps = ResidueRing(g).coprime_residues_mod_units()
     g_conj = g.conj()
-    g_norm = g.norm()
+    d = g.norm()
+    table = _PhaseTable(ctx, d)
     values = []
     for b in reps:
         w = b * g_conj
-        values.append(
-            _e1star_from_st(ctx, Fraction(w.a, g_norm), Fraction(w.b, g_norm))
-        )
+        _, k, l, flip = _torsion_coords(w.a, w.b, d)
+        values.append(table.e1star(k, l, flip))
     return reps, values
 
 
 def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]:
     """(count, worst |direct - ladder|) over every representative of g.
 
-    Compares e1star_values with -B_{m-1}/m from the B-ladder, the value
-    e1star_torsion returns, on all of (O_K/g)^*/{+-1}; the ladders share
-    one wp cache.
+    Compares e1star_values with -B_{m-1}/m from the B-ladder on all of
+    (O_K/g)^*/{+-1}; the ladders share one wp cache.
     """
     reps, direct = e1star_values(ctx, g)
     cache = _WpCache(ctx, g)
@@ -513,7 +594,8 @@ def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
         raise EisensteinError("twisting element must have odd norm")
     reps, terms, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
-        weighted = [chi_m_symbol(m_el, b) * v for b, v in zip(reps, terms)]
+        weights = chi_m_symbol_table([m_el], reps)[0]
+        weighted = [c * v for c, v in zip(weights, terms)]
         return +(_pairwise_sum(weighted) / g_c)
 
 
@@ -655,7 +737,7 @@ def averaging_check(
         g = g * pi
     reps, chi_e1, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
-        sym = [[chi_m_symbol(pi, b) for b in reps] for pi in pis]
+        sym = chi_m_symbol_table(pis, reps)
 
         # left side: one twisted sum per subset of the pi_i
         terms = []

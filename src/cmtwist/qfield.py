@@ -338,9 +338,6 @@ class PrimeIdeal:
     def residue_size(self) -> int:
         return self.p * self.p if self.kind == "inert" else self.p
 
-    def contains(self, beta: QuadInt) -> bool:
-        return divide_exact(beta, self) is not None
-
     def __str__(self) -> str:
         return f"({self.gen})"
 
@@ -355,29 +352,20 @@ def primes_above(q: int, p: int) -> list[PrimeIdeal]:
     return [PrimeIdeal(q, p, kind, pi), PrimeIdeal(q, p, kind, pi.conj())]
 
 
-def divide_exact(beta: QuadInt, P: PrimeIdeal) -> QuadInt | None:
-    """beta / gen(P) if beta lies in P, else None."""
-    if P.kind == "inert":
-        if beta.a % P.p == 0 and beta.b % P.p == 0:
-            return QuadInt(beta.q, beta.a // P.p, beta.b // P.p)
-        return None
-    g = beta * P.gen.conj()
-    n = P.gen.norm()  # p for split, q for ramified
-    if g.a % n == 0 and g.b % n == 0:
-        return QuadInt(beta.q, g.a // n, g.b // n)
-    return None
-
-
-def reduction_mod(P: PrimeIdeal, beta: QuadInt) -> int:
-    """Image of beta in O_K/P = F_p (split or ramified P only)."""
+def _tau_image(P: PrimeIdeal) -> int:
+    """Image of tau in O_K/P = F_p (split or ramified P only)."""
     if P.kind == "inert":
         raise QFieldError(f"the residue field of the inert prime {P} is not F_p")
     p = P.p
     d = P.gen.b % p
     if d == 0:  # a norm-p generator cannot have p | b
         raise QFieldError(f"generator {P.gen} of {P} has p | b")
-    t0 = (-P.gen.a) * pow(d, -1, p) % p  # image of tau
-    return (beta.a + beta.b * t0) % p
+    return (-P.gen.a) * pow(d, -1, p) % p
+
+
+def reduction_mod(P: PrimeIdeal, beta: QuadInt) -> int:
+    """Image of beta in O_K/P = F_p (split or ramified P only)."""
+    return (beta.a + beta.b * _tau_image(P)) % P.p
 
 
 def qr_symbol(alpha, P: PrimeIdeal) -> int:
@@ -413,24 +401,42 @@ def qr_symbol(alpha, P: PrimeIdeal) -> int:
     return 1 if ra == 1 else -1
 
 
-def factor_ideal(beta: QuadInt) -> list[tuple[PrimeIdeal, int]]:
-    """Prime ideal factorization of (beta), by trial division of the norm."""
+def factor_ideal(beta: QuadInt,
+                 above: dict[int, list[PrimeIdeal]] | None = None
+                 ) -> list[tuple[PrimeIdeal, int]]:
+    """Prime ideal factorization of (beta), from the factorization of its norm.
+
+    With p^e exactly dividing N(beta): an inert (p) has exponent e/2 and
+    the ramified prime e.  For split p, beta = p^c * beta' with p dividing
+    not both coordinates of beta', so beta' lies in at most one of P and
+    conj(P), with exponent e - 2c, and the residue map of P
+    (a + b*tau -> a + b*t0 mod p) tells which; integers only.  above, when
+    given, keeps primes_above(q, p) per p from one call to the next, so a
+    caller factoring many elements splits each p once.
+    """
     if beta.a == 0 and beta.b == 0:
         raise QFieldError("cannot factor the zero ideal")
     out: list[tuple[PrimeIdeal, int]] = []
-    rest = beta
-    for p, _ in factor_int(beta.norm()):
-        for P in primes_above(beta.q, p):
-            e = 0
-            nxt = divide_exact(rest, P)
-            while nxt is not None:
-                rest = nxt
-                e += 1
-                nxt = divide_exact(rest, P)
-            if e:
-                out.append((P, e))
-    if not rest.is_unit():
-        raise QFieldError(f"factorization of {beta} left non-unit {rest}")
+    for p, e in factor_int(beta.norm()):
+        primes = above.get(p) if above is not None else None
+        if primes is None:
+            primes = primes_above(beta.q, p)
+            if above is not None:
+                above[p] = primes
+        P = primes[0]
+        if P.kind != "split":
+            out.append((P, e // 2 if P.kind == "inert" else e))
+            continue
+        a, b, c = beta.a, beta.b, 0
+        while a % p == 0 and b % p == 0:
+            a, b, c = a // p, b // p, c + 1
+        inside = [(a + b * _tau_image(P)) % p == 0 for P in primes]
+        if sum(inside) != (e > 2 * c):
+            raise QFieldError(
+                f"{beta}: {p}^{e - 2 * c} of its norm is not in one prime above {p}")
+        for P, hit in zip(primes, inside):
+            if c + (e - 2 * c) * hit:
+                out.append((P, c + (e - 2 * c) * hit))
     out.sort(key=lambda t: (t[0].p, t[0].gen.a, t[0].gen.b))
     return out
 
@@ -439,15 +445,39 @@ def chi_m_symbol(M, beta: QuadInt) -> int:
     """chi_M-symbol of the principal ideal (beta): the Artin symbol of
     K(sqrt(M))/K, as the multiplicative extension of qr_symbol(M, .) over
     the factorization of (beta).  Requires (beta) coprime to 2M."""
-    M = as_quadint(beta.q, M)
-    if not beta.is_odd():
-        raise QFieldError(f"chi_M needs an odd argument, got {beta}")
-    s = 1
-    for P, e in factor_ideal(beta):
-        if e % 2 == 0:
-            continue
-        s *= qr_symbol(M, P)
-    return s
+    return chi_m_symbol_table([M], [beta])[0][0]
+
+
+def chi_m_symbol_table(ms: list, betas: list[QuadInt]) -> list[list[int]]:
+    """[[chi_m_symbol(M, beta) for beta in betas] for M in ms].
+
+    Each beta is factored once and each qr_symbol(M, P) is taken once; the
+    entries are visited in the order of the comprehension, so the first
+    error raised is the one chi_m_symbol would raise.
+    """
+    above: dict[int, list[PrimeIdeal]] = {}
+    odd_primes: list[list[PrimeIdeal] | None] = [None] * len(betas)
+    table = []
+    for M in ms:
+        symbols: dict[PrimeIdeal, int] = {}
+        row = []
+        for i, beta in enumerate(betas):
+            M = as_quadint(beta.q, M)
+            if not beta.is_odd():
+                raise QFieldError(f"chi_M needs an odd argument, got {beta}")
+            primes = odd_primes[i]
+            if primes is None:
+                primes = odd_primes[i] = [
+                    P for P, e in factor_ideal(beta, above) if e % 2]
+            s = 1
+            for P in primes:
+                v = symbols.get(P)
+                if v is None:
+                    v = symbols[P] = qr_symbol(M, P)
+                s *= v
+            row.append(s)
+        table.append(row)
+    return table
 
 
 # ------------------------------------------------------------ residue rings
@@ -489,6 +519,9 @@ class ResidueRing:
         if d1 * d2 != n:
             raise QFieldError(f"Hermite basis of ({g}) has index {d1 * d2}, not {n}")
         self.prime_factors = [P for P, _ in factor_ideal(g)]
+        self._residue_maps = [
+            (P.p, None if P.kind == "inert" else _tau_image(P))
+            for P in self.prime_factors]
 
     @property
     def smallest_positive_integer(self) -> int:
@@ -502,7 +535,19 @@ class ResidueRing:
         return QuadInt(self.q, a, b)
 
     def is_coprime(self, x: QuadInt) -> bool:
-        return all(not P.contains(x) for P in self.prime_factors)
+        return self._coprime(x.a, x.b)
+
+    def _coprime(self, a: int, b: int) -> bool:
+        """a + b*tau lies in no prime factor P of g: a + b*t0 != 0 mod p
+        (t0 the image of tau) when P is split or ramified, p does not
+        divide both a and b when P = (p) is inert."""
+        for p, t0 in self._residue_maps:
+            if t0 is None:
+                if a % p == 0 and b % p == 0:
+                    return False
+            elif (a + b * t0) % p == 0:
+                return False
+        return True
 
     def unit_count(self) -> int:
         n = abs(self.g.norm())
@@ -514,25 +559,29 @@ class ResidueRing:
         """Odd representatives of (O_K/g)* / {+-1}, deterministic order.
 
         Each class is represented by an element of odd norm (needed by
-        chi_M symbols); oddness is arranged by adding a multiple of g,
-        which stays in the residue class.
+        chi_M symbols); oddness is arranged by adding 0, g, tau*g or
+        (1 + tau)*g, which stays in the residue class.  The Hermite box is
+        walked in (a, b) order, and each class marks its negative, reduced
+        into the box, as seen.
         """
-        seen: set[tuple[int, int]] = set()
+        d1, d2, r0 = self.d1, self.d2, self.r0
+        m = self.g.m
+        ga, gb = self.g.a, self.g.b
+        shifts = ((0, 0), (ga, gb), (-m * gb, ga + gb), (ga - m * gb, ga + 2 * gb))
+        seen = bytearray(d1 * d2)
         reps: list[QuadInt] = []
-        one = QuadInt(self.q, 1, 0)
-        tau = QuadInt(self.q, 0, 1)
-        for a in range(self.d1):
-            for b in range(self.d2):
-                x = QuadInt(self.q, a, b)
-                if (a, b) in seen or not self.is_coprime(x):
+        for a in range(d1):
+            for b in range(d2):
+                if seen[a * d2 + b] or not self._coprime(a, b):
                     continue
-                mx = self.reduce(-x)
-                seen.add((a, b))
-                seen.add((mx.a, mx.b))
-                for shift in (QuadInt(self.q, 0, 0), one, tau, one + tau):
-                    cand = x + shift * self.g
-                    if cand.is_odd():
-                        reps.append(cand)
+                # -(a + b*tau) reduced into the box, as reduce() does
+                nb = -b % d2
+                na = (-a + (b > 0) * r0) % d1
+                seen[a * d2 + b] = seen[na * d2 + nb] = 1
+                for sa, sb in shifts:
+                    x, y = a + sa, b + sb
+                    if (x * x + x * y + m * y * y) % 2:
+                        reps.append(QuadInt(self.q, x, y))
                         break
                 else:
                     raise QFieldError("no odd representative found")

@@ -263,6 +263,18 @@ def test_special_primes_csv(capsys):
     assert out.splitlines() == ["p", "29", "37", "53"]
 
 
+@pytest.mark.parametrize("q, limit", [("7", "29"), ("11", "53")])
+def test_special_primes_include_the_limit(capsys, q, limit):
+    # the listing is p <= limit, as README and the help say
+    code, out, _ = run(capsys, "special-primes", q, limit)
+    assert code == 0 and out.strip().split(", ")[-1] == limit
+    code, out, _ = run(capsys, "special-primes", q, str(int(limit) - 1))
+    assert code == 0 and limit not in out.strip().split(", ")
+    with open(README, encoding="utf-8") as fh:
+        assert "The split primes p ≤ limit of Q(√−q)" in fh.read()
+    assert "special split primes p <= limit" in cli._build_parser().format_help()
+
+
 def test_special_primes_bad_field(capsys):
     code, _, err = run(capsys, "special-primes", "13", "100")
     assert code == 2 and "must be one of" in err

@@ -1,18 +1,17 @@
 """Lattice sums: wp ladders, the character chi, torsion-sum identities."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
 
 from cmtwist import eisenstein
 from cmtwist.eisenstein import (
     EisensteinError,
-    TorsionPoint,
     averaging_check,
-    b_ladder,
-    e1star_torsion,
     e1star_values,
     ladder_discrepancy,
     lemma_div_bruteforce,
@@ -25,9 +24,19 @@ from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, from_int,
                             hecke_chi, primes_above, reduction_mod,
                             sqrt_minus_q)
 from cmtwist.registry import builtin_curve
+from test_qfield import conductor_moduli
 
 C49 = builtin_curve("49a")
 C121 = builtin_curve("121b")
+
+
+@dataclass(frozen=True)
+class TorsionPoint:
+    """beta*lam/g modulo the lattice, beta coprime to the odd modulus g."""
+
+    beta: QuadInt
+    g: QuadInt
+    order: int
 
 
 def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
@@ -38,13 +47,31 @@ def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
     return TorsionPoint(beta=beta, g=g, order=ring.smallest_positive_integer)
 
 
+def b_ladder(ctx, point: TorsionPoint, limit: int) -> list:
+    """[B_2(z), ..., B_limit(z)] at z = beta*lam/g."""
+    return eisenstein._b_ladder_cached(
+        eisenstein._WpCache(ctx, point.g), point.beta, limit)
+
+
+def e1star_torsion(ctx, point: TorsionPoint):
+    """E1*(beta*lam/g) = -B_{m-1}/m from the B-ladder."""
+    return eisenstein._e1star_cached(eisenstein._WpCache(ctx, point.g), point.beta)
+
+
+def _as_fraction(x) -> Fraction:
+    """The exact value of an mpf, a binary rational."""
+    man, exp = mp.mpf(x).man_exp
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if x < 0 else value
+
+
 def wp_values(ctx, z):
     """(wp(z), wp'(z)) on the curve's period lattice for a complex z."""
     with mp.workdps(ctx.dps):
         w = mp.mpc(z) / ctx.lam
         t = 2 * mp.im(w) / ctx.root_q
         s = mp.re(w) - t / 2
-        return eisenstein._wp_from_st(ctx, s, t)
+        return eisenstein._wp_from_st(ctx, _as_fraction(s), _as_fraction(t))
 
 
 def _e1star_mpc(ctx, s, t):
@@ -282,6 +309,26 @@ def test_integer_e1star_matches_mpc_oracle(q, factor, precision):
     assert flips  # some points go through the reflection z -> -z
 
 
+@pytest.mark.parametrize("q, d", [(7, 7), (7, 203), (11, 2959), (7, 2940)])
+def test_phase_table_within_its_error_bound(q, d):
+    # the entries against omega^l * 2^T and rho^j * 2^T at T + 40 bits: the
+    # bounds 1.43d and 1.02j of the _PhaseTable.e1star docstring
+    ctx = _context(q, 20)
+    table = eisenstein._PhaseTable(ctx, d)
+    shift = table.shift
+    assert 1 << table.guard > 16 * (2 * d + 1)
+    assert len(table.w_re) == 2 * d and len(table.rho) == 3 * d // 2 + 1
+    with mp.workprec(shift + 40):
+        unit = mp.mpf(2) ** shift
+        omega = mp.expjpi(mp.mpf(1) / d)
+        rho = mp.exp(mp.log(-ctx.qtau) / d)
+        worst_w = max(abs(mp.mpc(x, y) - omega ** l * unit)
+                      for l, (x, y) in enumerate(zip(table.w_re, table.w_im)))
+        worst_r = max(abs(x - rho ** j * unit) / max(j, 1)
+                      for j, x in enumerate(table.rho))
+    assert worst_w <= 1.43 * d and worst_r <= 1.02
+
+
 @pytest.mark.parametrize("precision", [20, 50])
 @pytest.mark.parametrize("s, t", [
     (Fraction(1, 3), Fraction(1, 2)),    # |qtau/u| = |qtau|^(1/2), largest
@@ -309,6 +356,58 @@ def test_torsion_sums_do_not_walk_the_ladder(ctx49, monkeypatch):
     # coefficient is 0
     assert abs(twisted_sum(ctx49, g * PI3, -3)) < mp.mpf(10) ** -18
     assert averaging_check(ctx49, [PI3]).ok
+
+
+def test_torsion_sums_take_no_per_point_mpmath_phase(ctx49, monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("a torsion sum computed a phase in mpmath")
+
+    monkeypatch.setattr(eisenstein, "_reduced_phase", refuse)
+    g = sqrt_minus_q(7)
+    reps, values = e1star_values(ctx49, g)
+    assert [(b.a, b.b) for b in reps] == [(1, 0), (1, 2), (3, 0)]
+    pinned = ["1.038260698286168283581769", "-0.1141217371950749690388057",
+              "-0.3987366944412019807078441"]
+    with mp.workdps(ctx49.dps):
+        for v, im in zip(values, pinned):
+            assert abs(v - mp.mpc(0, im)) < mp.mpf(10) ** -18
+        assert abs(prop2_sum(ctx49, g) - mp.mpf(1) / 2) < mp.mpf(10) ** -18
+    assert abs(twisted_sum(ctx49, g * PI3, -3)) < mp.mpf(10) ** -18
+    rep = averaging_check(ctx49, [PI3])
+    assert rep.ok and rep.coeffs == (
+        (Fraction(2, 3), Fraction(0)),
+        (Fraction(0), Fraction(0)),
+    )
+    # one expjpi and one exp (of one log) per modulus, none per point
+    calls = {"expjpi": 0, "exp": 0, "log": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(mp, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(mp, name, counted)
+    reps, _ = e1star_values(ctx49, g * PI29)
+    assert len(reps) == 84 and calls == {"expjpi": 1, "exp": 1, "log": 1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(conductor_moduli)
+def test_integer_coordinates_match_reduced_phase(g):
+    # (j, k, l, flip) of every representative against the Fraction
+    # reduction: s = j/d, t = k/d, and l the exponent of the phase
+    ctx = _context(g.q, 20)
+    d, g_conj = g.norm(), g.conj()
+    with mp.workdps(ctx.dps):
+        for b in ResidueRing(g).coprime_residues_mod_units():
+            w = b * g_conj
+            j, k, l, flip = eisenstein._torsion_coords(w.a, w.b, d)
+            u, t, flip_ref = eisenstein._reduced_phase(
+                ctx, Fraction(w.a, d), Fraction(w.b, d))
+            assert 0 <= j < d and 0 <= 2 * k <= d
+            assert l == (2 * j + k) % (2 * d)
+            assert flip == flip_ref and t == mp.mpf(k) / d
+            # u = e^(pi*i*(2s + t)) * e^(-pi*sqrt(q)*t) with s = j/d
+            phase = u * mp.exp(mp.pi * ctx.root_q * t)
+            assert abs(phase - mp.expjpi(mp.mpf(l) / d)) < mp.mpf(10) ** (5 - ctx.dps)
 
 
 def test_averaging_single_inert(ctx49):

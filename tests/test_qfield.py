@@ -12,7 +12,9 @@ from cmtwist.qfield import (
     QFieldError,
     QuadInt,
     ResidueRing,
+    as_quadint,
     chi_m_symbol,
+    chi_m_symbol_table,
     cornacchia_split,
     factor_ideal,
     factor_int,
@@ -177,6 +179,44 @@ def test_factor_ideal_recovers_norm():
         assert n == abs(z.norm())
 
 
+def divide_exact(beta: QuadInt, P: PrimeIdeal) -> QuadInt | None:
+    """beta / gen(P) if beta lies in P, else None: ideal arithmetic, the
+    oracle of the integer residue maps."""
+    if P.kind == "inert":
+        if beta.a % P.p == 0 and beta.b % P.p == 0:
+            return QuadInt(beta.q, beta.a // P.p, beta.b // P.p)
+        return None
+    g = beta * P.gen.conj()
+    n = P.gen.norm()  # p for split, q for ramified
+    if g.a % n == 0 and g.b % n == 0:
+        return QuadInt(beta.q, g.a // n, g.b // n)
+    return None
+
+
+def _factor_ideal_by_division(beta: QuadInt) -> list:
+    """(beta) factored by dividing out each prime above each p | N(beta)
+    with divide_exact: the oracle of the integer valuations."""
+    out, rest = [], beta
+    for p, _ in factor_int(beta.norm()):
+        for P in primes_above(beta.q, p):
+            e = 0
+            while (nxt := divide_exact(rest, P)) is not None:
+                rest, e = nxt, e + 1
+            if e:
+                out.append((P, e))
+    assert rest.is_unit()
+    return sorted(out, key=lambda t: (t[0].p, t[0].gen.a, t[0].gen.b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALLOWED_Q), st.integers(-400, 400),
+       st.integers(-400, 400), st.sampled_from([1, 2, 3, 7, 11, 9, 49, 29]))
+def test_factor_ideal_matches_division(q, a, b, k):
+    assume(a or b)
+    beta = QuadInt(q, a, b).scale(k)
+    assert factor_ideal(beta) == _factor_ideal_by_division(beta)
+
+
 def test_qr_symbol_is_quadratic_character():
     P = primes_above(7, 29)[0]
     vals = [qr_symbol(from_int(7, a), P) for a in range(1, 29)]
@@ -281,3 +321,105 @@ def test_residue_ring_reduce_and_unit_classes(q, a, b, x):
     r = ring.reduce(QuadInt(q, *x))
     assert ring.reduce(r) == r
     assert len(ring.coprime_residues_mod_units()) == ring.unit_count() // 2
+
+
+# ------------------------------------- residues and symbols, by division
+
+
+def _coprime_residues_by_division(ring: ResidueRing) -> list[QuadInt]:
+    """(O_K/g)^*/{+-1} through ideal arithmetic: divide_exact for
+    coprimality, QuadInt arithmetic for -x and the odd shift; the oracle of
+    the integer enumeration."""
+    q = ring.q
+    primes = [P for P, _ in factor_ideal(ring.g)]
+    one, tau = QuadInt(q, 1, 0), QuadInt(q, 0, 1)
+    seen: set[tuple[int, int]] = set()
+    reps = []
+    for a in range(ring.d1):
+        for b in range(ring.d2):
+            x = QuadInt(q, a, b)
+            if (a, b) in seen or any(
+                    divide_exact(x, P) is not None for P in primes):
+                continue
+            mx = ring.reduce(-x)
+            seen.add((a, b))
+            seen.add((mx.a, mx.b))
+            for shift in (QuadInt(q, 0, 0), one, tau, one + tau):
+                cand = x + shift * ring.g
+                if cand.is_odd():
+                    reps.append(cand)
+                    break
+    return reps
+
+
+# every odd g = sqrt(-q)*h with N(g) <= 3000, q in {7, 11}: the moduli
+# divisible by the conductor of chi
+CONDUCTOR_MODULI = [
+    sqrt_minus_q(q) * h
+    for q in (7, 11)
+    for h in (QuadInt(q, a, b) for a in range(-60, 61) for b in range(-30, 31))
+    if h.norm() % 2 == 1 and q * h.norm() <= 3000
+]
+conductor_moduli = st.sampled_from(CONDUCTOR_MODULI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conductor_moduli)
+def test_coprime_residues_match_division_oracle(g):
+    ring = ResidueRing(g)
+    assert ring.coprime_residues_mod_units() == _coprime_residues_by_division(ring)
+
+
+def _chi_m_symbol_by_factoring(M, beta: QuadInt) -> int:
+    """chi_M((beta)) one beta at a time, from its definition: the oracle of
+    the symbol table."""
+    M = as_quadint(beta.q, M)
+    if not beta.is_odd():
+        raise QFieldError(f"chi_M needs an odd argument, got {beta}")
+    s = 1
+    for P, e in factor_ideal(beta):
+        if e % 2:
+            s *= qr_symbol(M, P)
+    return s
+
+
+PI29 = normalize_mod4(cornacchia_split(7, 29))
+
+
+@pytest.mark.parametrize("q, pis", [
+    (7, [QuadInt(7, -3, 0)]),
+    (7, [QuadInt(7, -3, 0), PI29]),
+    (11, [QuadInt(11, -7, 0)]),
+], ids=["49a:-3", "49a:-3,29", "121b:-7"])
+def test_symbol_table_matches_chi_m_symbol(q, pis):
+    # the table averaging_check takes, over the representatives it sums
+    g = sqrt_minus_q(q)
+    for pi in pis:
+        g = g * pi
+    reps = ResidueRing(g).coprime_residues_mod_units()
+    table = chi_m_symbol_table(pis, reps)
+    assert table == [[chi_m_symbol(pi, b) for b in reps] for pi in pis]
+    assert table == [[_chi_m_symbol_by_factoring(pi, b) for b in reps]
+                     for pi in pis]
+    assert all(v in (1, -1) for row in table for v in row)
+
+
+def _raised(call):
+    try:
+        call()
+    except QFieldError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ms, betas", [
+    ([5], [QuadInt(7, 1, 2), QuadInt(7, 2, 0)]),        # even argument
+    ([-3, 5], [QuadInt(7, 1, 2), QuadInt(7, 5, 0)]),    # 5 lies in (5)
+    ([5, -3], [QuadInt(7, 2, 0), QuadInt(7, -3, 0)]),   # first error first
+    ([QuadInt(11, 1, 0)], [QuadInt(7, 1, 2)]),          # another field
+], ids=["even", "in-P", "order", "field"])
+def test_symbol_table_raises_as_chi_m_symbol(ms, betas):
+    got = _raised(lambda: chi_m_symbol_table(ms, betas))
+    want = _raised(lambda: [[_chi_m_symbol_by_factoring(M, b) for b in betas]
+                            for M in ms])
+    assert got is not None and got == want
