@@ -72,6 +72,11 @@ def _factor_squarefree(M: int) -> list[int]:
     return [p for p, _ in factors]
 
 
+def admissible_class_mod4(curve: Curve) -> int:
+    """M mod 4 of every admissible M: 1 for root number +1, 3 for -1."""
+    return 1 if curve.w == 1 else 3
+
+
 def classify_twist(curve: Curve, M: int) -> TwistSpec:
     if not isinstance(M, int) or M < 1:
         raise BSDError("twisting integer must be a positive integer")
@@ -91,7 +96,7 @@ def classify_twist(curve: Curve, M: int) -> TwistSpec:
     g = math.gcd(M, curve.conductor)
     if g != 1:
         reasons.append(f"gcd(M, N) = {g} != 1")
-    need = 1 if curve.w == 1 else 3
+    need = admissible_class_mod4(curve)
     epsilon = 1 if M % 4 == 1 else (-1 if M % 4 == 3 else 0)
     if M % 4 != need:
         reasons.append(

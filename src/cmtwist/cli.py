@@ -184,16 +184,27 @@ def _table_job(ctx: CurveContext, digits: int, M: int):
     return M, rep, None
 
 
-def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
-    curve = ctx.curve
-    digits = _table_digits(config.precision)
+def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
+    """The admissible M with max(m_min, 2) <= M <= m_max, ascending.
+
+    An M outside the root number's class mod 4 is never admissible, so
+    only that class goes to classify_twist, which factors each M.
+    """
+    first, need = max(m_min, 2), bsd.admissible_class_mod4(curve)
     candidates = []
-    for M in range(max(m_min, 2), m_max + 1):
+    for M in range(first + (need - first) % 4, m_max + 1, 4):
         try:
             if bsd.classify_twist(curve, M).admissible:
                 candidates.append(M)
         except BSDError:
             continue            # square factor: never admissible
+    return candidates
+
+
+def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
+    curve = ctx.curve
+    digits = _table_digits(config.precision)
+    candidates = _admissible_twists(curve, m_min, m_max)
     if candidates:
         # one untwisted a_n table for the whole scan, built before the
         # workers fork, up to the cutoff of the largest twist; its nonzero
@@ -379,7 +390,9 @@ def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool
     with mp.workdps(eis_ctx.dps):
         amp, _phase = eis.phase_split(val)
         target, residual = recognize_rational(amp, 64)
-    ok = residual < 1e-8 and target == curve.lalg_base
+    # as for e1-ladder, the check tightens with the precision
+    ok = (residual < mp.mpf(10) ** (5 - eis_ctx.precision)
+          and target == curve.lalg_base)
     return (f"eisenstein-base[{curve.label}]: |sum| = {float(amp):.12g}, "
             f"recognized {target}, residual {residual:.3g}", ok)
 

@@ -18,9 +18,10 @@ built lazily, the first time a process asks for it after the table was
 built or grew; the workers of a forked table scan each build their own
 instead of the parent building it before the fork.  A twist by a
 discriminant d coprime to N multiplies a_n by the Kronecker symbol (d/n),
-which is periodic mod |d|; twisted_coeffs streams the nonzero
-a_n(E^(d)) = (d d0/n) a_n(E0) by taking the symbol at the positions of
-the view only.
+so a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
+twist_symbol_period gives one period of it; the series sum
+(lseries.central_value) folds that period into a table of powers of its
+own and runs over the view directly, so no twisted a_n is ever listed.
 """
 
 from __future__ import annotations
@@ -229,26 +230,15 @@ def _kronecker_period(d: int) -> list[int]:
     return period
 
 
-def twisted_coeffs(ctx: CurveContext, d: int, n_max: int) -> Iterator[tuple[int, int]]:
-    """The nonzero a_n of L(E^(d), s) for n <= n_max, as (n, a_n) pairs in
-    increasing n, streamed from the context's nonzero view.
+def twist_symbol_period(curve: Curve, d: int) -> list[int]:
+    """One period of the symbol that twists E0's a_n into those of E^(d):
+    (d d0/v) for v = 0..|d d0|-1, or [1] when d d0 = 1.
 
     For a discriminant d coprime to N(E), a_n(E^(d)) = (d/n) * a_n(E) =
-    (d d0/n) * a_n(E0), and (d d0/.) is periodic mod |d d0|, so one period
-    of the symbol is read at the positions of E0's nonzero a_n; the pairs
-    where the symbol vanishes are dropped.  d = 0 or 1 means E itself,
-    the twist of E0 by d0.
+    (d d0/n) * a_n(E0), and (d d0/.) is periodic mod |d d0|.  d = 0 or 1
+    means E itself, the twist of E0 by d0.  Raises CoeffError for a d that
+    is no such discriminant.
     """
-    _check_twist_disc(ctx.curve, d)
-    positions, values = ctx.nonzero(n_max)
-    end = bisect_right(positions, n_max)
-    positions, values = positions[:end], values[:end]
-    d = (d or 1) * ctx.curve.base_twist
-    if d == 1:
-        return zip(positions, values)
-    period = _kronecker_period(d)
-    m = len(period)
-    chi = [period[n % m] for n in positions]
-    # compress keeps the positions where the symbol is nonzero
-    return zip(compress(positions, chi),
-               map(mul, filter(None, chi), compress(values, chi)))
+    _check_twist_disc(curve, d)
+    dd0 = (d or 1) * curve.base_twist
+    return [1] if dd0 == 1 else _kronecker_period(dd0)

@@ -56,7 +56,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import mpmath as mp
 
@@ -417,15 +416,6 @@ class _PhaseTable:
             return -val if flip else +val
 
 
-def _e1star_from_st(ctx: EisensteinContext, s: Fraction, t: Fraction):
-    """E1*(z) for z = (s + t*tau)*lam off the lattice: the one point of the
-    phase table of the common denominator d of s and t (O(d) to build)."""
-    d = lcm(s.denominator, t.denominator)
-    _, k, l, flip = _torsion_coords(
-        s.numerator * (d // s.denominator), t.numerator * (d // t.denominator), d)
-    return _PhaseTable(ctx, d).e1star(k, l, flip)
-
-
 # ------------------------------------------------- the B-ladder oracle
 
 
@@ -715,20 +705,19 @@ def _element_min_ord2(pis: list[QuadInt], elem: dict, dim_n: int) -> Fraction | 
     return min_ord2_roots(coeffs)
 
 
-def averaging_check(
-    ctx: EisensteinContext,
-    pis: list[QuadInt],
-    tol: float = 1e-8,
-) -> AveragingReport:
+def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingReport:
     """Check the subset average of twisted torsion sums at g = sqrt(-q)*prod(pi_i).
 
     Left side: sum over the 2^n subset products M of the chi_M-weighted sums
     S_M(g).  Right side: the same torsion data folded through the indicator
     of "all symbols +1", scaled by 2^n.  Beyond |lhs - rhs| < tol, the left
-    side is recognized as an exact element sum_M c_M sqrt(M) (c_M in K) and
-    its minimal 2-adic valuation is compared against n - alpha.
+    side is recognized as an exact element sum_M c_M sqrt(M) (c_M in K),
+    each recognition and the element's value again within tol, and its
+    minimal 2-adic valuation is compared against n - alpha.  The tolerance
+    tol = 10^(5 - ctx.precision) tightens with the precision.
     """
     _validate_pis(ctx.curve.q, pis)
+    tol = mp.mpf(10) ** (5 - ctx.precision)
     n = len(pis)
     curve = ctx.curve
     q = curve.q

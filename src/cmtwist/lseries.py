@@ -3,12 +3,15 @@
 L(E^(D), 1) is evaluated through the exponentially convergent series
 2 * sum_{n>=1} (a'_n/n) exp(-2 pi n / (sqrt(N) |D|)); the cutoff is chosen
 so the rigorous tail bound (|a_n| <= 2n) is below the digit target.  The
-nonzero twisted a'_n are streamed from the context's nonzero view of the
-untwisted table times the periodic Kronecker symbol (coeffs.twisted_coeffs;
-the view is built lazily, once per process and table) and summed at every
-precision in integers scaled by a power of 2, with a proven bound on the
-tail plus the rounding (central_value), carried in logarithms so that no
-float under- or overflows at any precision.  The algebraic part
+twisted a'_n = (D d0/n) a_n(E0) are never listed: the sum runs in blocks
+of whole periods of the symbol directly over the context's nonzero view of
+E0's table (built lazily, once per process and table), with the symbol
+folded into one table of scaled powers x^v per twist and one power
+x^(uW) per block (central_value).  Each block is one C-level map chain,
+so no Python loop runs over the terms.  The sum is taken in integers
+scaled by a power of 2 at every precision, with a proven bound on the
+tail plus the rounding that is linear in the number of terms, carried in
+logarithms so that no float under- or overflows.  The algebraic part
 L * sqrt(|D|) / Omega is recognized as a small-denominator rational by
 continued fractions, Omega taken once per context and precision.
 """
@@ -16,12 +19,16 @@ continued fractions, Omega taken once per context and precision.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, cycle, repeat
+from operator import floordiv, mul, sub
+from typing import Iterator
 
 import mpmath as mp
 
-from .coeffs import MAX_TABLE, CurveContext, twisted_coeffs
+from .coeffs import MAX_TABLE, CurveContext, twist_symbol_period
 from .qfield import kronecker, ord2_fraction
 from .registry import Curve
 
@@ -60,42 +67,57 @@ class LValueResult:
     ord2: int | None
 
 
-class _ScaledPowers(dict):
-    """g -> the nearest integer to x^g 2^b, x = exp(-2 pi / (sqrt(N) |d|)).
+def _power_tables(curve: Curve, d: int, c: int, width: int,
+                  blocks: int) -> tuple[Iterator[int], Iterator[int]]:
+    """(x^v 2^c for v < width, x^(u width) 2^c for u < blocks) as two
+    streams, every entry within one unit and at most 2^c,
+    x = exp(-2 pi / (sqrt(N) |d|)).
 
-    X is x 2^B rounded, B = b + 64, so X = x 2^B (1 + eta) with
-    |eta| <= 2^-B / x, and x >= exp(-2 pi / 7) since sqrt(N) >= 7.  X^g
-    rounded at 2^(Bg - b) is then within 1/2 + 5 g 2^-64 < 1 of x^g 2^b.
+    Each stream is an integer chain at s = c + g bits, g = 3 plus the bit
+    length of the longer one.  Its step X, x^w 2^s with w = 1 or width,
+    is rounded within 1; P_0 = 2^s and P_j = floor(P_{j-1} X / 2^s).  The
+    error e_j = P_j - x^(jw) 2^s obeys |e_j| <= |e_{j-1}| (1 + 2^-s) + 2
+    (x^((j-1)w) 2^s <= 2^s times the error of X, plus one floor), so
+    |e_j| <= 3j as j < 2^g <= 2^(s-c).  Each P_j is rounded once to an
+    integer multiple of 2^g, which adds 1/2 unit of 2^c to 3j / 2^g < 1/2.
     """
+    g = max(width, blocks).bit_length() + 3
+    s = c + g
+    with mp.workprec(s + 16):
+        r = 2 * mp.pi / (mp.sqrt(curve.conductor) * max(abs(d), 1))
+        steps = [int(mp.nint(mp.ldexp(mp.exp(-r * w), s))) for w in (1, width)]
+    half = 1 << (g - 1)
 
-    def __init__(self, curve: Curve, d: int, b: int):
-        super().__init__()
-        self.b, self.big = b, b + 64
-        with mp.workprec(self.big + 16):
-            x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * max(abs(d), 1)))
-            self.x = int(mp.nint(mp.ldexp(x, self.big)))
+    def chain(step: int, length: int) -> Iterator[int]:
+        powers = accumulate(repeat(step, length - 1),
+                            lambda p, step: p * step >> s, initial=1 << s)
+        return ((p + half) >> g for p in powers)
 
-    def __missing__(self, g: int) -> int:
-        shift = self.big * g - self.b
-        step = self[g] = (self.x ** g + (1 << (shift - 1))) >> shift
-        return step
+    return chain(steps[0], width), chain(steps[1], blocks)
 
 
 def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     """L(E^(d), 1) as (value, n_terms, bound), value and bound mpfs.
 
     The series 2 * sum_{n <= n_max} a_n x^n / n, x = exp(-2 pi / c),
-    c = sqrt(N) |d|, is summed in integers scaled by S = 2^b over the
-    nonzero a_n at n_1 < ... < n_k.  G_g is within one unit of x^g S
-    (_ScaledPowers).  P_0 = S and P_j = floor(P_{j-1} G_g / S) with
-    g = n_j - n_{j-1}; the sum is T = sum_j floor(a_{n_j} P_j / n_j) and
-    value = 2 T / S, exact as an mpf.
+    c = sqrt(N) |d|, a_n = (d d0/n) a_n(E0), is summed in integers at the
+    scale S = 2^b, in blocks over the k positions n <= n_max of E0's
+    nonzero view.  The symbol has period m = |d d0| (m = 1 for d d0 = 1);
+    write n = u W + v, 0 <= v < W, with the block width
+    W = m max(1, floor(sqrt(n_max) / m)) a whole number of periods, so that
+    (d d0/n) = (d d0/v).  _power_tables gives x^v S for v < W, kept times
+    the symbol as the table lo[v], and H_u, x^(u W) S for the
+    U = floor(n_max / W) + 1 blocks; each entry is within one unit.  Block
+    u sums S_u = sum floor(a_n lo[n - u W] / n) over its k_u positions, the
+    positions where the symbol vanishes adding 0, and
+    T = sum_u H_u S_u, value = 2 T / S^2, exact as an mpf.
 
-    Error budget.  e_j = P_j - x^{n_j} S obeys
-    |e_j| <= |e_{j-1}| (1 + 1/S) + 2 (the error of G_g, scaled by
-    x^{n_{j-1}} <= 1, plus one floor), so |e_j| <= 3j while 3k <= S.
-    With |a_n| <= d(n) sqrt(n) <= 2n, the j-th term is off by at most
-    2 * 3j + 1 units, and 2 T / S by at most 2 (3k(k+1) + k) / S.  The
+    Error budget, in units of 1/S on T / S against S times the series.
+    With |a_n| <= d(n) sqrt(n) <= 2n each floor is off by at most
+    2 * 1 + 1 = 3 units from a_n (d d0/v) x^v S / n, so S_u by 3 k_u from
+    its exact block sum, which x^(u W) <= 1 does not enlarge.  The error
+    of H_u adds |S_u| / S <= k_u (2 S + 1) / S.  T / S is therefore within
+    5k + k/S <= 5k + 1 units, and 2 T / S^2 within 2 (5k + 1) / S.  The
     truncated tail is 2 sum_{n > n_max} 2 x^n = 4 x^{n_max+1} / (1 - x).
     The bound returned is tail plus rounding, and it must lie below
     eps = 10^-target_digits.  b is chosen so that the rounding, with
@@ -125,20 +147,26 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     if tail >= 1:
         raise LSeriesError(f"series tail bound exceeds 10^-{target_digits} "
                            f"after {n_max} terms")
-    b = math.ceil(math.log2(4 * (3 * n_max * (n_max + 1) + n_max))
-                  - log2_eps - math.log2(1 - tail))
-    power = _ScaledPowers(curve, d, b)
-    total = k = prev = 0
-    p = 1 << b
-    for n, a_n in twisted_coeffs(ctx, d, n_max):
-        p = p * power[n - prev] >> b
-        total += a_n * p // n
-        prev = n
-        k += 1
+    b = math.ceil(math.log2(4 * (5 * n_max + 1)) - log2_eps - math.log2(1 - tail))
+    period = twist_symbol_period(curve, d)
+    positions, values = ctx.nonzero(n_max)
+    k = bisect_right(positions, n_max)
+    m = len(period)
+    width = m * max(1, math.isqrt(n_max) // m)
+    lo, high = _power_tables(curve, d, b, width, n_max // width + 1)
+    lo = list(map(mul, cycle(period), lo))
+    total = start = 0
+    for u, h in enumerate(high):
+        end = bisect_left(positions, (u + 1) * width, start, k)
+        ns = positions[start:end]
+        v = map(sub, ns, repeat(u * width))
+        total += h * sum(map(floordiv, map(mul, values[start:end],
+                                           map(lo.__getitem__, v)), ns))
+        start = end
     with mp.workprec(max(total.bit_length(), 1)):
-        value = mp.ldexp(total, 1 - b)
+        value = mp.ldexp(total, 1 - 2 * b)
     # (tail + rounding) / eps; 2^-b / eps is within float range
-    bound = tail + 2 * (3 * k * (k + 1) + k) * 2.0 ** (slop - b - log2_eps)
+    bound = tail + 2 * (5 * k + 1) * 2.0 ** (slop - b - log2_eps)
     if bound >= 1:
         raise LSeriesError(
             f"series error bound exceeds 10^-{target_digits} "

@@ -3,10 +3,13 @@
 import argparse
 import os
 import re
+import subprocess
+import sys
 
+import mpmath as mp
 import pytest
 
-from cmtwist import cli, coeffs
+from cmtwist import bsd, cli, coeffs, eisenstein
 from cmtwist.cli import main
 from cmtwist.qfield import is_prime, split_type
 from cmtwist.registry import resolve_curve
@@ -75,6 +78,38 @@ def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
                        "--threads", "64")
     assert code == 0 and "# rows=2" in out     # M = 5 and 13
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("label", ["49a", "121b", "e29"])
+def test_table_candidates_are_the_unfiltered_classification(label, e29_file):
+    # the scan classifies only the M of the root number's class mod 4; no
+    # M of the other classes may be admissible
+    curve = resolve_curve(label, e29_file)
+    every = []
+    for M in range(2, 1001):
+        try:
+            if bsd.classify_twist(curve, M).admissible:
+                every.append(M)
+        except bsd.BSDError:
+            continue
+    assert len(every) > 50
+    assert cli._admissible_twists(curve, 1, 1000) == every
+    for m_min, m_max in ((2, 2), (5, 5), (6, 9), (7, 400), (400, 1000)):
+        assert cli._admissible_twists(curve, m_min, m_max) == \
+            [M for M in every if m_min <= M <= m_max]
+
+
+def test_table_path_imports_neither_eisenstein_nor_numpy():
+    # the table path, series kernel included, must not pull either module
+    # into an interpreter that starts without them
+    code = ("import sys; from cmtwist import cli; "
+            "rc = cli.main(['table', '1', '50']); "
+            "print(rc, 'cmtwist.eisenstein' in sys.modules, 'numpy' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 def test_table_output_file(capsys, tmp_path):
@@ -243,12 +278,30 @@ def test_verify_e1_ladder(capsys):
 
 
 def test_verify_e1_ladder_fails_on_disagreement(capsys, monkeypatch):
-    import mpmath as mp
-    from cmtwist import eisenstein
     monkeypatch.setattr(eisenstein, "ladder_discrepancy",
                         lambda ctx, g: (3, mp.mpf(10) ** -20))
     code, out, _ = run(capsys, "verify", "e1-ladder", "--curve", "49a")
     assert code == 1 and out.startswith("FAIL  e1-ladder[49a: sqrt(-7)]")
+
+
+@pytest.mark.parametrize("scenario", ["eisenstein-base", "averaging:-3"])
+def test_verify_fails_an_error_past_the_17th_digit(capsys, monkeypatch, scenario):
+    # at 50 digits the pass threshold is 10^-45: every E1* value off by
+    # 1e-17 relative must fail, where a fixed 1e-8 would let it pass
+    code, out, _ = run(capsys, "verify", scenario, "--curve", "49a",
+                       "--precision", "50")
+    assert code == 0 and out.startswith("PASS")
+    e1star_values = eisenstein.e1star_values
+
+    def perturbed(ctx, g):
+        reps, values = e1star_values(ctx, g)
+        with mp.workdps(ctx.dps):
+            return reps, [v * (1 + mp.mpf(10) ** -17) for v in values]
+
+    monkeypatch.setattr(eisenstein, "e1star_values", perturbed)
+    code, out, _ = run(capsys, "verify", scenario, "--curve", "49a",
+                       "--precision", "50")
+    assert code == 1 and out.startswith("FAIL")
 
 
 def test_special_primes(capsys):

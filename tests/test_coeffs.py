@@ -1,6 +1,9 @@
 """Dirichlet coefficients: point counts, contexts, the theta table, twists."""
 
+from bisect import bisect_right
+from itertools import compress
 from math import gcd, isqrt
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +16,7 @@ from cmtwist.coeffs import (
     ap_point_count,
     check_point_counts,
     theta_table,
-    twisted_coeffs,
+    twist_symbol_period,
 )
 from cmtwist.qfield import (ALLOWED_Q, QFieldError, QuadInt, factor_int,
                             hecke_chi, is_prime, kronecker)
@@ -42,6 +45,25 @@ def ap_enumerate(curve, p):
             if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
                 count += 1
     return p - count
+
+
+def twisted_coeffs(ctx, d, n_max):
+    """The nonzero a_n of L(E^(d), s) for n <= n_max, as (n, a_n) pairs in
+    increasing n, gathered from the context's nonzero view: the gather
+    oracle for the block sum of lseries.central_value.
+
+    One period of the symbol (d d0/.) is read at the positions of E0's
+    nonzero a_n; the pairs where the symbol vanishes are dropped.
+    """
+    period = twist_symbol_period(ctx.curve, d)
+    positions, values = ctx.nonzero(n_max)
+    end = bisect_right(positions, n_max)
+    positions, values = positions[:end], values[:end]
+    m = len(period)
+    chi = [period[n % m] for n in positions]
+    # compress keeps the positions where the symbol is nonzero
+    return zip(compress(positions, chi),
+               map(mul, filter(None, chi), compress(values, chi)))
 
 
 def _twisted(ctx, d, n_max):

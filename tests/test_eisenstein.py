@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -74,10 +75,20 @@ def wp_values(ctx, z):
         return eisenstein._wp_from_st(ctx, _as_fraction(s), _as_fraction(t))
 
 
+def _e1star_from_st(ctx, s, t):
+    """E1*(z) for z = (s + t*tau)*lam off the lattice by the scaled-integer
+    sum: the one point of the phase table of the common denominator d of s
+    and t (O(d) to build)."""
+    d = lcm(s.denominator, t.denominator)
+    _, k, l, flip = eisenstein._torsion_coords(
+        s.numerator * (d // s.denominator), t.numerator * (d // t.denominator), d)
+    return eisenstein._PhaseTable(ctx, d).e1star(k, l, flip)
+
+
 def _e1star_mpc(ctx, s, t):
     """E1*(z) for z = (s + t*tau)*lam by the same q-expansion as
-    eisenstein._e1star_from_st, every term summed in mpc at ctx.dps: the
-    oracle for the scaled-integer sum."""
+    _e1star_from_st, every term summed in mpc at ctx.dps: the oracle for
+    the scaled-integer sum."""
     with mp.workdps(ctx.dps):
         u, t, flip = eisenstein._reduced_phase(ctx, s, t)
         u_inv = 1 / u
@@ -340,7 +351,7 @@ def test_integer_e1star_at_half_and_flip(s, t, precision):
     for q in (7, 11):
         ctx = _context(q, precision)
         with mp.workdps(ctx.dps):
-            got = eisenstein._e1star_from_st(ctx, s, t)
+            got = _e1star_from_st(ctx, s, t)
             assert abs(got - _e1star_mpc(ctx, s, t)) < mp.mpf(10) ** (5 - ctx.dps)
 
 

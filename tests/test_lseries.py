@@ -1,11 +1,14 @@
 """Central values and rational recognition."""
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cmtwist import coeffs
+from cmtwist import coeffs, lseries
 from cmtwist.coeffs import CurveContext, ap_point_count
 from cmtwist.lseries import (
     algebraic_part,
@@ -14,11 +17,15 @@ from cmtwist.lseries import (
     series_cutoff,
     twist_root_number,
 )
-from cmtwist.qfield import is_prime, kronecker
-from cmtwist.registry import builtin_curve, omega_lattice
+from cmtwist.qfield import factor_int, is_prime, kronecker
+from cmtwist.registry import builtin_curve, omega_lattice, validate_user_curve
+from test_coeffs import twisted_coeffs
 
 C49 = builtin_curve("49a")
 C121 = builtin_curve("121b")
+# the 29-twist of 49a as a user curve (d0 = 29): the symbol of a twist by d
+# is (29 d/.), of period 29 |d|
+E29 = validate_user_curve("e29", (1, -22, 0, -1682, -24389), q=7, w=1, omega="1")
 
 
 def test_twist_root_number():
@@ -162,3 +169,105 @@ def test_recognize_rational():
     assert frac == Fraction(1, 2) and res == 0
     frac, res = recognize_rational(mp.mpf(2) / 3 + mp.mpf(10) ** -12, max_den=64)
     assert frac == Fraction(2, 3) and res < 1e-11
+
+
+def _chain_sum(ctx, d, digits):
+    """(value, n_terms, rounding bound) of the series summed term by term
+    along a chain of scaled powers, as central_value summed it before the
+    block kernel: P_0 = 2^b, P_j = floor(P_{j-1} G_g / 2^b) with G_g within
+    one unit of x^g 2^b, g = n_j - n_{j-1}, and T = sum_j floor(a_{n_j} P_j
+    / n_j) over the gathered nonzero twisted a_n.  |P_j - x^{n_j} 2^b| <=
+    3j, so 2 T / 2^b is within 2 (3k(k+1) + k) / 2^b of the truncated sum.
+    """
+    curve = ctx.curve
+    n_max = series_cutoff(curve, d, digits)
+    b = math.ceil(math.log2(4 * (3 * n_max * (n_max + 1) + n_max))
+                  + digits * math.log2(10)) + 1
+    big = b + 64
+    with mp.workprec(big + 16):
+        x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * max(abs(d), 1)))
+        step = int(mp.nint(mp.ldexp(x, big)))
+    power = {}
+    total = k = prev = 0
+    p = 1 << b
+    for n, a_n in twisted_coeffs(ctx, d, n_max):
+        g = n - prev
+        if g not in power:
+            shift = big * g - b
+            power[g] = (step ** g + (1 << (shift - 1))) >> shift
+        p = p * power[g] >> b
+        total += a_n * p // n
+        prev = n
+        k += 1
+    with mp.workprec(max(total.bit_length(), 1)):
+        value = mp.ldexp(total, 1 - b)
+    return value, n_max, mp.ldexp(2 * (3 * k * (k + 1) + k), -b)
+
+
+def _assert_block_sum_matches_the_chain(ctx, d, digits):
+    value, n_terms, bound = central_value(ctx, d, target_digits=digits)
+    chain, chain_terms, chain_bound = _chain_sum(ctx, d, digits)
+    assert n_terms == chain_terms and 0 < bound < mp.mpf(10) ** -digits
+    with mp.workdps(digits + 15):
+        assert abs(value - chain) <= bound + chain_bound
+    return value, n_terms, bound
+
+
+def _admissible_twist(curve, k):
+    """d = 4k + 1 when it is a square-free discriminant coprime to N whose
+    twist has root number +1 (an odd twist is an exact 0, not a sum)."""
+    d = 4 * k + 1
+    assume(abs(d) > 1 and math.gcd(d, curve.conductor) == 1
+           and all(e == 1 for _, e in factor_int(d))
+           and twist_root_number(curve, d) == 1)
+    return d
+
+
+KERNEL_CTX = {c.label: CurveContext(c) for c in (C49, C121, E29)}
+# |k| bounds keep each chain sum under about 60,000 terms
+KERNEL_K = {"49a": 400, "121b": 250, "e29": 15}
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(sorted(KERNEL_CTX)), data=st.data(),
+       digits=st.sampled_from([12, 20, 30]))
+def test_block_sum_agrees_with_the_per_term_chain(label, data, digits):
+    ctx = KERNEL_CTX[label]
+    k = data.draw(st.integers(-KERNEL_K[label], KERNEL_K[label]), label="k")
+    _assert_block_sum_matches_the_chain(ctx, _admissible_twist(ctx.curve, k), digits)
+
+
+@pytest.mark.parametrize("label, d, digits, shape", [
+    ("49a", 1, 30, "one"),          # d d0 = 1: m = 1, W = floor(sqrt(n_max))
+    ("e29", 1, 60, "periods"),      # m = 29, W = 58
+    ("49a", 5, 47, "periods"),      # m = 5, W = 20
+    ("121b", -7, 47, "periods"),    # m = 7, W = 35
+    ("49a", 29, 13, "period"),      # sqrt(n_max) / 2 < m = 29: W = m
+    ("49a", 545, 13, "period"),     # m > sqrt(n_max)
+    ("121b", -347, 27, "period"),
+    ("e29", 5, 12, "period"),       # m = 145
+])
+def test_block_sum_at_each_block_shape(label, d, digits, shape, monkeypatch):
+    ctx = KERNEL_CTX[label]
+    tables = []
+    power_tables = lseries._power_tables
+
+    def record(curve, d, c, width, blocks):
+        tables.append((width, blocks))
+        return power_tables(curve, d, c, width, blocks)
+
+    monkeypatch.setattr(lseries, "_power_tables", record)
+    value, n_max, bound = _assert_block_sum_matches_the_chain(ctx, d, digits)
+    m = abs(d * ctx.curve.base_twist)
+    (width, blocks), = tables
+    assert width % m == 0 and (blocks - 1) * width <= n_max < blocks * width
+    if shape == "one":
+        assert m == 1 and width == math.isqrt(n_max)
+    elif shape == "periods":
+        assert 2 * m <= width <= math.isqrt(n_max)
+    else:
+        assert width == m and 2 * m > math.isqrt(n_max)
+    # the same truncation summed term by term in mpmath
+    oracle = _oracle_sum(ctx, d, n_max, digits + 3)
+    with mp.workdps(digits + 15):
+        assert abs(value - oracle) <= bound
