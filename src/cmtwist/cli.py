@@ -335,6 +335,10 @@ def _parse_pi_entry(entry: str, q: int) -> QuadInt:
             f"cannot parse {entry!r}: expected a rational prime or an "
             f"'a+b*t' literal (e.g. -3 or 1-4*t)"
         ) from None
+    if not is_prime(abs(p)):
+        raise ValueError(
+            f"{p} is not a rational prime: give any other element as an "
+            f"'a+b*t' literal (e.g. 9+0*t or 1-4*t)")
     kind = split_type(q, abs(p))
     if kind == "ramified":
         raise ValueError(f"{p} ramifies in Q(sqrt(-{q}))")

@@ -23,7 +23,12 @@ beta running over odd representatives of (O_K/g)^* / {+-1}, are
 reductions of one per-modulus array of chi(beta)*E1*(beta*lam/g).  They
 compute partially stripped Hecke L-values divided by Omega; averaging_check
 verifies the subset-average identity relating the S_M to a sign-condition
-sub-sum and bounds the 2-adic valuation of the average.
+sub-sum and bounds the 2-adic valuation of the average.  Both rest on the
+paper's opening Lemma: for pi = 1 mod 4 prime to disc K, z = (sqrt(pi)-1)/2
+is integral and K(sqrt(pi))/K is unramified above 2 with conductor pi.  So
+chi_pi((beta)) is read modulo pi (qfield.chi_m_symbol_table), and the
+products of the z_i are a basis above 2 in which the 2-adic valuation of
+the average is read off its coordinates (_min_ord2).
 
 The oracle for the direct values is the classical ladder built from wp, wp'
 (themselves q-expansions) at the multiples of a point w of exact odd order m,
@@ -67,7 +72,7 @@ from .qfield import (
     chi_m_symbol_table,
     factor_ideal,
     hecke_chi,
-    min_ord2_roots,
+    ord2_fraction,
     sqrt_minus_q,
 )
 from .registry import Curve, omega_lattice
@@ -576,12 +581,17 @@ def prop2_sum(ctx: EisensteinContext, g: QuadInt):
 def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
     """prop2_sum with the extra quadratic-symbol weight chi_M((beta)).
 
-    m_twist is a QuadInt (or int) with odd norm, coprime to g's residue
-    classes being summed; m_twist = 1 recovers prop2_sum exactly.
+    m_twist is a QuadInt (or int) congruent to 1 mod 4 and prime to q,
+    coprime to g's residue classes being summed; m_twist = 1 recovers
+    prop2_sum exactly.
     """
     m_el = as_quadint(g.q, m_twist)
     if not m_el.is_odd():
         raise EisensteinError("twisting element must have odd norm")
+    if m_el.a % 4 != 1 or m_el.b % 4 != 0:
+        raise EisensteinError(f"twisting element {m_el} is not congruent to 1 mod 4")
+    if m_el.norm() % g.q == 0:
+        raise EisensteinError(f"twisting element {m_el} is not coprime to the conductor")
     reps, terms, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
         weights = chi_m_symbol_table([m_el], reps)[0]
@@ -600,8 +610,8 @@ class AveragingReport:
     through the sign-condition sub-sum 2^n * g_n^{-1} * sum_{all symbols +1}.
     coeffs, when recognition succeeds, give the exact element
     sum_M c_M * prod_{i in M} sqrt(pi_i) with c_M in K; ord2 is the minimal
-    2-adic valuation of that element over the places above 2, to be compared
-    with the bound n - alpha.
+    2-adic valuation of that element over the places above 2 (an integer:
+    those places are unramified), to be compared with the bound n - alpha.
     """
 
     label: str
@@ -614,7 +624,7 @@ class AveragingReport:
     terms: tuple                  # t_M per subset mask, ascending mask order
     coeffs: tuple | None          # ((x_M, y_M) Fractions) per mask, or None
     recognition_residual: object
-    ord2: Fraction | None
+    ord2: int | None
     bound: int
     ok: bool
     note: str
@@ -640,69 +650,26 @@ def _validate_pis(q: int, pis: list[QuadInt]) -> None:
             seen.add(key)
 
 
-def _alg_mul(pis: list[QuadInt], x: dict, y: dict) -> dict:
-    """Product in K[x_1..x_n]/(x_i^2 - pi_i); keys are subset bitmasks."""
-    out: dict[int, QuadInt] = {}
-    for tx, cx in x.items():
-        for ty, cy in y.items():
-            c = cx * cy
-            inter = tx & ty
-            i = 0
-            while inter:
-                if inter & 1:
-                    c = c * pis[i]
-                inter >>= 1
-                i += 1
-            t = tx ^ ty
-            out[t] = out[t] + c if t in out else c
-    return out
+def _min_ord2(pis: list[QuadInt], coeffs: list[QuadInt]) -> int | None:
+    """min over places above 2 of ord2(sum_M coeffs[M] * prod_{i in M} sqrt(pi_i)).
 
-
-def _charpoly_ascending(mat: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial (monic) via Faddeev-LeVerrier, [c_0..c_d]."""
-    d = len(mat)
-    n_mat = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    cs: list[Fraction] = []
-    for k in range(1, d + 1):
-        prod = [
-            [sum(mat[i][l] * n_mat[l][j] for l in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        ck = -sum(prod[i][i] for i in range(d)) / k
-        cs.append(ck)
-        for i in range(d):
-            prod[i][i] += ck
-        n_mat = prod
-    coeffs = list(reversed(cs)) + [Fraction(1)]
-    return coeffs
-
-
-def _element_min_ord2(pis: list[QuadInt], elem: dict, dim_n: int) -> Fraction | None:
-    """min over places above 2 of ord2(elem) in K(sqrt(pi_1)..sqrt(pi_n)).
-
-    Computed as the minimal 2-adic Newton slope of the characteristic
-    polynomial of multiplication by elem on the 2^(n+1)-dimensional algebra;
-    None when elem = 0.
+    Each pi_i = 1 mod 4, so sqrt(pi_i) = 1 + 2*z_i with z_i^2 + z_i =
+    (pi_i - 1)/4 integral of unit discriminant pi_i: the products
+    Z_S = prod_{i in S} z_i are an etale basis above 2, in which an
+    integral element is divisible by 2 exactly when every coordinate is.
+    As prod_{i in M} (1 + 2*z_i) = sum_{S in M} 2^|S| Z_S, the minimum is
+    min over S of |S| + ord2_K(sum_{M containing S} c_M), with
+    ord2_K(x + y*tau) = min(ord2 x, ord2 y); None when the element is 0.
     """
-    if all(c.norm() == 0 for c in elem.values()):
-        return None
-    q = next(iter(elem.values())).q
-    d = 1 << (dim_n + 1)
-    cols: list[list[Fraction]] = []
-    for mask in range(1 << dim_n):
-        for a in range(2):
-            basis = {mask: QuadInt(q, Fraction(1 - a), Fraction(a))}
-            prod = _alg_mul(pis, elem, basis)
-            col = []
-            for mask2 in range(1 << dim_n):
-                c = prod.get(mask2)
-                col.extend([c.a, c.b] if c else [Fraction(0), Fraction(0)])
-            cols.append(col)
-    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-    coeffs = _charpoly_ascending(mat)
-    if all(c == 0 for c in coeffs[:-1]):
-        return None
-    return min_ord2_roots(coeffs)
+    sums = list(coeffs)
+    for i in range(len(pis)):
+        bit = 1 << i
+        for mask in range(len(sums)):
+            if not mask & bit:
+                sums[mask] = sums[mask] + sums[mask | bit]
+    vals = [bin(mask).count("1") + min(ord2_fraction(x) for x in (c.a, c.b) if x)
+            for mask, c in enumerate(sums) if c.a or c.b]
+    return min(vals, default=None)
 
 
 def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingReport:
@@ -727,40 +694,42 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
     reps, chi_e1, g_c = _torsion_terms(ctx, g)
     with mp.workdps(ctx.dps):
         sym = chi_m_symbol_table(pis, reps)
+        # subset products by doubling, as in lemma_div_bruteforce: entry
+        # mask of each list is the product over the i in mask (of one
+        # representative's signs, of the sqrt(pi_i), of the pi_i)
+        weights = []
+        for j in range(len(reps)):
+            w = [1]
+            for row in sym:
+                w += [x * row[j] for x in w]
+            weights.append(w)
+        roots, pi_prods = [mp.mpc(1)], [QuadInt(q, 1, 0)]
+        for pi in pis:
+            root = mp.sqrt(ctx.embed(pi))
+            roots += [r * root for r in roots]
+            pi_prods += [x * pi for x in pi_prods]
 
         # left side: one twisted sum per subset of the pi_i
-        terms = []
-        for mask in range(1 << n):
-            weighted = []
-            for j, v in enumerate(chi_e1):
-                c = 1
-                for i in range(n):
-                    if mask >> i & 1:
-                        c *= sym[i][j]
-                weighted.append(c * v)
-            terms.append(+(_pairwise_sum(weighted) / g_c))
+        terms = [
+            +(_pairwise_sum([w[mask] * v for w, v in zip(weights, chi_e1)]) / g_c)
+            for mask in range(1 << n)
+        ]
         lhs = +_pairwise_sum(terms)
 
         # right side: 2^n times the sub-sum over the all-plus sign classes
         keep = [
             v for j, v in enumerate(chi_e1)
-            if all(sym[i][j] == 1 for i in range(n))
+            if all(row[j] == 1 for row in sym)
         ]
         rhs = +(2**n * _pairwise_sum(keep) / g_c)
         residual = +abs(lhs - rhs)
 
         # exact recognition: t_M * sqrt(M) lies in K for each subset M
-        sqrt_pi = [mp.sqrt(ctx.embed(pi)) for pi in pis]
-        coeffs: list[tuple] = []
+        elems: list[QuadInt] = []
         rec_residual = 0.0
         rec_ok = True
-        elem: dict[int, QuadInt] = {}
         for mask in range(1 << n):
-            root = mp.mpc(1)
-            for i in range(n):
-                if mask >> i & 1:
-                    root *= sqrt_pi[i]
-            s_val = terms[mask] * root
+            s_val = terms[mask] * roots[mask]
             y_c = 2 * mp.im(s_val) / ctx.root_q
             x_c = mp.re(s_val) - y_c / 2
             xf, xres = recognize_rational(x_c, 10**7)
@@ -768,28 +737,19 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
             rec_residual = max(rec_residual, xres, yres)
             if xres > tol or yres > tol:
                 rec_ok = False
-            c_m = QuadInt(q, xf, yf)
-            for i in range(n):
-                if mask >> i & 1:
-                    c_m = c_m / pis[i]
-            coeffs.append((c_m.a, c_m.b))
-            if c_m.norm() != 0:
-                elem[mask] = c_m
+            elems.append(QuadInt(q, xf, yf) / pi_prods[mask])
+        coeffs = [(c.a, c.b) for c in elems]
 
         bound = n - curve.alpha
-        ord2: Fraction | None = None
+        ord2: int | None = None
         note = ""
         if rec_ok:
-            ord2 = _element_min_ord2(pis, elem, n)
+            ord2 = _min_ord2(pis, elems)
             if ord2 is None:
                 note = "average vanishes exactly"
             # evaluate the recognized element back, same branches
             approx = mp.mpc(0)
-            for mask, (xf, yf) in zip(range(1 << n), coeffs):
-                root = mp.mpc(1)
-                for i in range(n):
-                    if mask >> i & 1:
-                        root *= sqrt_pi[i]
+            for (xf, yf), root in zip(coeffs, roots):
                 approx += (
                     mp.mpf(xf.numerator) / xf.denominator
                     + (mp.mpf(yf.numerator) / yf.denominator) * ctx.tau

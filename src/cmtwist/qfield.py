@@ -6,8 +6,10 @@ tau^2 = tau - m, m = (q+1)/4.  Everything here is exact: QuadInt arithmetic
 in K (integral or with Fraction coordinates), prime splitting, Cornacchia's
 norm equation, unit normalization mod 4, the Kronecker symbol, the character
 chi of conductor sqrt(-q) (hecke_chi), quadratic residue symbols in residue
-fields, ideal factorization, and residue rings modulo an odd element (used to
-enumerate torsion points exactly).
+fields, ideal factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for
+M = 1 mod 4, read modulo M by the product formula (chi_m_symbol_table),
+residue rings modulo an odd element (used to enumerate torsion points
+exactly) and 2-adic valuations of rationals.
 """
 
 from __future__ import annotations
@@ -193,17 +195,21 @@ def sqrt_mod(n: int, p: int) -> int:
     while odd % 2 == 0:
         odd //= 2
         s += 1
+    # both searches are bounded: a composite p (a square has no
+    # non-residue at all) ends at the check below instead of looping
     z = 2
-    while kronecker(z, p) != -1:
+    while z < p and kronecker(z, p) != -1:
         z += 1
     c = pow(z, odd, p)
     x = pow(n, (odd + 1) // 2, p)
     t = pow(n, odd, p)
     while t != 1:
         t2, i = t, 0
-        while t2 != 1:
+        while t2 != 1 and i < s:
             t2 = t2 * t2 % p
             i += 1
+        if i == s:
+            break
         b = pow(c, 1 << (s - i - 1), p)
         x = x * b % p
         c = b * b % p
@@ -369,10 +375,12 @@ def reduction_mod(P: PrimeIdeal, beta: QuadInt) -> int:
 
 
 def qr_symbol(alpha, P: PrimeIdeal) -> int:
-    """Quadratic residue symbol of alpha modulo P, by residue-field power.
+    """Quadratic residue symbol of alpha modulo P, +1 or -1.
 
-    P must be an odd unramified prime not dividing (alpha); the value is
-    alpha^((NP-1)/2) in the residue field, +1 or -1.
+    P must be an odd unramified prime not dividing (alpha).  At a split P
+    it is the Legendre symbol of the image of alpha in F_p; at an inert
+    P = (p), where Frobenius is conjugation, alpha^((p^2-1)/2) =
+    N(alpha)^((p-1)/2), the Legendre symbol of the norm.
     """
     if P.p == 2:
         raise QFieldError("symbol undefined at primes above 2")
@@ -381,48 +389,27 @@ def qr_symbol(alpha, P: PrimeIdeal) -> int:
     alpha = as_quadint(P.q, alpha)
     if P.kind == "split":
         r = reduction_mod(P, alpha)
-        if r == 0:
-            raise QFieldError(f"symbol undefined: {alpha} lies in {P}")
-        return kronecker(r, P.p)
-    # inert: residue field F_{p^2} = F_p[t]/(t^2 - t + m)
-    p, m = P.p, alpha.m
-    a, b = alpha.a % p, alpha.b % p
-    if a == 0 and b == 0:
+    else:
+        r = 0 if alpha.a % P.p == 0 and alpha.b % P.p == 0 else alpha.norm()
+    if r == 0:
         raise QFieldError(f"symbol undefined: {alpha} lies in {P}")
-    ra, rb = 1, 0
-    e = (p * p - 1) // 2
-    while e:
-        if e & 1:
-            ra, rb = (ra * a - m * rb * b) % p, (ra * b + rb * a + rb * b) % p
-        a, b = (a * a - m * b * b) % p, (2 * a * b + b * b) % p
-        e >>= 1
-    if rb != 0:
-        raise QFieldError("residue power did not land in the prime field")
-    return 1 if ra == 1 else -1
+    return kronecker(r, P.p)
 
 
-def factor_ideal(beta: QuadInt,
-                 above: dict[int, list[PrimeIdeal]] | None = None
-                 ) -> list[tuple[PrimeIdeal, int]]:
+def factor_ideal(beta: QuadInt) -> list[tuple[PrimeIdeal, int]]:
     """Prime ideal factorization of (beta), from the factorization of its norm.
 
     With p^e exactly dividing N(beta): an inert (p) has exponent e/2 and
     the ramified prime e.  For split p, beta = p^c * beta' with p dividing
     not both coordinates of beta', so beta' lies in at most one of P and
     conj(P), with exponent e - 2c, and the residue map of P
-    (a + b*tau -> a + b*t0 mod p) tells which; integers only.  above, when
-    given, keeps primes_above(q, p) per p from one call to the next, so a
-    caller factoring many elements splits each p once.
+    (a + b*tau -> a + b*t0 mod p) tells which; integers only.
     """
     if beta.a == 0 and beta.b == 0:
         raise QFieldError("cannot factor the zero ideal")
     out: list[tuple[PrimeIdeal, int]] = []
     for p, e in factor_int(beta.norm()):
-        primes = above.get(p) if above is not None else None
-        if primes is None:
-            primes = primes_above(beta.q, p)
-            if above is not None:
-                above[p] = primes
+        primes = primes_above(beta.q, p)
         P = primes[0]
         if P.kind != "split":
             out.append((P, e // 2 if P.kind == "inert" else e))
@@ -441,40 +428,33 @@ def factor_ideal(beta: QuadInt,
     return out
 
 
-def chi_m_symbol(M, beta: QuadInt) -> int:
-    """chi_M-symbol of the principal ideal (beta): the Artin symbol of
-    K(sqrt(M))/K, as the multiplicative extension of qr_symbol(M, .) over
-    the factorization of (beta).  Requires (beta) coprime to 2M."""
-    return chi_m_symbol_table([M], [beta])[0][0]
-
-
 def chi_m_symbol_table(ms: list, betas: list[QuadInt]) -> list[list[int]]:
-    """[[chi_m_symbol(M, beta) for beta in betas] for M in ms].
+    """[[chi_M((beta)) for beta in betas] for M in ms], M = 1 mod 4.
 
-    Each beta is factored once and each qr_symbol(M, P) is taken once; the
-    entries are visited in the order of the comprehension, so the first
-    error raised is the one chi_m_symbol would raise.
+    chi_M is the Artin symbol of K(sqrt(M))/K, the multiplicative extension
+    of qr_symbol(M, .) over the primes of (beta).  For M = 1 mod 4,
+    K_v(sqrt(M))/K_v is unramified at every v above 2, where an odd beta is
+    a unit, so the Hilbert symbol (M, beta)_v is 1 there; the product
+    formula then turns chi_M((beta)) into prod (beta/P) over the primes P
+    dividing M to an odd power.  So each M is factored once and no beta.
+    beta must be odd and prime to M.  Entries are visited row by row,
+    which fixes the first error raised.
     """
-    above: dict[int, list[PrimeIdeal]] = {}
-    odd_primes: list[list[PrimeIdeal] | None] = [None] * len(betas)
     table = []
     for M in ms:
-        symbols: dict[PrimeIdeal, int] = {}
+        primes = None
         row = []
-        for i, beta in enumerate(betas):
-            M = as_quadint(beta.q, M)
+        for beta in betas:
+            if primes is None:
+                M = as_quadint(beta.q, M)
+                if M.a % 4 != 1 or M.b % 4 != 0:
+                    raise QFieldError(f"chi_M needs M = 1 mod 4, got {M}")
+                primes = [P for P, e in factor_ideal(M) if e % 2]
             if not beta.is_odd():
                 raise QFieldError(f"chi_M needs an odd argument, got {beta}")
-            primes = odd_primes[i]
-            if primes is None:
-                primes = odd_primes[i] = [
-                    P for P, e in factor_ideal(beta, above) if e % 2]
             s = 1
             for P in primes:
-                v = symbols.get(P)
-                if v is None:
-                    v = symbols[P] = qr_symbol(M, P)
-                s *= v
+                s *= qr_symbol(beta, P)
             row.append(s)
         table.append(row)
     return table
@@ -618,26 +598,3 @@ def ord2_fraction(x) -> int:
     """2-adic valuation of a nonzero rational, normalized ord2(2) = 1."""
     x = Fraction(x)
     return ord2_int(x.numerator) - ord2_int(x.denominator)
-
-
-def min_ord2_roots(coeffs: list[Fraction]) -> Fraction:
-    """Minimal 2-adic valuation among the roots of a monic polynomial.
-
-    coeffs are [c_0, ..., c_d] with c_d = 1; the answer is the minimal
-    slope-negative of the 2-adic Newton polygon, min_k ord2(c_k)/(d-k).
-    Zero coefficients are skipped (zero roots contribute valuation +inf).
-    """
-    d = len(coeffs) - 1
-    if coeffs[d] != 1:
-        raise QFieldError(f"polynomial is not monic: leading coefficient {coeffs[d]}")
-    best: Fraction | None = None
-    for k in range(d):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        v = Fraction(ord2_fraction(c), d - k)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise QFieldError("polynomial is a power of x; all roots are 0")
-    return best

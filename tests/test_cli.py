@@ -268,6 +268,25 @@ def test_verify_averaging_rejects_non_special_split_prime(capsys, curve, p, q):
     assert f"{p} is a split prime of Q(sqrt(-{q})) that is not special" in err
 
 
+@pytest.mark.parametrize("scenario", ["averaging:9", "averaging:25", "e1-ladder:9"])
+def test_verify_composite_integer_entry_exits_2(scenario):
+    # a square once sent sqrt_mod hunting for a non-residue that does not
+    # exist; run in a subprocess so that a hang fails instead of blocking
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "cmtwist.cli", "verify", scenario, "--curve", "49a"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "is not a rational prime" in done.stderr and "a+b*t" in done.stderr
+
+
+def test_verify_composite_entry_is_not_called_a_split_prime(capsys):
+    code, out, err = run(capsys, "verify", "averaging:15", "--curve", "49a")
+    assert code == 2 and out == ""
+    assert "15 is not a rational prime" in err and "split" not in err
+
+
 def test_verify_e1_ladder(capsys):
     code, out, _ = run(capsys, "verify", "e1-ladder", "e1-ladder:-3",
                        "--curve", "49a")

@@ -8,6 +8,7 @@ from math import lcm
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtwist import eisenstein
 from cmtwist.eisenstein import (
@@ -21,11 +22,11 @@ from cmtwist.eisenstein import (
     prop2_sum,
     twisted_sum,
 )
-from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, from_int,
-                            hecke_chi, primes_above, reduction_mod,
-                            sqrt_minus_q)
+from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, cornacchia_split,
+                            from_int, hecke_chi, normalize_mod4, primes_above,
+                            reduction_mod, sqrt_minus_q)
 from cmtwist.registry import builtin_curve
-from test_qfield import conductor_moduli
+from test_qfield import conductor_moduli, min_ord2_roots
 
 C49 = builtin_curve("49a")
 C121 = builtin_curve("121b")
@@ -245,6 +246,15 @@ def test_twisted_sum_rejects_even_twist(ctx49):
         twisted_sum(ctx49, sqrt_minus_q(7), 2)
 
 
+def test_twisted_sum_rejects_a_twist_off_1_mod_4_or_not_prime_to_q(ctx49):
+    # chi_M is read modulo M only for M = 1 mod 4, prime to the conductor
+    g = sqrt_minus_q(7)
+    with pytest.raises(EisensteinError, match="1 mod 4"):
+        twisted_sum(ctx49, g, 3)
+    with pytest.raises(EisensteinError, match="conductor"):
+        twisted_sum(ctx49, g * PI3, -7)
+
+
 def test_twisted_sum_conductor_guard(ctx49):
     # modulus must absorb the character conductor sqrt(-q)
     with pytest.raises(EisensteinError):
@@ -456,15 +466,116 @@ def test_averaging_pair(ctx49):
     assert rep.n == 2 and len(rep.terms) == 4
 
 
+def _alg_mul(pis: list[QuadInt], x: dict, y: dict) -> dict:
+    """Product in K[x_1..x_n]/(x_i^2 - pi_i); keys are subset bitmasks."""
+    out: dict[int, QuadInt] = {}
+    for tx, cx in x.items():
+        for ty, cy in y.items():
+            c = cx * cy
+            inter = tx & ty
+            i = 0
+            while inter:
+                if inter & 1:
+                    c = c * pis[i]
+                inter >>= 1
+                i += 1
+            t = tx ^ ty
+            out[t] = out[t] + c if t in out else c
+    return out
+
+
+def _charpoly_ascending(mat: list[list[Fraction]]) -> list[Fraction]:
+    """Characteristic polynomial (monic) via Faddeev-LeVerrier, [c_0..c_d]."""
+    d = len(mat)
+    n_mat = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    cs: list[Fraction] = []
+    for k in range(1, d + 1):
+        prod = [
+            [sum(mat[i][l] * n_mat[l][j] for l in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        ck = -sum(prod[i][i] for i in range(d)) / k
+        cs.append(ck)
+        for i in range(d):
+            prod[i][i] += ck
+        n_mat = prod
+    return list(reversed(cs)) + [Fraction(1)]
+
+
+def _element_min_ord2(pis: list[QuadInt], elem: dict, dim_n: int) -> Fraction | None:
+    """min over places above 2 of ord2(elem) in K(sqrt(pi_1)..sqrt(pi_n)).
+
+    The oracle of eisenstein._min_ord2: the minimal 2-adic Newton slope of
+    the characteristic polynomial of multiplication by elem on the
+    2^(n+1)-dimensional algebra over Q; None when elem = 0.
+    """
+    if all(c.norm() == 0 for c in elem.values()):
+        return None
+    q = next(iter(elem.values())).q
+    d = 1 << (dim_n + 1)
+    cols: list[list[Fraction]] = []
+    for mask in range(1 << dim_n):
+        for a in range(2):
+            basis = {mask: QuadInt(q, Fraction(1 - a), Fraction(a))}
+            prod = _alg_mul(pis, elem, basis)
+            col = []
+            for mask2 in range(1 << dim_n):
+                c = prod.get(mask2)
+                col.extend([c.a, c.b] if c else [Fraction(0), Fraction(0)])
+            cols.append(col)
+    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
+    coeffs = _charpoly_ascending(mat)
+    if all(c == 0 for c in coeffs[:-1]):
+        return None
+    return min_ord2_roots(coeffs)
+
+
 def test_subset_algebra_squares_to_the_primes():
-    # ord2 of the averaged element is read off multiplication in
-    # K[x_1, x_2]/(x_i^2 - pi_i): (x_1 x_2)^2 = pi_1 pi_2 and
-    # (x_1 + x_2)^2 = pi_1 + pi_2 + 2 x_1 x_2
+    # the oracle's multiplication in K[x_1, x_2]/(x_i^2 - pi_i):
+    # (x_1 x_2)^2 = pi_1 pi_2 and (x_1 + x_2)^2 = pi_1 + pi_2 + 2 x_1 x_2
     one = QuadInt(7, Fraction(1), Fraction(0))
-    mul = eisenstein._alg_mul
-    assert mul([PI3, PI29], {3: one}, {3: one}) == {0: PI3 * PI29}
+    assert _alg_mul([PI3, PI29], {3: one}, {3: one}) == {0: PI3 * PI29}
     x = {1: one, 2: one}
-    assert mul([PI3, PI29], x, x) == {0: PI3 + PI29, 3: one + one}
+    assert _alg_mul([PI3, PI29], x, x) == {0: PI3 + PI29, 3: one + one}
+
+
+# pairwise coprime elements = 1 mod 4 and prime to q, as _validate_pis
+# takes them: inert primes, special split primes and, for q = 7, the
+# square 9 of the inert 3
+ORD2_POOLS = {
+    7: [QuadInt(7, 9, 0), QuadInt(7, 5, 0), PI29,
+        normalize_mod4(cornacchia_split(7, 37))],
+    11: [QuadInt(11, -7, 0), QuadInt(11, 13, 0),
+         normalize_mod4(cornacchia_split(11, 53))],
+    19: [QuadInt(19, -3, 0), QuadInt(19, 13, 0),
+         normalize_mod4(cornacchia_split(19, 101))],
+}
+_ORD2_COORD = st.builds(Fraction, st.integers(-48, 48),
+                        st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16]))
+
+
+@st.composite
+def _ord2_cases(draw):
+    q = draw(st.sampled_from(sorted(ORD2_POOLS)))
+    pis = draw(st.lists(st.sampled_from(ORD2_POOLS[q]), min_size=1,
+                        max_size=3, unique=True))
+    # small rationals make the sums over supersets cancel now and then
+    small = st.sampled_from([-2, -1, 1, 2, 4]).map(Fraction)
+    coeff = st.one_of(st.just((Fraction(0), Fraction(0))),
+                      st.tuples(small, st.just(Fraction(0))),
+                      st.tuples(_ORD2_COORD, _ORD2_COORD))
+    coeffs = draw(st.lists(coeff, min_size=1 << len(pis),
+                           max_size=1 << len(pis)))
+    return pis, [QuadInt(q, a, b) for a, b in coeffs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ord2_cases())
+def test_min_ord2_matches_the_charpoly_oracle(case):
+    pis, coeffs = case
+    eisenstein._validate_pis(pis[0].q, pis)
+    elem = {mask: c for mask, c in enumerate(coeffs) if c.norm() != 0}
+    assert eisenstein._min_ord2(pis, coeffs) == _element_min_ord2(pis, elem, len(pis))
 
 
 def test_averaging_validation_errors(ctx49):

@@ -13,7 +13,6 @@ from cmtwist.qfield import (
     QuadInt,
     ResidueRing,
     as_quadint,
-    chi_m_symbol,
     chi_m_symbol_table,
     cornacchia_split,
     factor_ideal,
@@ -22,7 +21,6 @@ from cmtwist.qfield import (
     is_prime,
     is_special_split,
     kronecker,
-    min_ord2_roots,
     normalize_mod4,
     ord2_fraction,
     ord2_int,
@@ -107,6 +105,12 @@ def test_sqrt_mod():
                 assert (r * r - a) % p == 0
     with pytest.raises(QFieldError):
         sqrt_mod(3, 5)   # non-residue
+    # composite moduli: 9 and 25 have no non-residue to search for, and
+    # mod 21 and 45 no 2-power order is reached; both searches looped
+    for n, p in ((-7, 9), (-7, 25), (4, 21), (-11, 45)):
+        assert kronecker(n, p) == 1
+        with pytest.raises(QFieldError, match=f"is {p} prime"):
+            sqrt_mod(n, p)
 
 
 def _odd_primes(bound):
@@ -226,11 +230,52 @@ def test_qr_symbol_is_quadratic_character():
         assert qr_symbol(from_int(7, a * a), P) == 1
 
 
+def _qr_symbol_by_power(alpha: QuadInt, p: int) -> int:
+    """alpha^((p^2-1)/2) in F_{p^2} = F_p[t]/(t^2 - t + m), p inert: the
+    oracle of qr_symbol at an inert prime."""
+    m = alpha.m
+    a, b = alpha.a % p, alpha.b % p
+    ra, rb = 1, 0
+    e = (p * p - 1) // 2
+    while e:
+        if e & 1:
+            ra, rb = (ra * a - m * rb * b) % p, (ra * b + rb * a + rb * b) % p
+        a, b = (a * a - m * b * b) % p, (2 * a * b + b * b) % p
+        e >>= 1
+    assert rb == 0 and ra in (1, p - 1)
+    return 1 if ra == 1 else -1
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_qr_symbol_at_inert_primes_is_the_norm_symbol(q):
+    inert = [p for p in _odd_primes(20) if split_type(q, p) == "inert"]
+    assert inert
+    for p in inert:
+        P = primes_above(q, p)[0]
+        for a in range(p):
+            for b in range(p):
+                alpha = QuadInt(q, a, b)
+                if a == 0 and b == 0:
+                    with pytest.raises(QFieldError, match="lies in"):
+                        qr_symbol(alpha, P)
+                else:
+                    assert qr_symbol(alpha, P) == _qr_symbol_by_power(alpha, p)
+
+
 def test_chi_m_symbol_multiplicative_in_beta():
     M = 29
     b1, b2 = QuadInt(7, 1, 2), QuadInt(7, 3, -2)
     assert b1.is_odd() and b2.is_odd() and (b1 * b2).is_odd()
-    assert chi_m_symbol(M, b1 * b2) == chi_m_symbol(M, b1) * chi_m_symbol(M, b2)
+    [[s12, s1, s2]] = chi_m_symbol_table([M], [b1 * b2, b1, b2])
+    assert s12 == s1 * s2
+
+
+def test_symbol_table_refuses_m_not_1_mod_4():
+    # off 1 mod 4, K(sqrt(M))/K ramifies above 2 and the symbol is not
+    # read modulo M
+    for M in (3, QuadInt(7, 1, 2), QuadInt(7, 3, 4)):
+        with pytest.raises(QFieldError, match="1 mod 4"):
+            chi_m_symbol_table([M], [QuadInt(7, 1, 2)])
 
 
 def test_residue_ring_units_and_reps():
@@ -263,6 +308,22 @@ def test_ord2_helpers():
     assert ord2_fraction(Fraction(12, 5)) == 2
     with pytest.raises(ValueError):
         ord2_int(0)
+
+
+def min_ord2_roots(coeffs: list[Fraction]) -> Fraction:
+    """Minimal 2-adic valuation among the roots of a monic polynomial.
+
+    coeffs are [c_0, ..., c_d] with c_d = 1; the answer is the minimal
+    slope-negative of the 2-adic Newton polygon, min_k ord2(c_k)/(d-k).
+    Zero coefficients are skipped (zero roots contribute valuation +inf).
+    The Newton-polygon half of the ord2 oracle of test_eisenstein.
+    """
+    d = len(coeffs) - 1
+    assert coeffs[d] == 1
+    slopes = [Fraction(ord2_fraction(c), d - k)
+              for k, c in enumerate(coeffs[:d]) if c != 0]
+    assert slopes, "polynomial is a power of x; all roots are 0"
+    return min(slopes)
 
 
 def test_min_ord2_roots_newton_polygon():
@@ -384,24 +445,31 @@ def _chi_m_symbol_by_factoring(M, beta: QuadInt) -> int:
 
 
 PI29 = normalize_mod4(cornacchia_split(7, 29))
+PI101_19 = normalize_mod4(cornacchia_split(19, 101))
 
 
-@pytest.mark.parametrize("q, pis", [
-    (7, [QuadInt(7, -3, 0)]),
-    (7, [QuadInt(7, -3, 0), PI29]),
-    (11, [QuadInt(11, -7, 0)]),
-], ids=["49a:-3", "49a:-3,29", "121b:-7"])
-def test_symbol_table_matches_chi_m_symbol(q, pis):
-    # the table averaging_check takes, over the representatives it sums
+@pytest.mark.parametrize("q, pis, ms", [
+    (7, [QuadInt(7, -3, 0)], None),
+    (7, [QuadInt(7, -3, 0), PI29], None),
+    (11, [QuadInt(11, -7, 0)], None),
+    (7, [QuadInt(7, -3, 0), PI29], [QuadInt(7, -3, 0) * PI29]),
+    (7, [from_int(7, 29)], [29]),
+    (19, [QuadInt(19, -3, 0), PI101_19], None),
+], ids=["49a:-3", "49a:-3,29", "121b:-7", "49a:-3*29", "49a:29-rational",
+        "q19:-3,101"])
+def test_symbol_table_matches_chi_m_symbol(q, pis, ms):
+    # the table averaging_check takes, over the representatives it sums;
+    # ms defaults to the pis themselves
     g = sqrt_minus_q(q)
     for pi in pis:
         g = g * pi
+    ms = pis if ms is None else ms
     reps = ResidueRing(g).coprime_residues_mod_units()
-    table = chi_m_symbol_table(pis, reps)
-    assert table == [[chi_m_symbol(pi, b) for b in reps] for pi in pis]
-    assert table == [[_chi_m_symbol_by_factoring(pi, b) for b in reps]
-                     for pi in pis]
+    table = chi_m_symbol_table(ms, reps)
+    assert table == [[_chi_m_symbol_by_factoring(M, b) for b in reps]
+                     for M in ms]
     assert all(v in (1, -1) for row in table for v in row)
+    assert all(row.count(1) == len(reps) // 2 for row in table)
 
 
 def _raised(call):
