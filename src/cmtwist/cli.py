@@ -24,6 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import takewhile
+from math import prod
 
 import mpmath as mp
 
@@ -51,6 +52,7 @@ ENV_PREFIX = "CMTWIST_"
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 CHARACTER_BOUND = 200   # verify character checks every odd good prime below
+MAX_TORSION_NORM = 10 ** 5   # largest N(g) of an averaging or e1-ladder modulus
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 # --------------------------------------------------------------- table
 
 # (context, digits) of the table command, set in each worker by its
-# initializer; a forked worker inherits the context with its a_n table
+# initializer; a forked worker inherits the context with its nonzero view
 # instead of unpickling it.
 _worker_args: tuple = ()
 
@@ -206,16 +208,17 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     digits = _table_digits(config.precision)
     candidates = _admissible_twists(curve, m_min, m_max)
     if candidates:
-        # one untwisted a_n table for the whole scan, built before the
-        # workers fork, up to the cutoff of the largest twist; its nonzero
-        # view is left to the first twist in each process
-        ctx.an_table(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
-    if config.threads == 1 or len(candidates) < 2:
+        # one nonzero view of E0's a_n for the whole scan, up to the cutoff
+        # of the largest twist, built before the workers fork: they share
+        # it and build none of their own
+        ctx.nonzero(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
+    # the pool forks all its workers at the first submit: no more of them
+    # than rows or CPUs
+    workers = min(config.threads, len(candidates), os.cpu_count() or 1)
+    if workers < 2:
         results = [_table_job(ctx, digits, M) for M in candidates]
     else:
         fork = multiprocessing.get_context("fork")
-        # the pool forks all its workers at the first submit
-        workers = min(config.threads, len(candidates))
         chunk = max(1, len(candidates) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
                                  initializer=_init_table_worker,
@@ -364,8 +367,16 @@ def _int_arg(name: str, arg: str, default: int, low: int, high: int | None = Non
 
 
 def _pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+    """The entries and elements pi_i of a torsion modulus
+    g = sqrt(-q) * prod(pi_i), refused when N(g) > MAX_TORSION_NORM: the
+    sums over g walk its whole residue ring."""
     entries = arg.split(",") if arg else []
-    return entries, [_parse_pi_entry(e, curve.q) for e in entries]
+    elements = [_parse_pi_entry(e, curve.q) for e in entries]
+    norm = curve.q * prod(pi.norm() for pi in elements)
+    if norm > MAX_TORSION_NORM:
+        raise ValueError(f"{name}: the modulus has norm N(g) = {norm}, above "
+                         f"the bound {MAX_TORSION_NORM}")
+    return entries, elements
 
 
 def _nonempty_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
@@ -530,7 +541,7 @@ def _ensure_base_value(ctx: CurveContext, config: RunConfig) -> None:
 
     The valuation bound needs phi(E), which depends on the base algebraic
     value; builtin curves carry it, user curves get it computed once here.
-    The context keeps its a_n table: it does not depend on the base value.
+    The context keeps its nonzero view: it does not depend on the base value.
     """
     curve = ctx.curve
     if curve.lalg_base is not None:
@@ -556,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("limit must be positive")
             lines, code = cmd_special_primes(config, args.q, args.limit)
         else:
-            # one context per command: the curve and its a_n table
+            # one context per command: the curve and the nonzero view of its a_n
             ctx = CurveContext(resolve_curve(config.curve_label, config.curve_file))
             if args.command == "table":
                 if not (1 <= args.m_min <= args.m_max <= 10 ** 6):

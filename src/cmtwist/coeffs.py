@@ -9,14 +9,12 @@ a_p(E) = (d0/p) chi(pi_p) trace(pi_p).  Point counts mod p on the
 Weierstrass model check that formula (check_point_counts); they do not
 feed the coefficients.
 
-A CurveContext keeps one untwisted a_n table of E0 per command.
-L(E0, s) = L(psi, s), so the table is the theta series of psi over O_K
-(theta_table): no sieve and no a_p.  Most a_n of a CM curve vanish (about
-83% below 10^6 for q = 7), so the context also keeps a nonzero view of the
-table: the positions n with a_n(E0) != 0 and their values.  The view is
-built lazily, the first time a process asks for it after the table was
-built or grew; the workers of a forked table scan each build their own
-instead of the parent building it before the fork.  A twist by a
+A CurveContext keeps E0's untwisted a_n once per command, and only as
+the positions n with a_n(E0) != 0 and their values: most a_n of a CM
+curve vanish (about 83% below 10^6 for q = 7).  The a_n come from the
+theta series of psi over O_K (theta_table), since L(E0, s) = L(psi, s):
+no sieve and no a_p.  The table command builds this nonzero view before
+its workers fork, so they share it and build nothing.  A twist by a
 discriminant d coprime to N multiplies a_n by the Kronecker symbol (d/n),
 so a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
 twist_symbol_period gives one period of it; the series sum
@@ -49,16 +47,15 @@ def ap_point_count(curve: Curve, p: int) -> int:
     """Trace of Frobenius at an odd good prime, from Legendre sums.
 
     For odd p the substitution u = 2y + a1*x + a3 is a bijection, so
-    #E(F_p) = 1 + sum_x (1 + (f(x)/p)) with f = 4x^3 + b2 x^2 + 2 b4 x + b6,
-    giving a_p = -sum_x (f(x)/p).
+    #E(F_p) = 1 + sum_x (1 + (f(x)/p)) with f = 4x^3 + b2 x^2 + 2 b4 x + b6
+    the 2-division cubic (Curve.division2_cubic), giving a_p = -sum_x (f(x)/p).
     """
     if p == 2 or curve.conductor % p == 0:
         raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
-    b2, b4, b6 = curve.b2 % p, (2 * curve.b4) % p, curve.b6 % p
+    four, b2, two_b4, b6 = (c % p for c in curve.division2_cubic())
     total = 0
     for x in range(p):
-        v = ((4 * x * x * x + b2 * x * x + b4 * x + b6)) % p
-        total += kronecker(v, p)
+        total += kronecker((((four * x + b2) * x + two_b4) * x + b6) % p, p)
     a = -total
     if a * a > 4 * p:
         raise CoeffError(f"Hasse bound violated at {p}: a_p = {a}")
@@ -101,22 +98,19 @@ def check_point_counts(curve: Curve, primes: Iterable[int]) -> int:
 class CurveContext:
     """One curve and the data derived from it, for one command.
 
-    The untwisted a_n table is the theta series of psi of E0, the curve
-    whose twist by curve.base_twist is this one.  The first table build
-    checks the point counts at the first CHECK_SPLIT_PRIMES good split
-    primes (check_character); the table grows on demand up to MAX_TABLE,
-    and the nonzero view follows it (nonzero).  The period scale Omega_L
-    is kept per precision (omega).  All of it lives only as long as the
-    context.
+    E0, the curve whose twist by curve.base_twist is this one, enters only
+    through the nonzero view of its a_n (nonzero), which grows on demand
+    up to MAX_TABLE; the first build checks the point counts at the first
+    CHECK_SPLIT_PRIMES good split primes (check_character).  The period
+    scale Omega_L is kept per precision (omega).  All of it lives only as
+    long as the context.
     """
 
     def __init__(self, curve: Curve):
         self.curve = curve
         self._checked = False
-        self._an = array("i")
-        self._an_max = 0
-        self._nonzero: tuple[array, array] | None = None
-        self._nonzero_of: array | None = None   # the table the view was built from
+        self._nonzero = (array("i"), array("i"))
+        self._nonzero_max = 0       # the view covers n = 1.._nonzero_max
         self._omega: dict[int, object] = {}
 
     def check_character(self) -> None:
@@ -128,32 +122,25 @@ class CurveContext:
             check_point_counts(self.curve, islice(split, CHECK_SPLIT_PRIMES))
             self._checked = True
 
-    def an_table(self, n_max: int) -> array:
-        """a_n of E0 for 0..n_max (possibly beyond); index 0 is unused."""
-        if not 1 <= n_max <= MAX_TABLE:
-            raise CoeffError(f"n_max out of range: {n_max}")
-        if n_max > self._an_max:
-            self.check_character()
-            # doubling keeps a run of growing requests linear overall
-            size = min(MAX_TABLE, max(n_max, 2 * self._an_max))
-            table = theta_table(self.curve.q, size)
-            if table[1] != 1:
-                raise CoeffError(f"{self.curve.label}: a_1 = {table[1]}, not 1")
-            self._an, self._an_max = table, size
-        return self._an
-
     def nonzero(self, n_max: int) -> tuple[array, array]:
         """(positions, values): the n with a_n(E0) != 0 and those a_n, for
         n from 1 up to at least n_max, in increasing n.
 
-        Built from an_table(n_max) the first time it is asked for after the
-        table was built or grew, so a view never outlives its table.
+        A request past the view rebuilds it from theta_table, at least
+        doubling its bound so that a run of growing requests stays linear
+        overall; the dense table is dropped once compressed.
         """
-        table = self.an_table(n_max)
-        if self._nonzero_of is not table:
-            self._nonzero = (array("i", compress(range(len(table)), table)),
+        if not 1 <= n_max <= MAX_TABLE:
+            raise CoeffError(f"n_max out of range: {n_max}")
+        if n_max > self._nonzero_max:
+            self.check_character()
+            size = min(MAX_TABLE, max(n_max, 2 * self._nonzero_max))
+            table = theta_table(self.curve.q, size)
+            if table[1] != 1:
+                raise CoeffError(f"{self.curve.label}: a_1 = {table[1]}, not 1")
+            self._nonzero = (array("i", compress(range(size + 1), table)),
                              array("i", filter(None, table)))
-            self._nonzero_of = table
+            self._nonzero_max = size
         return self._nonzero
 
     def omega(self, precision: int):

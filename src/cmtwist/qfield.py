@@ -94,9 +94,6 @@ class QuadInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

@@ -161,10 +161,10 @@ def test_criterion_09_coefficient_and_local_rules():
     # prime below 2000, then the local-factor rule labels against root
     # counts for every prime factor of every admissible twist
     for curve in (C49, C121):
-        table = CurveContext(curve).an_table(2000)
+        table = dict(zip(*CurveContext(curve).nonzero(2000)))
         for p in range(3, 2000):
             if is_prime(p) and curve.conductor % p:
-                assert table[p] == ap_point_count(curve, p), (curve.label, p)
+                assert table.get(p, 0) == ap_point_count(curve, p), (curve.label, p)
         for M in range(2, 1001):
             try:
                 spec = classify_twist(curve, M)

@@ -1,6 +1,7 @@
 """Command-line interface: arguments, output formats, exit codes."""
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from cmtwist import bsd, cli, coeffs, eisenstein
 from cmtwist.cli import main
+from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import is_prime, split_type
 from cmtwist.registry import resolve_curve
 
@@ -53,14 +55,17 @@ def test_table_thread_determinism(capsys):
     assert out1 == out8
 
 
-def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
-    # the pool forks all of its workers at the first submit, so it must not
-    # be sized past the number of rows; the recorder starts no process
+def _recording_pool(monkeypatch, at_init=lambda *initargs: None):
+    """Put an in-process stand-in for the table command's
+    ProcessPoolExecutor in its place; the size of each pool goes to the
+    list returned.  The stand-in shows at_init the initializer arguments,
+    runs the initializer, then the jobs, and starts no process."""
     sizes = []
 
-    class Recorder:
+    class Pool:
         def __init__(self, max_workers, initializer, initargs, **kwargs):
             sizes.append(max_workers)
+            at_init(*initargs)
             initializer(*initargs)
 
         def __enter__(self):
@@ -72,12 +77,87 @@ def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_worker_args", ())    # set by the initializer
+    return sizes
+
+
+def _recording_theta(monkeypatch):
+    """The n_max of every theta_table call, in order."""
+    sizes = []
+    build = coeffs.theta_table
+    monkeypatch.setattr(coeffs, "theta_table",
+                        lambda q, n_max: sizes.append(n_max) or build(q, n_max))
+    return sizes
+
+
+def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
+    # the pool forks all of its workers at the first submit, so it must not
+    # be sized past the number of rows; the recorder starts no process
+    pools = _recording_pool(monkeypatch)
     code, out, _ = run(capsys, "table", "2", "16", "--curve", "49a",
                        "--threads", "64")
     assert code == 0 and "# rows=2" in out     # M = 5 and 13
-    assert sizes == [2]
+    assert pools == [2]
+
+
+def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
+    # workers past the CPU count only add processes: --threads 500 gets as
+    # many as there are CPUs, and one CPU runs the scan without a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pools = _recording_pool(monkeypatch)
+    code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
+                       "--threads", "500")
+    assert code == 0 and pools == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, serial, _ = run(capsys, "table", "1", "200", "--curve", "49a",
+                          "--threads", "500")
+    assert code == 0 and pools == [3] and serial == out
+
+
+def test_table_workers_inherit_the_view(capsys, monkeypatch):
+    # the view of E0's a_n is built once, before the pool forks, up to the
+    # cutoff of the largest twist; no job builds one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = _recording_theta(monkeypatch)
+    curve = resolve_curve("49a")
+    cutoff = series_cutoff(curve, cli._admissible_twists(curve, 1, 200)[-1],
+                           cli._table_digits(15))
+    held = []       # (builds so far, context, its view and bound) at the fork
+    pools = _recording_pool(monkeypatch, lambda ctx, digits: held.append(
+        (list(sizes), ctx, ctx._nonzero, ctx._nonzero_max)))
+    code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
+                       "--threads", "2")
+    assert code == 0 and pools == [2]
+    (built, ctx, view, bound), = held
+    assert built == sizes == [cutoff] and bound >= cutoff
+    assert ctx._nonzero is view     # every job read the view held at the fork
+    assert out == run(capsys, "table", "1", "200", "--curve", "49a")[1]
+
+
+E29_TABLE_1_60 = """\
+M   epsilon  L_value       L_alg_num  L_alg_den  ord2  r_M  bound_rhs  bound_ok  tamagawa  sha_ord2
+5   +1       0.6422111932  4          1          2     1    0          1         5:1
+13  +1       0.3982824745  4          1          2     1    0          1         13:1
+37  +1       0.4721630597  8          1          3     2    1          1         37:2
+41  +1       0.8970795072  16         1          4     1    0          1         41:1
+53  +1       1.5780288     32         1          5     2    1          1         53:2
+# rows=5
+# bound slack histogram: 2:3 4:2
+"""
+
+
+def test_user_curve_table_grows_the_base_value_view(capsys, monkeypatch, e29_file):
+    # the base L-value builds the view to its own cutoff first; the scan
+    # then grows it once, to the cutoff of its largest twist
+    sizes = _recording_theta(monkeypatch)
+    code, out, _ = run(capsys, "table", "1", "60", "--curve", "e29",
+                       "--curve-file", e29_file)
+    assert code == 0 and out == E29_TABLE_1_60
+    curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
+    base = series_cutoff(curve, 1, digits)
+    top = series_cutoff(curve, cli._admissible_twists(curve, 1, 60)[-1], digits)
+    assert top > 2 * base and sizes == [base, top]
 
 
 @pytest.mark.parametrize("label", ["49a", "121b", "e29"])
@@ -279,6 +359,29 @@ def test_verify_composite_integer_entry_exits_2(scenario):
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and done.stdout == ""
     assert "is not a rational prime" in done.stderr and "a+b*t" in done.stderr
+
+
+@pytest.mark.parametrize("scenario, norm", [
+    ("averaging:10009", 7 * 10009 ** 2),        # 10009 is inert for q = 7
+    ("e1-ladder:-3,5,29,37", 7 * 9 * 25 * 29 * 37),
+    ("averaging:1+400*t", 7 * (1 + 400 + 2 * 400 ** 2)),   # a^2 + ab + 2b^2
+])
+def test_verify_refuses_a_torsion_modulus_past_the_bound(capsys, scenario, norm):
+    # the sums over g walk all of O_K/g: refused before any scenario runs,
+    # where 10009 once filled a 701 MB bytearray
+    code, out, err = run(capsys, "verify", "lemma-div", scenario, "--curve", "49a")
+    assert code == 2 and out == ""
+    name = scenario.partition(":")[0]
+    assert (f"error: {name}: the modulus has norm N(g) = {norm}, above the "
+            f"bound {cli.MAX_TORSION_NORM}") in err
+
+
+def test_verify_accepts_the_largest_modulus_in_use():
+    # N(g) = 7 * 9 * 25 * 29 = 45,675 stays under the bound
+    (run_check, (entries, pis)), = cli.parse_scenarios(
+        resolve_curve("49a"), ["averaging:-3,5,29"])
+    assert run_check is cli._averaging and entries == ["-3", "5", "29"]
+    assert 7 * math.prod(pi.norm() for pi in pis) == 45675
 
 
 def test_verify_composite_entry_is_not_called_a_split_prime(capsys):

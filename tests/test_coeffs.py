@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmtwist import coeffs
 from cmtwist.coeffs import (
     MAX_TABLE,
     CoeffError,
@@ -212,7 +213,7 @@ def test_point_count_check_names_the_first_disagreeing_prime():
     with pytest.raises(CoeffError, match=r"a_11 = 2 by point count, 4 from"):
         check_point_counts(bad, _odd_good_primes(bad, 200))
     with pytest.raises(CoeffError, match="a_11 = 2"):
-        CurveContext(bad).an_table(10)
+        CurveContext(bad).nonzero(10)
 
 
 CTX = {c.label: CurveContext(c) for c in (C49, C121)}
@@ -226,7 +227,7 @@ def test_gathered_twist_is_kronecker_times_untwisted(label, k):
     assume(abs(d) > 1 and gcd(d, ctx.curve.conductor) == 1
            and all(e == 1 for _, e in factor_int(d)))
     n_max = 3 * abs(d)
-    base = ctx.an_table(n_max)
+    base = theta_table(ctx.curve.q, n_max)
     twisted = _twisted(ctx, d, n_max)
     for n in range(1, n_max + 1):
         assert twisted[n] == kronecker(d, n) * base[n], (d, n)
@@ -237,12 +238,12 @@ def test_gathered_twist_is_kronecker_times_untwisted(label, k):
 
 def test_coeff_out_of_range_raises():
     ctx = CurveContext(C49)
-    assert _twisted(ctx, 0, 10) == list(ctx.an_table(10)[:11])
+    assert _twisted(ctx, 0, 10) == list(theta_table(7, 10))
     for n_max in (0, MAX_TABLE + 1):
         with pytest.raises(CoeffError):
             twisted_coeffs(ctx, 0, n_max)
         with pytest.raises(CoeffError):
-            ctx.an_table(n_max)
+            ctx.nonzero(n_max)
 
 
 def _theta_direct(q, n_max):
@@ -276,9 +277,9 @@ VIEW_CTX = {c.label: CurveContext(c) for c in (C49, C121, E29, CM3)}
 
 def _dense_gather(ctx, d, n_max):
     """The nonzero kronecker(d d0, n) * a_n(E0), n <= n_max, read off the
-    dense table one n at a time."""
+    dense table of E0 one n at a time."""
     dd0 = (d or 1) * ctx.curve.base_twist
-    table = ctx.an_table(n_max)
+    table = theta_table(ctx.curve.q, n_max)
     pairs = ((n, kronecker(dd0, n) * table[n]) for n in range(1, n_max + 1))
     return [(n, a) for n, a in pairs if a]
 
@@ -298,13 +299,17 @@ def test_nonzero_view_streams_the_dense_gather(label, k, index, past):
     assert list(twisted_coeffs(ctx, d, n_max)) == _dense_gather(ctx, d, n_max)
 
 
-def test_nonzero_view_follows_a_growing_table():
-    # the table doubles from 100 to 200; a view left from the 100-entry
-    # table would cut every later series at n = 100
+def test_nonzero_view_follows_a_growing_table(monkeypatch):
+    # the view doubles from 100 to 200; a view left at 100 would cut every
+    # later series at n = 100
+    sizes = []
+    build = coeffs.theta_table
+    monkeypatch.setattr(coeffs, "theta_table",
+                        lambda q, n_max: sizes.append(n_max) or build(q, n_max))
     ctx = CurveContext(C49)
     assert list(twisted_coeffs(ctx, 29, 100)) == _dense_gather(ctx, 29, 100)
     first = ctx.nonzero(100)
     stream = list(twisted_coeffs(ctx, 29, 150))
-    assert len(ctx.an_table(150)) == 201 and ctx.nonzero(150) is not first
+    assert sizes == [100, 200] and ctx.nonzero(150) is not first
     assert stream == _dense_gather(ctx, 29, 150) and stream[-1][0] > 100
     assert ctx.nonzero(150) is ctx.nonzero(200)    # no rebuild without growth

@@ -80,14 +80,15 @@ def test_algebraic_part_residual_small():
     assert res.tail_bound < 1e-12
 
 
-def test_algebraic_part_shared_ap_map():
-    # the untwisted a_n table the series read from the context (the theta
+def test_algebraic_part_shared_ap_map(monkeypatch):
+    # the untwisted a_n table the context's view was built from (the theta
     # series on the character route) must equal point counts at every good
     # prime the series needed
     ctx = CurveContext(C49)
     read = []
-    an_table = ctx.an_table
-    ctx.an_table = lambda n: read.append(an_table(n)) or read[-1]
+    build = coeffs.theta_table
+    monkeypatch.setattr(coeffs, "theta_table",
+                        lambda q, n: read.append(build(q, n)) or read[-1])
     res = algebraic_part(ctx, 53, target_digits=12)
     assert res.lalg == 0               # this twist's central value vanishes
     n_max = series_cutoff(C49, 53, 12)
@@ -104,7 +105,7 @@ def _oracle_sum(ctx, d, n_max, digits):
     from the untwisted table times the Kronecker symbol (d d0 / n)."""
     curve = ctx.curve
     dd0 = (d or 1) * curve.base_twist
-    table = ctx.an_table(n_max)
+    table = coeffs.theta_table(curve.q, n_max)
     # the running product x^n loses about log10(n_max) digits
     with mp.workdps(digits + 15):
         x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * abs(d or 1)))
