@@ -19,16 +19,19 @@ Multiplication (1987), ch. II).  The weight-one torsion sums
     S_M(g)    = g^{-1} sum_{beta} chi_M((beta)) chi(beta) E1*(beta*lam/g),
 
 with chi the character of conductor sqrt(-q) (qfield.hecke_chi) and
-beta running over odd representatives of (O_K/g)^* / {+-1}, are
-reductions of one per-modulus array of chi(beta)*E1*(beta*lam/g).  They
-compute partially stripped Hecke L-values divided by Omega; averaging_check
+beta running over odd representatives of (O_K/g)^* / {+-1}, compute
+partially stripped Hecke L-values divided by Omega; averaging_check
 verifies the subset-average identity relating the S_M to a sign-condition
 sub-sum and bounds the 2-adic valuation of the average.  Both rest on the
 paper's opening Lemma: for pi = 1 mod 4 prime to disc K, z = (sqrt(pi)-1)/2
 is integral and K(sqrt(pi))/K is unramified above 2 with conductor pi.  So
 chi_pi((beta)) is read modulo pi (qfield.chi_m_symbol_table), and the
 products of the z_i are a basis above 2 in which the 2-adic valuation of
-the average is read off its coordinates (_min_ord2).
+the average is read off its coordinates (_min_ord2).  For twisting
+elements pi_1..pi_n each representative falls into one of 2^n sign classes
+(the set of i with chi_{pi_i}((beta)) = -1), and every torsion sum of g is
+a +-1 combination of the class sums of chi(beta)*E1*(beta*lam/g), taken in
+one pass over the representatives in exact integers (_class_sums).
 
 The oracle for the direct values is the classical ladder built from wp, wp'
 (themselves q-expansions) at the multiples of a point w of exact odd order m,
@@ -323,8 +326,8 @@ class _PhaseTable:
             powers.append((powers[-1] * r + half) >> shift)
         self.rho = powers
 
-    def e1star(self, k: int, l: int, flip: bool):
-        """E1*(z) at the point (k, l, flip) of _torsion_coords, from its q-expansion.
+    def e1star(self, k: int, l: int, flip: bool) -> tuple[int, int]:
+        """The bracket of E1*(z) at the point (k, l, flip) of _torsion_coords.
 
         With u = e^(2*pi*i*(s + t*tau)) and 0 <= t <= 1/2 (E1* is odd),
 
@@ -340,8 +343,9 @@ class _PhaseTable:
         Q = qtau*2^B (R by its start value) and a floor.  Each term is
         floor(2^B * N*conj(D) / |D|^2) per component, with N = Y - X and
         D = 2^B - X - Y + R.  The leading part is one Gaussian division at
-        scale 2^T; the bracket is rounded to ctx.dps once, then multiplied
-        by ctx.scale.
+        scale 2^T.  The bracket is returned as integers (re, im) at scale
+        2^-T, negated when flip is set, so E1*(z) = ctx.scale * (re + i*im)
+        * 2^-T (_bracket_value).
 
         Table error, in units of 2^-T, against omega^l and rho^j times 2^T.
         omega and rho, computed at T + 16 bits, round to entries within
@@ -380,6 +384,13 @@ class _PhaseTable:
         that is what a u 2^20 times finer than one rounding at ctx.dps
         gives, where an mpc evaluation at ctx.dps meets the same 1/|u-1|^2
         with a u rounded to 2^-prec.
+
+        Torsion sums (_class_sums) add R brackets exactly, as integers,
+        each within 6K + 1 units of 2^-B (the leading part adds under 3
+        units of 2^-T), so the sum is within R(6K + 1) <= R * 2^(B-prec-8)
+        units of 2^-B, and it is rounded once at ctx.dps.  R <= N(g)/2, so
+        for N(g) <= 10^5 (cli.MAX_TORSION_NORM) the sum is off by less than
+        2^(8-prec), 256 units of 2^-prec: inside the guard digits.
         """
         ctx = self.ctx
         bits, guard, shift = ctx.bits, self.guard, self.shift
@@ -415,10 +426,14 @@ class _PhaseTable:
         lead_im = ((p_im * m_re - p_re * m_im) << (shift - 1)) // den
         acc_re = lead_re + (k << shift) // d + (sum_re << guard)
         acc_im = lead_im + (sum_im << guard)
-        with mp.workdps(ctx.dps):
-            acc = mp.mpc(mp.ldexp(acc_re, -shift), mp.ldexp(acc_im, -shift))
-            val = ctx.scale * acc
-            return -val if flip else +val
+        return (-acc_re, -acc_im) if flip else (acc_re, acc_im)
+
+
+def _bracket_value(ctx: EisensteinContext, shift: int, re: int, im: int, g_c):
+    """ctx.scale * (re + i*im) * 2^-shift / g_c at ctx.dps, for an integer
+    bracket or a sum of brackets of _PhaseTable.e1star."""
+    with mp.workdps(ctx.dps):
+        return ctx.scale * mp.mpc(mp.ldexp(re, -shift), mp.ldexp(im, -shift)) / g_c
 
 
 # ------------------------------------------------- the B-ladder oracle
@@ -498,44 +513,30 @@ def _e1star_cached(cache: _WpCache, beta: QuadInt):
 # -------------------------------------------------------- torsion sums
 
 
-def _pairwise_sum(values: list):
-    """Fixed-shape binary summation tree; deterministic for a fixed order."""
-    if not values:
-        return mp.mpc(0)
-    layer = list(values)
-    while len(layer) > 1:
-        nxt = [layer[i] + layer[i + 1] for i in range(0, len(layer) - 1, 2)]
-        if len(layer) % 2:
-            nxt.append(layer[-1])
-        layer = nxt
-    return layer[0]
-
-
-def _require_conductor(g: QuadInt) -> None:
-    # (sqrt(-q)) is the only prime above q, so it divides g iff q | N(g)
-    if g.norm() % g.q:
-        raise EisensteinError(
-            f"modulus {g} is not divisible by the character conductor"
-        )
-
-
-def e1star_values(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list]:
-    """Representatives beta of (O_K/g)^*/{+-1} and E1*(beta*lam/g) at each.
+def _brackets(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list, int]:
+    """(reps, brackets, shift): the representatives beta of (O_K/g)^*/{+-1}
+    and the integer bracket of _PhaseTable.e1star at each beta*lam/g.
 
     beta/g = beta*conj(g)/N(g) = s + t*tau with s, t in (1/N(g))Z, so every
-    value comes from one phase table; the ladder (_e1star_cached) is its
-    oracle.
+    bracket comes from one phase table.
     """
     reps = ResidueRing(g).coprime_residues_mod_units()
     g_conj = g.conj()
     d = g.norm()
     table = _PhaseTable(ctx, d)
-    values = []
+    brackets = []
     for b in reps:
         w = b * g_conj
         _, k, l, flip = _torsion_coords(w.a, w.b, d)
-        values.append(table.e1star(k, l, flip))
-    return reps, values
+        brackets.append(table.e1star(k, l, flip))
+    return reps, brackets, table.shift
+
+
+def e1star_values(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list]:
+    """Representatives beta of (O_K/g)^*/{+-1} and E1*(beta*lam/g) at each;
+    the ladder (_e1star_cached) is its oracle."""
+    reps, brackets, shift = _brackets(ctx, g)
+    return reps, [_bracket_value(ctx, shift, x, y, 1) for x, y in brackets]
 
 
 def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]:
@@ -553,17 +554,27 @@ def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]
     return len(reps), worst
 
 
-def _torsion_terms(ctx: EisensteinContext, g: QuadInt):
-    """(reps, [chi(beta) * E1*(beta*lam/g)], embedding of g).
+def _class_sums(ctx: EisensteinContext, g: QuadInt, ms: list) -> tuple[list, list, int]:
+    """(re, im, shift): the sums of chi(beta) * bracket(beta) (_brackets)
+    over each sign class of the representatives beta.
 
-    The per-modulus data that prop2_sum, twisted_sum and averaging_check
-    reduce; the symbol weights they add are +-1 or 0, so every product
-    with these terms is exact.
+    The class of beta is the bitmask with bit i set where
+    chi_{M_i}((beta)) = -1 (chi_m_symbol_table), and class c sums to
+    ctx.scale * (re[c] + i*im[c]) * 2^-shift.  The brackets are added as
+    integers, so the sums do not depend on the order of the beta.
     """
-    _require_conductor(g)
-    reps, e1 = e1star_values(ctx, g)
-    with mp.workdps(ctx.dps):
-        return reps, [hecke_chi(b) * v for b, v in zip(reps, e1)], ctx.embed(g)
+    # (sqrt(-q)) is the only prime above q, so it divides g iff q | N(g)
+    if g.norm() % g.q:
+        raise EisensteinError(f"modulus {g} is not divisible by the character conductor")
+    reps, brackets, shift = _brackets(ctx, g)
+    sym = chi_m_symbol_table(ms, reps)
+    re, im = [0] * (1 << len(ms)), [0] * (1 << len(ms))
+    for j, (b, (x, y)) in enumerate(zip(reps, brackets)):
+        mask = sum(1 << i for i, row in enumerate(sym) if row[j] < 0)
+        sign = hecke_chi(b)
+        re[mask] += sign * x
+        im[mask] += sign * y
+    return re, im, shift
 
 
 def prop2_sum(ctx: EisensteinContext, g: QuadInt):
@@ -573,30 +584,24 @@ def prop2_sum(ctx: EisensteinContext, g: QuadInt):
     dividing g; chi(beta)*E1*(beta...) = E1*(psi((beta))*lam/g) since E1*
     is odd, so the result only depends on the ideal (beta).
     """
-    _, terms, g_c = _torsion_terms(ctx, g)
-    with mp.workdps(ctx.dps):
-        return +(_pairwise_sum(terms) / g_c)
+    re, im, shift = _class_sums(ctx, g, [])
+    return _bracket_value(ctx, shift, re[0], im[0], ctx.embed(g))
 
 
 def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
     """prop2_sum with the extra quadratic-symbol weight chi_M((beta)).
 
-    m_twist is a QuadInt (or int) congruent to 1 mod 4 and prime to q,
-    coprime to g's residue classes being summed; m_twist = 1 recovers
-    prop2_sum exactly.
+    m_twist is a QuadInt (or int) congruent to 1 mod 4 and prime to q, as
+    _validate_pis takes a twisting element, and prime to the
+    representatives being summed; m_twist = 1 recovers prop2_sum exactly.
     """
     m_el = as_quadint(g.q, m_twist)
-    if not m_el.is_odd():
-        raise EisensteinError("twisting element must have odd norm")
-    if m_el.a % 4 != 1 or m_el.b % 4 != 0:
-        raise EisensteinError(f"twisting element {m_el} is not congruent to 1 mod 4")
-    if m_el.norm() % g.q == 0:
-        raise EisensteinError(f"twisting element {m_el} is not coprime to the conductor")
-    reps, terms, g_c = _torsion_terms(ctx, g)
-    with mp.workdps(ctx.dps):
-        weights = chi_m_symbol_table([m_el], reps)[0]
-        weighted = [c * v for c, v in zip(weights, terms)]
-        return +(_pairwise_sum(weighted) / g_c)
+    ms = [] if m_el == QuadInt(g.q, 1, 0) else [m_el]
+    _validate_pis(g.q, ms)
+    re, im, shift = _class_sums(ctx, g, ms)
+    # chi_M((beta)) = -1 on class 1
+    return _bracket_value(ctx, shift, re[0] - sum(re[1:]), im[0] - sum(im[1:]),
+                          ctx.embed(g))
 
 
 # ------------------------------------------------- averaged torsion sums
@@ -691,38 +696,31 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
     g = sqrt_minus_q(q)
     for pi in pis:
         g = g * pi
-    reps, chi_e1, g_c = _torsion_terms(ctx, g)
+    c_re, c_im, shift = _class_sums(ctx, g, pis)
+    # subset terms t_mask = sum over classes c of (-1)^|c & mask| * C_c
+    t_re, t_im = list(c_re), list(c_im)
+    for xs in (t_re, t_im):
+        for i in range(n):
+            bit = 1 << i
+            for mask in range(1 << n):
+                if not mask & bit:
+                    a, b = xs[mask], xs[mask | bit]
+                    xs[mask], xs[mask | bit] = a + b, a - b
+    # left side: the sum of the 2^n subset terms; right side: 2^n times the
+    # class of all symbols +1
+    lhs_re, lhs_im = sum(t_re), sum(t_im)
+    rhs_re, rhs_im = c_re[0] << n, c_im[0] << n
+    g_c = ctx.embed(g)
     with mp.workdps(ctx.dps):
-        sym = chi_m_symbol_table(pis, reps)
-        # subset products by doubling, as in lemma_div_bruteforce: entry
-        # mask of each list is the product over the i in mask (of one
-        # representative's signs, of the sqrt(pi_i), of the pi_i)
-        weights = []
-        for j in range(len(reps)):
-            w = [1]
-            for row in sym:
-                w += [x * row[j] for x in w]
-            weights.append(w)
+        terms = [_bracket_value(ctx, shift, x, y, g_c) for x, y in zip(t_re, t_im)]
+        lhs = _bracket_value(ctx, shift, lhs_re, lhs_im, g_c)
+        rhs = _bracket_value(ctx, shift, rhs_re, rhs_im, g_c)
+        residual = abs(_bracket_value(ctx, shift, lhs_re - rhs_re, lhs_im - rhs_im, g_c))
         roots, pi_prods = [mp.mpc(1)], [QuadInt(q, 1, 0)]
         for pi in pis:
             root = mp.sqrt(ctx.embed(pi))
             roots += [r * root for r in roots]
             pi_prods += [x * pi for x in pi_prods]
-
-        # left side: one twisted sum per subset of the pi_i
-        terms = [
-            +(_pairwise_sum([w[mask] * v for w, v in zip(weights, chi_e1)]) / g_c)
-            for mask in range(1 << n)
-        ]
-        lhs = +_pairwise_sum(terms)
-
-        # right side: 2^n times the sub-sum over the all-plus sign classes
-        keep = [
-            v for j, v in enumerate(chi_e1)
-            if all(row[j] == 1 for row in sym)
-        ]
-        rhs = +(2**n * _pairwise_sum(keep) / g_c)
-        residual = +abs(lhs - rhs)
 
         # exact recognition: t_M * sqrt(M) lies in K for each subset M
         elems: list[QuadInt] = []

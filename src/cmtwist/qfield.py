@@ -511,9 +511,6 @@ class ResidueRing:
         a = (x.a - k * self.r0) % self.d1
         return QuadInt(self.q, a, b)
 
-    def is_coprime(self, x: QuadInt) -> bool:
-        return self._coprime(x.a, x.b)
-
     def _coprime(self, a: int, b: int) -> bool:
         """a + b*tau lies in no prime factor P of g: a + b*t0 != 0 mod p
         (t0 the image of tau) when P is split or ramified, p does not

@@ -408,19 +408,18 @@ def test_verify_e1_ladder_fails_on_disagreement(capsys, monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["eisenstein-base", "averaging:-3"])
 def test_verify_fails_an_error_past_the_17th_digit(capsys, monkeypatch, scenario):
-    # at 50 digits the pass threshold is 10^-45: every E1* value off by
+    # at 50 digits the pass threshold is 10^-45: every E1* bracket off by
     # 1e-17 relative must fail, where a fixed 1e-8 would let it pass
     code, out, _ = run(capsys, "verify", scenario, "--curve", "49a",
                        "--precision", "50")
     assert code == 0 and out.startswith("PASS")
-    e1star_values = eisenstein.e1star_values
+    e1star = eisenstein._PhaseTable.e1star
 
-    def perturbed(ctx, g):
-        reps, values = e1star_values(ctx, g)
-        with mp.workdps(ctx.dps):
-            return reps, [v * (1 + mp.mpf(10) ** -17) for v in values]
+    def perturbed(self, k, l, flip):
+        re, im = e1star(self, k, l, flip)
+        return re + re // 10 ** 17, im + im // 10 ** 17
 
-    monkeypatch.setattr(eisenstein, "e1star_values", perturbed)
+    monkeypatch.setattr(eisenstein._PhaseTable, "e1star", perturbed)
     code, out, _ = run(capsys, "verify", scenario, "--curve", "49a",
                        "--precision", "50")
     assert code == 1 and out.startswith("FAIL")

@@ -22,9 +22,9 @@ from cmtwist.eisenstein import (
     prop2_sum,
     twisted_sum,
 )
-from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, cornacchia_split,
-                            from_int, hecke_chi, normalize_mod4, primes_above,
-                            reduction_mod, sqrt_minus_q)
+from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, chi_m_symbol_table,
+                            cornacchia_split, from_int, hecke_chi, normalize_mod4,
+                            primes_above, reduction_mod, sqrt_minus_q)
 from cmtwist.registry import builtin_curve
 from test_qfield import conductor_moduli, min_ord2_roots
 
@@ -43,7 +43,7 @@ class TorsionPoint:
 
 def torsion_point(beta: QuadInt, g: QuadInt) -> TorsionPoint:
     ring = ResidueRing(g)
-    if not ring.is_coprime(beta):
+    if not ring._coprime(beta.a, beta.b):
         raise EisensteinError(f"{beta} is not coprime to the modulus {g}")
     # ResidueRing admits only odd non-unit moduli, so the order is odd, >= 3
     return TorsionPoint(beta=beta, g=g, order=ring.smallest_positive_integer)
@@ -83,7 +83,8 @@ def _e1star_from_st(ctx, s, t):
     d = lcm(s.denominator, t.denominator)
     _, k, l, flip = eisenstein._torsion_coords(
         s.numerator * (d // s.denominator), t.numerator * (d // t.denominator), d)
-    return eisenstein._PhaseTable(ctx, d).e1star(k, l, flip)
+    table = eisenstein._PhaseTable(ctx, d)
+    return eisenstein._bracket_value(ctx, table.shift, *table.e1star(k, l, flip), 1)
 
 
 def _e1star_mpc(ctx, s, t):
@@ -102,6 +103,50 @@ def _e1star_mpc(ctx, s, t):
             acc += (b - a) / ((1 - a) * (1 - b))
         val = ctx.scale * acc
         return -val if flip else +val
+
+
+def _pairwise_sum(values: list):
+    """Fixed-shape binary summation tree; deterministic for a fixed order."""
+    if not values:
+        return mp.mpc(0)
+    layer = list(values)
+    while len(layer) > 1:
+        nxt = [layer[i] + layer[i + 1] for i in range(0, len(layer) - 1, 2)]
+        if len(layer) % 2:
+            nxt.append(layer[-1])
+        layer = nxt
+    return layer[0]
+
+
+def _mpc_torsion_sums(ctx, g, ms):
+    """(terms, lhs, rhs) of the torsion sums of g by the mpc route: the
+    oracle for the integer class sums of prop2_sum, twisted_sum and
+    averaging_check.
+
+    Each e1star_values entry times chi(beta) is an mpc; each representative
+    gets its subset weights prod_{i in mask} chi_{M_i}((beta)) by doubling;
+    terms[mask] is one pairwise sum per mask over g, lhs their sum and rhs
+    2^n times the sum over the representatives with every symbol +1.  With
+    no M, terms[0] is prop2_sum; with one M, terms[1] is twisted_sum.
+    """
+    reps, e1 = e1star_values(ctx, g)
+    sym = chi_m_symbol_table(ms, reps)
+    with mp.workdps(ctx.dps):
+        g_c = ctx.embed(g)
+        chi_e1 = [hecke_chi(b) * v for b, v in zip(reps, e1)]
+        weights = []
+        for j in range(len(reps)):
+            w = [1]
+            for row in sym:
+                w += [x * row[j] for x in w]
+            weights.append(w)
+        terms = [
+            +(_pairwise_sum([w[mask] * v for w, v in zip(weights, chi_e1)]) / g_c)
+            for mask in range(1 << len(ms))
+        ]
+        keep = [v for j, v in enumerate(chi_e1) if all(row[j] == 1 for row in sym)]
+        rhs = +(2 ** len(ms) * _pairwise_sum(keep) / g_c)
+        return terms, +_pairwise_sum(terms), rhs
 
 
 @lru_cache(maxsize=None)
@@ -464,6 +509,60 @@ def test_averaging_pair(ctx49):
     )
     assert rep.ord2 == 2 and rep.bound == 1
     assert rep.n == 2 and len(rep.terms) == 4
+
+
+@pytest.mark.parametrize("q, factor, ms", [
+    (7, from_int(7, 1), []),
+    (11, from_int(11, 1), []),
+    (7, PI3, [PI3]),
+    (11, from_int(11, 3), [from_int(11, -3)]),
+    (7, from_int(7, 29), [from_int(7, 29)]),
+], ids=["prop2-7", "prop2-11", "twist-7*(-3)", "twist-11*(-3)", "twist-7*29"])
+def test_torsion_sums_match_the_mpc_route(q, factor, ms):
+    ctx = _context(q, 20)
+    g = sqrt_minus_q(q) * factor
+    terms, _, _ = _mpc_torsion_sums(ctx, g, ms)
+    got = twisted_sum(ctx, g, ms[0]) if ms else prop2_sum(ctx, g)
+    with mp.workdps(ctx.dps):
+        assert abs(got - terms[-1]) < mp.mpf(10) ** (5 - ctx.dps)
+
+
+@pytest.mark.parametrize("precision, pis, ord2", [
+    (50, [PI3], 1),
+    (50, [PI29], 1),
+    (50, [PI3, PI29], 2),
+    (30, [PI3, QuadInt(7, 5, 0), PI29], 3),
+], ids=["-3", "29", "-3,29", "-3,5,29"])
+def test_averaging_matches_the_mpc_route(precision, pis, ord2):
+    ctx = _context(7, precision)
+    g = sqrt_minus_q(7)
+    for pi in pis:
+        g = g * pi
+    terms, lhs, rhs = _mpc_torsion_sums(ctx, g, pis)
+    rep = averaging_check(ctx, pis)
+    assert rep.ok and rep.ord2 == ord2 and len(rep.terms) == len(terms)
+    tol = mp.mpf(10) ** (5 - ctx.dps)
+    with mp.workdps(ctx.dps):
+        for got, want in zip(rep.terms, terms):
+            assert abs(got - want) < tol
+        assert abs(rep.lhs - lhs) < tol and abs(rep.rhs - rhs) < tol
+
+
+def test_averaging_does_not_depend_on_the_order_of_the_representatives(
+        ctx49, monkeypatch):
+    ref = averaging_check(ctx49, [PI3, PI29])
+    coprime = ResidueRing.coprime_residues_mod_units
+    calls = []
+
+    def reversed_reps(ring):
+        calls.append(ring.g)
+        return coprime(ring)[::-1]
+
+    monkeypatch.setattr(ResidueRing, "coprime_residues_mod_units", reversed_reps)
+    rep = averaging_check(ctx49, [PI3, PI29])
+    assert calls
+    assert (rep.terms, rep.lhs, rep.rhs) == (ref.terms, ref.lhs, ref.rhs)
+    assert rep.coeffs == ref.coeffs and rep.ord2 == ref.ord2
 
 
 def _alg_mul(pis: list[QuadInt], x: dict, y: dict) -> dict:

@@ -286,7 +286,7 @@ def test_residue_ring_units_and_reps():
     seen = set()
     for r in reps:
         assert r.is_odd()                         # odd representatives
-        assert ring.is_coprime(r)
+        assert ring._coprime(r.a, r.b)
         key = ring.reduce(r)
         negkey = ring.reduce(-r)
         assert key not in seen and negkey not in seen
