@@ -24,7 +24,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import takewhile
-from math import prod
 
 import mpmath as mp
 
@@ -44,7 +43,7 @@ from .qfield import (
     normalize_mod4,
     special_split_primes,
     split_type,
-    sqrt_minus_q,
+    torsion_modulus,
 )
 from .registry import Curve, RegistryError, resolve_curve
 
@@ -368,21 +367,28 @@ def _int_arg(name: str, arg: str, default: int, low: int, high: int | None = Non
 
 def _pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
     """The entries and elements pi_i of a torsion modulus
-    g = sqrt(-q) * prod(pi_i), refused when N(g) > MAX_TORSION_NORM: the
-    sums over g walk its whole residue ring."""
+    g = sqrt(-q) * prod(pi_i), refused when N(g) is zero or even, or above
+    MAX_TORSION_NORM: the sums over g walk its whole residue ring."""
     entries = arg.split(",") if arg else []
     elements = [_parse_pi_entry(e, curve.q) for e in entries]
-    norm = curve.q * prod(pi.norm() for pi in elements)
+    norm = torsion_modulus(curve.q, elements).norm()
+    if norm % 2 == 0:
+        raise ValueError(f"{name}: the modulus has norm N(g) = {norm}; it "
+                         f"must be odd")
     if norm > MAX_TORSION_NORM:
         raise ValueError(f"{name}: the modulus has norm N(g) = {norm}, above "
                          f"the bound {MAX_TORSION_NORM}")
     return entries, elements
 
 
-def _nonempty_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+def _twisting_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+    """A nonempty _pi_list of twisting elements, as averaging_check takes them."""
+    from .eisenstein import _validate_pis
     if not arg:
         raise ValueError(f"{name} needs a pi list, e.g. {name}:-3")
-    return _pi_list(curve, name, arg)
+    entries, elements = _pi_list(curve, name, arg)
+    _validate_pis(curve.q, elements)
+    return entries, elements
 
 
 def _lemma_div_n(curve: Curve, name: str, arg: str) -> int:
@@ -401,13 +407,11 @@ def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool
     _ensure_base_value(ctx, config)
     curve = ctx.curve
     eis_ctx = _eis_context(config, curve)
-    val = eis.prop2_sum(eis_ctx, sqrt_minus_q(curve.q))
+    val = eis.prop2_sum(eis_ctx, torsion_modulus(curve.q, []))
     with mp.workdps(eis_ctx.dps):
         amp, _phase = eis.phase_split(val)
         target, residual = recognize_rational(amp, 64)
-    # as for e1-ladder, the check tightens with the precision
-    ok = (residual < mp.mpf(10) ** (5 - eis_ctx.precision)
-          and target == curve.lalg_base)
+    ok = residual < eis_ctx.pass_tol and target == curve.lalg_base
     return (f"eisenstein-base[{curve.label}]: |sum| = {float(amp):.12g}, "
             f"recognized {target}, residual {residual:.3g}", ok)
 
@@ -421,7 +425,8 @@ def _averaging(config: RunConfig, ctx: CurveContext,
     rep = eis.averaging_check(eis_ctx, elements)
     ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
     msg = (f"averaging[{rep.label}: {','.join(entries)}]: "
-           f"|LHS-RHS| = {float(rep.residual):.3g}, "
+           f"{len(rep.terms)} terms recognized to "
+           f"{float(rep.recognition_residual):.3g}, "
            f"ord2 = {ord2} (need >= {rep.bound})")
     if rep.note:
         msg += f" [{rep.note}]"
@@ -433,12 +438,9 @@ def _e1_ladder(config: RunConfig, ctx: CurveContext,
     from . import eisenstein as eis
     curve = ctx.curve
     entries, elements = pis
-    g = sqrt_minus_q(curve.q)
-    for pi in elements:
-        g = g * pi
     eis_ctx = _eis_context(config, curve)
-    count, worst = eis.ladder_discrepancy(eis_ctx, g)
-    ok = worst < mp.mpf(10) ** (5 - eis_ctx.precision)
+    count, worst = eis.ladder_discrepancy(eis_ctx, torsion_modulus(curve.q, elements))
+    ok = worst < eis_ctx.pass_tol
     where = "*".join([f"sqrt(-{curve.q})"] + [f"({e})" for e in entries])
     return (f"e1-ladder[{curve.label}: {where}]: {count} representatives, "
             f"worst |direct - ladder| = {mp.nstr(worst, 3)}", ok)
@@ -482,7 +484,7 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
 # name -> (parse the argument after the colon, or None; run the check)
 SCENARIOS = {
     "eisenstein-base": (None, _eisenstein_base),
-    "averaging": (_nonempty_pi_list, _averaging),
+    "averaging": (_twisting_pi_list, _averaging),
     "e1-ladder": (_pi_list, _e1_ladder),
     "lemma-div": (_lemma_div_n, _lemma_div),
     "character": (None, _character),

@@ -21,17 +21,19 @@ Multiplication (1987), ch. II).  The weight-one torsion sums
 with chi the character of conductor sqrt(-q) (qfield.hecke_chi) and
 beta running over odd representatives of (O_K/g)^* / {+-1}, compute
 partially stripped Hecke L-values divided by Omega; averaging_check
-verifies the subset-average identity relating the S_M to a sign-condition
-sub-sum and bounds the 2-adic valuation of the average.  Both rest on the
-paper's opening Lemma: for pi = 1 mod 4 prime to disc K, z = (sqrt(pi)-1)/2
-is integral and K(sqrt(pi))/K is unramified above 2 with conductor pi.  So
-chi_pi((beta)) is read modulo pi (qfield.chi_m_symbol_table), and the
-products of the z_i are a basis above 2 in which the 2-adic valuation of
-the average is read off its coordinates (_min_ord2).  For twisting
+recognizes each S_M(g)*sqrt(M) as an exact element of K, checks that the
+recognized element reproduces the average of the S_M, and bounds its 2-adic
+valuation.  Both rest on the paper's opening Lemma: for pi = 1 mod 4 prime
+to disc K, z = (sqrt(pi)-1)/2 is integral and K(sqrt(pi))/K is unramified
+above 2 with conductor pi.  So chi_pi((beta)) is read modulo pi
+(qfield.chi_m_symbol_table), and the products of the z_i are a basis above
+2 in which the 2-adic valuation of the average is read off its coordinates
+(_min_ord2).  For twisting
 elements pi_1..pi_n each representative falls into one of 2^n sign classes
 (the set of i with chi_{pi_i}((beta)) = -1), and every torsion sum of g is
-a +-1 combination of the class sums of chi(beta)*E1*(beta*lam/g), taken in
-one pass over the representatives in exact integers (_class_sums).
+one of the 2^n subset terms, +-1 combinations of the class sums of
+chi(beta)*E1*(beta*lam/g) taken in one pass over the representatives in
+exact integers (_subset_terms).
 
 The oracle for the direct values is the classical ladder built from wp, wp'
 (themselves q-expansions) at the multiples of a point w of exact odd order m,
@@ -76,7 +78,7 @@ from .qfield import (
     factor_ideal,
     hecke_chi,
     ord2_fraction,
-    sqrt_minus_q,
+    torsion_modulus,
 )
 from .registry import Curve, omega_lattice
 
@@ -121,6 +123,7 @@ class EisensteinContext:
     bits: int              # B: the E1* series is summed in units of 2^-B
     qtau_scaled: int       # qtau * 2^B, rounded
     qtau2_scaled: int      # qtau^2 * 2^B, rounded
+    pass_tol: object       # mpf, 10^(5 - precision): the checks' pass threshold
 
     def embed(self, x: QuadInt):
         """Complex value of x = a + b*tau under tau -> (1+i*sqrt(q))/2."""
@@ -183,6 +186,7 @@ def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
             scale=+scale, fac2=+fac2, fac3=+fac3, series_terms=n_terms,
             bits=bits, qtau_scaled=_scaled(qtau, bits),
             qtau2_scaled=_scaled(qtau2, bits),
+            pass_tol=mp.mpf(10) ** (5 - precision),
         )
         # tripwire: the weight-4/6 Eisenstein series of omega*O_K must equal
         # the exact model invariants c4/12, c6/216
@@ -385,7 +389,7 @@ class _PhaseTable:
         gives, where an mpc evaluation at ctx.dps meets the same 1/|u-1|^2
         with a u rounded to 2^-prec.
 
-        Torsion sums (_class_sums) add R brackets exactly, as integers,
+        Torsion sums (_subset_terms) add R brackets exactly, as integers,
         each within 6K + 1 units of 2^-B (the leading part adds under 3
         units of 2^-T), so the sum is within R(6K + 1) <= R * 2^(B-prec-8)
         units of 2^-B, and it is rounded once at ctx.dps.  R <= N(g)/2, so
@@ -554,14 +558,15 @@ def ladder_discrepancy(ctx: EisensteinContext, g: QuadInt) -> tuple[int, object]
     return len(reps), worst
 
 
-def _class_sums(ctx: EisensteinContext, g: QuadInt, ms: list) -> tuple[list, list, int]:
-    """(re, im, shift): the sums of chi(beta) * bracket(beta) (_brackets)
-    over each sign class of the representatives beta.
+def _subset_terms(ctx: EisensteinContext, g: QuadInt, ms: list) -> tuple[list, list, int]:
+    """(re, im, shift): the 2^n subset terms of the torsion sums of g,
+    t_mask = sum over beta of prod_{i in mask} chi_{M_i}((beta)) * chi(beta)
+    * bracket(beta) (_brackets), each ctx.scale * (re + i*im) * 2^-shift.
 
-    The class of beta is the bitmask with bit i set where
-    chi_{M_i}((beta)) = -1 (chi_m_symbol_table), and class c sums to
-    ctx.scale * (re[c] + i*im[c]) * 2^-shift.  The brackets are added as
-    integers, so the sums do not depend on the order of the beta.
+    Each beta falls into the sign class c with bit i set where
+    chi_{M_i}((beta)) = -1 (chi_m_symbol_table); the class sums C_c are
+    added as integers, so they do not depend on the order of the beta, and
+    t_mask = sum over c of (-1)^|c & mask| * C_c by an in-place butterfly.
     """
     # (sqrt(-q)) is the only prime above q, so it divides g iff q | N(g)
     if g.norm() % g.q:
@@ -574,6 +579,13 @@ def _class_sums(ctx: EisensteinContext, g: QuadInt, ms: list) -> tuple[list, lis
         sign = hecke_chi(b)
         re[mask] += sign * x
         im[mask] += sign * y
+    for xs in (re, im):
+        for i in range(len(ms)):
+            bit = 1 << i
+            for mask in range(len(xs)):
+                if not mask & bit:
+                    a, b = xs[mask], xs[mask | bit]
+                    xs[mask], xs[mask | bit] = a + b, a - b
     return re, im, shift
 
 
@@ -584,7 +596,7 @@ def prop2_sum(ctx: EisensteinContext, g: QuadInt):
     dividing g; chi(beta)*E1*(beta...) = E1*(psi((beta))*lam/g) since E1*
     is odd, so the result only depends on the ideal (beta).
     """
-    re, im, shift = _class_sums(ctx, g, [])
+    re, im, shift = _subset_terms(ctx, g, [])
     return _bracket_value(ctx, shift, re[0], im[0], ctx.embed(g))
 
 
@@ -598,10 +610,8 @@ def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
     m_el = as_quadint(g.q, m_twist)
     ms = [] if m_el == QuadInt(g.q, 1, 0) else [m_el]
     _validate_pis(g.q, ms)
-    re, im, shift = _class_sums(ctx, g, ms)
-    # chi_M((beta)) = -1 on class 1
-    return _bracket_value(ctx, shift, re[0] - sum(re[1:]), im[0] - sum(im[1:]),
-                          ctx.embed(g))
+    re, im, shift = _subset_terms(ctx, g, ms)
+    return _bracket_value(ctx, shift, re[-1], im[-1], ctx.embed(g))
 
 
 # ------------------------------------------------- averaged torsion sums
@@ -609,23 +619,21 @@ def twisted_sum(ctx: EisensteinContext, g: QuadInt, m_twist):
 
 @dataclass
 class AveragingReport:
-    """Both sides of the subset-average identity at g_n = sqrt(-q)*pi_1*...*pi_n.
+    """The subset terms at g_n = sqrt(-q)*pi_1*...*pi_n and their average.
 
-    lhs = sum over subsets M of {pi_i} of S_M(g_n); rhs folds the same data
-    through the sign-condition sub-sum 2^n * g_n^{-1} * sum_{all symbols +1}.
-    coeffs, when recognition succeeds, give the exact element
-    sum_M c_M * prod_{i in M} sqrt(pi_i) with c_M in K; ord2 is the minimal
-    2-adic valuation of that element over the places above 2 (an integer:
-    those places are unramified), to be compared with the bound n - alpha.
+    terms[mask] = S_M(g_n) for the subset product M of the pi_i in mask,
+    and average is their sum.  coeffs, when recognition succeeds, give the
+    exact element sum_M c_M * prod_{i in M} sqrt(pi_i) with c_M in K; ord2
+    is the minimal 2-adic valuation of that element over the places above 2
+    (an integer: those places are unramified), to be compared with the
+    bound n - alpha.
     """
 
     label: str
     pis: tuple
     n: int
     g: QuadInt
-    lhs: object
-    rhs: object
-    residual: object
+    average: object
     terms: tuple                  # t_M per subset mask, ascending mask order
     coeffs: tuple | None          # ((x_M, y_M) Fractions) per mask, or None
     recognition_residual: object
@@ -678,44 +686,23 @@ def _min_ord2(pis: list[QuadInt], coeffs: list[QuadInt]) -> int | None:
 
 
 def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingReport:
-    """Check the subset average of twisted torsion sums at g = sqrt(-q)*prod(pi_i).
+    """Recognize the subset average of twisted torsion sums at g = sqrt(-q)*prod(pi_i).
 
-    Left side: sum over the 2^n subset products M of the chi_M-weighted sums
-    S_M(g).  Right side: the same torsion data folded through the indicator
-    of "all symbols +1", scaled by 2^n.  Beyond |lhs - rhs| < tol, the left
-    side is recognized as an exact element sum_M c_M sqrt(M) (c_M in K),
-    each recognition and the element's value again within tol, and its
-    minimal 2-adic valuation is compared against n - alpha.  The tolerance
-    tol = 10^(5 - ctx.precision) tightens with the precision.
+    Each subset term S_M(g) times sqrt(M) is recognized as an exact element
+    of K, each recognition within ctx.pass_tol; the recognized element
+    sum_M c_M sqrt(M) must reproduce the average (the sum of the 2^n terms)
+    within ctx.pass_tol too, and its minimal 2-adic valuation is compared
+    against n - alpha.
     """
-    _validate_pis(ctx.curve.q, pis)
-    tol = mp.mpf(10) ** (5 - ctx.precision)
-    n = len(pis)
-    curve = ctx.curve
+    curve, n = ctx.curve, len(pis)
     q = curve.q
-    g = sqrt_minus_q(q)
-    for pi in pis:
-        g = g * pi
-    c_re, c_im, shift = _class_sums(ctx, g, pis)
-    # subset terms t_mask = sum over classes c of (-1)^|c & mask| * C_c
-    t_re, t_im = list(c_re), list(c_im)
-    for xs in (t_re, t_im):
-        for i in range(n):
-            bit = 1 << i
-            for mask in range(1 << n):
-                if not mask & bit:
-                    a, b = xs[mask], xs[mask | bit]
-                    xs[mask], xs[mask | bit] = a + b, a - b
-    # left side: the sum of the 2^n subset terms; right side: 2^n times the
-    # class of all symbols +1
-    lhs_re, lhs_im = sum(t_re), sum(t_im)
-    rhs_re, rhs_im = c_re[0] << n, c_im[0] << n
+    _validate_pis(q, pis)
+    g = torsion_modulus(q, pis)
+    t_re, t_im, shift = _subset_terms(ctx, g, pis)
     g_c = ctx.embed(g)
     with mp.workdps(ctx.dps):
         terms = [_bracket_value(ctx, shift, x, y, g_c) for x, y in zip(t_re, t_im)]
-        lhs = _bracket_value(ctx, shift, lhs_re, lhs_im, g_c)
-        rhs = _bracket_value(ctx, shift, rhs_re, rhs_im, g_c)
-        residual = abs(_bracket_value(ctx, shift, lhs_re - rhs_re, lhs_im - rhs_im, g_c))
+        average = _bracket_value(ctx, shift, sum(t_re), sum(t_im), g_c)
         roots, pi_prods = [mp.mpc(1)], [QuadInt(q, 1, 0)]
         for pi in pis:
             root = mp.sqrt(ctx.embed(pi))
@@ -733,7 +720,7 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
             xf, xres = recognize_rational(x_c, 10**7)
             yf, yres = recognize_rational(y_c, 10**7)
             rec_residual = max(rec_residual, xres, yres)
-            if xres > tol or yres > tol:
+            if max(xres, yres) > ctx.pass_tol:
                 rec_ok = False
             elems.append(QuadInt(q, xf, yf) / pi_prods[mask])
         coeffs = [(c.a, c.b) for c in elems]
@@ -752,22 +739,20 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
                     mp.mpf(xf.numerator) / xf.denominator
                     + (mp.mpf(yf.numerator) / yf.denominator) * ctx.tau
                 ) * root
-            if abs(approx - lhs) > tol:
+            if abs(approx - average) > ctx.pass_tol:
                 rec_ok = False
                 note = "recognized element does not reproduce the average"
         else:
             note = "rational recognition failed; valuation indeterminate"
 
         bound_holds = ord2 is None or ord2 >= bound
-        ok = bool(residual < tol and rec_ok and bound_holds)
+        ok = bool(rec_ok and bound_holds)
         return AveragingReport(
             label=curve.label,
             pis=tuple(pis),
             n=n,
             g=g,
-            lhs=lhs,
-            rhs=rhs,
-            residual=residual,
+            average=average,
             terms=tuple(terms),
             coeffs=tuple(coeffs) if rec_ok else None,
             recognition_residual=rec_residual,

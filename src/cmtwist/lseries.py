@@ -185,9 +185,9 @@ def recognize_rational(x, max_den: int = 64) -> tuple[Fraction, float]:
     return fr, float(abs(mp.mpf(x) - mp.mpf(fr.numerator) / fr.denominator))
 
 
-def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
-                   max_den: int = 64) -> LValueResult:
-    """|L(E^(d),1)| * sqrt(|d|) / Omega_L recognized as an exact rational.
+def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValueResult:
+    """|L(E^(d),1)| * sqrt(|d|) / Omega_L recognized as an exact rational
+    of denominator at most 64.
 
     Omega_L is the period-lattice scale (omega_lattice, taken once per
     context and precision through CurveContext.omega), the normalization
@@ -205,7 +205,7 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10,
     with mp.workdps(max(target_digits, 15) + 10):
         omega = ctx.omega(max(target_digits, 15))
         ratio = abs(mp.mpf(value)) * mp.sqrt(abs(d) if d else 1) / omega
-        fr, residual = recognize_rational(ratio, max_den)
+        fr, residual = recognize_rational(ratio)
     if residual >= 1e-6 * max(1.0, abs(float(fr))):
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             None, residual, None)

@@ -114,6 +114,15 @@ def sqrt_minus_q(q: int) -> QuadInt:
     return QuadInt(q, -1, 2)
 
 
+def torsion_modulus(q: int, pis) -> QuadInt:
+    """g = sqrt(-q) * prod(pi_i), the modulus of the torsion sums twisted
+    by the elements pi_i."""
+    g = sqrt_minus_q(q)
+    for pi in pis:
+        g = g * pi
+    return g
+
+
 def as_quadint(q: int, x) -> QuadInt:
     if isinstance(x, QuadInt):
         if x.q != q:

@@ -37,13 +37,14 @@ class Curve:
     # d0: the curve is E0^(d0), E0 the curve of K whose Hecke character
     # has conductor sqrt(-q); 1 for the built-in curves
     base_twist: int
-    lalg_base: Fraction | None  # algebraic L(E,1)/Omega when known
+    lalg_base: Fraction | None  # algebraic L(E,1)/omega_lattice when known
     omega_override: str | None = None  # decimal |Omega| for user curves
     # The minimal-model period lattice is
     #     i^lattice_rotation * (2^lattice_shift * Omega) * O_K.
-    # Algebraic L-values are normalised by Omega itself; for 121b the real
-    # scale is 2*Omega and the lattice sits a quarter turn off the real axis
-    # (the real period is then sqrt(q) times the scale).
+    # Algebraic L-values are normalised by the lattice scale
+    # 2^lattice_shift * Omega (omega_lattice); for 121b that is 2*Omega and
+    # the lattice sits a quarter turn off the real axis (the real period is
+    # then sqrt(q) times the scale).
     lattice_shift: int = 0
     lattice_rotation: int = 0
 
@@ -117,7 +118,8 @@ def builtin_curve(label: str) -> Curve:
 
 
 def omega_infinity(curve: Curve, precision: int = 50):
-    """|Omega|, the period normalising algebraic L-values L(E^(D),1)*sqrt(|D|)/Omega.
+    """|Omega| = omega_lattice / 2^lattice_shift.  Algebraic L-values
+    L(E^(D),1)*sqrt(|D|) are normalised by omega_lattice, not by |Omega|.
 
     Built-in curves use the Chowla-Selberg product
 

@@ -120,14 +120,15 @@ def test_criterion_05_principal_torsion_sums(ctx49_50):
 
 
 def test_criterion_06_subset_averaging(ctx49_50):
-    # inert -3, split 1-4t (norm 29), and the pair; residuals below 1e-8,
-    # valuation at least n - alpha, all three inside the 120s budget
+    # inert -3, split 1-4t (norm 29), and the pair; recognition residuals
+    # below 1e-8, valuation at least n - alpha, all three inside the 120s
+    # budget
     pi3 = QuadInt(7, -3, 0)
     pi29 = QuadInt(7, 1, -4)
     t0 = time.perf_counter()
     for pis in ([pi3], [pi29], [pi3, pi29]):
         rep = averaging_check(ctx49_50, pis)
-        assert float(rep.residual) < 1e-8, rep.pis
+        assert rep.recognition_residual < 1e-8, rep.pis
         assert rep.coeffs is not None, rep.note
         assert rep.ord2 is not None and rep.ord2 >= rep.n - C49.alpha, rep.pis
         assert rep.ok

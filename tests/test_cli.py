@@ -13,7 +13,7 @@ import pytest
 from cmtwist import bsd, cli, coeffs, eisenstein
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
-from cmtwist.qfield import is_prime, split_type
+from cmtwist.qfield import QuadInt, is_prime, split_type
 from cmtwist.registry import resolve_curve
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -382,6 +382,40 @@ def test_verify_accepts_the_largest_modulus_in_use():
         resolve_curve("49a"), ["averaging:-3,5,29"])
     assert run_check is cli._averaging and entries == ["-3", "5", "29"]
     assert 7 * math.prod(pi.norm() for pi in pis) == 45675
+
+
+@pytest.mark.parametrize("scenario, why", [
+    ("averaging:3+0*t", "3 is not congruent to 1 mod 4"),
+    ("averaging:1-4*t,1-4*t", "twisting primes are not pairwise coprime"),
+    ("averaging:0+0*t", "averaging: the modulus has norm N(g) = 0; it must be odd"),
+    ("e1-ladder:2+0*t", "e1-ladder: the modulus has norm N(g) = 28; it must be odd"),
+    ("e1-ladder:0+0*t", "e1-ladder: the modulus has norm N(g) = 0; it must be odd"),
+])
+def test_verify_refuses_a_torsion_list_before_any_scenario_runs(
+        capsys, monkeypatch, scenario, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        cli.parse_scenarios(resolve_curve("49a"), [scenario])
+    calls = []
+    parse, _ = cli.SCENARIOS["tamagawa-cross"]
+    monkeypatch.setitem(cli.SCENARIOS, "tamagawa-cross",
+                        (parse, lambda *args: calls.append(args)))
+    code, out, err = run(capsys, "verify", "tamagawa-cross:10000", scenario,
+                         "--curve", "49a")
+    assert code == 2 and out == "" and f"error: {why}" in err
+    assert calls == []
+
+
+def test_verify_averaging_prints_the_recognition_residual(capsys):
+    # the printed number is the one that gates PASS, not the subset-average
+    # identity, which holds for any class sums
+    code, out, _ = run(capsys, "verify", "averaging:-3", "--curve", "49a",
+                       "--precision", "50")
+    rep = eisenstein.averaging_check(
+        eisenstein.make_context(resolve_curve("49a"), 50), [QuadInt(7, -3, 0)])
+    assert code == 0 and out == (
+        f"PASS  averaging[49a: -3]: 2 terms recognized to "
+        f"{rep.recognition_residual:.3g}, ord2 = 1 (need >= 0)\n")
+    assert rep.recognition_residual < 1e-45
 
 
 def test_verify_composite_entry_is_not_called_a_split_prime(capsys):

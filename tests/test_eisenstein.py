@@ -24,7 +24,8 @@ from cmtwist.eisenstein import (
 )
 from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, chi_m_symbol_table,
                             cornacchia_split, from_int, hecke_chi, normalize_mod4,
-                            primes_above, reduction_mod, sqrt_minus_q)
+                            primes_above, reduction_mod, sqrt_minus_q,
+                            torsion_modulus)
 from cmtwist.registry import builtin_curve
 from test_qfield import conductor_moduli, min_ord2_roots
 
@@ -120,8 +121,8 @@ def _pairwise_sum(values: list):
 
 def _mpc_torsion_sums(ctx, g, ms):
     """(terms, lhs, rhs) of the torsion sums of g by the mpc route: the
-    oracle for the integer class sums of prop2_sum, twisted_sum and
-    averaging_check.
+    oracle for the integer subset terms of prop2_sum, twisted_sum and
+    averaging_check, and for the subset-average identity lhs = rhs.
 
     Each e1star_values entry times chi(beta) is an mpc; each representative
     gets its subset weights prod_{i in mask} chi_{M_i}((beta)) by doubling;
@@ -478,19 +479,19 @@ def test_integer_coordinates_match_reduced_phase(g):
 
 def test_averaging_single_inert(ctx49):
     rep = averaging_check(ctx49, [PI3])
-    assert rep.ok and float(rep.residual) < 1e-20
+    assert rep.ok and rep.recognition_residual < 1e-20
     assert rep.coeffs == (
         (Fraction(2, 3), Fraction(0)),
         (Fraction(0), Fraction(0)),
     )
     with mp.workdps(ctx49.dps):
-        assert abs(rep.lhs - mp.mpf(2) / 3) < mp.mpf(10) ** -18
+        assert abs(rep.average - mp.mpf(2) / 3) < mp.mpf(10) ** -18
     assert rep.ord2 == 1 and rep.bound == 0
 
 
 def test_averaging_single_split(ctx49):
     rep = averaging_check(ctx49, [PI29])
-    assert rep.ok and float(rep.residual) < 1e-20
+    assert rep.ok and rep.recognition_residual < 1e-20
     assert rep.coeffs == (
         (Fraction(13, 29), Fraction(2, 29)),
         (Fraction(3, 29), Fraction(-4, 29)),
@@ -500,7 +501,7 @@ def test_averaging_single_split(ctx49):
 
 def test_averaging_pair(ctx49):
     rep = averaging_check(ctx49, [PI3, PI29])
-    assert rep.ok and float(rep.residual) < 1e-20
+    assert rep.ok and rep.recognition_residual < 1e-20
     assert rep.coeffs == (
         (Fraction(52, 87), Fraction(8, 87)),
         (Fraction(0), Fraction(0)),
@@ -527,6 +528,17 @@ def test_torsion_sums_match_the_mpc_route(q, factor, ms):
         assert abs(got - terms[-1]) < mp.mpf(10) ** (5 - ctx.dps)
 
 
+@pytest.mark.parametrize("q, pi", [
+    (7, PI3), (7, PI29), (7, QuadInt(7, 5, 0)), (11, from_int(11, -3)),
+], ids=["7*(-3)", "7*(1-4t)", "7*5", "11*(-3)"])
+def test_twisted_sum_is_term_1_of_the_kernel(q, pi):
+    ctx = _context(q, 20)
+    g = torsion_modulus(q, [pi])
+    re, im, shift = eisenstein._subset_terms(ctx, g, [pi])
+    term1 = eisenstein._bracket_value(ctx, shift, re[1], im[1], ctx.embed(g))
+    assert twisted_sum(ctx, g, pi) == term1
+
+
 @pytest.mark.parametrize("precision, pis, ord2", [
     (50, [PI3], 1),
     (50, [PI29], 1),
@@ -535,17 +547,19 @@ def test_torsion_sums_match_the_mpc_route(q, factor, ms):
 ], ids=["-3", "29", "-3,29", "-3,5,29"])
 def test_averaging_matches_the_mpc_route(precision, pis, ord2):
     ctx = _context(7, precision)
-    g = sqrt_minus_q(7)
-    for pi in pis:
-        g = g * pi
+    g = torsion_modulus(7, pis)
     terms, lhs, rhs = _mpc_torsion_sums(ctx, g, pis)
     rep = averaging_check(ctx, pis)
     assert rep.ok and rep.ord2 == ord2 and len(rep.terms) == len(terms)
     tol = mp.mpf(10) ** (5 - ctx.dps)
     with mp.workdps(ctx.dps):
+        # the subset-average identity, by the oracle alone: the sum of the
+        # terms is 2^n times the sum over the representatives whose every
+        # symbol is +1
+        assert abs(lhs - rhs) < tol
         for got, want in zip(rep.terms, terms):
             assert abs(got - want) < tol
-        assert abs(rep.lhs - lhs) < tol and abs(rep.rhs - rhs) < tol
+        assert abs(rep.average - lhs) < tol
 
 
 def test_averaging_does_not_depend_on_the_order_of_the_representatives(
@@ -561,7 +575,7 @@ def test_averaging_does_not_depend_on_the_order_of_the_representatives(
     monkeypatch.setattr(ResidueRing, "coprime_residues_mod_units", reversed_reps)
     rep = averaging_check(ctx49, [PI3, PI29])
     assert calls
-    assert (rep.terms, rep.lhs, rep.rhs) == (ref.terms, ref.lhs, ref.rhs)
+    assert (rep.terms, rep.average) == (ref.terms, ref.average)
     assert rep.coeffs == ref.coeffs and rep.ord2 == ref.ord2
 
 
