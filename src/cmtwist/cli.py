@@ -370,7 +370,10 @@ def _pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt
     g = sqrt(-q) * prod(pi_i), refused when N(g) is zero or even, or above
     MAX_TORSION_NORM: the sums over g walk its whole residue ring."""
     entries = arg.split(",") if arg else []
-    elements = [_parse_pi_entry(e, curve.q) for e in entries]
+    try:
+        elements = [_parse_pi_entry(e, curve.q) for e in entries]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     norm = torsion_modulus(curve.q, elements).norm()
     if norm % 2 == 0:
         raise ValueError(f"{name}: the modulus has norm N(g) = {norm}; it "
@@ -387,7 +390,10 @@ def _twisting_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], lis
     if not arg:
         raise ValueError(f"{name} needs a pi list, e.g. {name}:-3")
     entries, elements = _pi_list(curve, name, arg)
-    _validate_pis(curve.q, elements)
+    try:
+        _validate_pis(curve.q, elements)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     return entries, elements
 
 

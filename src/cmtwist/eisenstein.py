@@ -644,7 +644,7 @@ class AveragingReport:
 
 
 def _validate_pis(q: int, pis: list[QuadInt]) -> None:
-    seen: set[tuple[int, int, str]] = set()
+    seen: set[tuple[int, int | None]] = set()
     for pi in pis:
         if pi.q != q:
             raise EisensteinError("twisting prime from a different field")
@@ -657,10 +657,9 @@ def _validate_pis(q: int, pis: list[QuadInt]) -> None:
         if pi.norm() % q == 0:
             raise EisensteinError(f"{pi} is not coprime to the conductor")
         for prime, _ in factor_ideal(pi):
-            key = (prime.p, prime.gen.a, prime.gen.b, prime.kind)
-            if key in seen:
+            if prime in seen:
                 raise EisensteinError("twisting primes are not pairwise coprime")
-            seen.add(key)
+            seen.add(prime)
 
 
 def _min_ord2(pis: list[QuadInt], coeffs: list[QuadInt]) -> int | None:

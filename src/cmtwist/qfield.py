@@ -3,13 +3,15 @@
 Supported fields have q in {7, 11, 19, 43, 67, 163}: class number one, q = 3
 (mod 4), so the ring of integers is Z[tau] with tau = (1 + sqrt(-q))/2 and
 tau^2 = tau - m, m = (q+1)/4.  Everything here is exact: QuadInt arithmetic
-in K (integral or with Fraction coordinates), prime splitting, Cornacchia's
-norm equation, unit normalization mod 4, the Kronecker symbol, the character
-chi of conductor sqrt(-q) (hecke_chi), quadratic residue symbols in residue
-fields, ideal factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for
-M = 1 mod 4, read modulo M by the product formula (chi_m_symbol_table),
-residue rings modulo an odd element (used to enumerate torsion points
-exactly) and 2-adic valuations of rationals.
+in K (integral or with Fraction coordinates), prime splitting, unit
+normalization mod 4, the Kronecker symbol, the character chi of conductor
+sqrt(-q) (hecke_chi), quadratic residue symbols in residue fields, ideal
+factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for M = 1 mod 4,
+read modulo M by the product formula (chi_m_symbol_table), residue rings
+modulo an odd element (used to enumerate torsion points exactly) and 2-adic
+valuations of rationals.  A prime P of O_K is its residue map (p, t0), t0
+the image of tau in O_K/P = F_p (None when P = (p) is inert); Cornacchia's
+norm equation is solved only where a generator's coordinates are read.
 """
 
 from __future__ import annotations
@@ -315,21 +317,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops here: every prime up to the largest M that table
+# accepts is found, and a large prime factor costs bounded time.
+TRIAL_BOUND = 10 ** 6
+
+
 def factor_int(n: int) -> list[tuple[int, int]]:
-    """Ascending (p, e) pairs with |n| = prod p^e, by trial division."""
+    """Ascending (p, e) pairs with |n| = prod p^e, by trial division to
+    TRIAL_BOUND; a cofactor left above TRIAL_BOUND^2 must be prime."""
     if n == 0:
         raise QFieldError("cannot factor 0")
-    n = abs(n)
+    n = whole = abs(n)
     out = []
-    p = 2
-    while p * p <= n:
+    p, stop = 2, min(isqrt(n), TRIAL_BOUND)
+    while p <= stop:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
+            stop = min(isqrt(n), TRIAL_BOUND)
         p += 1 if p == 2 else 2
+    if n > TRIAL_BOUND ** 2 and not is_prime(n):
+        raise QFieldError(f"cannot factor {whole}: the cofactor {n} has no prime "
+                          f"factor up to {TRIAL_BOUND} and is not prime")
     if n > 1:
         out.append((n, 1))
     return out
@@ -337,100 +349,75 @@ def factor_int(n: int) -> list[tuple[int, int]]:
 
 # ------------------------------------------------------------- prime ideals
 
-@dataclass(frozen=True)
-class PrimeIdeal:
-    """A prime ideal of O_K, carried with its residue characteristic."""
-
-    q: int
-    p: int
-    kind: str  # 'split' | 'inert' | 'ramified'
-    gen: QuadInt  # generator (the rational prime itself when inert)
-
-    @property
-    def residue_size(self) -> int:
-        return self.p * self.p if self.kind == "inert" else self.p
-
-    def __str__(self) -> str:
-        return f"({self.gen})"
-
-
-def primes_above(q: int, p: int) -> list[PrimeIdeal]:
+def primes_above(q: int, p: int) -> list[tuple[int, int | None]]:
+    """The primes P above p, ascending, as residue maps (p, t0): t0 is a root
+    of t^2 - t + m mod p and a + b*tau lies in P iff a + b*t0 = 0 mod p;
+    t0 is None for the inert P = (p)."""
     kind = split_type(q, p)
-    if kind == "ramified":
-        return [PrimeIdeal(q, p, kind, sqrt_minus_q(q))]
     if kind == "inert":
-        return [PrimeIdeal(q, p, kind, from_int(q, p))]
-    pi = cornacchia_split(q, p)
-    return [PrimeIdeal(q, p, kind, pi), PrimeIdeal(q, p, kind, pi.conj())]
+        return [(p, None)]
+    if kind == "ramified":  # the double root 1/2 mod q
+        return [(p, (q + 1) // 2)]
+    if p == 2:  # only q = 7: t^2 - t = 0 mod 2
+        return [(2, 0), (2, 1)]
+    s = sqrt_mod(-q, p)  # t0 = (1 +- s)/2, and (p + 1)/2 = 1/2 mod p
+    return sorted((p, (1 + r) * (p + 1) // 2 % p) for r in (s, -s))
 
 
-def _tau_image(P: PrimeIdeal) -> int:
-    """Image of tau in O_K/P = F_p (split or ramified P only)."""
-    if P.kind == "inert":
-        raise QFieldError(f"the residue field of the inert prime {P} is not F_p")
-    p = P.p
-    d = P.gen.b % p
-    if d == 0:  # a norm-p generator cannot have p | b
-        raise QFieldError(f"generator {P.gen} of {P} has p | b")
-    return (-P.gen.a) * pow(d, -1, p) % p
+def residue_size(P: tuple[int, int | None]) -> int:
+    """|O_K/P|: p^2 for the inert P = (p), else p."""
+    p, t0 = P
+    return p * p if t0 is None else p
 
 
-def reduction_mod(P: PrimeIdeal, beta: QuadInt) -> int:
-    """Image of beta in O_K/P = F_p (split or ramified P only)."""
-    return (beta.a + beta.b * _tau_image(P)) % P.p
-
-
-def qr_symbol(alpha, P: PrimeIdeal) -> int:
-    """Quadratic residue symbol of alpha modulo P, +1 or -1.
+def qr_symbol(alpha: QuadInt, P: tuple[int, int | None]) -> int:
+    """Quadratic residue symbol of alpha modulo P = (p, t0), +1 or -1.
 
     P must be an odd unramified prime not dividing (alpha).  At a split P
-    it is the Legendre symbol of the image of alpha in F_p; at an inert
-    P = (p), where Frobenius is conjugation, alpha^((p^2-1)/2) =
+    it is the Legendre symbol of the image a + b*t0 of alpha in F_p; at an
+    inert P = (p), where Frobenius is conjugation, alpha^((p^2-1)/2) =
     N(alpha)^((p-1)/2), the Legendre symbol of the norm.
     """
-    if P.p == 2:
+    p, t0 = P
+    if p == 2:
         raise QFieldError("symbol undefined at primes above 2")
-    if P.kind == "ramified":
+    if p == alpha.q:
         raise QFieldError("symbol undefined at the ramified prime")
-    alpha = as_quadint(P.q, alpha)
-    if P.kind == "split":
-        r = reduction_mod(P, alpha)
-    else:
-        r = 0 if alpha.a % P.p == 0 and alpha.b % P.p == 0 else alpha.norm()
-    if r == 0:
-        raise QFieldError(f"symbol undefined: {alpha} lies in {P}")
-    return kronecker(r, P.p)
+    # p is prime in O_K when inert, so it divides N(alpha) iff alpha in (p)
+    r = alpha.norm() if t0 is None else alpha.a + alpha.b * t0
+    if r % p == 0:
+        raise QFieldError(f"symbol undefined: {alpha} lies in a prime above {p}")
+    return kronecker(r, p)
 
 
-def factor_ideal(beta: QuadInt) -> list[tuple[PrimeIdeal, int]]:
-    """Prime ideal factorization of (beta), from the factorization of its norm.
+def factor_ideal(beta: QuadInt) -> list[tuple[tuple[int, int | None], int]]:
+    """[((p, t0), e)], ascending: the primes of (beta) as residue maps
+    (primes_above), read from the factorization of N(beta).
 
     With p^e exactly dividing N(beta): an inert (p) has exponent e/2 and
     the ramified prime e.  For split p, beta = p^c * beta' with p dividing
-    not both coordinates of beta', so beta' lies in at most one of P and
-    conj(P), with exponent e - 2c, and the residue map of P
-    (a + b*tau -> a + b*t0 mod p) tells which; integers only.
+    not both coordinates of beta', so beta' lies in at most one of the two
+    primes above p, with exponent e - 2c, and their residue maps tell
+    which; integers only.
     """
     if beta.a == 0 and beta.b == 0:
         raise QFieldError("cannot factor the zero ideal")
-    out: list[tuple[PrimeIdeal, int]] = []
+    out = []
     for p, e in factor_int(beta.norm()):
         primes = primes_above(beta.q, p)
-        P = primes[0]
-        if P.kind != "split":
-            out.append((P, e // 2 if P.kind == "inert" else e))
+        if len(primes) == 1:
+            out.append((primes[0], e // 2 if primes[0][1] is None else e))
             continue
         a, b, c = beta.a, beta.b, 0
         while a % p == 0 and b % p == 0:
             a, b, c = a // p, b // p, c + 1
-        inside = [(a + b * _tau_image(P)) % p == 0 for P in primes]
+        inside = [(a + b * t0) % p == 0 for _, t0 in primes]
         if sum(inside) != (e > 2 * c):
             raise QFieldError(
                 f"{beta}: {p}^{e - 2 * c} of its norm is not in one prime above {p}")
         for P, hit in zip(primes, inside):
             if c + (e - 2 * c) * hit:
                 out.append((P, c + (e - 2 * c) * hit))
-    out.sort(key=lambda t: (t[0].p, t[0].gen.a, t[0].gen.b))
     return out
 
 
@@ -475,6 +462,8 @@ class ResidueRing:
     (d1, 0), (r0, d2) gives canonical representatives 0 <= a < d1,
     0 <= b < d2.  d1 is the smallest positive rational integer in (g),
     which is the exact additive order of the torsion point 1/g mod O_K.
+    prime_factors holds the primes of (g) as the residue maps (p, t0) of
+    factor_ideal, which decide coprimality without a generator.
     """
 
     def __init__(self, g: QuadInt):
@@ -505,9 +494,6 @@ class ResidueRing:
         if d1 * d2 != n:
             raise QFieldError(f"Hermite basis of ({g}) has index {d1 * d2}, not {n}")
         self.prime_factors = [P for P, _ in factor_ideal(g)]
-        self._residue_maps = [
-            (P.p, None if P.kind == "inert" else _tau_image(P))
-            for P in self.prime_factors]
 
     @property
     def smallest_positive_integer(self) -> int:
@@ -521,10 +507,10 @@ class ResidueRing:
         return QuadInt(self.q, a, b)
 
     def _coprime(self, a: int, b: int) -> bool:
-        """a + b*tau lies in no prime factor P of g: a + b*t0 != 0 mod p
-        (t0 the image of tau) when P is split or ramified, p does not
-        divide both a and b when P = (p) is inert."""
-        for p, t0 in self._residue_maps:
+        """a + b*tau lies in no prime factor (p, t0) of g: a + b*t0 != 0
+        mod p when P is split or ramified, p does not divide both a and b
+        when P = (p) is inert."""
+        for p, t0 in self.prime_factors:
             if t0 is None:
                 if a % p == 0 and b % p == 0:
                     return False
@@ -535,7 +521,7 @@ class ResidueRing:
     def unit_count(self) -> int:
         n = abs(self.g.norm())
         for P in self.prime_factors:
-            n = n // P.residue_size * (P.residue_size - 1)
+            n = n // residue_size(P) * (residue_size(P) - 1)
         return n
 
     def coprime_residues_mod_units(self) -> list[QuadInt]:

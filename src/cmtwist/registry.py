@@ -118,29 +118,10 @@ def builtin_curve(label: str) -> Curve:
 
 
 def omega_infinity(curve: Curve, precision: int = 50):
-    """|Omega| = omega_lattice / 2^lattice_shift.  Algebraic L-values
-    L(E^(D),1)*sqrt(|D|) are normalised by omega_lattice, not by |Omega|.
-
-    Built-in curves use the Chowla-Selberg product
-
-        prod_{chi_q(r)=1} Gamma(r/q) / ((2*pi)^((q-3)/4) * sqrt(q)),
-
-    which is the exact generator scale of the minimal-model period lattice
-    (it reproduces g2 = c4/12, g3 = c6/216 on the lattice Z + Z*tau), divided
-    by 2^lattice_shift.  User curves must carry an omega override (decimal
-    string), read at the working precision.
-    """
-    with mp.workdps(precision + 10):
-        if curve.omega_override is not None:
-            val = mp.mpf(curve.omega_override)
-            if val <= 0:
-                raise RegistryError("omega override must be positive")
-            return +val
-        prod = mp.mpf(1)
-        for r in _period_residues(curve.q):
-            prod *= mp.gamma(mp.mpf(r) / curve.q)
-        cs = prod / ((2 * mp.pi) ** ((curve.q - 3) // 4) * mp.sqrt(curve.q))
-        return +(cs / 2 ** curve.lattice_shift)
+    """|Omega| = omega_lattice / 2^lattice_shift, exactly: a power-of-2
+    scaling rounds nothing.  Algebraic L-values L(E^(D),1)*sqrt(|D|) are
+    normalised by omega_lattice, not by |Omega|."""
+    return mp.ldexp(omega_lattice(curve, precision), -curve.lattice_shift)
 
 
 def omega_lattice(curve: Curve, precision: int = 50):
@@ -149,9 +130,26 @@ def omega_lattice(curve: Curve, precision: int = 50):
     For lattice_rotation = 0 this is literally a lattice generator; when the
     rotation is 1 the lattice is Omega_L * (i*O_K) and the real period equals
     sqrt(q) * Omega_L.
+
+    Built-in curves use the Chowla-Selberg product
+
+        prod_{chi_q(r)=1} Gamma(r/q) / ((2*pi)^((q-3)/4) * sqrt(q)),
+
+    which is the exact generator scale of the minimal-model period lattice
+    (it reproduces g2 = c4/12, g3 = c6/216 on the lattice Z + Z*tau).  User
+    curves must carry an omega override, the decimal string |Omega| read at
+    the working precision and scaled by 2^lattice_shift.
     """
     with mp.workdps(precision + 10):
-        return +(omega_infinity(curve, precision) * 2 ** curve.lattice_shift)
+        if curve.omega_override is not None:
+            val = mp.mpf(curve.omega_override)
+            if val <= 0:
+                raise RegistryError("omega override must be positive")
+            return mp.ldexp(val, curve.lattice_shift)
+        prod = mp.mpf(1)
+        for r in _period_residues(curve.q):
+            prod *= mp.gamma(mp.mpf(r) / curve.q)
+        return +(prod / ((2 * mp.pi) ** ((curve.q - 3) // 4) * mp.sqrt(curve.q)))
 
 
 def phi_of(curve: Curve) -> int:
@@ -174,11 +172,12 @@ def validate_user_curve(
     """Build a Curve from user data, checking the printed hypotheses.
 
     Checks: integral nonsingular model, odd discriminant (good reduction
-    at 2), q in the allow-list, q^2 dividing the conductor.  The conductor
-    is derived from the bad primes of the (assumed minimal) model, each
-    entering squared.  CM by O_K itself is assumed, not verified here; the
-    point-count check of coeffs.CurveContext raises on a curve that is not
-    E0^(d0).
+    at 2), q in the allow-list, q^2 dividing the conductor (q | disc, before
+    any factoring).  The conductor is derived from the bad primes of the
+    (assumed minimal) model, each entering squared; factor_int refuses, in
+    bounded time, a disc it cannot factor.  CM by O_K itself is assumed, not
+    verified here; the point-count check of coeffs.CurveContext raises on a
+    curve that is not E0^(d0).
 
     A curve with CM by O_K is the twist E0^(d0) of the curve E0 of K whose
     character has conductor sqrt(-q).  base_twist is d0, the product of
@@ -199,13 +198,13 @@ def validate_user_curve(
         raise RegistryError("singular model")
     if disc % 2 == 0:
         raise RegistryError("bad reduction at 2 (even discriminant)")
+    if disc % q != 0:
+        raise RegistryError("conductor mismatch: q does not divide the conductor twice")
     n, d0 = 1, 1
     for p, _ in factor_int(disc):
         n *= p * p
         if p != q:
             d0 *= p if p % 4 == 1 else -p
-    if n % (q * q) != 0:
-        raise RegistryError("conductor mismatch: q does not divide the conductor twice")
     if omega is None:
         raise RegistryError("user curves require an omega override")
     return replace(curve, conductor=n, base_twist=d0)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import pytest
@@ -401,8 +402,10 @@ def test_verify_refuses_a_torsion_list_before_any_scenario_runs(
                         (parse, lambda *args: calls.append(args)))
     code, out, err = run(capsys, "verify", "tamagawa-cross:10000", scenario,
                          "--curve", "49a")
-    assert code == 2 and out == "" and f"error: {why}" in err
-    assert calls == []
+    # every refusal names its scenario
+    name = scenario.partition(":")[0]
+    assert code == 2 and out == "" and err.startswith(f"error: {name}: ")
+    assert why in err and calls == []
 
 
 def test_verify_averaging_prints_the_recognition_residual(capsys):
@@ -422,6 +425,18 @@ def test_verify_composite_entry_is_not_called_a_split_prime(capsys):
     code, out, err = run(capsys, "verify", "averaging:15", "--curve", "49a")
     assert code == 2 and out == ""
     assert "15 is not a rational prime" in err and "split" not in err
+
+
+@pytest.mark.parametrize("scenarios, want", [
+    (["averaging:-3", "averaging:3+0*t"],
+     "error: averaging: 3 is not congruent to 1 mod 4\n"),
+    (["e1-ladder:x"],
+     "error: e1-ladder: cannot parse 'x': expected a rational prime or an "
+     "'a+b*t' literal (e.g. -3 or 1-4*t)\n"),
+])
+def test_refused_pi_list_names_its_scenario(capsys, scenarios, want):
+    code, out, err = run(capsys, "verify", *scenarios, "--curve", "49a")
+    assert (code, out, err) == (2, "", want)
 
 
 def test_verify_e1_ladder(capsys):
@@ -580,6 +595,27 @@ def test_curve_that_is_no_twist_is_refused(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "character", "--curve", "bad",
                        "--curve-file", str(f))
     assert code == 1 and out.startswith("FAIL  character[bad]") and why in out
+
+
+@pytest.mark.parametrize("record, why", [
+    # |disc| = 64000000000000007803 is prime: trial division once ran to
+    # its square root; 7 does not divide it, so it is refused unfactored
+    ("bad 0 0 1 1000000 4 7 1 1.0",
+     "q does not divide the conductor twice"),
+    # 7 | disc, and the cofactor 1953184606463821 has no prime factor
+    # below 10^6 but is not prime
+    ("bad 0 0 1 1000000 7 7 1 1.0",
+     "the cofactor 1953184606463821 has no prime factor up to 1000000"),
+])
+def test_curve_with_a_large_discriminant_factor_is_refused_quickly(
+        capsys, tmp_path, record, why):
+    f = tmp_path / "bad.txt"
+    f.write_text(record + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "twist", "5", "--curve", "bad",
+                         "--curve-file", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and why in err
 
 
 def test_curve_file_resolution(capsys, tmp_path):

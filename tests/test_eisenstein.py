@@ -24,7 +24,7 @@ from cmtwist.eisenstein import (
 )
 from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, chi_m_symbol_table,
                             cornacchia_split, from_int, hecke_chi, normalize_mod4,
-                            primes_above, reduction_mod, sqrt_minus_q,
+                            primes_above, sqrt_minus_q,
                             torsion_modulus)
 from cmtwist.registry import builtin_curve
 from test_qfield import conductor_moduli, min_ord2_roots
@@ -250,11 +250,12 @@ def test_character_matches_quadratic_residues():
     # on (O/sqrt(-q))* = F_q* chi is the Legendre symbol: the residue of
     # beta = a + b*tau through the ramified prime ideal, by Euler's criterion
     for q in (7, 11):
-        ram = primes_above(q, q)[0]
+        [(_, t0)] = primes_above(q, q)
+        assert (-1 + 2 * t0) % q == 0        # sqrt(-q) = 2*tau - 1 maps to 0
         for a in range(-12, 13):
             for b in range(-12, 13):
                 beta = QuadInt(q, a, b)
-                r = reduction_mod(ram, beta)
+                r = (a + b * t0) % q
                 if r == 0:
                     continue
                 euler = 1 if pow(r, (q - 1) // 2, q) == 1 else -1
@@ -702,6 +703,13 @@ def test_averaging_validation_errors(ctx49):
         averaging_check(ctx49, [QuadInt(7, -7, 0)])
     with pytest.raises(EisensteinError, match="pairwise coprime"):
         averaging_check(ctx49, [PI3, PI3])
+
+
+def test_conjugate_primes_are_coprime_twisting_primes():
+    # the two primes above 29 have distinct residue maps; -3*pi shares pi's
+    eisenstein._validate_pis(7, [PI29, PI29.conj()])
+    with pytest.raises(EisensteinError, match="pairwise coprime"):
+        eisenstein._validate_pis(7, [PI29, PI29 * QuadInt(7, -3, 0)])
 
 
 def test_lemma_div_small():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cmtwist.qfield import (
     ALLOWED_Q,
-    PrimeIdeal,
     QFieldError,
     QuadInt,
     ResidueRing,
@@ -26,7 +25,7 @@ from cmtwist.qfield import (
     ord2_int,
     primes_above,
     qr_symbol,
-    reduction_mod,
+    residue_size,
     special_split_primes,
     split_type,
     sqrt_minus_q,
@@ -127,6 +126,11 @@ def test_factor_int():
         [p for p in range(2, 60) if factor_int(p) == [(p, 1)]]
     with pytest.raises(QFieldError):
         factor_int(0)
+    # trial division stops at 10^6: a large prime is kept whole, and a
+    # product of two primes above the bound is refused, both at once
+    assert factor_int(-64000000000000007803) == [(64000000000000007803, 1)]
+    with pytest.raises(QFieldError, match="has no prime factor up to 1000000"):
+        factor_int(3 * 1000003 * 1000033)
 
 
 def test_cornacchia_produces_generators():
@@ -164,14 +168,62 @@ def test_special_split_primes_q11():
 
 def test_primes_above_and_reduction():
     ps = primes_above(7, 29)
-    assert len(ps) == 2 and ps[0].gen != ps[1].gen
+    assert len(ps) == 2 and ps[0] != ps[1]
     P = ps[0]
-    assert P.residue_size == 29
-    # reduction is a ring hom: additive and multiplicative on a sample
+    assert residue_size(P) == 29
+    # reduction a + b*tau -> a + b*t0 is a ring hom: additive and
+    # multiplicative on a sample
+    p, t0 = P
+
+    def red(z):
+        return (z.a + z.b * t0) % p
+
     x, y = QuadInt(7, 3, 4), QuadInt(7, -2, 9)
-    rx, ry = reduction_mod(P, x), reduction_mod(P, y)
-    assert reduction_mod(P, x + y) == (rx + ry) % 29
-    assert reduction_mod(P, x * y) == (rx * ry) % 29
+    assert red(x + y) == (red(x) + red(y)) % 29
+    assert red(x * y) == red(x) * red(y) % 29
+
+
+def _generators_above(q: int, p: int) -> list[QuadInt]:
+    """A generator of each prime above p: Cornacchia's pi and its conjugate
+    when p splits, sqrt(-q) at the ramified prime, p itself when inert."""
+    kind = split_type(q, p)
+    if kind == "inert":
+        return [from_int(q, p)]
+    if kind == "ramified":
+        return [sqrt_minus_q(q)]
+    pi = cornacchia_split(q, p)
+    return [pi, pi.conj()]
+
+
+def _residue_map_of(gen: QuadInt, p: int) -> tuple[int, int | None]:
+    """(p, t0) of the prime (gen) above p: gen = a + b*tau maps to 0, so
+    t0 = -a/b mod p; None for the inert (p), where b = 0."""
+    if gen.b % p == 0:
+        return (p, None)
+    return (p, -gen.a * pow(gen.b, -1, p) % p)
+
+
+@pytest.mark.parametrize("q", ALLOWED_Q)
+def test_primes_above_are_the_residue_maps_of_generators(q):
+    for p in [2] + _odd_primes(300):
+        kind = split_type(q, p)
+        maps = primes_above(q, p)
+        assert maps == sorted(maps)
+        m = (q + 1) // 4
+        for _, t0 in maps:
+            if t0 is not None:
+                assert (t0 * t0 - t0 + m) % p == 0
+        if kind == "split":
+            assert len(maps) == 2 and maps[0] != maps[1]
+            pi = cornacchia_split(q, p)
+            inside = [[(z.a + z.b * t0) % p == 0 for _, t0 in maps]
+                      for z in (pi, pi.conj())]
+            assert sorted(inside) == [[False, True], [True, False]]
+        else:
+            assert maps == ([(p, None)] if kind == "inert" else [(p, (q + 1) // 2)])
+        assert sorted(_residue_map_of(g, p) for g in _generators_above(q, p)) == maps
+    assert primes_above(7, 2) == [(2, 0), (2, 1)]
+    assert primes_above(q, q) == [(q, (q + 1) // 2)]
 
 
 def test_factor_ideal_recovers_norm():
@@ -179,37 +231,34 @@ def test_factor_ideal_recovers_norm():
         facs = factor_ideal(z)
         n = 1
         for P, e in facs:
-            n *= P.residue_size ** e
+            n *= residue_size(P) ** e
         assert n == abs(z.norm())
 
 
-def divide_exact(beta: QuadInt, P: PrimeIdeal) -> QuadInt | None:
-    """beta / gen(P) if beta lies in P, else None: ideal arithmetic, the
+def divide_exact(beta: QuadInt, gen: QuadInt) -> QuadInt | None:
+    """beta / gen if it is integral, else None: ideal arithmetic, the
     oracle of the integer residue maps."""
-    if P.kind == "inert":
-        if beta.a % P.p == 0 and beta.b % P.p == 0:
-            return QuadInt(beta.q, beta.a // P.p, beta.b // P.p)
-        return None
-    g = beta * P.gen.conj()
-    n = P.gen.norm()  # p for split, q for ramified
+    g = beta * gen.conj()
+    n = gen.norm()
     if g.a % n == 0 and g.b % n == 0:
         return QuadInt(beta.q, g.a // n, g.b // n)
     return None
 
 
 def _factor_ideal_by_division(beta: QuadInt) -> list:
-    """(beta) factored by dividing out each prime above each p | N(beta)
-    with divide_exact: the oracle of the integer valuations."""
+    """(beta) factored by dividing out a Cornacchia generator of each prime
+    above each p | N(beta) with divide_exact: the oracle of the integer
+    valuations."""
     out, rest = [], beta
     for p, _ in factor_int(beta.norm()):
-        for P in primes_above(beta.q, p):
+        for gen in _generators_above(beta.q, p):
             e = 0
-            while (nxt := divide_exact(rest, P)) is not None:
+            while (nxt := divide_exact(rest, gen)) is not None:
                 rest, e = nxt, e + 1
             if e:
-                out.append((P, e))
+                out.append((_residue_map_of(gen, p), e))
     assert rest.is_unit()
-    return sorted(out, key=lambda t: (t[0].p, t[0].gen.a, t[0].gen.b))
+    return sorted(out)
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,7 +441,9 @@ def _coprime_residues_by_division(ring: ResidueRing) -> list[QuadInt]:
     coprimality, QuadInt arithmetic for -x and the odd shift; the oracle of
     the integer enumeration."""
     q = ring.q
-    primes = [P for P, _ in factor_ideal(ring.g)]
+    primes = [gen for p, _ in factor_int(ring.g.norm())
+              for gen in _generators_above(q, p)
+              if divide_exact(ring.g, gen) is not None]
     one, tau = QuadInt(q, 1, 0), QuadInt(q, 0, 1)
     seen: set[tuple[int, int]] = set()
     reps = []
@@ -400,7 +451,7 @@ def _coprime_residues_by_division(ring: ResidueRing) -> list[QuadInt]:
         for b in range(ring.d2):
             x = QuadInt(q, a, b)
             if (a, b) in seen or any(
-                    divide_exact(x, P) is not None for P in primes):
+                    divide_exact(x, gen) is not None for gen in primes):
                 continue
             mx = ring.reduce(-x)
             seen.add((a, b))
@@ -438,7 +489,7 @@ def _chi_m_symbol_by_factoring(M, beta: QuadInt) -> int:
     if not beta.is_odd():
         raise QFieldError(f"chi_M needs an odd argument, got {beta}")
     s = 1
-    for P, e in factor_ideal(beta):
+    for P, e in _factor_ideal_by_division(beta):
         if e % 2:
             s *= qr_symbol(M, P)
     return s
