@@ -18,10 +18,8 @@ flagged row), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import takewhile
 
@@ -217,6 +215,10 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     if workers < 2:
         results = [_table_job(ctx, digits, M) for M in candidates]
     else:
+        # imported here: only a pooled scan uses them, and they weigh on
+        # the start-up of every command
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         fork = multiprocessing.get_context("fork")
         chunk = max(1, len(candidates) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
@@ -328,7 +330,10 @@ def _parse_pi_entry(entry: str, q: int) -> QuadInt:
         cut = max(body.rfind("+", 1), body.rfind("-", 1))
         if cut < 1:
             raise ValueError(f"cannot parse {entry!r} as a+b*t")
-        a, b = int(body[:cut]), int(body[cut:])
+        try:
+            a, b = int(body[:cut]), int(body[cut:])
+        except ValueError:
+            raise ValueError(f"cannot parse {entry!r} as a+b*t") from None
         return QuadInt(q, a, b)
     try:
         p = int(text)

@@ -12,23 +12,26 @@ feed the coefficients.
 A CurveContext keeps E0's untwisted a_n once per command, and only as
 the positions n with a_n(E0) != 0 and their values: most a_n of a CM
 curve vanish (about 83% below 10^6 for q = 7).  The a_n come from the
-theta series of psi over O_K (theta_table), since L(E0, s) = L(psi, s):
-no sieve and no a_p.  The table command builds this nonzero view before
-its workers fork, so they share it and build nothing.  A twist by a
-discriminant d coprime to N multiplies a_n by the Kronecker symbol (d/n),
-so a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
-twist_symbol_period gives one period of it; the series sum
-(lseries.central_value) folds that period into a table of powers of its
-own and runs over the view directly, so no twisted a_n is ever listed.
+theta series of psi over O_K (theta_window), since L(E0, s) = L(psi, s):
+no sieve and no a_p.  The view is built window by window: each window of
+a_n is compressed into the view and dropped, so no dense table of a_n
+exists, and a request past the view appends windows to it.  The table
+command builds this view before its workers fork, so they share it and
+build nothing.  A twist by a discriminant d coprime to N multiplies a_n
+by the Kronecker symbol (d/n), so a_n(E^(d)) = (d d0/n) a_n(E0), and
+(d d0/.) is periodic mod |d d0|.  twist_symbol_period gives one period of
+it; the series sum (lseries.central_value) folds that period into a table
+of powers of its own and runs over the view directly, so no twisted a_n
+is ever listed.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 from itertools import compress, count, islice
 from math import gcd, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .qfield import (cornacchia_split, factor_int, hecke_chi, is_prime,
@@ -37,6 +40,8 @@ from .registry import Curve, omega_lattice
 
 MAX_TABLE = 10 ** 6  # 32-bit storage is safe: |a_n| <= n at this scale
 CHECK_SPLIT_PRIMES = 10  # good split primes whose point counts each context checks
+THETA_WINDOW = 1 << 16  # a_n per theta_window call of the nonzero view
+_quarters = itemgetter(0)  # floor(a^2/4) of a theta_window pair, its bisect key
 
 
 class CoeffError(ValueError):
@@ -49,17 +54,26 @@ def ap_point_count(curve: Curve, p: int) -> int:
     For odd p the substitution u = 2y + a1*x + a3 is a bijection, so
     #E(F_p) = 1 + sum_x (1 + (f(x)/p)) with f = 4x^3 + b2 x^2 + 2 b4 x + b6
     the 2-division cubic (Curve.division2_cubic), giving a_p = -sum_x (f(x)/p).
+    The symbols (f(x)/p) are read from one table of the squares mod p.
     """
     if p == 2 or curve.conductor % p == 0:
         raise CoeffError(f"p = {p} is not an odd good prime for {curve.label}")
     four, b2, two_b4, b6 = (c % p for c in curve.division2_cubic())
-    total = 0
-    for x in range(p):
-        total += kronecker((((four * x + b2) * x + two_b4) * x + b6) % p, p)
-    a = -total
+    legendre = _legendre_table(p)
+    a = -sum(legendre[(((four * x + b2) * x + two_b4) * x + b6) % p]
+             for x in range(p))
     if a * a > 4 * p:
         raise CoeffError(f"Hasse bound violated at {p}: a_p = {a}")
     return a
+
+
+def _legendre_table(p: int) -> list[int]:
+    """The Legendre symbol (x/p) for x = 0..p-1, p an odd prime."""
+    legendre = [-1] * p
+    legendre[0] = 0
+    for x in range(1, p // 2 + 1):
+        legendre[x * x % p] = 1
+    return legendre
 
 
 def good_odd_primes(curve: Curve) -> Iterator[int]:
@@ -100,10 +114,10 @@ class CurveContext:
 
     E0, the curve whose twist by curve.base_twist is this one, enters only
     through the nonzero view of its a_n (nonzero), which grows on demand
-    up to MAX_TABLE; the first build checks the point counts at the first
-    CHECK_SPLIT_PRIMES good split primes (check_character).  The period
-    scale Omega_L is kept per precision (omega).  All of it lives only as
-    long as the context.
+    by appended windows up to MAX_TABLE; the first build checks the point
+    counts at the first CHECK_SPLIT_PRIMES good split primes
+    (check_character).  The period scale Omega_L is kept per precision
+    (omega).  All of it lives only as long as the context.
     """
 
     def __init__(self, curve: Curve):
@@ -126,21 +140,24 @@ class CurveContext:
         """(positions, values): the n with a_n(E0) != 0 and those a_n, for
         n from 1 up to at least n_max, in increasing n.
 
-        A request past the view rebuilds it from theta_table, at least
-        doubling its bound so that a run of growing requests stays linear
-        overall; the dense table is dropped once compressed.
+        The view is built from theta_window in windows of THETA_WINDOW
+        terms, each compressed into the two arrays and dropped, so no dense
+        table of a_n is held.  A request past the view appends the windows
+        from the end of the view up to n_max, in place.
         """
         if not 1 <= n_max <= MAX_TABLE:
             raise CoeffError(f"n_max out of range: {n_max}")
         if n_max > self._nonzero_max:
             self.check_character()
-            size = min(MAX_TABLE, max(n_max, 2 * self._nonzero_max))
-            table = theta_table(self.curve.q, size)
-            if table[1] != 1:
-                raise CoeffError(f"{self.curve.label}: a_1 = {table[1]}, not 1")
-            self._nonzero = (array("i", compress(range(size + 1), table)),
-                             array("i", filter(None, table)))
-            self._nonzero_max = size
+            positions, values = self._nonzero
+            for lo in range(self._nonzero_max + 1, n_max + 1, THETA_WINDOW):
+                hi = min(lo + THETA_WINDOW, n_max + 1)
+                window = theta_window(self.curve.q, lo, hi)
+                if lo == 1 and window[0] != 1:
+                    raise CoeffError(f"{self.curve.label}: a_1 = {window[0]}, not 1")
+                positions.extend(compress(range(lo, hi), window))
+                values.extend(filter(None, window))
+                self._nonzero_max = hi - 1  # the bound never runs behind the arrays
         return self._nonzero
 
     def omega(self, precision: int):
@@ -150,9 +167,9 @@ class CurveContext:
         return self._omega[precision]
 
 
-def theta_table(q: int, n_max: int) -> array:
-    """a_n of L(psi, s) for 0..n_max, where psi((alpha)) = chi(alpha) * alpha
-    and chi = hecke_chi is the Legendre symbol mod sqrt(-q).
+def theta_window(q: int, lo: int, hi: int) -> list[int]:
+    """a_n of L(psi, s) for lo <= n < hi, where psi((alpha)) = chi(alpha) *
+    alpha and chi = hecke_chi is the Legendre symbol mod sqrt(-q).
 
     An ideal of norm n has the two generators +-alpha and chi is odd, and
     chi(conj alpha) = chi(alpha), so a_n is 1/4 of the sum of
@@ -166,25 +183,27 @@ def theta_table(q: int, n_max: int) -> array:
     Every supported q is 3 mod 4, so n = floor(a^2/4) + floor((q b^2 + 3)/4).
     The pairs (floor(a^2/4), chi(a/2) a) are listed once for each parity of
     a, without the a divisible by q (chi(a/2) = 0 there); each b then adds
-    the run of its parity's pairs whose norm stays within n_max.
+    the run of its parity's pairs whose norm falls in the window, found by
+    two bisects.  The window is a plain list: CPython specialises list
+    subscripts, not array ones.
     """
     values = [kronecker(r, q) for r in range(q)]
     half = (q + 1) // 2                     # the inverse of 2 mod q
-    top = isqrt(4 * n_max)
-    pairs = []                              # (quarters, terms) for a even, a odd
-    for start in (2, 1):
-        run = [a for a in range(start, top + 1, 2) if a % q]
-        pairs.append(([a * a >> 2 for a in run],
-                      [values[a * half % q] * a for a in run]))
-    t = array("i", bytes(4 * (n_max + 1)))
-    for c in range(1, isqrt(n_max) + 1):
-        t[c * c] = values[c % q] * c
-    for b in range(1, isqrt(4 * n_max // q) + 1):
+    last = hi - 1
+    runs = [[(a * a >> 2, values[a * half % q] * a)
+             for a in range(start, isqrt(4 * last) + 1, 2) if a % q]
+            for start in (2, 1)]            # pairs for a even, a odd
+    t = [0] * (hi - lo)
+    for c in range(isqrt(max(lo, 1) - 1) + 1, isqrt(last) + 1):
+        t[c * c - lo] = values[c % q] * c
+    for b in range(1, isqrt(4 * last // q) + 1):
         offset = (q * b * b + 3) >> 2
-        quarters, terms = pairs[b % 2]      # a = b mod 2, a > 0
-        end = bisect_right(quarters, n_max - offset)
-        for k, v in zip(quarters[:end], terms[:end]):
-            t[k + offset] += v
+        run = runs[b % 2]                   # a = b mod 2, a > 0
+        start = bisect_left(run, lo - offset, key=_quarters)
+        end = bisect_left(run, hi - offset, start, key=_quarters)
+        shift = offset - lo
+        for k, v in run[start:end]:
+            t[k + shift] += v
     return t
 
 
@@ -209,11 +228,7 @@ def _kronecker_period(d: int) -> list[int]:
     m = abs(d)
     period = [1] * m
     for p, _ in factor_int(d):
-        legendre = [-1] * p
-        legendre[0] = 0
-        for x in range(1, p // 2 + 1):
-            legendre[x * x % p] = 1
-        period = list(map(mul, period, legendre * (m // p)))
+        period = list(map(mul, period, _legendre_table(p) * (m // p)))
     return period
 
 

@@ -3,6 +3,7 @@
 import mpmath as mp
 import pytest
 
+from cmtwist import coeffs
 from cmtwist.registry import builtin_curve, omega_infinity
 
 
@@ -28,3 +29,13 @@ def e29_file(tmp_path):
 def e29_file_25(tmp_path):
     """e29 with its omega to 25 digits, too few for the lattice check."""
     return _e29_file(tmp_path, 25)
+
+
+@pytest.fixture
+def theta_windows(monkeypatch):
+    """The (lo, hi) of every coeffs.theta_window call of the test, in order."""
+    windows = []
+    build = coeffs.theta_window
+    monkeypatch.setattr(coeffs, "theta_window", lambda q, lo, hi:
+                        windows.append((lo, hi)) or build(q, lo, hi))
+    return windows

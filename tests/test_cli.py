@@ -1,6 +1,7 @@
 """Command-line interface: arguments, output formats, exit codes."""
 
 import argparse
+import concurrent.futures
 import math
 import os
 import re
@@ -78,18 +79,15 @@ def _recording_pool(monkeypatch, at_init=lambda *initargs: None):
         def map(self, fn, items, chunksize):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_worker_args", ())    # set by the initializer
     return sizes
 
 
-def _recording_theta(monkeypatch):
-    """The n_max of every theta_table call, in order."""
-    sizes = []
-    build = coeffs.theta_table
-    monkeypatch.setattr(coeffs, "theta_table",
-                        lambda q, n_max: sizes.append(n_max) or build(q, n_max))
-    return sizes
+def _windows(lo, hi):
+    """The theta_window calls of a view grown from n = lo to n = hi - 1."""
+    step = coeffs.THETA_WINDOW
+    return [(n, min(n + step, hi)) for n in range(lo, hi, step)]
 
 
 def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
@@ -116,22 +114,21 @@ def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
     assert code == 0 and pools == [3] and serial == out
 
 
-def test_table_workers_inherit_the_view(capsys, monkeypatch):
+def test_table_workers_inherit_the_view(capsys, monkeypatch, theta_windows):
     # the view of E0's a_n is built once, before the pool forks, up to the
     # cutoff of the largest twist; no job builds one
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sizes = _recording_theta(monkeypatch)
     curve = resolve_curve("49a")
     cutoff = series_cutoff(curve, cli._admissible_twists(curve, 1, 200)[-1],
                            cli._table_digits(15))
     held = []       # (builds so far, context, its view and bound) at the fork
     pools = _recording_pool(monkeypatch, lambda ctx, digits: held.append(
-        (list(sizes), ctx, ctx._nonzero, ctx._nonzero_max)))
+        (list(theta_windows), ctx, ctx._nonzero, ctx._nonzero_max)))
     code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
                        "--threads", "2")
     assert code == 0 and pools == [2]
     (built, ctx, view, bound), = held
-    assert built == sizes == [cutoff] and bound >= cutoff
+    assert built == theta_windows == _windows(1, cutoff + 1) and bound >= cutoff
     assert ctx._nonzero is view     # every job read the view held at the fork
     assert out == run(capsys, "table", "1", "200", "--curve", "49a")[1]
 
@@ -148,17 +145,17 @@ M   epsilon  L_value       L_alg_num  L_alg_den  ord2  r_M  bound_rhs  bound_ok 
 """
 
 
-def test_user_curve_table_grows_the_base_value_view(capsys, monkeypatch, e29_file):
+def test_user_curve_table_grows_the_base_value_view(capsys, theta_windows, e29_file):
     # the base L-value builds the view to its own cutoff first; the scan
-    # then grows it once, to the cutoff of its largest twist
-    sizes = _recording_theta(monkeypatch)
+    # then appends to it once, up to the cutoff of its largest twist
     code, out, _ = run(capsys, "table", "1", "60", "--curve", "e29",
                        "--curve-file", e29_file)
     assert code == 0 and out == E29_TABLE_1_60
     curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
     base = series_cutoff(curve, 1, digits)
     top = series_cutoff(curve, cli._admissible_twists(curve, 1, 60)[-1], digits)
-    assert top > 2 * base and sizes == [base, top]
+    assert top > 2 * base
+    assert theta_windows == [(1, base + 1), *_windows(base + 1, top + 1)]
 
 
 @pytest.mark.parametrize("label", ["49a", "121b", "e29"])
@@ -181,16 +178,23 @@ def test_table_candidates_are_the_unfiltered_classification(label, e29_file):
 
 
 def test_table_path_imports_neither_eisenstein_nor_numpy():
-    # the table path, series kernel included, must not pull either module
-    # into an interpreter that starts without them
-    code = ("import sys; from cmtwist import cli; "
-            "rc = cli.main(['table', '1', '50']); "
-            "print(rc, 'cmtwist.eisenstein' in sys.modules, 'numpy' in sys.modules)")
+    # the table path, series kernel included, must not pull eisenstein or
+    # numpy into an interpreter that starts without them; and a command
+    # that forks no worker pool, run in a fresh interpreter, loads none of
+    # the pool's modules
+    names = ("cmtwist.eisenstein", "numpy", "concurrent.futures",
+             "multiprocessing")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False False"
+    for argv in (["table", "1", "50"], ["twist", "5"], ["verify", "character"]):
+        code = (f"import sys; from cmtwist import cli; "
+                f"rc = cli.main({argv!r}); "
+                f"print(rc, *(m for m in {names!r} if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        rc, *loaded = done.stdout.splitlines()[-1].split()
+        held = names if argv[0] == "table" else names[2:]
+        assert rc == "0" and not set(loaded) & set(held), (argv, loaded)
 
 
 def test_table_output_file(capsys, tmp_path):
@@ -279,7 +283,7 @@ def test_verify_parses_every_scenario_before_running_any(capsys, monkeypatch,
     # the refusal of eisenstein-base on e29 must come before the character
     # scenario (or the base value of e29) counts a point or builds a table
     monkeypatch.setattr(coeffs, "ap_point_count", _refuse("ap_point_count"))
-    monkeypatch.setattr(coeffs, "theta_table", _refuse("theta_table"))
+    monkeypatch.setattr(coeffs, "theta_window", _refuse("theta_window"))
     code, out, err = run(capsys, "verify", "character", "eisenstein-base",
                          "--curve", "e29", "--curve-file", e29_file)
     assert code == 2 and out == ""
@@ -299,7 +303,7 @@ def test_verify_computes_no_base_value_it_does_not_read(capsys, monkeypatch,
                                                         e29_file):
     # e29 records no base L-value; lemma-div never reads it
     monkeypatch.setattr(coeffs, "ap_point_count", _refuse("ap_point_count"))
-    monkeypatch.setattr(coeffs, "theta_table", _refuse("theta_table"))
+    monkeypatch.setattr(coeffs, "theta_window", _refuse("theta_window"))
     code, out, err = run(capsys, "verify", "lemma-div:2", "--curve", "e29",
                          "--curve-file", e29_file)
     assert code == 0 and err == "" and out.startswith("PASS  lemma-div[n=2]")
@@ -433,6 +437,10 @@ def test_verify_composite_entry_is_not_called_a_split_prime(capsys):
     (["e1-ladder:x"],
      "error: e1-ladder: cannot parse 'x': expected a rational prime or an "
      "'a+b*t' literal (e.g. -3 or 1-4*t)\n"),
+    (["e1-ladder:x+1*t"], "error: e1-ladder: cannot parse 'x+1*t' as a+b*t\n"),
+    (["averaging:1+4*t*t"],
+     "error: averaging: cannot parse '1+4*t*t' as a+b*t\n"),
+    (["averaging:1+x*t"], "error: averaging: cannot parse '1+x*t' as a+b*t\n"),
 ])
 def test_refused_pi_list_names_its_scenario(capsys, scenarios, want):
     code, out, err = run(capsys, "verify", *scenarios, "--curve", "49a")

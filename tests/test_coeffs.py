@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from cmtwist import coeffs
 from cmtwist.coeffs import (
     MAX_TABLE,
+    THETA_WINDOW,
     CoeffError,
     CurveContext,
     ap_point_count,
     check_point_counts,
-    theta_table,
+    theta_window,
     twist_symbol_period,
 )
 from cmtwist.qfield import (ALLOWED_Q, QFieldError, QuadInt, factor_int,
@@ -140,6 +141,22 @@ def test_ap_small_primes_against_enumeration():
             assert ap_point_count(curve, p) == ap_enumerate(curve, p), (curve.label, p)
 
 
+def _ap_legendre_sum(curve, p):
+    """-sum_x (f(x)/p) over the 2-division cubic f, one kronecker call per x."""
+    four, b2, two_b4, b6 = curve.division2_cubic()
+    return -sum(kronecker(((four * x + b2) * x + two_b4) * x + b6, p)
+                for x in range(p))
+
+
+def test_ap_residue_table_is_the_legendre_sum(e29_file):
+    # the table of squares mod p gives the Legendre-sum definition at every
+    # odd good prime below 3000
+    for curve in (C49, C121, resolve_curve("e29", e29_file)):
+        for p in _odd_good_primes(curve, 3000):
+            assert ap_point_count(curve, p) == _ap_legendre_sum(curve, p), \
+                (curve.label, p)
+
+
 def test_ap_known_values():
     assert ap_point_count(C49, 11) == 4
     assert ap_point_count(C49, 23) == 8
@@ -227,7 +244,7 @@ def test_gathered_twist_is_kronecker_times_untwisted(label, k):
     assume(abs(d) > 1 and gcd(d, ctx.curve.conductor) == 1
            and all(e == 1 for _, e in factor_int(d)))
     n_max = 3 * abs(d)
-    base = theta_table(ctx.curve.q, n_max)
+    base = theta_window(ctx.curve.q, 0, n_max + 1)
     twisted = _twisted(ctx, d, n_max)
     for n in range(1, n_max + 1):
         assert twisted[n] == kronecker(d, n) * base[n], (d, n)
@@ -238,7 +255,7 @@ def test_gathered_twist_is_kronecker_times_untwisted(label, k):
 
 def test_coeff_out_of_range_raises():
     ctx = CurveContext(C49)
-    assert _twisted(ctx, 0, 10) == list(theta_table(7, 10))
+    assert _twisted(ctx, 0, 10) == theta_window(7, 0, 11)
     for n_max in (0, MAX_TABLE + 1):
         with pytest.raises(CoeffError):
             twisted_coeffs(ctx, 0, n_max)
@@ -269,7 +286,7 @@ def _theta_direct(q, n_max):
 @pytest.mark.parametrize("q", sorted(ALLOWED_Q))
 def test_theta_table_matches_the_definition(q):
     n_max = 20000
-    assert [4 * v for v in theta_table(q, n_max)] == _theta_direct(q, n_max)
+    assert [4 * v for v in theta_window(q, 0, n_max + 1)] == _theta_direct(q, n_max)
 
 
 VIEW_CTX = {c.label: CurveContext(c) for c in (C49, C121, E29, CM3)}
@@ -279,7 +296,7 @@ def _dense_gather(ctx, d, n_max):
     """The nonzero kronecker(d d0, n) * a_n(E0), n <= n_max, read off the
     dense table of E0 one n at a time."""
     dd0 = (d or 1) * ctx.curve.base_twist
-    table = theta_table(ctx.curve.q, n_max)
+    table = theta_window(ctx.curve.q, 0, n_max + 1)
     pairs = ((n, kronecker(dd0, n) * table[n]) for n in range(1, n_max + 1))
     return [(n, a) for n, a in pairs if a]
 
@@ -299,17 +316,53 @@ def test_nonzero_view_streams_the_dense_gather(label, k, index, past):
     assert list(twisted_coeffs(ctx, d, n_max)) == _dense_gather(ctx, d, n_max)
 
 
-def test_nonzero_view_follows_a_growing_table(monkeypatch):
-    # the view doubles from 100 to 200; a view left at 100 would cut every
-    # later series at n = 100
-    sizes = []
-    build = coeffs.theta_table
-    monkeypatch.setattr(coeffs, "theta_table",
-                        lambda q, n_max: sizes.append(n_max) or build(q, n_max))
+def test_nonzero_view_follows_a_growing_table(theta_windows):
+    # the view grows from 100 to 150 by one appended window; a view left at
+    # 100 would cut every later series at n = 100
     ctx = CurveContext(C49)
     assert list(twisted_coeffs(ctx, 29, 100)) == _dense_gather(ctx, 29, 100)
     first = ctx.nonzero(100)
     stream = list(twisted_coeffs(ctx, 29, 150))
-    assert sizes == [100, 200] and ctx.nonzero(150) is not first
+    assert theta_windows == [(1, 101), (101, 151)] and ctx.nonzero(150) is first
     assert stream == _dense_gather(ctx, 29, 150) and stream[-1][0] > 100
-    assert ctx.nonzero(150) is ctx.nonzero(200)    # no rebuild without growth
+    for n_max in (120, 150):
+        ctx.nonzero(n_max)
+    assert len(theta_windows) == 2                        # no window without growth
+
+
+# a curve of conductor q^2 with CM by O_K for every supported q
+Q_CURVES = {7: C49, 11: C121, **{
+    q: validate_user_curve(f"cm{q}", model, q=q, w=1, omega="1")
+    for q, model in ((19, (0, 0, 1, -38, 90)), (43, (0, 0, 1, -860, 9707)),
+                     (67, (0, 0, 1, -7370, 243528)),
+                     (163, (0, 0, 1, -2174420, 1234136692)))}}
+
+
+def _theta_dense(q, n_max):
+    """a_n of L(psi, s) for 0..n_max filled in one dense list, pair by
+    pair: chi(a/2) a at each n = (a^2 + q b^2)/4 with a, b > 0, a = b
+    mod 2, and chi(c) c at each n = c^2."""
+    t = [0] * (n_max + 1)
+    for c in range(1, isqrt(n_max) + 1):
+        t[c * c] += kronecker(c, q) * c
+    for b in range(1, isqrt(4 * n_max // q) + 1):
+        for a in range(2 - b % 2, isqrt(4 * n_max - q * b * b) + 1, 2):
+            t[(a * a + q * b * b) // 4] += kronecker(a * (q + 1) // 2, q) * a
+    return t
+
+
+@pytest.mark.parametrize("q", sorted(ALLOWED_Q))
+def test_windowed_view_is_the_compressed_dense_table(q):
+    # the view, built in windows of THETA_WINDOW terms, against the dense
+    # table compressed, at bounds on both sides of a window edge; and a view
+    # grown in three requests against one built in one go
+    top = 3 * THETA_WINDOW + 5
+    dense = _theta_dense(q, top)
+    for n_max in (1, THETA_WINDOW - 1, THETA_WINDOW, THETA_WINDOW + 1, top):
+        positions, values = CurveContext(Q_CURVES[q]).nonzero(n_max)
+        assert list(positions) == [n for n in range(1, n_max + 1) if dense[n]]
+        assert list(values) == list(filter(None, dense[1:n_max + 1]))
+    grown = CurveContext(Q_CURVES[q])
+    for n_max in (100, 150, THETA_WINDOW + 3):
+        view = grown.nonzero(n_max)
+    assert view == CurveContext(Q_CURVES[q]).nonzero(THETA_WINDOW + 3)

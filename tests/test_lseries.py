@@ -80,24 +80,20 @@ def test_algebraic_part_residual_small():
     assert res.tail_bound < 1e-12
 
 
-def test_algebraic_part_shared_ap_map(monkeypatch):
-    # the untwisted a_n table the context's view was built from (the theta
-    # series on the character route) must equal point counts at every good
-    # prime the series needed
+def test_algebraic_part_shared_ap_map(theta_windows):
+    # the untwisted a_n view of the context (the theta series on the
+    # character route), built once by the call, must equal point counts at
+    # every good prime the series needed
     ctx = CurveContext(C49)
-    read = []
-    build = coeffs.theta_table
-    monkeypatch.setattr(coeffs, "theta_table",
-                        lambda q, n: read.append(build(q, n)) or read[-1])
     res = algebraic_part(ctx, 53, target_digits=12)
     assert res.lalg == 0               # this twist's central value vanishes
     n_max = series_cutoff(C49, 53, 12)
-    assert len(read) == 1 and len(read[0]) > n_max
-    table = read[0]
+    assert theta_windows == [(1, n_max + 1)]
+    table = dict(zip(*ctx.nonzero(n_max)))
     primes = [p for p in range(5, n_max + 1) if is_prime(p) and p != 7]
     assert len(primes) > 250
     for p in primes:
-        assert table[p] == ap_point_count(C49, p), p
+        assert table.get(p, 0) == ap_point_count(C49, p), p
 
 
 def _oracle_sum(ctx, d, n_max, digits):
@@ -105,7 +101,7 @@ def _oracle_sum(ctx, d, n_max, digits):
     from the untwisted table times the Kronecker symbol (d d0 / n)."""
     curve = ctx.curve
     dd0 = (d or 1) * curve.base_twist
-    table = coeffs.theta_table(curve.q, n_max)
+    table = coeffs.theta_window(curve.q, 0, n_max + 1)
     # the running product x^n loses about log10(n_max) digits
     with mp.workdps(digits + 15):
         x = mp.exp(-2 * mp.pi / (mp.sqrt(curve.conductor) * abs(d or 1)))
