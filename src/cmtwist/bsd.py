@@ -20,7 +20,9 @@ from fractions import Fraction
 from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part
 from .qfield import (
+    QFieldError,
     cornacchia_split,
+    cubic_root_count,
     factor_int,
     is_prime,
     is_special_split,
@@ -142,7 +144,10 @@ def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
     The twisted curve has additive reduction at p and ord2(c_p) equals
     ord2(#E(Q_p)[2]), which by good reduction at p is counted by the roots
     of the 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 over F_p; the value
-    does not depend on M.  The returned rule labels the trace-parity /
+    does not depend on M.  qfield.cubic_root_count counts them in O(log p)
+    steps: Stickelberger's theorem reads one root off a non-square
+    discriminant, and the Frobenius test x^p = x mod the cubic tells three
+    roots from none.  The returned rule labels the trace-parity /
     congruence case analysis where it applies, and that case analysis is
     checked against the root count (a mismatch is a hard error, since the
     two routes must agree); outside its hypotheses the label is
@@ -155,14 +160,11 @@ def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
             f"{p} divides the conductor; Tamagawa factors at bad primes are "
             "not computed (they are equal for E and all its twists here)"
         )
-    four, b2, two_b4, b6 = curve.division2_cubic()
-    count = 0
-    for x in range(p):
-        if (((four * x + b2) * x + two_b4) * x + b6) % p == 0:
-            count += 1
-    if count not in (0, 1, 3):
+    try:
+        count = cubic_root_count(*curve.division2_cubic(), p)
+    except QFieldError:
         raise BSDError(f"the 2-division cubic of {curve.label} has a repeated "
-                       f"root mod {p}, so {p} is not a good prime")
+                       f"root mod {p}, so {p} is not a good prime") from None
     val = ord2_int(1 + count)
     kind = split_type(curve.q, p)
     expected: int | None = None

@@ -50,6 +50,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 CHARACTER_BOUND = 200   # verify character checks every odd good prime below
 MAX_TORSION_NORM = 10 ** 5   # largest N(g) of an averaging or e1-ladder modulus
+MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
+MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
 
 
 @dataclass(frozen=True)
@@ -479,9 +481,7 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
     curve = ctx.curve
     counts: dict[str, int] = {}
     try:
-        for p in range(3, limit, 2):
-            if not is_prime(p) or curve.conductor % p == 0:
-                continue
+        for p in takewhile(lambda p: p < limit, good_odd_primes(curve)):
             _, rule = bsd.tamagawa_ord2_at(curve, p)
             counts[rule] = counts.get(rule, 0) + 1
     except BSDError as exc:
@@ -499,7 +499,8 @@ SCENARIOS = {
     "e1-ladder": (_pi_list, _e1_ladder),
     "lemma-div": (_lemma_div_n, _lemma_div),
     "character": (None, _character),
-    "tamagawa-cross": (lambda curve, name, arg: _int_arg(name, arg, 1000, 4),
+    "tamagawa-cross": (lambda curve, name, arg:
+                       _int_arg(name, arg, 1000, 4, MAX_TAMAGAWA_LIMIT),
                        _tamagawa_cross),
 }
 # the sums over torsion points that need E0's own period lattice
@@ -578,6 +579,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"q must be one of {sorted(ALLOWED_Q)}")
             if args.limit < 1:
                 parser.error("limit must be positive")
+            if args.limit > MAX_SPECIAL_LIMIT:
+                parser.error(f"limit must be at most {MAX_SPECIAL_LIMIT}")
             lines, code = cmd_special_primes(config, args.q, args.limit)
         else:
             # one context per command: the curve and the nonzero view of its a_n

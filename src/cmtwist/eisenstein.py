@@ -66,6 +66,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 import mpmath as mp
 
@@ -771,7 +772,8 @@ def lemma_div_bruteforce(n: int) -> bool:
     The sum over all subsets of a sign vector s in {+-1}^n equals 2^n when
     every s_i = +1 and vanishes otherwise; checked literally for all 2^n
     vectors.  The subset products are built by doubling: after s_1..s_i
-    the list holds the product over each mask below 2^i, in mask order.
+    the list holds the product over each mask below 2^i, in mask order, so
+    s_{i+1} = +1 appends a copy of the list and -1 its negation.
     """
     if not 1 <= n <= LEMMA_DIV_MAX_N:
         raise EisensteinError(f"n must be between 1 and {LEMMA_DIV_MAX_N}")
@@ -779,7 +781,7 @@ def lemma_div_bruteforce(n: int) -> bool:
     for signs in itertools.product((1, -1), repeat=n):
         prods = [1]
         for s in signs:
-            prods += [x * s for x in prods]
+            prods += prods if s == 1 else list(map(neg, prods))
         total = sum(prods)
         expected = size if all(s == 1 for s in signs) else 0
         if total != expected:

@@ -8,10 +8,11 @@ normalization mod 4, the Kronecker symbol, the character chi of conductor
 sqrt(-q) (hecke_chi), quadratic residue symbols in residue fields, ideal
 factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for M = 1 mod 4,
 read modulo M by the product formula (chi_m_symbol_table), residue rings
-modulo an odd element (used to enumerate torsion points exactly) and 2-adic
-valuations of rationals.  A prime P of O_K is its residue map (p, t0), t0
-the image of tau in O_K/P = F_p (None when P = (p) is inert); Cornacchia's
-norm equation is solved only where a generator's coordinates are read.
+modulo an odd element (used to enumerate torsion points exactly), root
+counts of cubics over F_p (cubic_root_count) and 2-adic valuations of
+rationals.  A prime P of O_K is its residue map (p, t0), t0 the image of
+tau in O_K/P = F_p (None when P = (p) is inert); Cornacchia's norm
+equation is solved only where a generator's coordinates are read.
 """
 
 from __future__ import annotations
@@ -226,6 +227,44 @@ def sqrt_mod(n: int, p: int) -> int:
     if x * x % p != n:
         raise QFieldError(f"square root of {n} mod {p} failed; is {p} prime?")
     return x
+
+
+def cubic_root_count(a: int, b: int, c: int, d: int, p: int) -> int:
+    """The number of roots in F_p of f = a x^3 + b x^2 + c x + d: 0, 1 or 3.
+
+    p must be an odd prime not dividing a; a repeated root (disc(f) = 0
+    mod p) is refused.  By Stickelberger's theorem (disc/p) = (-1)^(3 - r)
+    for the number r of irreducible factors of f mod p, so (disc/p) = -1
+    means one linear and one quadratic factor: exactly one root.  Otherwise
+    f splits into three roots or stays irreducible, and the Frobenius test
+    tells which: f divides x^p - x iff every root lies in F_p.  x^p mod f
+    is formed by square-and-multiply on residues c0 + c1 x + c2 x^2, so the
+    count takes O(log p) operations where evaluating f at every residue
+    takes O(p).
+    """
+    if a % p == 0:
+        raise QFieldError(f"the cubic has leading coefficient {a} = 0 mod {p}")
+    disc = (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d
+            + 18 * a * b * c * d)
+    legendre = kronecker(disc, p)
+    if legendre == 0:
+        raise QFieldError(f"the cubic has a repeated root mod {p}")
+    if legendre == -1:
+        return 1
+    # the monic f / a = x^3 + B x^2 + C x + D, and x^3 = -B x^2 - C x - D
+    inv = pow(a, -1, p)
+    B, C, D = b * inv % p, c * inv % p, d * inv % p
+    r0, r1, r2 = 0, 1, 0                         # x
+    for bit in bin(p)[3:]:
+        # square: e0 + e1 x + e2 x^2 + e3 x^3 + e4 x^4, folded from the top
+        e4 = r2 * r2 % p
+        e3 = (2 * r1 * r2 - B * e4) % p
+        e2 = r1 * r1 + 2 * r0 * r2 - C * e4
+        e1 = 2 * r0 * r1 - D * e4
+        r0, r1, r2 = (r0 * r0 - D * e3) % p, (e1 - C * e3) % p, (e2 - B * e3) % p
+        if bit == "1":                           # times x
+            r0, r1, r2 = -D * r2 % p, (r0 - C * r2) % p, (r1 - B * r2) % p
+    return 3 if (r0, r1, r2) == (0, 1, 0) else 0
 
 
 def cornacchia_split(q: int, p: int) -> QuadInt:

@@ -1,6 +1,8 @@
 """Twist classification, local factors, bound checks, order predictions."""
 
+from dataclasses import replace
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
@@ -18,10 +20,10 @@ from cmtwist.bsd import (
     _check_base,
     _sha_flags,
 )
-from cmtwist.coeffs import CurveContext
+from cmtwist.coeffs import CurveContext, good_odd_primes
 from cmtwist.lseries import algebraic_part
-from cmtwist.qfield import ord2_fraction
-from cmtwist.registry import builtin_curve, validate_user_curve
+from cmtwist.qfield import cubic_root_count, ord2_fraction, ord2_int
+from cmtwist.registry import builtin_curve, resolve_curve, validate_user_curve
 from golden_tables import TABLE_121B, TABLE_49A
 
 C49 = builtin_curve("49a")
@@ -87,6 +89,35 @@ def test_tamagawa_rejects_bad_input():
         tamagawa_ord2_at(C49, 2)
     with pytest.raises(BSDError):
         tamagawa_ord2_at(C49, 15)  # composite
+
+
+def _roots_by_residues(curve, p):
+    """Roots of the 2-division cubic in F_p, one evaluation per residue."""
+    four, b2, two_b4, b6 = curve.division2_cubic()
+    return sum(1 for x in range(p)
+               if (((four * x + b2) * x + two_b4) * x + b6) % p == 0)
+
+
+def test_root_count_matches_the_residue_loop(e29_file):
+    # the O(log p) count against the O(p) loop at every odd good p < 5000
+    for curve in (C49, C121, resolve_curve("e29", e29_file)):
+        cubic = curve.division2_cubic()
+        for p in takewhile(lambda p: p < 5000, good_odd_primes(curve)):
+            count = _roots_by_residues(curve, p)
+            assert cubic_root_count(*cubic, p) == count, (curve.label, p)
+            assert tamagawa_ord2_at(curve, p)[0] == ord2_int(1 + count)
+
+
+@pytest.mark.parametrize("a2", [1, 0], ids=["double", "triple"])
+def test_tamagawa_refuses_a_repeated_root(a2):
+    # y^2 = x^3 + a2 x^2 with 49a's conductor: the cubic 4x^3 + 4 a2 x^2
+    # has a double root at 0 (a2 = 1) or a triple one (a2 = 0) mod every
+    # p; a count of distinct roots read the triple root as one simple root
+    curve = replace(C49, a1=0, a2=a2, a3=0, a4=0, a6=0)
+    for p in (3, 5, 29):
+        with pytest.raises(BSDError, match=f"has a repeated root mod {p}, "
+                                           f"so {p} is not a good prime"):
+            tamagawa_ord2_at(curve, p)
 
 
 def test_tamagawa_matches_golden_tables():

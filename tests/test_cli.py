@@ -264,6 +264,34 @@ def test_verify_tamagawa_cross_needs_a_prime(capsys):
     assert code == 0 and out.startswith("PASS  tamagawa-cross[49a]: 1 primes < 4")
 
 
+def test_verify_tamagawa_cross_to_100000(capsys):
+    # the line the O(p) residue loop printed, now in well under 2 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "tamagawa-cross:100000",
+                         "--curve", "49a")
+    assert code == 0 and err == ""
+    assert out == ("PASS  tamagawa-cross[49a]: 9590 primes < 100000 agree "
+                   "(division-poly-count:2396 inert-case:2417 "
+                   "split-even-ap:4777)\n")
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv, why", [
+    (("verify", "tamagawa-cross:1000001"),
+     "tamagawa-cross needs an integer above 3 and at most 1000000, got 1000001"),
+    (("special-primes", "7", "1000001"), "limit must be at most 1000000"),
+    (("verify", "lemma-div:13"),
+     "lemma-div needs an integer above 0 and at most 12, got 13"),
+    (("table", "1", "1000001"), "need 1 <= m_min <= m_max <= 10^6"),
+    (("twist", "10000001"), "twisting integer above 10000000 not supported"),
+], ids=["tamagawa-cross", "special-primes", "lemma-div", "table", "twist"])
+def test_one_past_each_upper_bound_is_refused_at_once(capsys, argv, why):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--curve", "49a")
+    assert code == 2 and out == "" and why in err
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("scenario", ["lemma-div:x", "tamagawa-cross:y"])
 def test_verify_bad_integer_argument_names_the_scenario(capsys, scenario):
     name, _, arg = scenario.partition(":")

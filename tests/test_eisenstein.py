@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cmtwist import eisenstein
 from cmtwist.eisenstein import (
+    LEMMA_DIV_MAX_N,
     EisensteinError,
     averaging_check,
     e1star_values,
@@ -719,6 +720,11 @@ def test_lemma_div_small():
         lemma_div_bruteforce(0)
     with pytest.raises(EisensteinError):
         lemma_div_bruteforce(13)
+
+
+def test_lemma_div_largest_n():
+    # 4096 sign vectors, each with its 4096 subset products
+    assert lemma_div_bruteforce(LEMMA_DIV_MAX_N) and LEMMA_DIV_MAX_N == 12
 
 
 def test_phase_split():

@@ -14,6 +14,7 @@ from cmtwist.qfield import (
     as_quadint,
     chi_m_symbol_table,
     cornacchia_split,
+    cubic_root_count,
     factor_ideal,
     factor_int,
     from_int,
@@ -114,6 +115,43 @@ def test_sqrt_mod():
 
 def _odd_primes(bound):
     return [p for p in range(3, bound, 2) if is_prime(p)]
+
+
+def _cubic_roots_by_residues(a, b, c, d, p):
+    """(roots of a x^3 + b x^2 + c x + d in F_p, whether one is repeated),
+    by evaluating the cubic and its derivative at every residue."""
+    roots = [x for x in range(p) if (((a * x + b) * x + c) * x + d) % p == 0]
+    repeated = any(((3 * a * x + 2 * b) * x + c) % p == 0 for x in roots)
+    return len(roots), repeated
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_odd_primes(40)),
+       st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60),
+       st.integers(-60, 60))
+def test_cubic_root_count_matches_the_residue_loop(p, a, b, c, d):
+    assume(a % p)
+    count, repeated = _cubic_roots_by_residues(a, b, c, d, p)
+    if repeated:
+        with pytest.raises(QFieldError, match=f"repeated root mod {p}"):
+            cubic_root_count(a, b, c, d, p)
+    else:
+        assert cubic_root_count(a, b, c, d, p) == count
+
+
+def test_cubic_root_count_refuses_repeated_roots():
+    for p in (3, 5, 29, 997):
+        # a double root at 1 beside a simple one at 2, and a triple root at 1
+        double = (1, -4, 5, -2)           # (x - 1)^2 (x - 2)
+        triple = (1, -3, 3, -1)           # (x - 1)^3
+        for coeffs in (double, triple):
+            with pytest.raises(QFieldError, match=f"repeated root mod {p}"):
+                cubic_root_count(*coeffs, p)
+        # the residue loop finds one distinct root of the triple, as a
+        # cubic with one simple root would have
+        assert _cubic_roots_by_residues(*triple, p) == (1, True)
+    with pytest.raises(QFieldError, match="leading coefficient"):
+        cubic_root_count(7, 1, 0, 1, 7)
 
 
 def test_factor_int():
