@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, count, islice
+from itertools import compress, islice
 from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
-from .qfield import (cornacchia_split, factor_int, hecke_chi, is_prime,
-                     kronecker, split_type)
+from .qfield import (cornacchia_split, factor_int, hecke_chi, kronecker,
+                     primes_below, split_type)
 from .registry import Curve, omega_lattice
 
 MAX_TABLE = 10 ** 6  # 32-bit storage is safe: |a_n| <= n at this scale
@@ -77,8 +77,18 @@ def _legendre_table(p: int) -> list[int]:
 
 
 def good_odd_primes(curve: Curve) -> Iterator[int]:
-    """The odd primes of good reduction of the curve, ascending, without end."""
-    return (p for p in count(3, 2) if curve.conductor % p and is_prime(p))
+    """The odd primes of good reduction of the curve, ascending, without end.
+
+    The walk sieves below 2^7 first and sieves again below twice the last
+    bound each time it passes it, so a walk that stops at p costs a sieve
+    of O(p) entries.
+    """
+    lo, hi = 3, 1 << 7
+    while True:
+        for p in primes_below(hi):
+            if p >= lo and curve.conductor % p:
+                yield p
+        lo, hi = hi, 2 * hi
 
 
 def check_point_counts(curve: Curve, primes: Iterable[int]) -> int:

@@ -13,7 +13,10 @@ directly from its q-expansion: with u = e^(2*pi*i*(s + t*tau)), 0 <= t <= 1/2
 
 one short series per point (Goldstein-Schappacher, J. reine angew. Math.
 327 (1981); de Shalit, Iwasawa Theory of Elliptic Curves with Complex
-Multiplication (1987), ch. II).  The weight-one torsion sums
+Multiplication (1987), ch. II).  When conj(g) = -g the torsion points of g
+come in complex-conjugate pairs whose values are conjugate, as qtau is
+real, and the torsion sums run one series per pair (_brackets).  The
+weight-one torsion sums
 
     S(g)      = g^{-1} sum_{beta} chi(beta) E1*(beta*lam/g),
     S_M(g)    = g^{-1} sum_{beta} chi_M((beta)) chi(beta) E1*(beta*lam/g),
@@ -524,16 +527,53 @@ def _brackets(ctx: EisensteinContext, g: QuadInt) -> tuple[list, list, int]:
 
     beta/g = beta*conj(g)/N(g) = s + t*tau with s, t in (1/N(g))Z, so every
     bracket comes from one phase table.
+
+    Complex-conjugate pairs are evaluated once.  Each point (k, l, flip) of
+    _torsion_coords is keyed by (k, min(l, -l mod 2d), flip), d = N(g).
+    The bracket at (k, -l, flip) is the exact conjugate of the bracket at
+    (k, l, flip): u = omega^l * rho^k becomes conj(u), as rho is real, and
+    qtau and t are real, so every term of the expansion is conjugated.
+    When two points share a key, e1star runs once, at the smaller phase
+    index, and the other point gets (x, -y).  The key alone decides which
+    member is evaluated, so the class sums of _subset_terms do not depend
+    on the order of the representatives.
+
+    When conj(g) = -g (g = sqrt(-q) times a rational integer), the pairs
+    are common.  If the representative beta' is conj(beta), then
+    w = beta*conj(g) gives w' = beta'*conj(g) = -conj(beta)*g = -conj(w).
+    With w = j + k*tau and conj(tau) = 1 - tau, -conj(w) = -(j + k) + k*tau;
+    this map commutes with the reduction modulo d and with z -> -z, so
+    (j', k') = (-j - k, k) with the same flip, which depends on k alone.
+    Then l' = 2j' + k' = -(2j + k) = -l mod 2d and u' = conj(u).  So the
+    derived bracket is the conjugate of a bracket within 6K + 1 units of
+    2^-B of its exact value (_PhaseTable.e1star), hence within 6K + 1
+    units of the exact bracket at (k, l', flip), and the bound on the
+    torsion sums in _PhaseTable.e1star holds unchanged.  (A representative
+    -conj(beta) has w' = conj(w), whose k' = d - k gives the opposite flip:
+    its key differs, and it is evaluated on its own.)
+
+    When g is neither conj(g) nor -conj(g), no two points share a key, and
+    every point is evaluated at its own (k, l, flip).
     """
     reps = ResidueRing(g).coprime_residues_mod_units()
     g_conj = g.conj()
     d = g.norm()
     table = _PhaseTable(ctx, d)
-    brackets = []
+    points = []
     for b in reps:
         w = b * g_conj
-        _, k, l, flip = _torsion_coords(w.a, w.b, d)
-        brackets.append(table.e1star(k, l, flip))
+        points.append(_torsion_coords(w.a, w.b, d)[1:])
+    present = set(points)
+    memo: dict[tuple[int, int, bool], tuple[int, int]] = {}
+    brackets = []
+    for k, l, flip in points:
+        l_bar = -l % (2 * d)
+        conjugate = l_bar < l and (k, l_bar, flip) in present
+        key = (k, l_bar, flip) if conjugate else (k, l, flip)
+        if key not in memo:
+            memo[key] = table.e1star(*key)
+        x, y = memo[key]
+        brackets.append((x, -y) if conjugate else (x, y))
     return reps, brackets, table.shift
 
 

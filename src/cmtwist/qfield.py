@@ -9,16 +9,18 @@ sqrt(-q) (hecke_chi), quadratic residue symbols in residue fields, ideal
 factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for M = 1 mod 4,
 read modulo M by the product formula (chi_m_symbol_table), residue rings
 modulo an odd element (used to enumerate torsion points exactly), root
-counts of cubics over F_p (cubic_root_count) and 2-adic valuations of
-rationals.  A prime P of O_K is its residue map (p, t0), t0 the image of
-tau in O_K/P = F_p (None when P = (p) is inert); Cornacchia's norm
-equation is solved only where a generator's coordinates are read.
+counts of cubics over F_p (cubic_root_count), the prime sieve behind the
+walks over primes (primes_below) and 2-adic valuations of rationals.  A
+prime P of O_K is its residue map (p, t0), t0 the image of tau in
+O_K/P = F_p (None when P = (p) is inert); Cornacchia's norm equation is
+solved only where a generator's coordinates are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 ALLOWED_Q = (7, 11, 19, 43, 67, 163)
@@ -329,7 +331,23 @@ def is_special_split(q: int, p: int) -> bool:
 
 def special_split_primes(q: int, bound: int) -> list[int]:
     """All special split primes p <= bound, ascending."""
-    return [p for p in range(5, bound + 1) if is_prime(p) and is_special_split(q, p)]
+    return [p for p in primes_below(bound + 1) if p >= 5 and is_special_split(q, p)]
+
+
+def primes_below(n: int) -> list[int]:
+    """The primes p < n, ascending, by a sieve of Eratosthenes on a bytearray.
+
+    The walks over a range of primes use it; is_prime checks a single
+    integer that comes from outside.
+    """
+    if n < 3:
+        return []
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(compress(range(n), sieve))
 
 
 def is_prime(n: int) -> bool:

@@ -218,35 +218,40 @@ def parse_curve_file(path: str) -> list[Curve]:
         label a1 a2 a3 a4 a6 q w_E [omega]
 
     Fields are whitespace- or comma-separated; omega is a positive decimal
-    |Omega| and is required unless the label is a built-in.
+    |Omega| and is required unless the label is a built-in.  A file that
+    cannot be opened or read raises RegistryError.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise RegistryError(f"cannot read {path}: {exc.strerror or exc}") from None
     curves: list[Curve] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) not in (8, 9):
-                raise RegistryError(
-                    f"{path}:{lineno}: expected 'label a1 a2 a3 a4 a6 q w [omega]', got {len(parts)} fields")
-            label = parts[0]
-            try:
-                nums = [int(x) for x in parts[1:8]]
-            except ValueError as exc:
-                raise RegistryError(f"{path}:{lineno}: non-integral input: {exc}") from None
-            omega = parts[8] if len(parts) == 9 else None
-            if label in BUILTIN and omega is None:
-                ref = BUILTIN[label]
-                got = (nums[0], nums[1], nums[2], nums[3], nums[4], nums[5], nums[6])
-                want = (ref.a1, ref.a2, ref.a3, ref.a4, ref.a6, ref.q, ref.w)
-                if got != want:
-                    raise RegistryError(f"{path}:{lineno}: data disagrees with built-in {label}")
-                curves.append(ref)
-                continue
-            curves.append(validate_user_curve(
-                label, (nums[0], nums[1], nums[2], nums[3], nums[4]),
-                q=nums[5], w=nums[6], omega=omega))
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) not in (8, 9):
+            raise RegistryError(
+                f"{path}:{lineno}: expected 'label a1 a2 a3 a4 a6 q w [omega]', got {len(parts)} fields")
+        label = parts[0]
+        try:
+            nums = [int(x) for x in parts[1:8]]
+        except ValueError as exc:
+            raise RegistryError(f"{path}:{lineno}: non-integral input: {exc}") from None
+        omega = parts[8] if len(parts) == 9 else None
+        if label in BUILTIN and omega is None:
+            ref = BUILTIN[label]
+            got = (nums[0], nums[1], nums[2], nums[3], nums[4], nums[5], nums[6])
+            want = (ref.a1, ref.a2, ref.a3, ref.a4, ref.a6, ref.q, ref.w)
+            if got != want:
+                raise RegistryError(f"{path}:{lineno}: data disagrees with built-in {label}")
+            curves.append(ref)
+            continue
+        curves.append(validate_user_curve(
+            label, (nums[0], nums[1], nums[2], nums[3], nums[4]),
+            q=nums[5], w=nums[6], omega=omega))
     return curves
 
 

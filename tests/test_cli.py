@@ -213,6 +213,16 @@ def test_table_unwritable_output_is_usage_error(capsys, tmp_path):
     assert "Traceback" not in err and not target.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_curve_file_is_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "curves.txt" if kind == "missing" else tmp_path
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    code, out, err = run(capsys, "verify", "eisenstein-base", "--curve", "x",
+                         "--curve-file", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: {reason}\n"
+
+
 def test_table_rejects_bad_range(capsys):
     code, _, err = run(capsys, "table", "50", "20")
     assert code == 2 and "m_min" in err

@@ -1,7 +1,7 @@
 """Dirichlet coefficients: point counts, contexts, the theta table, twists."""
 
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, count, islice
 from math import gcd, isqrt
 from operator import mul
 
@@ -17,6 +17,7 @@ from cmtwist.coeffs import (
     CurveContext,
     ap_point_count,
     check_point_counts,
+    good_odd_primes,
     theta_window,
     twist_symbol_period,
 )
@@ -174,6 +175,14 @@ def test_ap_bad_prime_rejected():
         ap_point_count(C121, 11)
     with pytest.raises(CoeffError):
         ap_point_count(C49, 2)
+
+
+@pytest.mark.parametrize("curve", [C49, C121, CM3, E29], ids=lambda c: c.label)
+def test_good_odd_primes_is_the_is_prime_walk(curve):
+    # the sieve walk against a walk testing every odd integer with is_prime,
+    # across the sieve bounds 2^7, 2^8, ..., 2^16; E29's conductor drops 29
+    old = (p for p in count(3, 2) if curve.conductor % p and is_prime(p))
+    assert list(islice(good_odd_primes(curve), 4000)) == list(islice(old, 4000))
 
 
 def test_table_multiplicative_structure():

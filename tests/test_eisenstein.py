@@ -378,6 +378,47 @@ def test_integer_e1star_matches_mpc_oracle(q, factor, precision):
     assert flips  # some points go through the reflection z -> -z
 
 
+@pytest.mark.parametrize("q, factor, evaluated, count", [
+    (7, PI3, 15, 24),
+    (7, QuadInt(7, 5, 0), 45, 72),
+    (11, from_int(11, -7), 144, 240),
+    (7, PI29, 84, 84),
+], ids=["sqrt-7*(-3)", "sqrt-7*5", "sqrt-11*(-7)", "sqrt-7*(1-4t)"])
+def test_conjugate_points_share_one_e1star(monkeypatch, q, factor, evaluated, count):
+    # conj(g) = -g pairs the points (k, l, flip) and (k, -l, flip), and
+    # e1star runs once per pair; g = sqrt(-7)*(1-4t) has no pairs.  Each
+    # evaluated bracket is e1star at its own point, and each derived one is
+    # within twice the bound of one bracket (6K + 1 units of 2^-B, times
+    # 2^G at scale 2^-T) of e1star at its own point
+    ctx = _context(q, 50)
+    g = sqrt_minus_q(q) * factor
+    calls = set()
+    e1star = eisenstein._PhaseTable.e1star
+
+    def counted(table, *point):
+        calls.add(point)
+        return e1star(table, *point)
+
+    monkeypatch.setattr(eisenstein._PhaseTable, "e1star", counted)
+    reps, brackets, shift = eisenstein._brackets(ctx, g)
+    monkeypatch.undo()
+    assert (len(calls), len(reps)) == (evaluated, count)
+    d, g_conj = g.norm(), g.conj()
+    table = eisenstein._PhaseTable(ctx, d)
+    bound = 2 * (6 * ctx.series_terms + 1) << table.guard
+    derived = 0
+    for b, (x, y) in zip(reps, brackets):
+        w = b * g_conj
+        point = eisenstein._torsion_coords(w.a, w.b, d)[1:]
+        dx, dy = table.e1star(*point)
+        if point in calls:
+            assert (x, y) == (dx, dy)
+        else:
+            derived += 1
+            assert (x - dx) ** 2 + (y - dy) ** 2 <= bound ** 2, b
+    assert derived == count - evaluated
+
+
 @pytest.mark.parametrize("q, d", [(7, 7), (7, 203), (11, 2959), (7, 2940)])
 def test_phase_table_within_its_error_bound(q, d):
     # the entries against omega^l * 2^T and rho^j * 2^T at T + 40 bits: the
@@ -564,9 +605,13 @@ def test_averaging_matches_the_mpc_route(precision, pis, ord2):
         assert abs(rep.average - lhs) < tol
 
 
+@pytest.mark.parametrize("pis", [[PI3, PI29], [PI3, QuadInt(7, 5, 0)]],
+                         ids=["-3,29", "-3,5"])
 def test_averaging_does_not_depend_on_the_order_of_the_representatives(
-        ctx49, monkeypatch):
-    ref = averaging_check(ctx49, [PI3, PI29])
+        ctx49, monkeypatch, pis):
+    # g = sqrt(-7)*(-3)*5 has conj(g) = -g, so its brackets come in
+    # conjugate pairs (_brackets): the pairing must not follow the order
+    ref = averaging_check(ctx49, pis)
     coprime = ResidueRing.coprime_residues_mod_units
     calls = []
 
@@ -575,7 +620,7 @@ def test_averaging_does_not_depend_on_the_order_of_the_representatives(
         return coprime(ring)[::-1]
 
     monkeypatch.setattr(ResidueRing, "coprime_residues_mod_units", reversed_reps)
-    rep = averaging_check(ctx49, [PI3, PI29])
+    rep = averaging_check(ctx49, pis)
     assert calls
     assert (rep.terms, rep.average) == (ref.terms, ref.average)
     assert rep.coeffs == ref.coeffs and rep.ord2 == ref.ord2

@@ -25,6 +25,7 @@ from cmtwist.qfield import (
     ord2_fraction,
     ord2_int,
     primes_above,
+    primes_below,
     qr_symbol,
     residue_size,
     special_split_primes,
@@ -202,6 +203,18 @@ def test_special_split_primes_q11():
         53, 257, 269, 397, 401, 421, 617, 757, 773, 929]
     assert special_split_primes(11, 50) == []
     assert is_special_split(11, 53) and not is_special_split(11, 5)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 128, 129, 10 ** 5])
+def test_primes_below_is_the_is_prime_walk(n):
+    assert primes_below(n) == [p for p in range(n) if is_prime(p)]
+
+
+@pytest.mark.parametrize("q", ALLOWED_Q)
+def test_special_split_primes_match_the_is_prime_walk(q):
+    for bound in (4, 5, 6, 53, 20000):
+        old = [p for p in range(5, bound + 1) if is_prime(p) and is_special_split(q, p)]
+        assert special_split_primes(q, bound) == old
 
 
 def test_primes_above_and_reduction():
