@@ -155,6 +155,13 @@ def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
     """
     if p < 3 or not is_prime(p):
         raise BSDError(f"{p} is not an odd prime")
+    return _tamagawa_ord2_at_prime(curve, p)
+
+
+def _tamagawa_ord2_at_prime(curve: Curve, p: int) -> tuple[int, str]:
+    """tamagawa_ord2_at for a p already known to be an odd prime, without
+    testing it again: a prime of a sieve walk, or a factor_int factor of an
+    admissible M (odd, as M = 1 or 3 mod 4)."""
     if curve.conductor % p == 0:
         raise BSDError(
             f"{p} divides the conductor; Tamagawa factors at bad primes are "
@@ -190,7 +197,7 @@ def tamagawa_report(curve: Curve, spec: TwistSpec) -> TamagawaReport:
     entries = []
     total = 0
     for fac in spec.factors:
-        val, rule = tamagawa_ord2_at(curve, fac.p)
+        val, rule = _tamagawa_ord2_at_prime(curve, fac.p)
         entries.append(TamagawaEntry(p=fac.p, ord2=val, rule=rule))
         total += val
     return TamagawaReport(entries=tuple(entries), product_ord2=total)

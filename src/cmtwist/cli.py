@@ -185,6 +185,27 @@ def _table_job(ctx: CurveContext, digits: int, M: int):
     return M, rep, None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (taskset and container cpusets narrow it), else
+    os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int, **kwargs):
+    """A ProcessPoolExecutor of the given size whose workers fork from this
+    process, so they inherit its state instead of unpickling it."""
+    # imported here: only a pooled scan uses them, and they weigh on the
+    # start-up of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               **kwargs)
+
+
 def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
     """The admissible M with max(m_min, 2) <= M <= m_max, ascending.
 
@@ -206,26 +227,29 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     curve = ctx.curve
     digits = _table_digits(config.precision)
     candidates = _admissible_twists(curve, m_min, m_max)
+    # a pool forks all its workers at the first submit: no more of them
+    # than rows or usable CPUs
+    workers = min(config.threads, len(candidates), _usable_cpus())
     if candidates:
         # one nonzero view of E0's a_n for the whole scan, up to the cutoff
-        # of the largest twist, built before the workers fork: they share
-        # it and build none of their own
-        ctx.nonzero(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
-    # the pool forks all its workers at the first submit: no more of them
-    # than rows or CPUs
-    workers = min(config.threads, len(candidates), os.cpu_count() or 1)
+        # of the largest twist, built before the row workers fork: they
+        # share it and build none of their own.  A pooled scan whose view
+        # lacks two or more windows builds them side by side first, in a
+        # pool of its own, after the parent has checked the character
+        n_max = min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE)
+        view_workers = min(workers, ctx.missing_windows(n_max))
+        if view_workers < 2:
+            ctx.nonzero(n_max)
+        else:
+            ctx.check_character()
+            with _fork_pool(view_workers) as pool:
+                ctx.nonzero(n_max, map=pool.map)
     if workers < 2:
         results = [_table_job(ctx, digits, M) for M in candidates]
     else:
-        # imported here: only a pooled scan uses them, and they weigh on
-        # the start-up of every command
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        fork = multiprocessing.get_context("fork")
         chunk = max(1, len(candidates) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=fork,
-                                 initializer=_init_table_worker,
-                                 initargs=(ctx, digits)) as pool:
+        with _fork_pool(workers, initializer=_init_table_worker,
+                        initargs=(ctx, digits)) as pool:
             # the longest series first, so no worker is left with a big
             # twist at the end; the rows go back to ascending M
             results = list(pool.map(_worker_job, candidates[::-1], chunksize=chunk))
@@ -482,7 +506,7 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
     counts: dict[str, int] = {}
     try:
         for p in takewhile(lambda p: p < limit, good_odd_primes(curve)):
-            _, rule = bsd.tamagawa_ord2_at(curve, p)
+            _, rule = bsd._tamagawa_ord2_at_prime(curve, p)   # a sieved prime
             counts[rule] = counts.get(rule, 0) + 1
     except BSDError as exc:
         return f"tamagawa-cross[{curve.label}]: {exc}", False

@@ -17,6 +17,7 @@ from cmtwist.bsd import (
     theorem18_check,
     torsion2_order,
     _admissible_spec,
+    _tamagawa_ord2_at_prime,
     _check_base,
     _sha_flags,
 )
@@ -86,9 +87,10 @@ def test_tamagawa_rejects_bad_input():
     with pytest.raises(BSDError):
         tamagawa_ord2_at(C49, 7)   # ramified
     with pytest.raises(BSDError):
-        tamagawa_ord2_at(C49, 2)
-    with pytest.raises(BSDError):
         tamagawa_ord2_at(C49, 15)  # composite
+    for p in (1, 2, 9):
+        with pytest.raises(BSDError, match=f"^{p} is not an odd prime$"):
+            tamagawa_ord2_at(C49, p)
 
 
 def _roots_by_residues(curve, p):
@@ -106,6 +108,8 @@ def test_root_count_matches_the_residue_loop(e29_file):
             count = _roots_by_residues(curve, p)
             assert cubic_root_count(*cubic, p) == count, (curve.label, p)
             assert tamagawa_ord2_at(curve, p)[0] == ord2_int(1 + count)
+            # the entry for primes already known skips only the primality test
+            assert _tamagawa_ord2_at_prime(curve, p) == tamagawa_ord2_at(curve, p)
 
 
 @pytest.mark.parametrize("a2", [1, 0], ids=["double", "triple"])

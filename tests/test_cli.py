@@ -60,15 +60,17 @@ def test_table_thread_determinism(capsys):
 def _recording_pool(monkeypatch, at_init=lambda *initargs: None):
     """Put an in-process stand-in for the table command's
     ProcessPoolExecutor in its place; the size of each pool goes to the
-    list returned.  The stand-in shows at_init the initializer arguments,
-    runs the initializer, then the jobs, and starts no process."""
+    list returned.  For a pool with an initializer (the row pool) the
+    stand-in shows at_init the initializer arguments and runs the
+    initializer; then it runs the jobs, and it starts no process."""
     sizes = []
 
     class Pool:
-        def __init__(self, max_workers, initializer, initargs, **kwargs):
+        def __init__(self, max_workers, initializer=None, initargs=(), **kwargs):
             sizes.append(max_workers)
-            at_init(*initargs)
-            initializer(*initargs)
+            if initializer is not None:
+                at_init(*initargs)
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -76,8 +78,8 @@ def _recording_pool(monkeypatch, at_init=lambda *initargs: None):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(cli, "_worker_args", ())    # set by the initializer
@@ -100,18 +102,37 @@ def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
     assert pools == [2]
 
 
+def _cpus(monkeypatch, usable, count=None):
+    """Let this process run on `usable` CPUs of the `count` (default
+    `usable`) that os.cpu_count() reports."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count or usable)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+
+
 def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
     # workers past the CPU count only add processes: --threads 500 gets as
     # many as there are CPUs, and one CPU runs the scan without a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 3)
     pools = _recording_pool(monkeypatch)
     code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
                        "--threads", "500")
     assert code == 0 and pools == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _cpus(monkeypatch, 1)
     code, serial, _ = run(capsys, "table", "1", "200", "--curve", "49a",
                           "--threads", "500")
     assert code == 0 and pools == [3] and serial == out
+
+
+def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch):
+    # os.cpu_count() also counts the CPUs that taskset or a cpuset forbids:
+    # 64 of them, but only one this process may run on, start no pool
+    _cpus(monkeypatch, 1, count=64)
+    pools = _recording_pool(monkeypatch)
+    pinned = run(capsys, "table", "1", "200", "--curve", "49a", "--threads", "8")
+    assert pools == []
+    assert pinned == run(capsys, "table", "1", "200", "--curve", "49a")
+    assert pinned[0] == 0
 
 
 def test_table_workers_inherit_the_view(capsys, monkeypatch, theta_windows):
@@ -132,6 +153,94 @@ def test_table_workers_inherit_the_view(capsys, monkeypatch, theta_windows):
     assert ctx._nonzero is view     # every job read the view held at the fork
     assert out == run(capsys, "table", "1", "200", "--curve", "49a")[1]
 
+
+
+# a window of 49a whose largest twist needs the whole 10^6-term view (16
+# windows): three rows under the cap, and the four above it flagged
+DEEP_TABLE = ("table", "22877", "22945", "--curve", "49a")
+DEEP_FLAGGED = (22921, 22929, 22937, 22945)
+
+
+def test_pooled_table_builds_a_multi_window_view_in_a_pool(capsys, monkeypatch,
+                                                         theta_windows):
+    # a view pool builds every window once, in order, then closes; the row
+    # pool starts second and its workers inherit the whole view
+    _cpus(monkeypatch, 2)
+    held = []       # (pools started, builds so far, view bound) at the row fork
+    pools = _recording_pool(monkeypatch, lambda ctx, digits: held.append(
+        (len(pools), list(theta_windows), ctx._nonzero_max)))
+    pooled = run(capsys, *DEEP_TABLE, "--threads", "2")
+    everything = _windows(1, coeffs.MAX_TABLE + 1)
+    assert pools == [2, 2]
+    assert held == [(2, everything, coeffs.MAX_TABLE)]
+    assert theta_windows == everything
+    assert pooled == run(capsys, *DEEP_TABLE, "--threads", "1")
+    code, out, err = pooled
+    assert code == 1 and err == ""
+    assert re.findall(r"^# M=(\d+) flagged", out, re.M) == [str(M) for M in DEEP_FLAGGED]
+
+
+def test_single_window_view_starts_no_view_pool(capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+    pools = _recording_pool(monkeypatch)
+    code, _, _ = run(capsys, "table", "1", "200", "--curve", "49a",
+                     "--threads", "2")
+    assert code == 0 and pools == [2]       # the row pool alone
+
+
+def test_view_pool_no_larger_than_the_missing_windows(capsys, monkeypatch):
+    # six rows whose largest twist needs two windows: four row workers,
+    # and a view pool of two
+    _cpus(monkeypatch, 4)
+    pools = _recording_pool(monkeypatch)
+    code, out, _ = run(capsys, "table", "2300", "2340", "--curve", "49a",
+                       "--threads", "4")
+    assert code == 0 and "# rows=6" in out and pools == [2, 4]
+
+
+def test_character_is_checked_before_a_view_pool_starts(monkeypatch, tmp_path):
+    # a context whose curve fails its point counts starts no pool
+    _cpus(monkeypatch, 2)
+    pools = _recording_pool(monkeypatch)
+    f = tmp_path / "bad.txt"
+    f.write_text("bad 1 -1 0 -2 13 7 1 1.0\n", encoding="utf-8")
+    config = cli.RunConfig(curve_label="bad", curve_file=str(f), precision=15,
+                           threads=2, fmt="text", output=None)
+    ctx = coeffs.CurveContext(resolve_curve("bad", str(f)))
+    with pytest.raises(coeffs.CoeffError, match="a_11 = 2 by point count"):
+        cli.cmd_table(config, ctx, 2300, 2340)
+    assert pools == []
+
+
+def _spy_pools(monkeypatch):
+    """Record the size of every pool the table command starts; the pools
+    are real and fork real workers."""
+    sizes = []
+    fork_pool = cli._fork_pool
+    monkeypatch.setattr(cli, "_fork_pool", lambda workers, **kwargs:
+                        sizes.append(workers) or fork_pool(workers, **kwargs))
+    return sizes
+
+
+def test_pooled_table_matches_the_serial_one_with_real_workers(capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+    pools = _spy_pools(monkeypatch)
+    serial = run(capsys, *DEEP_TABLE, "--format", "csv", "--threads", "1")
+    pooled = run(capsys, *DEEP_TABLE, "--format", "csv", "--threads", "2")
+    assert pools == [2, 2]                  # the view pool, then the row pool
+    assert pooled == serial and serial[0] == 1
+
+
+def test_bad_a1_is_refused_alike_with_and_without_a_view_pool(capsys, monkeypatch):
+    # every window reads a_n = -1, so the one from n = 1 fails its a_1 check
+    # in a forked view worker, and the refusal crosses back to the parent
+    _cpus(monkeypatch, 2)
+    pools = _spy_pools(monkeypatch)
+    monkeypatch.setattr(coeffs, "theta_window", lambda q, lo, hi: [-1] * (hi - lo))
+    serial = run(capsys, *DEEP_TABLE, "--threads", "1")
+    pooled = run(capsys, *DEEP_TABLE, "--threads", "2")
+    assert pools == [2]                     # the view pool, and no row pool
+    assert pooled == serial == (2, "", "error: 49a: a_1 = -1, not 1\n")
 
 E29_TABLE_1_60 = """\
 M   epsilon  L_value       L_alg_num  L_alg_den  ord2  r_M  bound_rhs  bound_ok  tamagawa  sha_ord2
