@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part
@@ -223,16 +224,18 @@ def _check_base(base: Fraction | None) -> None:
         raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
 
 
-def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12) -> BSDReport:
+def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12,
+                    algebraic: Callable[..., LValueResult] | None = None) -> BSDReport:
     """Valuation bound ord2(lalg) >= r(M) - phi for the eps*M twist of the curve.
 
-    A vanishing central value satisfies the bound by the +infinity
-    convention; a failed rational recognition is reported as indeterminate
-    and never counts as a pass.
+    The L-value comes from algebraic(ctx, eps*M, target_digits), by default
+    the series (lseries.algebraic_part).  A vanishing central value
+    satisfies the bound by the +infinity convention; a failed rational
+    recognition is reported as indeterminate and never counts as a pass.
     """
     curve = ctx.curve
     spec = _admissible_spec(curve, M)
-    res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
+    res = (algebraic or algebraic_part)(ctx, spec.epsilon * M, target_digits)
     tama = tamagawa_report(curve, spec)
     bound_rhs = spec.r_of_M - phi_of(curve)
     indeterminate = res.lalg is None

@@ -30,7 +30,7 @@ from .bsd import BSDError, BSDReport, NotApplicable
 from .coeffs import (MAX_TABLE, CoeffError, CurveContext, check_point_counts,
                      good_odd_primes)
 from .lseries import (LSeriesError, algebraic_part, recognize_rational,
-                      series_cutoff)
+                      series_cutoff, series_terms)
 from .qfield import (
     ALLOWED_Q,
     QFieldError,
@@ -52,6 +52,7 @@ CHARACTER_BOUND = 200   # verify character checks every odd good prime below
 MAX_TORSION_NORM = 10 ** 5   # largest N(g) of an averaging or e1-ladder modulus
 MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
+MAX_MODSYM_M = 5000            # largest m_max of verify modsym
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="identity checks: eisenstein-base, "
                             "averaging:<pi,...>, e1-ladder[:<pi,...>], "
                             "lemma-div[:<n>], character, "
-                            "tamagawa-cross[:<limit>]")
+                            "tamagawa-cross[:<limit>], modsym[:<m_max>]")
     p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
 
     p = sub.add_parser("special-primes", parents=[common],
@@ -150,30 +151,18 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 
 # --------------------------------------------------------------- table
 
-# (context, digits) of the table command, set in each worker by its
-# initializer; a forked worker inherits the context with its nonzero view
-# instead of unpickling it.
-_worker_args: tuple = ()
-
 
 def _table_digits(precision: int) -> int:
     # three guard digits over the 10 printed, more if asked for
     return max(12, precision - 3)
 
 
-def _init_table_worker(ctx: CurveContext, digits: int) -> None:
-    global _worker_args
-    _worker_args = (ctx, digits)
-
-
-def _worker_job(M: int):
-    return _table_job(*_worker_args, M)
-
-
-def _table_job(ctx: CurveContext, digits: int, M: int):
-    """(M, report, failure message); report None = no row."""
+def _table_job(ctx: CurveContext, digits: int, algebraic, M: int):
+    """(M, row, failure message), row = (CSV cells, ord2 slack, bound
+    holds) or None for no row: only what the table prints crosses back
+    from a worker."""
     try:
-        rep = bsd.theorem18_check(ctx, M, target_digits=digits)
+        rep = bsd.theorem18_check(ctx, M, target_digits=digits, algebraic=algebraic)
     except NotApplicable:
         return M, None, None
     except (BSDError, LSeriesError, CoeffError, ValueError) as exc:
@@ -182,7 +171,8 @@ def _table_job(ctx: CurveContext, digits: int, M: int):
         return M, None, None                # vanishing central value
     if rep.indeterminate:
         return M, None, "rational recognition failed"
-    return M, rep, None
+    return M, (bsd.csv_row(ctx.curve, rep), rep.lvalue.ord2 - rep.bound_rhs,
+               rep.bound_holds), None
 
 
 def _usable_cpus() -> int:
@@ -194,16 +184,115 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_pool(workers: int, **kwargs):
-    """A ProcessPoolExecutor of the given size whose workers fork from this
-    process, so they inherit its state instead of unpickling it."""
+def _attempt(fn, item) -> tuple[bool, object]:
+    try:
+        return True, fn(item)
+    except Exception as exc:
+        return False, exc
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], computed by this process and workers - 1
+    children forked from it, at most one process per item.
+
+    The items are dealt from the last, the largest, round-robin: the parent
+    takes the last, the first child the one before it, and so on.  A child
+    inherits fn and the items with the rest of this process, so nothing is
+    pickled on the way in; it pickles its results, or the exceptions its
+    items raised, into a pipe and ends with os._exit.  When items raise,
+    the exception of the first of them in order is raised here, as the
+    serial loop would raise it; a child that dies without an answer raises
+    RuntimeError.  Every read end is closed before its child is waited for,
+    so a child blocked on a full pipe gets EPIPE and ends; on any error the
+    children still running are killed, and every child is reaped.  The
+    process must run no other thread, since a fork copies only this one.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
     # imported here: only a pooled scan uses them, and they weigh on the
     # start-up of every command
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               **kwargs)
+    import pickle
+    import signal
+    shares = [range(len(items) - 1 - w, -1, -workers) for w in range(workers)]
+    pids: list[int] = []                        # children not yet reaped
+    reads: list[int] = []                       # their read ends still open
+    done = False
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write)
+                raise
+            if pid == 0:                        # the child never returns
+                for fd in reads:
+                    os.close(fd)
+                _child(fn, items, share, write)
+            os.close(write)
+            pids.append(pid)
+        outcomes = [None] * len(items)
+        for i in shares[0]:
+            outcomes[i] = _attempt(fn, items[i])
+        for share in shares[1:]:
+            data = _read_all(reads[0])
+            os.close(reads.pop(0))
+            # unpickled while the child ends, unless it sent nothing
+            answer = data and pickle.loads(data)
+            _, status = os.waitpid(pids[0], 0)
+            pid = pids.pop(0)
+            if not data:
+                raise RuntimeError(f"table worker {pid} ended without an answer "
+                                   f"({_ending(status)})")
+            for i, outcome in zip(share, answer):
+                outcomes[i] = outcome
+        done = True
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _child(fn, items, share, write: int):
+    """Run a _fork_map child's share and end the process: a child never
+    returns into its caller, whatever it raises."""
+    import pickle
+    code = 0
+    try:
+        try:
+            data = pickle.dumps([_attempt(fn, items[i]) for i in share])
+        except BaseException as exc:        # an unpicklable result, an interrupt
+            data = pickle.dumps([(False, RuntimeError(
+                f"table worker failed: {exc!r}"))] * len(share))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    except BaseException:
+        code = 1
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _ending(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"signal {os.WTERMSIG(status)}"
+    return f"exit code {os.waitstatus_to_exitcode(status)}"
 
 
 def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
@@ -224,52 +313,57 @@ def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
 
 
 def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
+    from . import modsym
     curve = ctx.curve
     digits = _table_digits(config.precision)
     candidates = _admissible_twists(curve, m_min, m_max)
-    # a pool forks all its workers at the first submit: no more of them
-    # than rows or usable CPUs
+    # no more workers than rows or usable CPUs
     workers = min(config.threads, len(candidates), _usable_cpus())
-    if candidates:
+    algebraic = None                        # the series
+    if candidates and modsym.supports(curve):
+        # exact L^alg from the modular symbols, built before the row workers
+        # fork.  A row whose series would need more than MAX_TABLE terms is
+        # still refused as the series refuses it, since the deep workload
+        # of perfbench expects those rows flagged (exit code 1)
+        ctx.check_character()
+        symbols = modsym.TwistSums(curve)
+
+        def algebraic(ctx, d, target_digits):
+            series_terms(curve, d, target_digits)
+            return symbols.algebraic_part(ctx, d, target_digits)
+    elif candidates:
         # one nonzero view of E0's a_n for the whole scan, up to the cutoff
         # of the largest twist, built before the row workers fork: they
         # share it and build none of their own.  A pooled scan whose view
-        # lacks two or more windows builds them side by side first, in a
-        # pool of its own, after the parent has checked the character
+        # lacks two or more windows builds them side by side first, after
+        # the parent has checked the character
         n_max = min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE)
         view_workers = min(workers, ctx.missing_windows(n_max))
         if view_workers < 2:
             ctx.nonzero(n_max)
         else:
             ctx.check_character()
-            with _fork_pool(view_workers) as pool:
-                ctx.nonzero(n_max, map=pool.map)
-    if workers < 2:
-        results = [_table_job(ctx, digits, M) for M in candidates]
-    else:
-        chunk = max(1, len(candidates) // (4 * workers))
-        with _fork_pool(workers, initializer=_init_table_worker,
-                        initargs=(ctx, digits)) as pool:
-            # the longest series first, so no worker is left with a big
-            # twist at the end; the rows go back to ascending M
-            results = list(pool.map(_worker_job, candidates[::-1], chunksize=chunk))
-        results.reverse()
+            ctx.nonzero(n_max, map=lambda fn, *args: _fork_map(
+                lambda window: fn(*window), list(zip(*args)), view_workers))
+    # the longest row last: it is dealt first, so no worker is left with
+    # a big twist at the end
+    results = _fork_map(lambda M: _table_job(ctx, digits, algebraic, M),
+                        candidates, workers)
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []
     violations = 0
     hist: dict[int, int] = {}
-    for M, rep, err in results:
+    for M, row, err in results:
         if err is not None:
             flagged.append(f"# M={M} flagged: {err}")
             continue
-        if rep is None:
+        if row is None:
             continue
-        rows.append(bsd.csv_row(curve, rep))
-        slack = rep.lvalue.ord2 - rep.bound_rhs
+        cells, slack, holds = row
+        rows.append(cells)
         hist[slack] = hist.get(slack, 0) + 1
-        if not rep.bound_holds:
-            violations += 1
+        violations += not holds
     lines = _format_rows(rows, config.fmt) if len(rows) > 1 else \
         ([",".join(rows[0])] if config.fmt == "csv" else [])
     lines.extend(flagged)
@@ -516,6 +610,36 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
             f"agree ({detail})", True)
 
 
+def _modsym_m_max(curve: Curve, name: str, arg: str) -> int:
+    from . import modsym
+    if not modsym.supports(curve):
+        raise ValueError(f"{name} needs one of the builtin curves "
+                         f"{', '.join(modsym.TWIST_SCALE)}, not {curve.label}")
+    return _int_arg(name, arg, 1000, 1, MAX_MODSYM_M)
+
+
+def _modsym(config: RunConfig, ctx: CurveContext, m_max: int) -> tuple[str, bool]:
+    """S(D)/c from the modular symbols against the series' L^alg, at every
+    admissible M <= m_max (M = 1 included when admissible)."""
+    from . import modsym
+    curve = ctx.curve
+    digits = _table_digits(config.precision)
+    twists = [1] * bsd.classify_twist(curve, 1).admissible + \
+        _admissible_twists(curve, 1, m_max)
+    symbols = modsym.TwistSums(curve)
+    nonzero = 0
+    for M in twists:
+        d = M if M % 4 == 1 else -M
+        got, want = symbols.lalg(d), algebraic_part(ctx, d, digits).lalg
+        if got != want:
+            return (f"modsym[{curve.label}]: M={M}: S(D)/c = {got}, the series "
+                    f"gives {want}"), False
+        nonzero += got != 0
+    return (f"modsym[{curve.label}]: S(D)/c = L^alg at all {len(twists)} "
+            f"admissible M <= {m_max} ({nonzero} nonzero), "
+            f"c = {symbols.scale}"), True
+
+
 # name -> (parse the argument after the colon, or None; run the check)
 SCENARIOS = {
     "eisenstein-base": (None, _eisenstein_base),
@@ -526,6 +650,7 @@ SCENARIOS = {
     "tamagawa-cross": (lambda curve, name, arg:
                        _int_arg(name, arg, 1000, 4, MAX_TAMAGAWA_LIMIT),
                        _tamagawa_cross),
+    "modsym": (_modsym_m_max, _modsym),
 }
 # the sums over torsion points that need E0's own period lattice
 LATTICE_SCENARIOS = ("eisenstein-base", "averaging")

@@ -17,12 +17,13 @@ no sieve and no a_p.  The view is built window by window: each window of
 a_n is compressed into the view and dropped, so no dense table of a_n
 exists, and a request past the view appends windows to it.  The windows
 are independent (nonzero_window), so nonzero maps them through whatever
-map it is given: the builtin one, or a process pool's.  The table command
-builds this view before its row workers fork, so they share it and build
-nothing; a pooled scan whose view needs two or more windows builds them
-in a pool of its own first.  A twist by a discriminant d coprime to N
-multiplies a_n by the Kronecker symbol (d/n), so a_n(E^(d)) =
-(d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
+map it is given: the builtin one, or one that forks (cli._fork_map).  The
+table command of a user curve builds this view before its row workers
+fork, so they share it and build nothing; a pooled scan whose view needs
+two or more windows builds them in forked children first (the builtin
+curves' tables read modular symbols and build no view).  A twist by a
+discriminant d coprime to N multiplies a_n by the Kronecker symbol (d/n),
+so a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
 twist_symbol_period gives one period of it; the series sum
 (lseries.central_value) folds that period into a table of powers of its
 own and runs over the view directly, so no twisted a_n is ever listed.
@@ -156,7 +157,7 @@ class CurveContext:
         The view is built by nonzero_window in windows of THETA_WINDOW
         terms, so no dense table of a_n is held.  A request past the view
         maps nonzero_window over the windows from the end of the view up to
-        n_max with map (the builtin one, or a process pool's, which builds
+        n_max with map (the builtin one, or a forking one, which builds
         the windows side by side) and appends the results in order, in
         place.
         """
@@ -167,8 +168,8 @@ class CurveContext:
             positions, values = self._nonzero
             los = range(self._nonzero_max + 1, n_max + 1, THETA_WINDOW)
             his = [min(lo + THETA_WINDOW, n_max + 1) for lo in los]
-            windows = map(nonzero_window, repeat(self.curve.q), los, his)
             try:
+                windows = map(nonzero_window, repeat(self.curve.q), los, his)
                 for hi, (window_positions, window_values) in zip(his, windows):
                     positions.extend(window_positions)
                     values.extend(window_values)

@@ -5,16 +5,18 @@ L(E^(D), 1) is evaluated through the exponentially convergent series
 so the rigorous tail bound (|a_n| <= 2n) is below the digit target.  The
 twisted a'_n = (D d0/n) a_n(E0) are never listed: the sum runs in blocks
 of whole periods of the symbol directly over the context's nonzero view of
-E0's a_n (built once per command, before a table scan forks its row
-workers; a pooled scan builds a view of several windows in a pool of its
-own first), with the symbol folded into one table of scaled powers x^v per twist and one power
-x^(uW) per block (central_value).  Each block is one C-level map chain,
-so no Python loop runs over the terms.  The sum is taken in integers
-scaled by a power of 2 at every precision, with a proven bound on the
-tail plus the rounding that is linear in the number of terms, carried in
-logarithms so that no float under- or overflows.  The algebraic part
-L * sqrt(|D|) / Omega is recognized as a small-denominator rational by
-continued fractions, Omega taken once per context and precision.
+E0's a_n (built once per command, before a table scan of a user curve
+forks its row workers; a pooled scan builds a view of several windows in
+forked children first), with the symbol folded into one table of scaled
+powers x^v per twist and one power x^(uW) per block (central_value).  Each
+block is one C-level map chain, so no Python loop runs over the terms.
+The sum is taken in integers scaled by a power of 2 at every precision,
+with a proven bound on the tail plus the rounding that is linear in the
+number of terms, carried in logarithms so that no float under- or
+overflows.  The algebraic part L * sqrt(|D|) / Omega is recognized as a
+small-denominator rational by continued fractions, Omega taken once per
+context and precision.  The table command of the builtin curves reads the
+same algebraic part exactly from modular symbols (modsym) instead.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ def series_cutoff(curve: Curve, d: int, target_digits: int) -> int:
     one_minus_x = -math.expm1(-r)
     n0 = (target_digits * math.log(10) + math.log(4.0) - math.log(one_minus_x)) / r
     return max(8, math.ceil(n0))
+
+
+def series_terms(curve: Curve, d: int, target_digits: int) -> int:
+    """series_cutoff, refused above the MAX_TABLE terms a view may hold."""
+    n_max = series_cutoff(curve, d, target_digits)
+    if n_max > MAX_TABLE:
+        raise LSeriesError(
+            f"precision unattainable at this scale: {n_max} terms needed")
+    return n_max
 
 
 @dataclass(frozen=True)
@@ -135,10 +146,7 @@ def central_value(ctx: CurveContext, d: int, target_digits: int = 10):
     curve = ctx.curve
     if twist_root_number(curve, d) == -1:
         return mp.mpf(0), 0, 0.0
-    n_max = series_cutoff(curve, d, target_digits)
-    if n_max > MAX_TABLE:
-        raise LSeriesError(
-            f"precision unattainable at this scale: {n_max} terms needed")
+    n_max = series_terms(curve, d, target_digits)
     r = 2 * math.pi / (math.sqrt(curve.conductor) * max(abs(d), 1))
     log2_eps = -target_digits * math.log2(10)
     y = r * (n_max + 1) / math.log(2)       # -log2 x^(n_max+1)

@@ -1,10 +1,10 @@
 """Command-line interface: arguments, output formats, exit codes."""
 
 import argparse
-import concurrent.futures
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -12,7 +12,7 @@ import time
 import mpmath as mp
 import pytest
 
-from cmtwist import bsd, cli, coeffs, eisenstein
+from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import QuadInt, is_prime, split_type
@@ -57,49 +57,49 @@ def test_table_thread_determinism(capsys):
     assert out1 == out8
 
 
-def _recording_pool(monkeypatch, at_init=lambda *initargs: None):
-    """Put an in-process stand-in for the table command's
-    ProcessPoolExecutor in its place; the size of each pool goes to the
-    list returned.  For a pool with an initializer (the row pool) the
-    stand-in shows at_init the initializer arguments and runs the
-    initializer; then it runs the jobs, and it starts no process."""
+def _recording_map(monkeypatch, at_fork=lambda fn, items: None):
+    """Put an in-process stand-in for cli._fork_map in its place: it runs
+    fn over the items here, in order, and starts no process.  The number of
+    processes of every map that would fork (two or more) goes to the list
+    returned, and at_fork sees fn and the items of such a map first."""
     sizes = []
 
-    class Pool:
-        def __init__(self, max_workers, initializer=None, initargs=(), **kwargs):
-            sizes.append(max_workers)
-            if initializer is not None:
-                at_init(*initargs)
-                initializer(*initargs)
+    def fork_map(fn, items, workers):
+        items = list(items)
+        if min(workers, len(items)) >= 2:
+            sizes.append(min(workers, len(items)))
+            at_fork(fn, items)
+        return [fn(x) for x in items]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(cli, "_worker_args", ())    # set by the initializer
+    monkeypatch.setattr(cli, "_fork_map", fork_map)
     return sizes
+
+
+def _spy_maps(monkeypatch):
+    """Record the number of processes of every cli._fork_map call that
+    forks; the maps are real and fork real children."""
+    sizes = []
+    fork_map = cli._fork_map
+
+    def spy(fn, items, workers):
+        items = list(items)
+        if min(workers, len(items)) >= 2:
+            sizes.append(min(workers, len(items)))
+        return fork_map(fn, items, workers)
+
+    monkeypatch.setattr(cli, "_fork_map", spy)
+    return sizes
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _windows(lo, hi):
     """The theta_window calls of a view grown from n = lo to n = hi - 1."""
     step = coeffs.THETA_WINDOW
     return [(n, min(n + step, hi)) for n in range(lo, hi, step)]
-
-
-def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
-    # the pool forks all of its workers at the first submit, so it must not
-    # be sized past the number of rows; the recorder starts no process
-    pools = _recording_pool(monkeypatch)
-    code, out, _ = run(capsys, "table", "2", "16", "--curve", "49a",
-                       "--threads", "64")
-    assert code == 0 and "# rows=2" in out     # M = 5 and 13
-    assert pools == [2]
 
 
 def _cpus(monkeypatch, usable, count=None):
@@ -110,98 +110,125 @@ def _cpus(monkeypatch, usable, count=None):
                         raising=False)
 
 
+def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
+    # one process per row at most: two rows fork one child, whatever the
+    # CPUs and --threads allow
+    _cpus(monkeypatch, 64)
+    maps = _spy_maps(monkeypatch)
+    code, out, _ = run(capsys, "table", "2", "16", "--curve", "49a",
+                       "--threads", "64")
+    assert code == 0 and "# rows=2" in out     # M = 5 and 13
+    assert maps == [2]
+
+
 def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
     # workers past the CPU count only add processes: --threads 500 gets as
-    # many as there are CPUs, and one CPU runs the scan without a pool
+    # many as there are CPUs, and one CPU runs the scan without a fork
     _cpus(monkeypatch, 3)
-    pools = _recording_pool(monkeypatch)
+    maps = _spy_maps(monkeypatch)
     code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
                        "--threads", "500")
-    assert code == 0 and pools == [3]
+    assert code == 0 and maps == [3]
     _cpus(monkeypatch, 1)
     code, serial, _ = run(capsys, "table", "1", "200", "--curve", "49a",
                           "--threads", "500")
-    assert code == 0 and pools == [3] and serial == out
+    assert code == 0 and maps == [3] and serial == out
 
 
 def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch):
     # os.cpu_count() also counts the CPUs that taskset or a cpuset forbids:
-    # 64 of them, but only one this process may run on, start no pool
+    # 64 of them, but only one this process may run on, fork nothing
     _cpus(monkeypatch, 1, count=64)
-    pools = _recording_pool(monkeypatch)
+    maps = _spy_maps(monkeypatch)
     pinned = run(capsys, "table", "1", "200", "--curve", "49a", "--threads", "8")
-    assert pools == []
+    assert maps == []
     assert pinned == run(capsys, "table", "1", "200", "--curve", "49a")
     assert pinned[0] == 0
 
 
-def test_table_workers_inherit_the_view(capsys, monkeypatch, theta_windows):
-    # the view of E0's a_n is built once, before the pool forks, up to the
-    # cutoff of the largest twist; no job builds one
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    curve = resolve_curve("49a")
-    cutoff = series_cutoff(curve, cli._admissible_twists(curve, 1, 200)[-1],
+def _e29_context(e29_file, threads=2):
+    """A run configuration for e29 and a context whose curve carries its
+    base L-value, with an empty view: cmd_table then builds the whole view."""
+    config = cli.RunConfig(curve_label="e29", curve_file=e29_file, precision=15,
+                           threads=threads, fmt="text", output=None)
+    ctx = coeffs.CurveContext(resolve_curve("e29", e29_file))
+    cli._ensure_base_value(ctx, config)
+    return config, coeffs.CurveContext(ctx.curve)
+
+
+def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file):
+    # the view of E0's a_n is built once, before the row workers fork, up
+    # to the cutoff of the largest twist; no job builds one
+    _cpus(monkeypatch, 2)
+    config, ctx = _e29_context(e29_file)
+    cutoff = series_cutoff(ctx.curve, cli._admissible_twists(ctx.curve, 1, 50)[-1],
                            cli._table_digits(15))
-    held = []       # (builds so far, context, its view and bound) at the fork
-    pools = _recording_pool(monkeypatch, lambda ctx, digits: held.append(
-        (list(theta_windows), ctx, ctx._nonzero, ctx._nonzero_max)))
-    code, out, _ = run(capsys, "table", "1", "200", "--curve", "49a",
-                       "--threads", "2")
-    assert code == 0 and pools == [2]
-    (built, ctx, view, bound), = held
-    assert built == theta_windows == _windows(1, cutoff + 1) and bound >= cutoff
-    assert ctx._nonzero is view     # every job read the view held at the fork
-    assert out == run(capsys, "table", "1", "200", "--curve", "49a")[1]
+    held = []       # (builds so far, view bound) at the row fork
+    maps = _recording_map(monkeypatch, lambda fn, items: held.append(
+        (list(theta_windows), ctx._nonzero_max)))
+    theta_windows.clear()
+    lines, code = cli.cmd_table(config, ctx, 1, 50)
+    assert code == 0 and maps == [2]
+    assert held == [(theta_windows, ctx._nonzero_max)]
+    assert theta_windows == _windows(1, cutoff + 1) and ctx._nonzero_max >= cutoff
+    serial_config, serial_ctx = _e29_context(e29_file, threads=1)
+    assert lines == cli.cmd_table(serial_config, serial_ctx, 1, 50)[0]
 
 
-
-# a window of 49a whose largest twist needs the whole 10^6-term view (16
-# windows): three rows under the cap, and the four above it flagged
+# a window of 49a whose largest twist needs the whole 10^6-term series:
+# three rows under the cap, and the four above it flagged
 DEEP_TABLE = ("table", "22877", "22945", "--curve", "49a")
 DEEP_FLAGGED = (22921, 22929, 22937, 22945)
+# the same for e29, whose series are 29 times longer: M = 773 and 785
+# under the cap, 793 and 797 above it
+E29_DEEP = (770, 800)
+E29_DEEP_FLAGGED = (793, 797)
 
 
-def test_pooled_table_builds_a_multi_window_view_in_a_pool(capsys, monkeypatch,
-                                                         theta_windows):
-    # a view pool builds every window once, in order, then closes; the row
-    # pool starts second and its workers inherit the whole view
+def test_pooled_table_builds_a_multi_window_view_in_a_pool(monkeypatch,
+                                                         theta_windows, e29_file):
+    # a view map builds every window once, in order; the row map starts
+    # second and its workers inherit the whole view
     _cpus(monkeypatch, 2)
-    held = []       # (pools started, builds so far, view bound) at the row fork
-    pools = _recording_pool(monkeypatch, lambda ctx, digits: held.append(
-        (len(pools), list(theta_windows), ctx._nonzero_max)))
-    pooled = run(capsys, *DEEP_TABLE, "--threads", "2")
+    config, ctx = _e29_context(e29_file)
+    held = []       # (maps started, builds so far, view bound) at each fork
+    maps = _recording_map(monkeypatch, lambda fn, items: held.append(
+        (len(maps), list(theta_windows), ctx._nonzero_max)))
+    theta_windows.clear()
+    lines, code = cli.cmd_table(config, ctx, *E29_DEEP)
     everything = _windows(1, coeffs.MAX_TABLE + 1)
-    assert pools == [2, 2]
-    assert held == [(2, everything, coeffs.MAX_TABLE)]
+    assert maps == [2, 2]
+    assert held == [(1, [], 0), (2, everything, coeffs.MAX_TABLE)]
     assert theta_windows == everything
-    assert pooled == run(capsys, *DEEP_TABLE, "--threads", "1")
-    code, out, err = pooled
-    assert code == 1 and err == ""
-    assert re.findall(r"^# M=(\d+) flagged", out, re.M) == [str(M) for M in DEEP_FLAGGED]
+    serial_config, serial_ctx = _e29_context(e29_file, threads=1)
+    assert (lines, code) == cli.cmd_table(serial_config, serial_ctx, *E29_DEEP)
+    flagged = [ln for ln in lines if ln.startswith("# M=")]
+    assert code == 1 and [int(re.match(r"# M=(\d+) flagged", ln)[1])
+                          for ln in flagged] == list(E29_DEEP_FLAGGED)
 
 
-def test_single_window_view_starts_no_view_pool(capsys, monkeypatch):
+def test_single_window_view_starts_no_view_pool(capsys, monkeypatch, e29_file):
     _cpus(monkeypatch, 2)
-    pools = _recording_pool(monkeypatch)
-    code, _, _ = run(capsys, "table", "1", "200", "--curve", "49a",
-                     "--threads", "2")
-    assert code == 0 and pools == [2]       # the row pool alone
+    maps = _recording_map(monkeypatch)
+    code, out, _ = run(capsys, "table", "1", "50", "--curve", "e29",
+                       "--curve-file", e29_file, "--threads", "2")
+    assert code == 0 and "# rows=4" in out and maps == [2]   # the row map alone
 
 
-def test_view_pool_no_larger_than_the_missing_windows(capsys, monkeypatch):
-    # six rows whose largest twist needs two windows: four row workers,
-    # and a view pool of two
+def test_view_pool_no_larger_than_the_missing_windows(capsys, monkeypatch, e29_file):
+    # seven twists, five rows, whose largest twist needs three windows
+    # past the base value's: four row workers, and a view map of three
     _cpus(monkeypatch, 4)
-    pools = _recording_pool(monkeypatch)
-    code, out, _ = run(capsys, "table", "2300", "2340", "--curve", "49a",
-                       "--threads", "4")
-    assert code == 0 and "# rows=6" in out and pools == [2, 4]
+    maps = _recording_map(monkeypatch)
+    code, out, _ = run(capsys, "table", "100", "160", "--curve", "e29",
+                       "--curve-file", e29_file, "--threads", "4")
+    assert code == 0 and "# rows=5" in out and maps == [3, 4]
 
 
 def test_character_is_checked_before_a_view_pool_starts(monkeypatch, tmp_path):
-    # a context whose curve fails its point counts starts no pool
+    # a context whose curve fails its point counts starts no map
     _cpus(monkeypatch, 2)
-    pools = _recording_pool(monkeypatch)
+    maps = _recording_map(monkeypatch)
     f = tmp_path / "bad.txt"
     f.write_text("bad 1 -1 0 -2 13 7 1 1.0\n", encoding="utf-8")
     config = cli.RunConfig(curve_label="bad", curve_file=str(f), precision=15,
@@ -209,38 +236,130 @@ def test_character_is_checked_before_a_view_pool_starts(monkeypatch, tmp_path):
     ctx = coeffs.CurveContext(resolve_curve("bad", str(f)))
     with pytest.raises(coeffs.CoeffError, match="a_11 = 2 by point count"):
         cli.cmd_table(config, ctx, 2300, 2340)
-    assert pools == []
-
-
-def _spy_pools(monkeypatch):
-    """Record the size of every pool the table command starts; the pools
-    are real and fork real workers."""
-    sizes = []
-    fork_pool = cli._fork_pool
-    monkeypatch.setattr(cli, "_fork_pool", lambda workers, **kwargs:
-                        sizes.append(workers) or fork_pool(workers, **kwargs))
-    return sizes
+    assert maps == []
 
 
 def test_pooled_table_matches_the_serial_one_with_real_workers(capsys, monkeypatch):
+    # the modular symbols are built before the one row map forks
     _cpus(monkeypatch, 2)
-    pools = _spy_pools(monkeypatch)
+    maps = _spy_maps(monkeypatch)
     serial = run(capsys, *DEEP_TABLE, "--format", "csv", "--threads", "1")
     pooled = run(capsys, *DEEP_TABLE, "--format", "csv", "--threads", "2")
-    assert pools == [2, 2]                  # the view pool, then the row pool
+    assert maps == [2]
     assert pooled == serial and serial[0] == 1
+    code, out, err = pooled
+    assert err == ""
+    assert re.findall(r"^# M=(\d+) flagged", out, re.M) == [str(M) for M in DEEP_FLAGGED]
+    _no_children()
 
 
-def test_bad_a1_is_refused_alike_with_and_without_a_view_pool(capsys, monkeypatch):
+def test_pooled_user_curve_table_matches_the_serial_one_with_real_workers(
+        capsys, monkeypatch, e29_file):
+    _cpus(monkeypatch, 2)
+    maps = _spy_maps(monkeypatch)
+    argv = ("table", *map(str, E29_DEEP), "--curve", "e29", "--curve-file",
+            e29_file, "--format", "csv")
+    serial = run(capsys, *argv, "--threads", "1")
+    pooled = run(capsys, *argv, "--threads", "2")
+    assert maps == [2, 2]                   # the view map, then the row map
+    assert pooled == serial and serial[0] == 1
+    _no_children()
+
+
+def test_bad_a1_is_refused_alike_with_and_without_a_view_pool(monkeypatch, e29_file):
     # every window reads a_n = -1, so the one from n = 1 fails its a_1 check
     # in a forked view worker, and the refusal crosses back to the parent
     _cpus(monkeypatch, 2)
-    pools = _spy_pools(monkeypatch)
+    maps = _spy_maps(monkeypatch)
+    runs = [_e29_context(e29_file, threads) for threads in (1, 2)]
     monkeypatch.setattr(coeffs, "theta_window", lambda q, lo, hi: [-1] * (hi - lo))
-    serial = run(capsys, *DEEP_TABLE, "--threads", "1")
-    pooled = run(capsys, *DEEP_TABLE, "--threads", "2")
-    assert pools == [2]                     # the view pool, and no row pool
-    assert pooled == serial == (2, "", "error: 49a: a_1 = -1, not 1\n")
+    for config, ctx in runs:
+        with pytest.raises(coeffs.CoeffError, match=r"^e29: a_1 = -1, not 1$"):
+            cli.cmd_table(config, ctx, *E29_DEEP)
+    assert maps == [2]                      # the view map, and no row map
+    _no_children()
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_builtin_table_sums_no_series(capsys, monkeypatch, theta_windows, label):
+    # the rows come from the modular symbols: the only theta_window call
+    # reads the a_p they are built with, no view of E0's a_n is built and
+    # no central value is summed; the point counts are still checked
+    build = modsym.theta_window
+    monkeypatch.setattr(modsym, "theta_window", lambda q, lo, hi:
+                        theta_windows.append((lo, hi)) or build(q, lo, hi))
+    checked = []
+    monkeypatch.setattr(coeffs, "check_point_counts", lambda curve, primes:
+                        checked.append(len(list(primes))) or 10)
+    monkeypatch.setattr(lseries, "central_value", None)
+    monkeypatch.setattr(coeffs.CurveContext, "nonzero", None)
+    code, out, err = run(capsys, "table", "1", "1000", "--curve", label)
+    assert code == 0 and err == "" and "# rows=" in out
+    assert theta_windows == [(1, modsym.HECKE_BOUND)]
+    assert checked == [coeffs.CHECK_SPLIT_PRIMES]
+
+
+def test_fork_map_returns_the_results_in_order():
+    parent = os.getpid()
+    for workers in (1, 2, 3, 10):
+        got = cli._fork_map(lambda x: (x * x, os.getpid() == parent),
+                            range(10), workers)
+        assert [v for v, _ in got] == [x * x for x in range(10)]
+        # the parent takes the last item and every workers-th before it
+        here = [x for x, (_, mine) in enumerate(got) if mine]
+        assert here == sorted(range(9, -1, -workers))
+        _no_children()
+
+
+def test_fork_map_raises_the_first_exception_of_a_child():
+    def fn(x):
+        if x in (4, 7):
+            raise ValueError(f"item {x}")
+        return x
+
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match=r"^item 4$"):
+            cli._fork_map(fn, range(10), workers)
+        _no_children()
+
+
+def test_fork_map_raises_when_a_child_is_killed():
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match=f"signal {signal.SIGKILL}"):
+        cli._fork_map(fn, range(4), 2)
+    _no_children()
+
+
+def test_fork_map_parent_failure_ends_a_child_blocked_on_its_pipe():
+    # the child's answer is larger than a pipe holds, so it blocks writing
+    # it while the parent's own item fails: the parent closes the read end,
+    # so the child ends on EPIPE, and reaps it, without hanging
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent:
+            time.sleep(0.2)             # the child fills its pipe meanwhile
+            raise KeyboardInterrupt
+        return b"x" * (1 << 22)
+
+    def hung(*_):
+        raise TimeoutError("the fork map hung")
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)                    # a hang fails the test instead
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli._fork_map(fn, range(2), 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    _no_children()
 
 E29_TABLE_1_60 = """\
 M   epsilon  L_value       L_alg_num  L_alg_den  ord2  r_M  bound_rhs  bound_ok  tamagawa  sha_ord2
@@ -288,14 +407,15 @@ def test_table_candidates_are_the_unfiltered_classification(label, e29_file):
 
 def test_table_path_imports_neither_eisenstein_nor_numpy():
     # the table path, series kernel included, must not pull eisenstein or
-    # numpy into an interpreter that starts without them; and a command
-    # that forks no worker pool, run in a fresh interpreter, loads none of
-    # the pool's modules
+    # numpy into an interpreter that starts without them; and no command,
+    # a pooled table included, run in a fresh interpreter, loads a process
+    # pool's modules
     names = ("cmtwist.eisenstein", "numpy", "concurrent.futures",
              "multiprocessing")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["table", "1", "50"], ["twist", "5"], ["verify", "character"]):
+    for argv in (["table", "1", "50"], ["table", "1", "200", "--threads", "2"],
+                 ["twist", "5"], ["verify", "character"]):
         code = (f"import sys; from cmtwist import cli; "
                 f"rc = cli.main({argv!r}); "
                 f"print(rc, *(m for m in {names!r} if m in sys.modules))")
@@ -735,6 +855,38 @@ def test_verify_character_checks_every_prime_below_200(capsys, e29_file):
         assert out == (f"PASS  character[{curve}]: a_p at {n} odd good primes "
                        f"p < 200 match chi = (./{q}) mod sqrt(-{q}), "
                        f"d0 = {d0}\n")
+
+
+def test_verify_modsym_matches_the_series(capsys):
+    for curve, line in (
+            ("49a", "all 43 admissible M <= 300 (38 nonzero), c = -4"),
+            ("121b", "all 22 admissible M <= 300 (18 nonzero), c = 2")):
+        code, out, err = run(capsys, "verify", "modsym:300", "--curve", curve)
+        assert (code, err) == (0, "")
+        assert out == f"PASS  modsym[{curve}]: S(D)/c = L^alg at {line}\n"
+
+
+def test_verify_modsym_fails_on_a_wrong_symbol_sum(capsys, monkeypatch):
+    # a sum with the wrong sign fails at the first nonzero twist
+    lalg = modsym.TwistSums.lalg
+    monkeypatch.setattr(modsym.TwistSums, "lalg", lambda self, d: -lalg(self, d))
+    code, out, _ = run(capsys, "verify", "modsym:100", "--curve", "49a")
+    assert code == 1
+    assert out == ("FAIL  modsym[49a]: M=1: S(D)/c = -1/2, the series "
+                   "gives 1/2\n")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (("verify", "character", "modsym:5001"),
+     "modsym needs an integer above 0 and at most 5000, got 5001"),
+    (("verify", "character", "modsym:0"),
+     "modsym needs an integer above 0 and at most 5000, got 0"),
+    (("verify", "character", "modsym", "--curve", "e29"),
+     "modsym needs one of the builtin curves 49a, 121b, not e29"),
+])
+def test_verify_modsym_refuses_before_any_scenario_runs(capsys, e29_file, argv, why):
+    code, out, err = run(capsys, *argv, "--curve-file", e29_file)
+    assert (code, out, err) == (2, "", f"error: {why}\n")
 
 
 def test_curve_that_is_no_twist_is_refused(capsys, tmp_path):
