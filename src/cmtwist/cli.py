@@ -35,6 +35,7 @@ from .qfield import (
     ALLOWED_Q,
     QFieldError,
     QuadInt,
+    ResidueRing,
     cornacchia_split,
     is_prime,
     is_special_split,
@@ -50,6 +51,7 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 CHARACTER_BOUND = 200   # verify character checks every odd good prime below
 MAX_TORSION_NORM = 10 ** 5   # largest N(g) of an averaging or e1-ladder modulus
+MAX_LADDER_STEPS = 5 * 10 ** 5   # most wp steps of verify e1-ladder
 MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
 MAX_MODSYM_M = 5000            # largest m_max of verify modsym
@@ -333,18 +335,9 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
             return symbols.algebraic_part(ctx, d, target_digits)
     elif candidates:
         # one nonzero view of E0's a_n for the whole scan, up to the cutoff
-        # of the largest twist, built before the row workers fork: they
-        # share it and build none of their own.  A pooled scan whose view
-        # lacks two or more windows builds them side by side first, after
-        # the parent has checked the character
-        n_max = min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE)
-        view_workers = min(workers, ctx.missing_windows(n_max))
-        if view_workers < 2:
-            ctx.nonzero(n_max)
-        else:
-            ctx.check_character()
-            ctx.nonzero(n_max, map=lambda fn, *args: _fork_map(
-                lambda window: fn(*window), list(zip(*args)), view_workers))
+        # of the largest twist, built here window by window before the row
+        # workers fork: they share it and build none of their own
+        ctx.nonzero(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
     # the longest row last: it is dealt first, so no worker is left with
     # a big twist at the end
     results = _fork_map(lambda M: _table_job(ctx, digits, algebraic, M),
@@ -522,6 +515,21 @@ def _twisting_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], lis
     return entries, elements
 
 
+def _ladder_pi_list(curve: Curve, name: str, arg: str) -> tuple[list[str], list[QuadInt]]:
+    """A _pi_list whose B-ladder finishes: the ladder walks order - 1 wp
+    steps from each representative of (O_K/g)^*/{+-1}, order the smallest
+    positive integer in (g), and is refused above MAX_LADDER_STEPS steps."""
+    entries, elements = _pi_list(curve, name, arg)
+    ring = ResidueRing(torsion_modulus(curve.q, elements))
+    reps, order = ring.unit_count() // 2, ring.smallest_positive_integer
+    steps = reps * (order - 1)
+    if steps > MAX_LADDER_STEPS:
+        raise ValueError(f"{name}: the ladder takes {steps} wp steps ({reps} "
+                         f"representatives of order {order}), above the bound "
+                         f"{MAX_LADDER_STEPS}")
+    return entries, elements
+
+
 def _lemma_div_n(curve: Curve, name: str, arg: str) -> int:
     from .eisenstein import LEMMA_DIV_MAX_N
     return _int_arg(name, arg, 10, 1, LEMMA_DIV_MAX_N)
@@ -644,7 +652,7 @@ def _modsym(config: RunConfig, ctx: CurveContext, m_max: int) -> tuple[str, bool
 SCENARIOS = {
     "eisenstein-base": (None, _eisenstein_base),
     "averaging": (_twisting_pi_list, _averaging),
-    "e1-ladder": (_pi_list, _e1_ladder),
+    "e1-ladder": (_ladder_pi_list, _e1_ladder),
     "lemma-div": (_lemma_div_n, _lemma_div),
     "character": (None, _character),
     "tamagawa-cross": (lambda curve, name, arg:

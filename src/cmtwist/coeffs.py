@@ -15,15 +15,12 @@ curve vanish (about 83% below 10^6 for q = 7).  The a_n come from the
 theta series of psi over O_K (theta_window), since L(E0, s) = L(psi, s):
 no sieve and no a_p.  The view is built window by window: each window of
 a_n is compressed into the view and dropped, so no dense table of a_n
-exists, and a request past the view appends windows to it.  The windows
-are independent (nonzero_window), so nonzero maps them through whatever
-map it is given: the builtin one, or one that forks (cli._fork_map).  The
-table command of a user curve builds this view before its row workers
-fork, so they share it and build nothing; a pooled scan whose view needs
-two or more windows builds them in forked children first (the builtin
-curves' tables read modular symbols and build no view).  A twist by a
-discriminant d coprime to N multiplies a_n by the Kronecker symbol (d/n),
-so a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
+exists, and a request past the view appends windows to it.  The table
+command of a user curve builds this view before its row workers fork, so
+they share it and build nothing (the builtin curves' tables read modular
+symbols and build no view).  A twist by a discriminant d coprime to N
+multiplies a_n by the Kronecker symbol (d/n), so
+a_n(E^(d)) = (d d0/n) a_n(E0), and (d d0/.) is periodic mod |d d0|.
 twist_symbol_period gives one period of it; the series sum
 (lseries.central_value) folds that period into a table of powers of its
 own and runs over the view directly, so no twisted a_n is ever listed.
@@ -33,10 +30,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import gcd, isqrt
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .qfield import (cornacchia_split, factor_int, hecke_chi, kronecker,
                      primes_below, split_type)
@@ -150,56 +147,35 @@ class CurveContext:
             check_point_counts(self.curve, islice(split, CHECK_SPLIT_PRIMES))
             self._checked = True
 
-    def nonzero(self, n_max: int, map: Callable = map) -> tuple[array, array]:
+    def nonzero(self, n_max: int) -> tuple[array, array]:
         """(positions, values): the n with a_n(E0) != 0 and those a_n, for
         n from 1 up to at least n_max, in increasing n.
 
-        The view is built by nonzero_window in windows of THETA_WINDOW
-        terms, so no dense table of a_n is held.  A request past the view
-        maps nonzero_window over the windows from the end of the view up to
-        n_max with map (the builtin one, or a forking one, which builds
-        the windows side by side) and appends the results in order, in
-        place.
+        The view is built in windows of THETA_WINDOW terms (theta_window),
+        each compressed into it and dropped, so no dense table of a_n is
+        held.  A request past the view appends the windows from the end of
+        the view up to n_max, in place.
         """
         if not 1 <= n_max <= MAX_TABLE:
             raise CoeffError(f"n_max out of range: {n_max}")
         if n_max > self._nonzero_max:
             self.check_character()
             positions, values = self._nonzero
-            los = range(self._nonzero_max + 1, n_max + 1, THETA_WINDOW)
-            his = [min(lo + THETA_WINDOW, n_max + 1) for lo in los]
-            try:
-                windows = map(nonzero_window, repeat(self.curve.q), los, his)
-                for hi, (window_positions, window_values) in zip(his, windows):
-                    positions.extend(window_positions)
-                    values.extend(window_values)
-                    self._nonzero_max = hi - 1  # the bound never runs behind the arrays
-            except CoeffError as exc:           # a bad a_1 names the curve
-                raise CoeffError(f"{self.curve.label}: {exc}") from None
+            for lo in range(self._nonzero_max + 1, n_max + 1, THETA_WINDOW):
+                hi = min(lo + THETA_WINDOW, n_max + 1)
+                window = theta_window(self.curve.q, lo, hi)
+                if lo == 1 and window[0] != 1:
+                    raise CoeffError(f"{self.curve.label}: a_1 = {window[0]}, not 1")
+                positions.extend(compress(range(lo, hi), window))
+                values.extend(filter(None, window))
+                self._nonzero_max = hi - 1  # the bound never runs behind the arrays
         return self._nonzero
-
-    def missing_windows(self, n_max: int) -> int:
-        """The number of windows nonzero(n_max) would build."""
-        return len(range(self._nonzero_max + 1, n_max + 1, THETA_WINDOW))
 
     def omega(self, precision: int):
         """registry.omega_lattice(curve, precision), computed once per precision."""
         if precision not in self._omega:
             self._omega[precision] = omega_lattice(self.curve, precision)
         return self._omega[precision]
-
-
-def nonzero_window(q: int, lo: int, hi: int) -> tuple[array, array]:
-    """The window lo <= n < hi of the nonzero view of the a_n of L(psi, s)
-    (theta_window): the n with a_n != 0 and those a_n, in increasing n.
-
-    Raises CoeffError when the window starts at n = 1 and a_1 != 1.
-    """
-    window = theta_window(q, lo, hi)
-    if lo == 1 and window[0] != 1:
-        raise CoeffError(f"a_1 = {window[0]}, not 1")
-    return (array("i", compress(range(lo, hi), window)),
-            array("i", filter(None, window)))
 
 
 def theta_window(q: int, lo: int, hi: int) -> list[int]:

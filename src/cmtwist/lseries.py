@@ -5,11 +5,11 @@ L(E^(D), 1) is evaluated through the exponentially convergent series
 so the rigorous tail bound (|a_n| <= 2n) is below the digit target.  The
 twisted a'_n = (D d0/n) a_n(E0) are never listed: the sum runs in blocks
 of whole periods of the symbol directly over the context's nonzero view of
-E0's a_n (built once per command, before a table scan of a user curve
-forks its row workers; a pooled scan builds a view of several windows in
-forked children first), with the symbol folded into one table of scaled
-powers x^v per twist and one power x^(uW) per block (central_value).  Each
-block is one C-level map chain, so no Python loop runs over the terms.
+E0's a_n (built once per command, window by window so that no dense table
+of a_n exists, before a table scan of a user curve forks its row workers),
+with the symbol folded into one table of scaled powers x^v per twist and
+one power x^(uW) per block (central_value).  Each block is one C-level map
+chain, so no Python loop runs over the terms.
 The sum is taken in integers scaled by a power of 2 at every precision,
 with a proven bound on the tail plus the rounding that is linear in the
 number of terms, carried in logarithms so that no float under- or

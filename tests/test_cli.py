@@ -135,6 +135,19 @@ def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
     assert code == 0 and maps == [3] and serial == out
 
 
+def test_table_without_an_affinity_mask_or_a_cpu_count_forks_nothing(capsys,
+                                                                     monkeypatch):
+    # a platform without os.sched_getaffinity whose os.cpu_count() knows
+    # nothing counts one usable CPU: --threads 8 prints the serial bytes
+    serial = run(capsys, "table", "1", "200", "--curve", "49a")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    maps = _spy_maps(monkeypatch)
+    assert cli._usable_cpus() == 1
+    assert run(capsys, "table", "1", "200", "--curve", "49a", "--threads", "8") == serial
+    assert maps == [] and serial[0] == 0
+
+
 def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch):
     # os.cpu_count() also counts the CPUs that taskset or a cpuset forbids:
     # 64 of them, but only one this process may run on, fork nothing
@@ -185,20 +198,21 @@ E29_DEEP = (770, 800)
 E29_DEEP_FLAGGED = (793, 797)
 
 
-def test_pooled_table_builds_a_multi_window_view_in_a_pool(monkeypatch,
-                                                         theta_windows, e29_file):
-    # a view map builds every window once, in order; the row map starts
-    # second and its workers inherit the whole view
+def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
+                                                              theta_windows, e29_file):
+    # the parent builds every window of a view of many windows once, in
+    # order; only then does the one row map fork, and its workers inherit
+    # the whole view
     _cpus(monkeypatch, 2)
     config, ctx = _e29_context(e29_file)
-    held = []       # (maps started, builds so far, view bound) at each fork
+    held = []       # (builds so far, view bound) at each fork
     maps = _recording_map(monkeypatch, lambda fn, items: held.append(
-        (len(maps), list(theta_windows), ctx._nonzero_max)))
+        (list(theta_windows), ctx._nonzero_max)))
     theta_windows.clear()
     lines, code = cli.cmd_table(config, ctx, *E29_DEEP)
     everything = _windows(1, coeffs.MAX_TABLE + 1)
-    assert maps == [2, 2]
-    assert held == [(1, [], 0), (2, everything, coeffs.MAX_TABLE)]
+    assert maps == [2]
+    assert held == [(everything, coeffs.MAX_TABLE)]
     assert theta_windows == everything
     serial_config, serial_ctx = _e29_context(e29_file, threads=1)
     assert (lines, code) == cli.cmd_table(serial_config, serial_ctx, *E29_DEEP)
@@ -207,26 +221,22 @@ def test_pooled_table_builds_a_multi_window_view_in_a_pool(monkeypatch,
                           for ln in flagged] == list(E29_DEEP_FLAGGED)
 
 
-def test_single_window_view_starts_no_view_pool(capsys, monkeypatch, e29_file):
-    _cpus(monkeypatch, 2)
+@pytest.mark.parametrize("m_min, m_max, cpus, rows", [
+    (1, 50, 2, 4),          # a view of one window
+    (100, 160, 4, 5),       # seven twists whose view grows by three windows
+])
+def test_user_curve_table_starts_one_row_map(capsys, monkeypatch, e29_file,
+                                            m_min, m_max, cpus, rows):
+    # however many windows the view lacks, the scan forks once, for its rows
+    _cpus(monkeypatch, cpus)
     maps = _recording_map(monkeypatch)
-    code, out, _ = run(capsys, "table", "1", "50", "--curve", "e29",
-                       "--curve-file", e29_file, "--threads", "2")
-    assert code == 0 and "# rows=4" in out and maps == [2]   # the row map alone
+    code, out, _ = run(capsys, "table", str(m_min), str(m_max), "--curve", "e29",
+                       "--curve-file", e29_file, "--threads", str(cpus))
+    assert code == 0 and f"# rows={rows}" in out and maps == [cpus]
 
 
-def test_view_pool_no_larger_than_the_missing_windows(capsys, monkeypatch, e29_file):
-    # seven twists, five rows, whose largest twist needs three windows
-    # past the base value's: four row workers, and a view map of three
-    _cpus(monkeypatch, 4)
-    maps = _recording_map(monkeypatch)
-    code, out, _ = run(capsys, "table", "100", "160", "--curve", "e29",
-                       "--curve-file", e29_file, "--threads", "4")
-    assert code == 0 and "# rows=5" in out and maps == [3, 4]
-
-
-def test_character_is_checked_before_a_view_pool_starts(monkeypatch, tmp_path):
-    # a context whose curve fails its point counts starts no map
+def test_character_is_checked_before_the_row_map_starts(monkeypatch, tmp_path):
+    # a context whose curve fails its point counts starts no row map
     _cpus(monkeypatch, 2)
     maps = _recording_map(monkeypatch)
     f = tmp_path / "bad.txt"
@@ -261,23 +271,22 @@ def test_pooled_user_curve_table_matches_the_serial_one_with_real_workers(
             e29_file, "--format", "csv")
     serial = run(capsys, *argv, "--threads", "1")
     pooled = run(capsys, *argv, "--threads", "2")
-    assert maps == [2, 2]                   # the view map, then the row map
+    assert maps == [2]                      # the row map alone
     assert pooled == serial and serial[0] == 1
     _no_children()
 
 
-def test_bad_a1_is_refused_alike_with_and_without_a_view_pool(monkeypatch, e29_file):
-    # every window reads a_n = -1, so the one from n = 1 fails its a_1 check
-    # in a forked view worker, and the refusal crosses back to the parent
+def test_bad_a1_is_refused_before_any_fork(monkeypatch, e29_file):
+    # every window reads a_n = -1, so the parent's view build fails the a_1
+    # check of the window from n = 1, at 1 and 2 workers alike, before the
+    # row map forks
     _cpus(monkeypatch, 2)
-    maps = _spy_maps(monkeypatch)
     runs = [_e29_context(e29_file, threads) for threads in (1, 2)]
     monkeypatch.setattr(coeffs, "theta_window", lambda q, lo, hi: [-1] * (hi - lo))
+    monkeypatch.setattr(os, "fork", _refuse("os.fork"))
     for config, ctx in runs:
         with pytest.raises(coeffs.CoeffError, match=r"^e29: a_1 = -1, not 1$"):
             cli.cmd_table(config, ctx, *E29_DEEP)
-    assert maps == [2]                      # the view map, and no row map
-    _no_children()
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -654,6 +663,35 @@ def test_verify_accepts_the_largest_modulus_in_use():
         resolve_curve("49a"), ["averaging:-3,5,29"])
     assert run_check is cli._averaging and entries == ["-3", "5", "29"]
     assert 7 * math.prod(pi.norm() for pi in pis) == 45675
+
+
+@pytest.mark.parametrize("label, arg, steps, reps, order", [
+    ("49a", "103", 22913280, 31824, 721),
+    ("49a", "-3,5,29", 49093632, 16128, 3045),
+    ("121b", "83", 31409280, 34440, 913),
+])
+def test_e1_ladder_past_the_step_bound_is_refused_at_parse_time(
+        capsys, monkeypatch, label, arg, steps, reps, order):
+    # reps * (order - 1) wp steps, though every N(g) is under MAX_TORSION_NORM:
+    # refused from the residue ring alone, before any scenario runs
+    monkeypatch.setattr(eisenstein, "ladder_discrepancy", _refuse("the ladder"))
+    why = (f"e1-ladder: the ladder takes {steps} wp steps ({reps} representatives "
+           f"of order {order}), above the bound {cli.MAX_LADDER_STEPS}")
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        cli.parse_scenarios(resolve_curve(label), [f"e1-ladder:{arg}"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "lemma-div:2", f"e1-ladder:{arg}",
+                         "--curve", label)
+    assert (code, out, err) == (2, "", f"error: {why}\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("arg", ["17", "113"])
+def test_e1_ladder_under_the_step_bound_is_accepted(arg):
+    # 101,952 and 265,440 steps: the largest ladders the tests know to finish
+    (run_check, (entries, _)), = cli.parse_scenarios(resolve_curve("49a"),
+                                                    [f"e1-ladder:{arg}"])
+    assert run_check is cli._e1_ladder and entries == [arg]
 
 
 @pytest.mark.parametrize("scenario, why", [

@@ -366,32 +366,22 @@ def _windows(lo, hi):
 
 
 @pytest.mark.parametrize("q", sorted(ALLOWED_Q))
-def test_windowed_view_is_the_compressed_dense_table(q):
+def test_windowed_view_is_the_compressed_dense_table(q, theta_windows):
     # the view, built in windows of THETA_WINDOW terms, against the dense
     # table compressed, at bounds on both sides of a window edge; and a view
-    # grown in three requests against one built in one go.  A view built
-    # through a given map (a pool's, in a table scan) hands it each missing
-    # window from the end of the view and is the builtin map's view
-    spans = []
-
-    def recording_map(fn, qs, los, his):
-        spans.append(list(zip(los, his)))
-        return map(fn, qs, los, his)
-
+    # grown in three requests against one built in one go, each request
+    # building only the windows from the end of the view
     top = 3 * THETA_WINDOW + 5
     dense = _theta_dense(q, top)
     for n_max in (1, THETA_WINDOW - 1, THETA_WINDOW, THETA_WINDOW + 1, top):
+        theta_windows.clear()
         positions, values = CurveContext(Q_CURVES[q]).nonzero(n_max)
         assert list(positions) == [n for n in range(1, n_max + 1) if dense[n]]
         assert list(values) == list(filter(None, dense[1:n_max + 1]))
-        mapped = CurveContext(Q_CURVES[q]).nonzero(n_max, map=recording_map)
-        assert mapped == (positions, values)
-        assert spans.pop() == _windows(1, n_max + 1)
+        assert theta_windows == _windows(1, n_max + 1)
     grown = CurveContext(Q_CURVES[q])
+    theta_windows.clear()
     for n_max in (100, 150, THETA_WINDOW + 3):
         view = grown.nonzero(n_max)
+    assert theta_windows == [(1, 101), (101, 151), *_windows(151, THETA_WINDOW + 4)]
     assert view == CurveContext(Q_CURVES[q]).nonzero(THETA_WINDOW + 3)
-    grown = CurveContext(Q_CURVES[q])
-    for n_max in (100, THETA_WINDOW + 3):
-        mapped = grown.nonzero(n_max, map=recording_map)
-    assert mapped == view and spans == [[(1, 101)], _windows(101, THETA_WINDOW + 4)]
