@@ -233,9 +233,16 @@ def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12,
     satisfies the bound by the +infinity convention; a failed rational
     recognition is reported as indeterminate and never counts as a pass.
     """
+    return theorem18_report(ctx, _admissible_spec(ctx.curve, M), target_digits,
+                            algebraic)
+
+
+def theorem18_report(ctx: CurveContext, spec: TwistSpec, target_digits: int = 12,
+                     algebraic: Callable[..., LValueResult] | None = None) -> BSDReport:
+    """theorem18_check for the spec of an admissible M, as classify_twist
+    gave it: a table scan classifies each M once, up front."""
     curve = ctx.curve
-    spec = _admissible_spec(curve, M)
-    res = (algebraic or algebraic_part)(ctx, spec.epsilon * M, target_digits)
+    res = (algebraic or algebraic_part)(ctx, spec.epsilon * spec.M, target_digits)
     tama = tamagawa_report(curve, spec)
     bound_rhs = spec.r_of_M - phi_of(curve)
     indeterminate = res.lalg is None

@@ -26,7 +26,7 @@ from itertools import takewhile
 import mpmath as mp
 
 from . import bsd
-from .bsd import BSDError, BSDReport, NotApplicable
+from .bsd import BSDError, BSDReport
 from .coeffs import (MAX_TABLE, CoeffError, CurveContext, check_point_counts,
                      good_odd_primes)
 from .lseries import (LSeriesError, algebraic_part, recognize_rational,
@@ -159,14 +159,14 @@ def _table_digits(precision: int) -> int:
     return max(12, precision - 3)
 
 
-def _table_job(ctx: CurveContext, digits: int, algebraic, M: int):
-    """(M, row, failure message), row = (CSV cells, ord2 slack, bound
-    holds) or None for no row: only what the table prints crosses back
-    from a worker."""
+def _table_job(ctx: CurveContext, digits: int, algebraic, spec: bsd.TwistSpec):
+    """(M, row, failure message) for the admissible spec, row = (CSV cells,
+    ord2 slack, bound holds) or None for no row: only what the table prints
+    crosses back from a worker."""
+    M = spec.M
     try:
-        rep = bsd.theorem18_check(ctx, M, target_digits=digits, algebraic=algebraic)
-    except NotApplicable:
-        return M, None, None
+        rep = bsd.theorem18_report(ctx, spec, target_digits=digits,
+                                   algebraic=algebraic)
     except (BSDError, LSeriesError, CoeffError, ValueError) as exc:
         return M, None, str(exc)
     if rep.lvalue.lalg == 0:
@@ -297,32 +297,39 @@ def _ending(status: int) -> str:
     return f"exit code {os.waitstatus_to_exitcode(status)}"
 
 
-def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
-    """The admissible M with max(m_min, 2) <= M <= m_max, ascending.
+def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpec]:
+    """The TwistSpecs of the admissible M with max(m_min, 2) <= M <= m_max,
+    ascending.
 
     An M outside the root number's class mod 4 is never admissible, so
     only that class goes to classify_twist, which factors each M.
     """
     first, need = max(m_min, 2), bsd.admissible_class_mod4(curve)
-    candidates = []
+    specs = []
     for M in range(first + (need - first) % 4, m_max + 1, 4):
         try:
-            if bsd.classify_twist(curve, M).admissible:
-                candidates.append(M)
+            spec = bsd.classify_twist(curve, M)
         except BSDError:
             continue            # square factor: never admissible
-    return candidates
+        if spec.admissible:
+            specs.append(spec)
+    return specs
+
+
+def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
+    """The admissible M with max(m_min, 2) <= M <= m_max, ascending."""
+    return [spec.M for spec in _admissible_specs(curve, m_min, m_max)]
 
 
 def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
     from . import modsym
     curve = ctx.curve
     digits = _table_digits(config.precision)
-    candidates = _admissible_twists(curve, m_min, m_max)
+    specs = _admissible_specs(curve, m_min, m_max)
     # no more workers than rows or usable CPUs
-    workers = min(config.threads, len(candidates), _usable_cpus())
+    workers = min(config.threads, len(specs), _usable_cpus())
     algebraic = None                        # the series
-    if candidates and modsym.supports(curve):
+    if specs and modsym.supports(curve):
         # exact L^alg from the modular symbols, built before the row workers
         # fork.  A row whose series would need more than MAX_TABLE terms is
         # still refused as the series refuses it, since the deep workload
@@ -333,15 +340,15 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
         def algebraic(ctx, d, target_digits):
             series_terms(curve, d, target_digits)
             return symbols.algebraic_part(ctx, d, target_digits)
-    elif candidates:
+    elif specs:
         # one nonzero view of E0's a_n for the whole scan, up to the cutoff
         # of the largest twist, built here window by window before the row
         # workers fork: they share it and build none of their own
-        ctx.nonzero(min(series_cutoff(curve, candidates[-1], digits), MAX_TABLE))
+        ctx.nonzero(min(series_cutoff(curve, specs[-1].M, digits), MAX_TABLE))
     # the longest row last: it is dealt first, so no worker is left with
     # a big twist at the end
-    results = _fork_map(lambda M: _table_job(ctx, digits, algebraic, M),
-                        candidates, workers)
+    results = _fork_map(lambda spec: _table_job(ctx, digits, algebraic, spec),
+                        specs, workers)
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []

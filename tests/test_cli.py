@@ -308,6 +308,42 @@ def test_builtin_table_sums_no_series(capsys, monkeypatch, theta_windows, label)
     assert checked == [coeffs.CHECK_SPLIT_PRIMES]
 
 
+def test_pooled_table_builds_one_chain_table_in_the_parent(capsys, monkeypatch,
+                                                           tmp_path):
+    # the table of small chain sums is built once per command, before the
+    # row map forks: the parent builds it and no worker builds another
+    _cpus(monkeypatch, 2)
+    maps = _spy_maps(monkeypatch)
+    log = tmp_path / "builds"
+    build = modsym.chain_table
+
+    def spy(rows, sign):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(rows, sign)
+
+    monkeypatch.setattr(modsym, "chain_table", spy)
+    code, out, err = run(capsys, "table", "1", "1000", "--curve", "49a",
+                         "--threads", "2")
+    assert (code, err) == (0, "") and maps == [2]
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    _no_children()
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_table_classifies_each_twist_once(capsys, monkeypatch, label):
+    # the pre-pass classifies each M of the admissible class mod 4 once and
+    # hands its TwistSpec to the row; no row classifies again
+    classify = bsd.classify_twist
+    seen = []
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M:
+                        seen.append(M) or classify(curve, M))
+    code, _, _ = run(capsys, "table", "1", "1000", "--curve", label)
+    assert code == 0
+    first = 5 if label == "49a" else 3
+    assert seen == list(range(first, 1001, 4))
+
+
 def test_fork_map_returns_the_results_in_order():
     parent = os.getpid()
     for workers in (1, 2, 3, 10):

@@ -1,13 +1,16 @@
 """Modular symbols: lambda+- rebuilt from scratch, the constant of Birch's
 formula, and the twisted sums against the series."""
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmtwist import cli, modsym
-from cmtwist.coeffs import CurveContext, theta_window
+from cmtwist.coeffs import CurveContext, theta_window, twist_symbol_period
 from cmtwist.lseries import algebraic_part
 from cmtwist.qfield import kronecker
 from cmtwist.registry import BUILTIN, resolve_curve
@@ -216,6 +219,125 @@ def test_twisted_sums_are_c_times_the_series_lalg(label, nonzero_to_1000):
         nonzero[M] = want != 0
     assert sum(v for M, v in nonzero.items() if M <= 1000) == nonzero_to_1000
     assert not all(nonzero.values())        # vanishing rows are among them
+
+
+def _walk_sum(sums, d):
+    """S(d) by the convergent walk: for each a < |d|/2, {oo, a/|d|} split
+    along the convergent denominators q_k of a/|d| by the q_(k-1), q_k
+    recurrence, each symbol with its sign s^(k-1), paired with |d| - a.
+    The oracle of the remainder-chain kernel of TwistSums.twisted_sum."""
+    n, s, rows = sums.curve.q ** 2, sums.sign, sums._rows
+    head = rows[0][1]               # k = 0: (-1:0) = (1:0)
+    m = abs(d)
+    if m == 1:
+        return head
+    chi = twist_symbol_period(sums.curve, d)
+    total = 0
+    for a in range(1, (m + 1) // 2):
+        if chi[a]:
+            acc, sk = head, 1
+            y, r, q0, q1 = m, a, 0, 1
+            while r:
+                t = y // r
+                y, r = r, y - t * r
+                q0, q1 = q1, (t * q1 + q0) % n
+                acc += sk * rows[q0][q1]
+                sk *= s
+            total += chi[a] * acc
+    return 2 * total
+
+
+def _discriminants(curve, m_max, extra=()):
+    return [M if M % 4 == 1 else -M
+            for M in (*cli._admissible_twists(curve, 1, m_max), *extra)]
+
+
+@pytest.mark.parametrize("label, extra", [
+    ("49a", (22893, 22901, 22921, 22929, 22937, 22945)), ("121b", ())])
+def test_kernel_is_the_convergent_walk(label, extra):
+    sums = modsym.TwistSums(BUILTIN[label])
+    for d in _discriminants(sums.curve, 5000, extra):
+        assert sums.twisted_sum(d) == _walk_sum(sums, d), d
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_kernel_is_the_walk_for_any_symbol_values(monkeypatch, label):
+    # the remainder form holds for any values on P^1, not only for lambda_s.
+    # For lambda_s the lambda(1:0) term drops out (lambda_-(1:0) = 0, and an
+    # even chi sums to 0 over a < m/2); random values keep it
+    rng = random.Random(label)
+    monkeypatch.setattr(modsym, "winding_vector", lambda q, sign, ap: [
+        rng.randrange(-50, 51) for _ in range(q * (q + 1))])
+    sums = modsym.TwistSums(BUILTIN[label])
+    assert sums._rows[0][1]
+    for d in _discriminants(sums.curve, 1000):
+        assert sums.twisted_sum(d) == _walk_sum(sums, d), d
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_chain_table_is_the_euclid_chain_sum(label):
+    # Phi(y, r) = sum_j s^j lambda(y_j : y_(j+1)) over the Euclid chain
+    # y_0 = y, y_1 = r, y_(j+2) = y_j mod y_(j+1), for every r < y < B
+    sums = modsym.TwistSums(BUILTIN[label])
+    rows, s, bound = sums._rows, sums.sign, modsym.CHAIN_BOUND
+    n = len(rows)
+    assert len(sums._phi) == bound * bound
+    for y in range(bound):
+        for r in range(bound):
+            want, sk, a, b = 0, 1, y, r
+            while r < y and b:
+                want += sk * rows[b % n][a % n]
+                a, b, sk = b, a % b, sk * s
+            assert sums._phi[y * bound + r] == want, (y, r)
+
+
+def _convergent_denominators(a, m):
+    """q_0 = 1, q_1, ..., q_n = m of a/m."""
+    qs, y, r, q0, q1 = [1], m, a, 0, 1
+    while r:
+        t = y // r
+        y, r = r, y - t * r
+        q0, q1 = q1, t * q1 + q0
+        qs.append(q1)
+    return qs
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5 * 10 ** 4).flatmap(
+    lambda k: st.tuples(st.just(2 * k + 1), st.integers(1, k))))
+def test_convergent_denominators_are_euclid_remainders(m_a):
+    # odd m up to 10^5 and a < m/2
+    m, a = m_a
+    assume(gcd(a, m) == 1)
+    qs = _convergent_denominators(a, m)
+    n, e = len(qs) - 1, qs[-2]
+    remainders = [m, e]
+    while remainders[-1]:
+        remainders.append(remainders[-2] % remainders[-1])
+    assert remainders == qs[::-1] + [0]
+    assert 2 * e < m and a * e % m == (-1) ** (n - 1) % m
+    # chi = (D/.) with |D| = m, D = 1 mod 4, has chi(-1) = s = sign D
+    d = m if m % 4 == 1 else -m
+    s = 1 if d > 0 else -1
+    assert kronecker(d, e) == s ** (n - 1) * kronecker(d, a)
+
+
+def test_last_denominators_run_once_over_the_units():
+    # a -> q_(n-1) permutes the units below m/2
+    for m in range(3, 400, 2):
+        units = [a for a in range(1, (m + 1) // 2) if gcd(a, m) == 1]
+        assert sorted(_convergent_denominators(a, m)[-2] for a in units) == units, m
+
+
+def test_non_discriminants_are_refused():
+    # D = 0 and D = -1 are no fundamental discriminants, whatever the sign;
+    # D = 1 is, and S(1) = lambda_+({oo, 0})
+    for label in ("49a", "121b"):
+        sums = modsym.TwistSums(BUILTIN[label])
+        for d in (0, -1):
+            with pytest.raises(modsym.ModSymError, match="fundamental"):
+                sums.twisted_sum(d)
+    assert modsym.TwistSums(BUILTIN["49a"]).twisted_sum(1) == -2
 
 
 def test_values_above_the_series_cap():
