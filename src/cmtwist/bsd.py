@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part
@@ -224,34 +223,26 @@ def _check_base(base: Fraction | None) -> None:
         raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
 
 
-def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12,
-                    algebraic: Callable[..., LValueResult] | None = None) -> BSDReport:
-    """Valuation bound ord2(lalg) >= r(M) - phi for the eps*M twist of the curve.
-
-    The L-value comes from algebraic(ctx, eps*M, target_digits), by default
-    the series (lseries.algebraic_part).  A vanishing central value
-    satisfies the bound by the +infinity convention; a failed rational
-    recognition is reported as indeterminate and never counts as a pass.
-    """
-    return theorem18_report(ctx, _admissible_spec(ctx.curve, M), target_digits,
-                            algebraic)
+def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12) -> BSDReport:
+    """Valuation bound ord2(lalg) >= r(M) - phi for the eps*M twist of the
+    curve, on the series' L-value (lseries.algebraic_part)."""
+    spec = _admissible_spec(ctx.curve, M)
+    return theorem18_report(ctx.curve, spec,
+                            algebraic_part(ctx, spec.epsilon * M, target_digits))
 
 
-def theorem18_report(ctx: CurveContext, spec: TwistSpec, target_digits: int = 12,
-                     algebraic: Callable[..., LValueResult] | None = None) -> BSDReport:
-    """theorem18_check for the spec of an admissible M, as classify_twist
-    gave it: a table scan classifies each M once, up front."""
-    curve = ctx.curve
-    res = (algebraic or algebraic_part)(ctx, spec.epsilon * spec.M, target_digits)
+def theorem18_report(curve: Curve, spec: TwistSpec, res: LValueResult) -> BSDReport:
+    """The valuation bound, Tamagawa factors and predicted Sha for the spec
+    of an admissible M, as classify_twist gave it, judged on res, the
+    LValueResult of its eps*M twist from either route (the series or the
+    modular symbols).  A vanishing central value satisfies the bound by the
+    +infinity convention; a failed rational recognition is reported as
+    indeterminate and never counts as a pass."""
     tama = tamagawa_report(curve, spec)
     bound_rhs = spec.r_of_M - phi_of(curve)
     indeterminate = res.lalg is None
-    if indeterminate:
-        bound_holds = False
-    elif res.lalg == 0:
-        bound_holds = True
-    else:
-        bound_holds = res.ord2 >= bound_rhs
+    # ord2 is None for lalg = 0 as well, where the bound holds
+    bound_holds = not indeterminate and (res.ord2 is None or res.ord2 >= bound_rhs)
     sha: int | None = None
     flags: tuple[str, ...] = ()
     try:
@@ -355,7 +346,7 @@ def csv_row(curve: Curve, report: BSDReport) -> list[str]:
         num = den = ord2 = ""
     else:
         num, den = str(res.lalg.numerator), str(res.lalg.denominator)
-        ord2 = "" if res.lalg == 0 else str(res.ord2)
+        ord2 = "" if res.ord2 is None else str(res.ord2)
     return [
         str(report.spec.M),
         f"{report.spec.epsilon:+d}",

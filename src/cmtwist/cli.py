@@ -21,7 +21,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import takewhile
+from functools import partial
+from itertools import count, takewhile
 
 import mpmath as mp
 
@@ -29,11 +30,10 @@ from . import bsd
 from .bsd import BSDError, BSDReport
 from .coeffs import (MAX_TABLE, CoeffError, CurveContext, check_point_counts,
                      good_odd_primes)
-from .lseries import (LSeriesError, algebraic_part, recognize_rational,
-                      series_cutoff, series_terms)
+from .lseries import (algebraic_part, recognize_rational, series_cutoff,
+                      series_terms)
 from .qfield import (
     ALLOWED_Q,
-    QFieldError,
     QuadInt,
     ResidueRing,
     cornacchia_split,
@@ -159,15 +159,16 @@ def _table_digits(precision: int) -> int:
     return max(12, precision - 3)
 
 
-def _table_job(ctx: CurveContext, digits: int, algebraic, spec: bsd.TwistSpec):
-    """(M, row, failure message) for the admissible spec, row = (CSV cells,
-    ord2 slack, bound holds) or None for no row: only what the table prints
-    crosses back from a worker."""
-    M = spec.M
+def _table_job(ctx: CurveContext, digits: int, route, spec: bsd.TwistSpec):
+    """(M, row, failure message) for the admissible spec, its L-value from
+    route(ctx, d, digits), row = (CSV cells, ord2 slack, bound holds) or
+    None for no row: only what the table prints crosses back from a worker."""
+    M, d = spec.M, spec.epsilon * spec.M
     try:
-        rep = bsd.theorem18_report(ctx, spec, target_digits=digits,
-                                   algebraic=algebraic)
-    except (BSDError, LSeriesError, CoeffError, ValueError) as exc:
+        # the series' MAX_TABLE cap refuses symbol rows too: deep expects them flagged
+        series_terms(ctx.curve, d, digits)
+        rep = bsd.theorem18_report(ctx.curve, spec, route(ctx, d, digits))
+    except ValueError as exc:
         return M, None, str(exc)
     if rep.lvalue.lalg == 0:
         return M, None, None                # vanishing central value
@@ -316,11 +317,6 @@ def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpe
     return specs
 
 
-def _admissible_twists(curve: Curve, m_min: int, m_max: int) -> list[int]:
-    """The admissible M with max(m_min, 2) <= M <= m_max, ascending."""
-    return [spec.M for spec in _admissible_specs(curve, m_min, m_max)]
-
-
 def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
     from . import modsym
     curve = ctx.curve
@@ -328,18 +324,11 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     specs = _admissible_specs(curve, m_min, m_max)
     # no more workers than rows or usable CPUs
     workers = min(config.threads, len(specs), _usable_cpus())
-    algebraic = None                        # the series
+    route = algebraic_part                  # the series
     if specs and modsym.supports(curve):
-        # exact L^alg from the modular symbols, built before the row workers
-        # fork.  A row whose series would need more than MAX_TABLE terms is
-        # still refused as the series refuses it, since the deep workload
-        # of perfbench expects those rows flagged (exit code 1)
+        # exact L^alg from the modular symbols, built before the row workers fork
         ctx.check_character()
-        symbols = modsym.TwistSums(curve)
-
-        def algebraic(ctx, d, target_digits):
-            series_terms(curve, d, target_digits)
-            return symbols.algebraic_part(ctx, d, target_digits)
+        route = modsym.TwistSums(curve).algebraic_part
     elif specs:
         # one nonzero view of E0's a_n for the whole scan, up to the cutoff
         # of the largest twist, built here window by window before the row
@@ -347,8 +336,7 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
         ctx.nonzero(min(series_cutoff(curve, specs[-1].M, digits), MAX_TABLE))
     # the longest row last: it is dealt first, so no worker is left with
     # a big twist at the end
-    results = _fork_map(lambda spec: _table_job(ctx, digits, algebraic, spec),
-                        specs, workers)
+    results = _fork_map(partial(_table_job, ctx, digits, route), specs, workers)
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []
@@ -430,7 +418,8 @@ def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], 
         lines = [f"curve {curve.label}: twist M={M} is not admissible:"]
         lines += [f"  - {r}" for r in spec.reasons]
         return lines, 0
-    rep = bsd.theorem18_check(ctx, M, target_digits=_table_digits(config.precision))
+    rep = bsd.theorem18_report(curve, spec, algebraic_part(
+        ctx, spec.epsilon * M, _table_digits(config.precision)))
     if config.fmt == "csv":
         lines = [",".join(bsd.CSV_HEADER), ",".join(bsd.csv_row(curve, rep))]
     else:
@@ -625,12 +614,22 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
             f"agree ({detail})", True)
 
 
+def _modsym_specs(curve: Curve, m_max: int) -> list[bsd.TwistSpec]:
+    """The TwistSpecs of the admissible M <= m_max, M = 1 included when
+    admissible."""
+    base = bsd.classify_twist(curve, 1)
+    return [base] * base.admissible + _admissible_specs(curve, 1, m_max)
+
+
 def _modsym_m_max(curve: Curve, name: str, arg: str) -> int:
+    """An m_max no smaller than the curve's first admissible M: a smaller
+    one would check no twist."""
     from . import modsym
     if not modsym.supports(curve):
         raise ValueError(f"{name} needs one of the builtin curves "
                          f"{', '.join(modsym.TWIST_SCALE)}, not {curve.label}")
-    return _int_arg(name, arg, 1000, 1, MAX_MODSYM_M)
+    first = next(m for m in count(1) if _modsym_specs(curve, m))
+    return _int_arg(name, arg, 1000, first, MAX_MODSYM_M)
 
 
 def _modsym(config: RunConfig, ctx: CurveContext, m_max: int) -> tuple[str, bool]:
@@ -639,18 +638,17 @@ def _modsym(config: RunConfig, ctx: CurveContext, m_max: int) -> tuple[str, bool
     from . import modsym
     curve = ctx.curve
     digits = _table_digits(config.precision)
-    twists = [1] * bsd.classify_twist(curve, 1).admissible + \
-        _admissible_twists(curve, 1, m_max)
+    specs = _modsym_specs(curve, m_max)
     symbols = modsym.TwistSums(curve)
     nonzero = 0
-    for M in twists:
-        d = M if M % 4 == 1 else -M
+    for spec in specs:
+        d = spec.epsilon * spec.M
         got, want = symbols.lalg(d), algebraic_part(ctx, d, digits).lalg
         if got != want:
-            return (f"modsym[{curve.label}]: M={M}: S(D)/c = {got}, the series "
-                    f"gives {want}"), False
+            return (f"modsym[{curve.label}]: M={spec.M}: S(D)/c = {got}, the "
+                    f"series gives {want}"), False
         nonzero += got != 0
-    return (f"modsym[{curve.label}]: S(D)/c = L^alg at all {len(twists)} "
+    return (f"modsym[{curve.label}]: S(D)/c = L^alg at all {len(specs)} "
             f"admissible M <= {m_max} ({nonzero} nonzero), "
             f"c = {symbols.scale}"), True
 
@@ -766,7 +764,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as exc:         # argparse uses 2 for usage errors
         return int(exc.code or 0)
-    except (BSDError, RegistryError, QFieldError, ValueError) as exc:
+    except ValueError as exc:         # every cmtwist error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

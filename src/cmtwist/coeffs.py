@@ -31,7 +31,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -218,27 +218,34 @@ def theta_window(q: int, lo: int, hi: int) -> list[int]:
     return t
 
 
-def _check_twist_disc(curve: Curve, d: int) -> None:
-    if d == 0 or d == 1:
-        return
-    if d % 4 != 1:
-        raise CoeffError(f"twist discriminant {d} is not 1 mod 4")
-    if curve.conductor % 2 == 0 or gcd(d, curve.conductor) != 1:
-        raise CoeffError(f"twist discriminant {d} shares a factor with the conductor")
-    if any(e > 1 for _, e in factor_int(d)):
+def _twist_disc_primes(curve: Curve, d: int) -> list[int]:
+    """The primes of d d0, from one factor_int call, for a discriminant d
+    coprime to N(E) (d = 0 or 1 meaning E itself); CoeffError otherwise.
+
+    d0 is an odd square-free product of primes dividing N(E), so d d0 is
+    square-free exactly when d is."""
+    if d not in (0, 1):
+        if d % 4 != 1:
+            raise CoeffError(f"twist discriminant {d} is not 1 mod 4")
+        if curve.conductor % 2 == 0 or gcd(d, curve.conductor) != 1:
+            raise CoeffError(f"twist discriminant {d} shares a factor with the conductor")
+    factors = factor_int((d or 1) * curve.base_twist)
+    if any(e > 1 for _, e in factors):
         raise CoeffError(f"twist discriminant {d} is not square-free")
+    return [p for p, _ in factors]
 
 
-def _kronecker_period(d: int) -> list[int]:
-    """(d/n) for n = 0..|d|-1, d a square-free discriminant other than 1.
+def _kronecker_period(primes: list[int]) -> list[int]:
+    """(d/n) for n = 0..|d|-1, d the square-free discriminant with the given
+    primes ([1] for d = 1).
 
     Such a d is the product of p* = (-1)^((p-1)/2) p over the primes p | d,
     and (p*/n) = (n/p) by quadratic reciprocity, so (d/.) is the product of
     the Legendre symbols mod the p | d and has period |d|.
     """
-    m = abs(d)
+    m = prod(primes)
     period = [1] * m
-    for p, _ in factor_int(d):
+    for p in primes:
         period = list(map(mul, period, _legendre_table(p) * (m // p)))
     return period
 
@@ -252,6 +259,4 @@ def twist_symbol_period(curve: Curve, d: int) -> list[int]:
     means E itself, the twist of E0 by d0.  Raises CoeffError for a d that
     is no such discriminant.
     """
-    _check_twist_disc(curve, d)
-    dd0 = (d or 1) * curve.base_twist
-    return [1] if dd0 == 1 else _kronecker_period(dd0)
+    return _kronecker_period(_twist_disc_primes(curve, d))

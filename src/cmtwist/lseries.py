@@ -16,7 +16,8 @@ number of terms, carried in logarithms so that no float under- or
 overflows.  The algebraic part L * sqrt(|D|) / Omega is recognized as a
 small-denominator rational by continued fractions, Omega taken once per
 context and precision.  The table command of the builtin curves reads the
-same algebraic part exactly from modular symbols (modsym) instead.
+same algebraic part exactly from modular symbols (modsym) instead; both
+routes return an LValueResult, which bsd.theorem18_report judges.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, cycle, repeat
 from operator import floordiv, mul, sub
 from typing import Iterator
@@ -76,7 +78,11 @@ class LValueResult:
     tail_bound: object      # mpf, total series error: truncated tail plus rounding
     lalg: Fraction | None
     lalg_residual: float
-    ord2: int | None
+
+    @cached_property
+    def ord2(self) -> int | None:
+        """ord2 of lalg; None when lalg is None or 0."""
+        return ord2_fraction(self.lalg) if self.lalg else None
 
 
 def _power_tables(curve: Curve, d: int, c: int, width: int,
@@ -210,17 +216,15 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValue
     value, n_terms, tail = central_value(ctx, d, target_digits)
     if eps == -1:
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
-                            Fraction(0), 0.0, None)
+                            Fraction(0), 0.0)
     with mp.workdps(max(target_digits, 15) + 10):
         omega = ctx.omega(max(target_digits, 15))
         ratio = abs(mp.mpf(value)) * mp.sqrt(abs(d) if d else 1) / omega
         fr, residual = recognize_rational(ratio)
     if residual >= 1e-6 * max(1.0, abs(float(fr))):
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
-                            None, residual, None)
+                            None, residual)
     if fr == 0:
         # the sum only approximates a vanishing value; report the exact zero
-        return LValueResult(curve.label, d, eps, mp.mpf(0), n_terms, tail,
-                            fr, residual, None)
-    return LValueResult(curve.label, d, eps, value, n_terms, tail,
-                        fr, residual, ord2_fraction(fr))
+        value = mp.mpf(0)
+    return LValueResult(curve.label, d, eps, value, n_terms, tail, fr, residual)

@@ -80,7 +80,7 @@ import mpmath as mp
 
 from .coeffs import CurveContext, theta_window, twist_symbol_period
 from .lseries import LValueResult, twist_root_number
-from .qfield import factor_int, ord2_fraction, primes_below
+from .qfield import factor_int, primes_below
 from .registry import BUILTIN, Curve
 
 # label -> (s, c): the sign of D of every admissible twist of the builtin
@@ -248,8 +248,8 @@ class TwistSums:
     before it permuted by one itemgetter.
 
     _phi is chain_table(rows, s): Phi(y, r) for 0 <= r < y < CHAIN_BOUND,
-    16,384 entries built in about 1.4 ms.  One TwistSums, table included,
-    is built per command, before any table worker forks.
+    16,384 entries.  One TwistSums, table included, is built per command,
+    before any table worker forks.
     """
 
     def __init__(self, curve: Curve):
@@ -326,18 +326,15 @@ class TwistSums:
                        target_digits: int = 10) -> LValueResult:
         """lseries.algebraic_part(ctx, d, target_digits) from the symbols:
         the same exact L^alg, and L(E^(d), 1) = L^alg Omega_L / sqrt(|d|) to
-        target_digits digits, with no series term and no tail."""
+        target_digits digits, with no series term and no tail.  The table
+        command of a builtin curve takes its rows from this method."""
         curve = ctx.curve
         eps = twist_root_number(curve, d)
         lalg = Fraction(0) if eps == -1 else self.lalg(d)
         if lalg < 0:
             raise ModSymError(f"S({d}) / c = {lalg} is negative")
-        if lalg == 0:
-            return LValueResult(curve.label, d, eps, mp.mpf(0), 0, 0.0,
-                                lalg, 0.0, None)
         digits = max(target_digits, 15)
         with mp.workdps(digits + 10):
             value = ctx.omega(digits) * lalg.numerator / lalg.denominator \
                 / mp.sqrt(abs(d))
-        return LValueResult(curve.label, d, eps, value, 0, 0.0, lalg, 0.0,
-                            ord2_fraction(lalg))
+        return LValueResult(curve.label, d, eps, value, 0, 0.0, lalg, 0.0)

@@ -174,7 +174,7 @@ def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file):
     # to the cutoff of the largest twist; no job builds one
     _cpus(monkeypatch, 2)
     config, ctx = _e29_context(e29_file)
-    cutoff = series_cutoff(ctx.curve, cli._admissible_twists(ctx.curve, 1, 50)[-1],
+    cutoff = series_cutoff(ctx.curve, cli._admissible_specs(ctx.curve, 1, 50)[-1].M,
                            cli._table_digits(15))
     held = []       # (builds so far, view bound) at the row fork
     maps = _recording_map(monkeypatch, lambda fn, items: held.append(
@@ -344,6 +344,18 @@ def test_table_classifies_each_twist_once(capsys, monkeypatch, label):
     assert seen == list(range(first, 1001, 4))
 
 
+@pytest.mark.parametrize("label, M", [("49a", 449), ("121b", 7), ("49a", 31)])
+def test_twist_classifies_its_twist_once(capsys, monkeypatch, label, M):
+    # cmd_twist classifies M and judges the L-value on that TwistSpec; 31 is
+    # not admissible for 49a and stops there
+    classify = bsd.classify_twist
+    seen = []
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M:
+                        seen.append(M) or classify(curve, M))
+    code, _, _ = run(capsys, "twist", str(M), "--curve", label)
+    assert code == 0 and seen == [M]
+
+
 def test_fork_map_returns_the_results_in_order():
     parent = os.getpid()
     for workers in (1, 2, 3, 10):
@@ -426,7 +438,7 @@ def test_user_curve_table_grows_the_base_value_view(capsys, theta_windows, e29_f
     assert code == 0 and out == E29_TABLE_1_60
     curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
     base = series_cutoff(curve, 1, digits)
-    top = series_cutoff(curve, cli._admissible_twists(curve, 1, 60)[-1], digits)
+    top = series_cutoff(curve, cli._admissible_specs(curve, 1, 60)[-1].M, digits)
     assert top > 2 * base
     assert theta_windows == [(1, base + 1), *_windows(base + 1, top + 1)]
 
@@ -444,10 +456,13 @@ def test_table_candidates_are_the_unfiltered_classification(label, e29_file):
         except bsd.BSDError:
             continue
     assert len(every) > 50
-    assert cli._admissible_twists(curve, 1, 1000) == every
+
+    def twists(m_min, m_max):
+        return [spec.M for spec in cli._admissible_specs(curve, m_min, m_max)]
+
+    assert twists(1, 1000) == every
     for m_min, m_max in ((2, 2), (5, 5), (6, 9), (7, 400), (400, 1000)):
-        assert cli._admissible_twists(curve, m_min, m_max) == \
-            [M for M in every if m_min <= M <= m_max]
+        assert twists(m_min, m_max) == [M for M in every if m_min <= M <= m_max]
 
 
 def test_table_path_imports_neither_eisenstein_nor_numpy():
@@ -940,6 +955,16 @@ def test_verify_modsym_matches_the_series(capsys):
         assert out == f"PASS  modsym[{curve}]: S(D)/c = L^alg at {line}\n"
 
 
+def test_verify_modsym_checks_from_the_first_admissible_twist(capsys):
+    # 7 is the first admissible M of 121b, 1 that of 49a
+    for curve, m_max, line in (
+            ("121b", 7, "all 1 admissible M <= 7 (1 nonzero), c = 2"),
+            ("49a", 1, "all 1 admissible M <= 1 (1 nonzero), c = -4")):
+        code, out, err = run(capsys, "verify", f"modsym:{m_max}", "--curve", curve)
+        assert (code, err) == (0, "")
+        assert out == f"PASS  modsym[{curve}]: S(D)/c = L^alg at {line}\n"
+
+
 def test_verify_modsym_fails_on_a_wrong_symbol_sum(capsys, monkeypatch):
     # a sum with the wrong sign fails at the first nonzero twist
     lalg = modsym.TwistSums.lalg
@@ -957,6 +982,8 @@ def test_verify_modsym_fails_on_a_wrong_symbol_sum(capsys, monkeypatch):
      "modsym needs an integer above 0 and at most 5000, got 0"),
     (("verify", "character", "modsym", "--curve", "e29"),
      "modsym needs one of the builtin curves 49a, 121b, not e29"),
+    (("verify", "character", "modsym:6", "--curve", "121b"),
+     "modsym needs an integer above 6 and at most 5000, got 6"),
 ])
 def test_verify_modsym_refuses_before_any_scenario_runs(capsys, e29_file, argv, why):
     code, out, err = run(capsys, *argv, "--curve-file", e29_file)

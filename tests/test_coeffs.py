@@ -222,6 +222,27 @@ def test_table_twist_disc_validation():
         twisted_coeffs(ctx, 5, 0)
 
 
+@pytest.mark.parametrize("label", ["49a", "121b", "e29"])
+def test_symbol_period_factors_the_discriminant_once(monkeypatch, label, e29_file):
+    # one factor_int call per twist_symbol_period, on d d0: the square-free
+    # check and the period share its primes
+    curve = resolve_curve(label, e29_file)
+    calls = []
+    monkeypatch.setattr(coeffs, "factor_int",
+                        lambda n: calls.append(n) or factor_int(n))
+    for d in (0, 1, 5, -3, 13, -19, -255):
+        calls.clear()
+        dd0 = (d or 1) * curve.base_twist
+        m = abs(dd0)
+        assert twist_symbol_period(curve, d) == \
+            [kronecker(dd0, m + v) for v in range(m)], d
+        assert calls == [dd0], d
+    calls.clear()
+    with pytest.raises(CoeffError, match="not square-free"):
+        twist_symbol_period(curve, 45)
+    assert calls == [45 * curve.base_twist]
+
+
 @pytest.mark.parametrize("label", ["49a", "121b", "e29", "49a(-3)"])
 def test_theta_table_matches_point_count_fill(label, e29_file):
     # the context's untwisted stream (the theta series of E0's psi, twisted

@@ -197,9 +197,9 @@ def _full_sum(sums, d):
 def test_paired_sum_is_the_full_sum(label):
     curve = BUILTIN[label]
     sums = modsym.TwistSums(curve)
-    for M in cli._admissible_twists(curve, 1, 200):
-        d = M if M % 4 == 1 else -M
-        assert sums.twisted_sum(d) == _full_sum(sums, d), M
+    for spec in cli._admissible_specs(curve, 1, 200):
+        d = spec.epsilon * spec.M
+        assert sums.twisted_sum(d) == _full_sum(sums, d), d
 
 
 @pytest.mark.parametrize("label, nonzero_to_1000", [("49a", 119), ("121b", 43)])
@@ -211,8 +211,8 @@ def test_twisted_sums_are_c_times_the_series_lalg(label, nonzero_to_1000):
     sums = modsym.TwistSums(curve)
     scale = modsym.TWIST_SCALE[label][1]
     nonzero = {}
-    for M in cli._admissible_twists(curve, 1, 1500):
-        d = M if M % 4 == 1 else -M
+    for spec in cli._admissible_specs(curve, 1, 1500):
+        M, d = spec.M, spec.epsilon * spec.M
         want = algebraic_part(ctx, d, target_digits=12).lalg
         assert want is not None and want >= 0
         assert sums.twisted_sum(d) == scale * want, M
@@ -248,8 +248,9 @@ def _walk_sum(sums, d):
 
 
 def _discriminants(curve, m_max, extra=()):
-    return [M if M % 4 == 1 else -M
-            for M in (*cli._admissible_twists(curve, 1, m_max), *extra)]
+    return [spec.epsilon * spec.M
+            for spec in cli._admissible_specs(curve, 1, m_max)] + \
+        [M if M % 4 == 1 else -M for M in extra]
 
 
 @pytest.mark.parametrize("label, extra", [
