@@ -55,6 +55,15 @@ MAX_LADDER_STEPS = 5 * 10 ** 5   # most wp steps of verify e1-ladder
 MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
 MAX_MODSYM_M = 5000            # largest m_max of verify modsym
+# The estimated serial work of a table's rows (_table_work), in nanoseconds
+# of one vCPU of a 2-vCPU Xeon under Python 3.11; CHANGES.md has the runs.
+# Measured by `python3 tools/fork_sweep.py weights`:
+SYMBOL_NS_PER_UNIT = 370       # per unit of |D| of a modular-symbol row
+SERIES_NS_PER_TERM = 71        # per term of a series row
+TABLE_ROW_NS = 37_000          # per row: the BSD report and its CSV cells
+# Measured by `python3 tools/fork_sweep.py sweep`: a table estimated below
+# this runs in one process
+FORK_BREAK_EVEN_NS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=_env("PRECISION", "15"),
                         help="working decimal digits, >= 15 (default 15)")
     common.add_argument("--threads", type=int, default=_env("THREADS", "1"),
-                        help="worker processes for table scans (default 1)")
+                        help="most worker processes for table scans (default "
+                             "1): a table runs in one process unless its rows' "
+                             "estimated work, rows above the 10^6-term cap "
+                             "counting nothing, reaches a measured break-even "
+                             f"of {FORK_BREAK_EVEN_NS / 1e6:g} ms, and never "
+                             "uses more processes than rows or usable CPUs")
     common.add_argument("--format", dest="fmt", choices=("csv", "text"),
                         default=_env("FORMAT", "text"),
                         help="output format (default text)")
@@ -157,6 +171,22 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 def _table_digits(precision: int) -> int:
     # three guard digits over the 10 printed, more if asked for
     return max(12, precision - 3)
+
+
+def _table_work(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
+                symbols: bool) -> int:
+    """The estimated serial nanoseconds of the rows of specs on the symbol
+    route (symbols) or the series: TABLE_ROW_NS per row, plus
+    SYMBOL_NS_PER_UNIT per unit of |D| or SERIES_NS_PER_TERM per series
+    term.  A row above the MAX_TABLE cap counts nothing: _table_job refuses
+    it before any sum."""
+    work = 0
+    for spec in specs:
+        terms = series_cutoff(curve, spec.M, digits)
+        if terms <= MAX_TABLE:
+            work += TABLE_ROW_NS + (SYMBOL_NS_PER_UNIT * spec.M if symbols
+                                    else SERIES_NS_PER_TERM * terms)
+    return work
 
 
 def _table_job(ctx: CurveContext, digits: int, route, spec: bsd.TwistSpec):
@@ -322,10 +352,17 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     curve = ctx.curve
     digits = _table_digits(config.precision)
     specs = _admissible_specs(curve, m_min, m_max)
-    # no more workers than rows or usable CPUs
-    workers = min(config.threads, len(specs), _usable_cpus())
+    symbols = modsym.supports(curve)
+    # one process unless the rows' estimated serial work, rows above the
+    # MAX_TABLE cap counting nothing, reaches FORK_BREAK_EVEN_NS (100 ms):
+    # below it, the sweep of tools/fork_sweep.py found a second worker
+    # costing more than it saves.  Above it, no more workers than
+    # --threads, rows or usable CPUs
+    workers = 1
+    if _table_work(curve, specs, digits, symbols) >= FORK_BREAK_EVEN_NS:
+        workers = min(config.threads, len(specs), _usable_cpus())
     route = algebraic_part                  # the series
-    if specs and modsym.supports(curve):
+    if specs and symbols:
         # exact L^alg from the modular symbols, built before the row workers fork
         ctx.check_character()
         route = modsym.TwistSums(curve).algebraic_part
@@ -415,6 +452,9 @@ def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], 
     curve = ctx.curve
     spec = bsd.classify_twist(curve, M)   # BSDError (e.g. square factor) -> usage
     if not spec.admissible:
+        if config.fmt == "csv":
+            return [",".join(bsd.CSV_HEADER),
+                    f"# M={M} not admissible: {'; '.join(spec.reasons)}"], 0
         lines = [f"curve {curve.label}: twist M={M} is not admissible:"]
         lines += [f"  - {r}" for r in spec.reasons]
         return lines, 0

@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from cmtwist import coeffs
+from cmtwist import cli, coeffs
 from cmtwist.registry import builtin_curve, omega_infinity
 
 
@@ -39,3 +39,10 @@ def theta_windows(monkeypatch):
     monkeypatch.setattr(coeffs, "theta_window", lambda q, lo, hi:
                         windows.append((lo, hi)) or build(q, lo, hi))
     return windows
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Every table of the test forks its workers, however small its rows'
+    estimated work: the fork's break-even is 0."""
+    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", 0)

@@ -202,7 +202,7 @@ def test_criterion_11_order_predictions(table49):
     assert dict(applicable)[29] == 0
 
 
-def test_criterion_12_thread_determinism(table49):
+def test_criterion_12_thread_determinism(table49, forking):
     lines8, code8 = cmd_table(_config(threads=8), CurveContext(C49), 1, 1000)
     assert code8 == table49[1]
     assert "\n".join(lines8) == "\n".join(table49[0])

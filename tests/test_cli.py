@@ -49,7 +49,7 @@ def test_table_csv_single_row(capsys):
     assert "# rows=1" in out
 
 
-def test_table_thread_determinism(capsys):
+def test_table_thread_determinism(capsys, forking):
     _, out1, _ = run(capsys, "table", "1", "120", "--curve", "49a",
                      "--format", "csv")
     _, out8, _ = run(capsys, "table", "1", "120", "--curve", "49a",
@@ -110,7 +110,7 @@ def _cpus(monkeypatch, usable, count=None):
                         raising=False)
 
 
-def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
+def test_table_pool_no_larger_than_rows(capsys, monkeypatch, forking):
     # one process per row at most: two rows fork one child, whatever the
     # CPUs and --threads allow
     _cpus(monkeypatch, 64)
@@ -121,7 +121,7 @@ def test_table_pool_no_larger_than_rows(capsys, monkeypatch):
     assert maps == [2]
 
 
-def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
+def test_table_pool_no_larger_than_cpus(capsys, monkeypatch, forking):
     # workers past the CPU count only add processes: --threads 500 gets as
     # many as there are CPUs, and one CPU runs the scan without a fork
     _cpus(monkeypatch, 3)
@@ -136,7 +136,8 @@ def test_table_pool_no_larger_than_cpus(capsys, monkeypatch):
 
 
 def test_table_without_an_affinity_mask_or_a_cpu_count_forks_nothing(capsys,
-                                                                     monkeypatch):
+                                                                     monkeypatch,
+                                                                     forking):
     # a platform without os.sched_getaffinity whose os.cpu_count() knows
     # nothing counts one usable CPU: --threads 8 prints the serial bytes
     serial = run(capsys, "table", "1", "200", "--curve", "49a")
@@ -148,7 +149,7 @@ def test_table_without_an_affinity_mask_or_a_cpu_count_forks_nothing(capsys,
     assert maps == [] and serial[0] == 0
 
 
-def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch):
+def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch, forking):
     # os.cpu_count() also counts the CPUs that taskset or a cpuset forbids:
     # 64 of them, but only one this process may run on, fork nothing
     _cpus(monkeypatch, 1, count=64)
@@ -157,6 +158,64 @@ def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch):
     assert maps == []
     assert pinned == run(capsys, "table", "1", "200", "--curve", "49a")
     assert pinned[0] == 0
+
+
+def _table_work(label, m_min, m_max, curve_file=None):
+    curve = resolve_curve(label, curve_file)
+    return cli._table_work(curve, cli._admissible_specs(curve, m_min, m_max),
+                           cli._table_digits(15), modsym.supports(curve))
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_table_below_the_break_even_forks_no_child(capsys, monkeypatch, label):
+    # table 1 1000 costs a second worker more than it saves: two usable CPUs
+    # and --threads 2 still run it in this process, with the serial bytes
+    _cpus(monkeypatch, 2)
+    argv = ("table", "1", "1000", "--curve", label, "--format", "csv")
+    serial = run(capsys, *argv, "--threads", "1")
+    maps = _spy_maps(monkeypatch)
+    monkeypatch.setattr(os, "fork", _refuse("os.fork"))
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert maps == [] and serial[0] == 0
+    assert _table_work(label, 1, 1000) < cli.FORK_BREAK_EVEN_NS
+
+
+def test_table_at_the_break_even_forks(capsys, monkeypatch):
+    # the same table forks two workers once its estimate reaches the
+    # break-even, and prints the same bytes; one nanosecond short, it forks none
+    _cpus(monkeypatch, 2)
+    argv = ("table", "1", "1000", "--curve", "49a", "--format", "csv")
+    serial = run(capsys, *argv, "--threads", "1")
+    maps = _spy_maps(monkeypatch)
+    work = _table_work("49a", 1, 1000)
+    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", work)
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert maps == [2]
+    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", work + 1)
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert maps == [2]
+    _no_children()
+
+
+def test_table_work_counts_only_the_rows_under_the_cap():
+    # of the seven rows of DEEP_TABLE, the four above the cap are refused
+    # before any sum and count nothing; the symbols cost |D| per row
+    assert _table_work(DEEP_TABLE[-1], *map(int, DEEP_TABLE[1:3])) == sum(
+        cli.TABLE_ROW_NS + cli.SYMBOL_NS_PER_UNIT * M
+        for M in (22877, 22893, 22901))
+
+
+def test_user_curve_table_work_counts_series_terms(e29_file):
+    # a user curve's rows sum the series: each costs its cutoff in terms
+    curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
+    want = sum(cli.TABLE_ROW_NS + cli.SERIES_NS_PER_TERM *
+               series_cutoff(curve, spec.M, digits)
+               for spec in cli._admissible_specs(curve, 1, 400))
+    assert _table_work("e29", 1, 400, e29_file) == want
+    # above the cap, only the rows under it count: M = 773 and 785
+    assert _table_work("e29", *E29_DEEP, e29_file) == sum(
+        cli.TABLE_ROW_NS + cli.SERIES_NS_PER_TERM * series_cutoff(curve, M, digits)
+        for M in (773, 785))
 
 
 def _e29_context(e29_file, threads=2):
@@ -169,7 +228,8 @@ def _e29_context(e29_file, threads=2):
     return config, coeffs.CurveContext(ctx.curve)
 
 
-def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file):
+def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file,
+                                        forking):
     # the view of E0's a_n is built once, before the row workers fork, up
     # to the cutoff of the largest twist; no job builds one
     _cpus(monkeypatch, 2)
@@ -199,7 +259,8 @@ E29_DEEP_FLAGGED = (793, 797)
 
 
 def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
-                                                              theta_windows, e29_file):
+                                                              theta_windows, e29_file,
+                                                              forking):
     # the parent builds every window of a view of many windows once, in
     # order; only then does the one row map fork, and its workers inherit
     # the whole view
@@ -226,7 +287,7 @@ def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
     (100, 160, 4, 5),       # seven twists whose view grows by three windows
 ])
 def test_user_curve_table_starts_one_row_map(capsys, monkeypatch, e29_file,
-                                            m_min, m_max, cpus, rows):
+                                            forking, m_min, m_max, cpus, rows):
     # however many windows the view lacks, the scan forks once, for its rows
     _cpus(monkeypatch, cpus)
     maps = _recording_map(monkeypatch)
@@ -249,7 +310,8 @@ def test_character_is_checked_before_the_row_map_starts(monkeypatch, tmp_path):
     assert maps == []
 
 
-def test_pooled_table_matches_the_serial_one_with_real_workers(capsys, monkeypatch):
+def test_pooled_table_matches_the_serial_one_with_real_workers(capsys, monkeypatch,
+                                                               forking):
     # the modular symbols are built before the one row map forks
     _cpus(monkeypatch, 2)
     maps = _spy_maps(monkeypatch)
@@ -264,7 +326,7 @@ def test_pooled_table_matches_the_serial_one_with_real_workers(capsys, monkeypat
 
 
 def test_pooled_user_curve_table_matches_the_serial_one_with_real_workers(
-        capsys, monkeypatch, e29_file):
+        capsys, monkeypatch, e29_file, forking):
     _cpus(monkeypatch, 2)
     maps = _spy_maps(monkeypatch)
     argv = ("table", *map(str, E29_DEEP), "--curve", "e29", "--curve-file",
@@ -309,7 +371,7 @@ def test_builtin_table_sums_no_series(capsys, monkeypatch, theta_windows, label)
 
 
 def test_pooled_table_builds_one_chain_table_in_the_parent(capsys, monkeypatch,
-                                                           tmp_path):
+                                                           tmp_path, forking):
     # the table of small chain sums is built once per command, before the
     # row map forks: the parent builds it and no worker builds another
     _cpus(monkeypatch, 2)
@@ -477,7 +539,7 @@ def test_table_path_imports_neither_eisenstein_nor_numpy():
     for argv in (["table", "1", "50"], ["table", "1", "200", "--threads", "2"],
                  ["twist", "5"], ["verify", "character"]):
         code = (f"import sys; from cmtwist import cli; "
-                f"rc = cli.main({argv!r}); "
+                f"cli.FORK_BREAK_EVEN_NS = 0; rc = cli.main({argv!r}); "
                 f"print(rc, *(m for m in {names!r} if m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
@@ -545,6 +607,20 @@ def test_twist_inadmissible_reported_not_failed(capsys):
     code, out, _ = run(capsys, "twist", "21", "--curve", "49a")
     assert code == 0
     assert "not admissible" in out and "gcd" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("twist", "21"), "gcd(M, N) = 7 != 1"),
+    (("twist", "3", "--curve", "121b"), "split factor 3 is not special"),
+    (("twist", "2"), "split factor 2 is not special; "
+                     "M = 2 mod 4, but root number +1 needs 1 mod 4"),
+])
+def test_twist_inadmissible_csv_is_a_header_and_a_comment(capsys, argv, reason):
+    # a CSV reader gets the header and one comment line, as table flags a row
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    M = argv[1]
+    assert out == f"{','.join(bsd.CSV_HEADER)}\n# M={M} not admissible: {reason}\n"
 
 
 def test_verify_lemma_div(capsys):
