@@ -58,7 +58,7 @@ MAX_MODSYM_M = 5000            # largest m_max of verify modsym
 # The estimated serial work of a table's rows (_table_work), in nanoseconds
 # of one vCPU of a 2-vCPU Xeon under Python 3.11; CHANGES.md has the runs.
 # Measured by `python3 tools/fork_sweep.py weights`:
-SYMBOL_NS_PER_UNIT = 370       # per unit of |D| of a modular-symbol row
+SYMBOL_NS_PER_UNIT = 230       # per unit of |D| of a modular-symbol row
 SERIES_NS_PER_TERM = 71        # per term of a series row
 TABLE_ROW_NS = 37_000          # per row: the BSD report and its CSV cells
 # Measured by `python3 tools/fork_sweep.py sweep`: a table estimated below

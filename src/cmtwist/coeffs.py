@@ -92,6 +92,15 @@ def good_odd_primes(curve: Curve) -> Iterator[int]:
         lo, hi = hi, 2 * hi
 
 
+def character_ap(q: int, p: int) -> int:
+    """a_p(E0) from its character at a prime p != q: chi(pi_p) trace(pi_p)
+    when p splits in Q(sqrt(-q)), 0 when p is inert."""
+    if split_type(q, p) != "split":
+        return 0
+    pi = cornacchia_split(q, p)
+    return hecke_chi(pi) * pi.trace()
+
+
 def check_point_counts(curve: Curve, primes: Iterable[int]) -> int:
     """Check a_p(E) = (d0/p) chi(pi_p) trace(pi_p) at split p and a_p = 0 at
     inert p, for each odd good prime p given; the count of primes checked.
@@ -104,10 +113,7 @@ def check_point_counts(curve: Curve, primes: Iterable[int]) -> int:
     checked = 0
     for p in primes:
         ap = ap_point_count(curve, p)
-        want = 0
-        if split_type(q, p) == "split":
-            pi = cornacchia_split(q, p)
-            want = kronecker(d0, p) * hecke_chi(pi) * pi.trace()
+        want = kronecker(d0, p) * character_ap(q, p)
         if ap != want:
             raise CoeffError(
                 f"{curve.label} is not the twist by {d0} of the curve whose "

@@ -61,26 +61,68 @@ The term of a is lambda_s(1:0) + s^(n-1) Phi(m, e), and so
     S(D)/2 = lambda_s(1:0) sum_{a<m/2} chi(a) + sum_{e<m/2} chi(e) Phi(m, e).
 
 The first sum is 0 (lambda_-(1:0) = 0 as (1:0)* = (1:0), and an even chi
-sums to 0 over a < m/2 for m > 1), but it is kept: the kernel then gives
-the sum of the convergent walk for any values on P^1.  Phi depends on its
-pair alone, so TwistSums tabulates it below CHAIN_BOUND, and a chain stops
-at its first pair (y, r) with y < CHAIN_BOUND.  No q_k recurrence and no
-per-step sign remain: two Euclid steps run per turn, the terms at even and
-odd depth go to their own sums, and the odd sum takes the factor s once.
+sums to 0 over a < m/2 for m > 1).  Phi depends on its pair alone, so
+TwistSums tabulates it below CHAIN_BOUND, and a chain stops at its first
+pair (y, r) with y < CHAIN_BOUND.  No q_k recurrence and no per-step sign
+remain: two Euclid steps run per turn, the terms at even and odd depth go
+to their own sums, and the odd sum takes the factor s once.  The chain
+sums hold for any values on P^1; what follows needs lambda_s itself.
+
+TwistSums walks the chains of one square class only, and recovers the
+rest of S(D) from the Hecke relations at the primes of D.  D = 1 mod 4
+is square-free, so m = |D| = p_1 ... p_k is odd.  Write [x]_n for
+lambda_s({oo, x/n}), Sq for the squares of (Z/m)^*, p* = +-p = 1 mod 4,
+and for d | m, D_d = prod_{p|d} p* (D_1 = 1, D_m = D) and chi_d = (D_d/.).
+The chi_d are the 2^k real characters mod m, and chi_d(-1) = sign D_d.
+
+  (1) For a real character psi mod m with psi(-1) = s, a -> e above gives
+      sum_{e<m/2} psi(e) Phi(m, e) = sum_{a<m/2} psi(a) ([a]_m - lambda_s(1:0)),
+      since psi(e) = s^(n-1) psi(a) as for chi.  As [-x]_m = s [x]_m, the
+      right side is half the sum over all units, less phi(m)/2
+      lambda_s(1:0) when psi = 1 (an even psi != 1 sums to 0 over a < m/2;
+      an odd psi needs s = -1, and lambda_-(1:0) = 0).
+  (2) lambda_s is a T_p eigenvector at each p | m (p != q), so
+      a_p [r]_n = [p r]_n + sum_{b mod p} [r + b n]_(pn) for n | m, p not
+      dividing n (Mazur-Tate-Teitelbaum 1986).  Let V_d(n) be the sum of
+      chi_d(x) [x]_n over the units x mod n, for d | n.  Sum the relation
+      against chi_d(r) over the units r mod n.  The x = r + b n run once
+      over the x mod pn prime to n: the units, and the p x' with x' a
+      unit mod n, where [p x']_(pn) = [x']_n.  Both [p r]_n and the p x'
+      give chi_d(p) V_d(n), so V_d(pn) = (a_p - 2 chi_d(p)) V_d(n).  From
+      V_d(d) = S(D_d) (chi_d vanishes off the units mod d; V_1(1) = [0]_1
+      = S(1)):
+          V_d(m) = S(D_d) prod_{p | m/d} (a_p - 2 chi_d(p)).
+  (3) For a unit x, 1_Sq(x) = 2^-k sum_{d|m} chi_d(x), so
+      1_Sq(x) + s 1_Sq(-x) = 2^(1-k) sum_{d|m, sign D_d = s} chi_d(x).
+
+With W = sum_{e<m/2, e in Sq} Phi(m, e) + s sum_{e<m/2, m-e in Sq} Phi(m, e),
+(3), (1) and (2) give 2^k W = sum over the d | m with sign D_d = s of
+V_d(m) - [d = 1] phi(m) lambda_s(1:0), and V_m(m) = S(D).  So
+
+    S(D) = 2^k W - sum_d (S(D_d) prod_{p | m/d} (a_p - 2 chi_d(p))
+                          - [d = 1] phi(m) lambda_s(1:0)),
+
+d running over the proper divisors of m with sign D_d = s, and each
+S(D_d) by the same formula for the smaller |D_d| = d.  a_p(E0) comes from
+E0's character (coeffs.character_ap).  When every p | m is 1 mod 4, -1 is
+a square, the two classes of W are one, and W = 2 sum over e in Sq:
+phi(m)/2^(k+1) chains instead of the phi(m)/2 of the units below m/2.
+Otherwise the classes are disjoint: phi(m)/2^k chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd, isqrt, lcm
-from operator import itemgetter, mul
+from math import gcd, isqrt, lcm, prod
+from operator import and_, itemgetter, mul
 
 import mpmath as mp
 
-from .coeffs import CurveContext, theta_window, twist_symbol_period
+from .coeffs import (CurveContext, _legendre_table, _twist_disc_primes,
+                     character_ap, theta_window)
 from .lseries import LValueResult, twist_root_number
-from .qfield import factor_int, primes_below
+from .qfield import factor_int, kronecker, primes_below
 from .registry import BUILTIN, Curve
 
 # label -> (s, c): the sign of D of every admissible twist of the builtin
@@ -89,6 +131,9 @@ TWIST_SCALE = {"49a": (1, -4), "121b": (-1, 2)}
 HECKE_BOUND = 14        # the T_p with p < HECKE_BOUND, p != q, are at hand
 _P = (1 << 31) - 1      # the prime the conditions are solved modulo
 CHAIN_BOUND = 128       # Phi(y, r) is tabulated for 0 <= r < y < CHAIN_BOUND
+# _CODES[p % 4 == 1][(x/p)]: bit 1 set when x is a nonzero square mod p,
+# bit 2 when -x is; (x/p) = -1 reads the last entry
+_CODES = ([0, 1, 2], [0, 3, 0])
 
 
 class ModSymError(ValueError):
@@ -250,6 +295,12 @@ class TwistSums:
     _phi is chain_table(rows, s): Phi(y, r) for 0 <= r < y < CHAIN_BOUND,
     16,384 entries.  One TwistSums, table included, is built per command,
     before any table worker forks.
+
+    twisted_sum walks the chains of W only (the module docstring): for a
+    prime |D| = p, (p - 1)/4 chains when p = 1 mod 4 (the 49a twists of
+    prime |D|) and (p - 1)/2 when p = 3 mod 4 (those of 121b).  The S(D_d)
+    it needs, and every S(D) it returns, are kept in _sums, keyed by D:
+    each is walked once per instance.
     """
 
     def __init__(self, curve: Curve):
@@ -277,25 +328,57 @@ class TwistSums:
             rows[d] = [c % q and lam[index(c, d)] for c in range(n)]
         self._rows = rows
         self._phi = chain_table(rows, self.sign)
+        self._sums: dict[int, int] = {}     # D -> S(D)
 
     def twisted_sum(self, d: int) -> int:
         """S(d) for a fundamental discriminant d of sign s prime to q; d = 1
         included, where S(1) = lambda_s({oo, 0})."""
+        known = self._sums.get(d)
+        if known is None:
+            known = self._sums[d] = self._reduced_sum(d)
+        return known
+
+    def _reduced_sum(self, d: int) -> int:
+        """S(d) = 2^k W less the divisor terms of the module docstring."""
         if d == 0 or d == -1:
             raise ModSymError(f"D = {d} is not a fundamental discriminant")
-        if (d > 0) != (self.sign > 0):
-            raise ModSymError(f"D = {d} does not have the sign {self.sign:+d} "
+        s = self.sign
+        if (d > 0) != (s > 0):
+            raise ModSymError(f"D = {d} does not have the sign {s:+d} "
                               f"of the twists of {self.curve.label}")
         head = self._rows[0][1]     # lambda_s(1:0)
-        m = abs(d)
-        if m == 1:
+        if d == 1:
             return head
+        primes = _twist_disc_primes(self.curve, d)
+        m, k = abs(d), len(primes)
         half = (m + 1) // 2
-        chi = twist_symbol_period(self.curve, d)[:half]
+        # codes[e], e < m/2: bit 1 when e is in Sq (a square mod every
+        # p | m), bit 2 when m - e is
+        codes = None
+        for p in primes:
+            legendre = (_legendre_table(p) * (half // p + 1))[:half]
+            code = list(map(_CODES[p % 4 == 1].__getitem__, legendre))
+            codes = code if codes is None else list(map(and_, codes, code))
         units = range(half)
-        plus = self._chain_sums(m, compress(units, map((1).__eq__, chi)))
-        minus = self._chain_sums(m, compress(units, map((-1).__eq__, chi)))
-        return 2 * (head * sum(chi) + plus - minus)
+        if all(p % 4 == 1 for p in primes):         # -1 in Sq: one class
+            w = 2 * self._chain_sums(m, compress(units, codes))
+        else:
+            w = self._chain_sums(m, compress(units, map((1).__and__, codes))) \
+                + s * self._chain_sums(m, compress(units, map((2).__and__, codes)))
+        total = w << k
+        stars = [p if p % 4 == 1 else -p for p in primes]
+        for mask in range((1 << k) - 1):            # the proper divisors
+            sub = prod(x for i, x in enumerate(stars) if mask >> i & 1)
+            if (sub > 0) != (s > 0):
+                continue
+            term = self.twisted_sum(sub)
+            for i, p in enumerate(primes):
+                if not mask >> i & 1:
+                    term *= character_ap(self.curve.q, p) - 2 * kronecker(sub, p)
+            if mask == 0:
+                term -= prod(p - 1 for p in primes) * head
+            total -= term
+        return total
 
     def _chain_sums(self, m: int, units) -> int:
         """The sum of Phi(m, e) over the e in units: each chain runs two

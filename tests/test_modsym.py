@@ -2,6 +2,7 @@
 formula, and the twisted sums against the series."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from cmtwist import cli, modsym
 from cmtwist.coeffs import CurveContext, theta_window, twist_symbol_period
 from cmtwist.lseries import algebraic_part
-from cmtwist.qfield import kronecker
+from cmtwist.qfield import factor_int, kronecker
 from cmtwist.registry import BUILTIN, resolve_curve
 
 # the T_p each rebuild uses, as the module docstring states them
@@ -247,6 +248,22 @@ def _walk_sum(sums, d):
     return 2 * total
 
 
+def _unreduced_sum(sums, d):
+    """S(d) over every unit below |d|/2: 2 (lambda_s(1:0) sum_{a<m/2} chi(a)
+    + sum_{e<m/2} chi(e) Phi(m, e)), the chain sums of each chi class from
+    TwistSums._chain_sums.  The oracle of the reduced kernel of
+    TwistSums.twisted_sum; it holds for any values on P^1."""
+    head = sums._rows[0][1]         # lambda_s(1:0)
+    m = abs(d)
+    if m == 1:
+        return head
+    half = (m + 1) // 2
+    chi = twist_symbol_period(sums.curve, d)[:half]
+    plus = sums._chain_sums(m, [e for e in range(half) if chi[e] == 1])
+    minus = sums._chain_sums(m, [e for e in range(half) if chi[e] == -1])
+    return 2 * (head * sum(chi) + plus - minus)
+
+
 def _discriminants(curve, m_max, extra=()):
     return [spec.epsilon * spec.M
             for spec in cli._admissible_specs(curve, 1, m_max)] + \
@@ -263,16 +280,87 @@ def test_kernel_is_the_convergent_walk(label, extra):
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_kernel_is_the_walk_for_any_symbol_values(monkeypatch, label):
-    # the remainder form holds for any values on P^1, not only for lambda_s.
-    # For lambda_s the lambda(1:0) term drops out (lambda_-(1:0) = 0, and an
-    # even chi sums to 0 over a < m/2); random values keep it
+    # the chain sums over each chi class give the convergent walk for any
+    # values on P^1, not only for lambda_s; random values keep the
+    # lambda(1:0) term, which drops out for lambda_s (lambda_-(1:0) = 0,
+    # and an even chi sums to 0 over a < m/2).  twisted_sum's reduction
+    # needs lambda_s to be a T_p eigenvector, so random values are no test
+    # of it
     rng = random.Random(label)
     monkeypatch.setattr(modsym, "winding_vector", lambda q, sign, ap: [
         rng.randrange(-50, 51) for _ in range(q * (q + 1))])
     sums = modsym.TwistSums(BUILTIN[label])
     assert sums._rows[0][1]
     for d in _discriminants(sums.curve, 1000):
-        assert sums.twisted_sum(d) == _walk_sum(sums, d), d
+        assert _unreduced_sum(sums, d) == _walk_sum(sums, d), d
+
+
+ABOVE_THE_CAP = (22921, 22929, 22937, 22945)
+
+
+@pytest.mark.parametrize("label, extra", [("49a", ABOVE_THE_CAP), ("121b", ())])
+def test_reduced_sum_is_the_unreduced_sum(label, extra):
+    # every admissible D <= 4000, D = 1 and the 49a twists above the
+    # series cap, on a fresh instance each, so each D is reduced from its
+    # own walk and the S(D_d) of its divisors
+    curve = BUILTIN[label]
+    oracle = modsym.TwistSums(curve)
+    ds = _discriminants(curve, 4000, extra) + [1] * (label == "49a")
+    assert len(ds) == {"49a": 521, "121b": 230}[label]
+    for d in ds:
+        assert modsym.TwistSums(curve).twisted_sum(d) == _unreduced_sum(oracle, d), d
+
+
+def _spy_chain_sums(monkeypatch):
+    """The (instance, m) of every TwistSums._chain_sums call, in order."""
+    walks = []
+    chain_sums = modsym.TwistSums._chain_sums
+
+    def spy(self, m, units):
+        walks.append((id(self), m))
+        return chain_sums(self, m, units)
+
+    monkeypatch.setattr(modsym.TwistSums, "_chain_sums", spy)
+    return walks
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_each_sum_is_walked_once_per_instance(capsys, monkeypatch, label):
+    # over a table 1 3000, each S(D), the S(D_d) of the divisors included,
+    # walks its chains once: one class when every p | |D| is 1 mod 4, two
+    # classes otherwise
+    walks = _spy_chain_sums(monkeypatch)
+    assert cli.main(["table", "1", "3000", "--curve", label]) == 0
+    capsys.readouterr()
+    assert len({who for who, _ in walks}) == 1
+    calls = Counter(m for _, m in walks)
+    for m, n in calls.items():
+        one_class = all(p % 4 == 1 for p, _ in factor_int(m))
+        assert n == (1 if one_class else 2), m
+    assert len(calls) >= len(cli._admissible_specs(BUILTIN[label], 1, 3000))
+
+
+def test_a_second_instance_starts_with_an_empty_memo(monkeypatch):
+    curve = BUILTIN["49a"]
+    first = modsym.TwistSums(curve)
+    values = [first.twisted_sum(d) for d in (5, 65, 1105)]
+    walks = _spy_chain_sums(monkeypatch)
+    second = modsym.TwistSums(curve)
+    assert second._sums == {}
+    assert [second.twisted_sum(d) for d in (5, 65, 1105)] == values
+    assert sorted(m for _, m in walks) == [5, 13, 17, 65, 85, 221, 1105]
+    assert [first.twisted_sum(d) for d in (5, 65, 1105)] == values
+    assert len(walks) == 7                  # the first instance walked no more
+
+
+@pytest.mark.parametrize("label, d", [("49a", 5), ("49a", 33), ("121b", -3),
+                                      ("121b", -15)])
+def test_the_memo_is_keyed_by_the_signed_discriminant(label, d):
+    # a computed S(D) does not answer for -D, which has the wrong sign
+    sums = modsym.TwistSums(BUILTIN[label])
+    sums.twisted_sum(d)
+    with pytest.raises(modsym.ModSymError, match="sign"):
+        sums.twisted_sum(-d)
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -344,7 +432,7 @@ def test_non_discriminants_are_refused():
 def test_values_above_the_series_cap():
     # the four 49a twists the series refuses at 12 digits
     sums = modsym.TwistSums(BUILTIN["49a"])
-    assert [sums.lalg(M) for M in (22921, 22929, 22937, 22945)] == [225, 72, 49, 4]
+    assert [sums.lalg(M) for M in ABOVE_THE_CAP] == [225, 72, 49, 4]
 
 
 def test_algebraic_part_matches_the_series_result():

@@ -9,8 +9,10 @@ Usage, from the root of the repository:
 `table 1 400` for e29, the 29-twist of 49a read as a user curve, and prints
 the nanoseconds per unit of |D| of a modular-symbol row, per term of a
 series row, and of the rest of a row (its BSD report and CSV cells): the
-weights of cli._table_work, the last over all rows of the three tables.
-Each row is timed at its best of 5.
+weights of cli._table_work, the symbol weight over both symbol tables and
+the last over all rows of the three tables.  Each series row is timed at
+its best of 5, the symbol rows as one table on a fresh TwistSums, best of
+5, since an instance sums each S(D) once.
 
 `sweep` runs `table 1 M` in-process through cli.main at 1 and 2 workers,
 alternating, RUNS times (default 7) per point: 49a and 121b at M in
@@ -64,9 +66,21 @@ def best(fn, runs: int = 5) -> float:
     return min(times)
 
 
+def symbol_rows_seconds(ctx: CurveContext, specs, digits: int) -> float:
+    """The time of every row of specs on the modular symbols, on a fresh
+    TwistSums: it keeps each S(D) it computes, so a row timed twice would
+    time a lookup, and a row's divisors are summed once per table."""
+    route = modsym.TwistSums(ctx.curve).algebraic_part
+    start = time.perf_counter()
+    for s in specs:
+        route(ctx, s.epsilon * s.M, digits)
+    return time.perf_counter() - start
+
+
 def weights(curves: str) -> None:
     digits = cli._table_digits(15)
     rests, count = 0.0, 0
+    symbol_seconds, symbol_units = 0.0, 0
     for label, m_max in (("49a", 3000), ("121b", 3000), ("e29", 400)):
         config = cli.RunConfig(label, curves, 15, 1, "csv", None)
         ctx = CurveContext(resolve_curve(label, curves))
@@ -76,19 +90,24 @@ def weights(curves: str) -> None:
             ctx.check_character()
             route, unit = modsym.TwistSums(ctx.curve).algebraic_part, "unit of |D|"
             units = sum(spec.M for spec in specs)
+            summed = min(symbol_rows_seconds(ctx, specs, digits)
+                         for _ in range(5))
+            symbol_seconds, symbol_units = symbol_seconds + summed, symbol_units + units
         else:
             route, unit = algebraic_part, "series term"
             units = sum(series_cutoff(ctx.curve, s.M, digits) for s in specs)
             ctx.nonzero(series_cutoff(ctx.curve, specs[-1].M, digits))
+            summed = sum(best(lambda: route(ctx, s.epsilon * s.M, digits))
+                         for s in specs)
         done = {s.M: route(ctx, s.epsilon * s.M, digits) for s in specs}
-        summed = sum(best(lambda: route(ctx, s.epsilon * s.M, digits))
-                     for s in specs)
         rest = sum(best(lambda: cli._table_job(
             ctx, digits, lambda c, d, g: done[abs(d)], s)) for s in specs)
         print(f"{label} table 1 {m_max}: {len(specs)} rows, "
               f"{summed / units * 1e9:.0f} ns per {unit}, "
               f"{rest / len(specs) * 1e9:.0f} ns per row besides")
         rests, count = rests + rest, count + len(specs)
+    print(f"both symbol tables: {symbol_seconds / symbol_units * 1e9:.0f} ns "
+          f"per unit of |D|")
     print(f"all {count} rows: {rests / count * 1e9:.0f} ns per row besides")
 
 
