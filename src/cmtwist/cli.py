@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count, takewhile
@@ -58,7 +59,10 @@ MAX_MODSYM_M = 5000            # largest m_max of verify modsym
 # The estimated serial work of a table's rows (_table_work), in nanoseconds
 # of one vCPU of a 2-vCPU Xeon under Python 3.11; CHANGES.md has the runs.
 # Measured by `python3 tools/fork_sweep.py weights`:
-SYMBOL_NS_PER_UNIT = 230       # per unit of |D| of a modular-symbol row
+SYMBOL_NS_PER_UNIT = {         # per unit of |D| of a modular-symbol row, by curve
+    "49a": 155,
+    "121b": 245,
+}
 SERIES_NS_PER_TERM = 71        # per term of a series row
 TABLE_ROW_NS = 37_000          # per row: the BSD report and its CSV cells
 # Measured by `python3 tools/fork_sweep.py sweep`: a table estimated below
@@ -80,55 +84,82 @@ def _env(name: str, fallback: str | None = None) -> str | None:
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--curve", default=_env("CURVE", "49a"),
-                        help="curve label (default 49a; env CMTWIST_CURVE)")
-    common.add_argument("--curve-file", default=_env("CURVE_FILE"),
-                        help="file of curve records: label a1 a2 a3 a4 a6 q w [omega]")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags every command takes."""
+    p.add_argument("--curve", default=_env("CURVE", "49a"),
+                   help="curve label (default 49a; env CMTWIST_CURVE)")
+    p.add_argument("--curve-file", default=_env("CURVE_FILE"),
+                   help="file of curve records: label a1 a2 a3 a4 a6 q w [omega]")
     # string defaults from the environment go through type= like flags do
-    common.add_argument("--precision", type=int, default=_env("PRECISION", "15"),
-                        help="working decimal digits, >= 15 (default 15)")
-    common.add_argument("--threads", type=int, default=_env("THREADS", "1"),
-                        help="most worker processes for table scans (default "
-                             "1): a table runs in one process unless its rows' "
-                             "estimated work, rows above the 10^6-term cap "
-                             "counting nothing, reaches a measured break-even "
-                             f"of {FORK_BREAK_EVEN_NS / 1e6:g} ms, and never "
-                             "uses more processes than rows or usable CPUs")
-    common.add_argument("--format", dest="fmt", choices=("csv", "text"),
-                        default=_env("FORMAT", "text"),
-                        help="output format (default text)")
-    common.add_argument("--output", default=_env("OUTPUT"),
-                        help="output path (default: standard output)")
+    p.add_argument("--precision", type=int, default=_env("PRECISION", "15"),
+                   help="working decimal digits, >= 15 (default 15)")
+    p.add_argument("--threads", type=int, default=_env("THREADS", "1"),
+                   help="most worker processes for table scans (default "
+                        "1): a table runs in one process unless its rows' "
+                        "estimated work, rows above the 10^6-term cap "
+                        "counting nothing, reaches a measured break-even "
+                        f"of {FORK_BREAK_EVEN_NS / 1e6:g} ms, and never "
+                        "uses more processes than rows or usable CPUs")
+    p.add_argument("--format", dest="fmt", choices=("csv", "text"),
+                   default=_env("FORMAT", "text"),
+                   help="output format (default text)")
+    p.add_argument("--output", default=_env("OUTPUT"),
+                   help="output path (default: standard output)")
 
-    ap = argparse.ArgumentParser(
-        prog="cmtwist",
-        description="Central L-values of quadratic twists of CM curves "
-                    "with 2-adic bound and Tamagawa-factor checks.")
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="rows for all admissible twists in a range")
+def _add_table(sub) -> None:
+    p = sub.add_parser("table", help="rows for all admissible twists in a range")
     p.add_argument("m_min", nargs="?", type=int, default=1)
     p.add_argument("m_max", nargs="?", type=int, default=1000)
+    _add_common(p)
 
-    p = sub.add_parser("twist", parents=[common],
-                       help="full report for a single twisting integer")
+
+def _add_twist(sub) -> None:
+    p = sub.add_parser("twist", help="full report for a single twisting integer")
     p.add_argument("M", type=int)
+    _add_common(p)
 
-    p = sub.add_parser("verify", parents=[common],
+
+def _add_verify(sub) -> None:
+    p = sub.add_parser("verify",
                        help="identity checks: eisenstein-base, "
                             "averaging:<pi,...>, e1-ladder[:<pi,...>], "
                             "lemma-div[:<n>], character, "
                             "tamagawa-cross[:<limit>], modsym[:<m_max>]")
     p.add_argument("scenarios", nargs="+", metavar="SCENARIO")
+    _add_common(p)
 
-    p = sub.add_parser("special-primes", parents=[common],
+
+def _add_special_primes(sub) -> None:
+    p = sub.add_parser("special-primes",
                        help="ascending special split primes p <= limit")
     p.add_argument("q", type=int)
     p.add_argument("limit", type=int)
+    _add_common(p)
 
+
+COMMANDS = {"table": _add_table, "twist": _add_twist, "verify": _add_verify,
+            "special-primes": _add_special_primes}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command line argv.  When argv starts with a
+    command, only that command's subparser is built: a command line names
+    one command, and each subparser costs about a millisecond.  Help, a
+    missing command or an unknown one get every subparser.  The usage line
+    of the top-level parser always lists every command, as the errors
+    raised after parsing (parser.error) print it."""
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    ap = argparse.ArgumentParser(
+        prog="cmtwist",
+        description="Central L-values of quadratic twists of CM curves "
+                    "with 2-adic bound and Tamagawa-factor checks.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, add in COMMANDS.items():
+        if named in (None, name):
+            add(sub)
+    # set after add_subparsers, which derives the subparsers' prog from it
+    ap.usage = "%(prog)s [-h] {" + ",".join(COMMANDS) + "} ..."
     return ap
 
 
@@ -176,15 +207,16 @@ def _table_digits(precision: int) -> int:
 def _table_work(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
                 symbols: bool) -> int:
     """The estimated serial nanoseconds of the rows of specs on the symbol
-    route (symbols) or the series: TABLE_ROW_NS per row, plus
+    route (symbols) or the series: TABLE_ROW_NS per row, plus the curve's
     SYMBOL_NS_PER_UNIT per unit of |D| or SERIES_NS_PER_TERM per series
     term.  A row above the MAX_TABLE cap counts nothing: _table_job refuses
     it before any sum."""
+    unit = SYMBOL_NS_PER_UNIT[curve.label] if symbols else 0
     work = 0
     for spec in specs:
         terms = series_cutoff(curve, spec.M, digits)
         if terms <= MAX_TABLE:
-            work += TABLE_ROW_NS + (SYMBOL_NS_PER_UNIT * spec.M if symbols
+            work += TABLE_ROW_NS + (unit * spec.M if symbols
                                     else SERIES_NS_PER_TERM * terms)
     return work
 
@@ -773,7 +805,8 @@ def _ensure_base_value(ctx: CurveContext, config: RunConfig) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = _build_parser()
+        argv = sys.argv[1:] if argv is None else argv
+        parser = _build_parser(argv)
         args = parser.parse_args(argv)
         config = _config_from(args, parser)
         if args.command == "special-primes":

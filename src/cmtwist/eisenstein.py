@@ -54,14 +54,17 @@ N = N(g), so their phases u = omega^l * rho^k (omega = e^(pi*i/N),
 rho = e^(-pi*sqrt(q)/N)) and the start values qtau*u, qtau/u of the series
 come from per-modulus tables of omega^l and rho^j in integers scaled by
 2^(B+G), built from one expjpi and one exp (_PhaseTable).  Each point then
-costs integer products, one Gaussian division for its leading part and the
-E1* series summed in Gaussian integers scaled by 2^B, with a proven bound
-on the table and series error below one rounding at the working precision
-(_PhaseTable.e1star).  wp, wp', their phase (_reduced_phase, from exact
-Fractions) and the ladder stay in mpmath at a caller-chosen precision plus
-guard digits, so the oracle and the direct route share no arithmetic
-kernel.  Torsion points are located by exact rational coordinates, never by
-accumulated float error.
+costs one Gaussian division for its leading part and the E1* series in its
+Lambert form, sum_j ((qtau/u)^j - (qtau*u)^j)/(1 - qtau^j), without any
+division: each term is the product of a power of rho (stepped from the
+last by one rounded product), an omega^l entry and a weight
+2^B/(1 - qtau^j) of the context, the products are summed exactly and the
+sum is rounded once, with a proven bound on the table and series error
+below one rounding at the working precision (_PhaseTable.e1star).  wp,
+wp', their phase (_reduced_phase, from exact Fractions) and the ladder stay
+in mpmath at a caller-chosen precision plus guard digits, so the oracle
+and the direct route share no arithmetic kernel.  Torsion points are
+located by exact rational coordinates, never by accumulated float error.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 
 import mpmath as mp
 
@@ -105,9 +107,8 @@ class EisensteinContext:
     actual lattice multiplier (period lattice = lam * O_K); scale = 2*pi*i/lam,
     fac2 = scale^2 and fac3 = scale^3 are the prefactors of the E1*, wp and
     wp' q-expansions, and series_terms bounds the q-power tail at the working
-    precision (|qtau| = exp(-pi*sqrt(q))).  bits, qtau_scaled and
-    qtau2_scaled are the scale and the integer constants of the E1* sum
-    (_PhaseTable.e1star).
+    precision (|qtau| = exp(-pi*sqrt(q))).  bits and lambert_scaled are the
+    scale and the integer weights of the E1* sum (_PhaseTable.e1star).
     """
 
     curve: Curve
@@ -124,9 +125,8 @@ class EisensteinContext:
     fac2: object
     fac3: object
     series_terms: int
-    bits: int              # B: the E1* series is summed in units of 2^-B
-    qtau_scaled: int       # qtau * 2^B, rounded
-    qtau2_scaled: int      # qtau^2 * 2^B, rounded
+    bits: int              # B: each E1* bracket is within 6K + 1 units of 2^-B
+    lambert_scaled: tuple  # 2^B / (1 - qtau^j) rounded, j = 1, 2, ... while not 2^B
     pass_tol: object       # mpf, 10^(5 - precision): the checks' pass threshold
 
     def embed(self, x: QuadInt):
@@ -146,6 +146,29 @@ def _scaled(x, bits: int) -> int:
     if shift >= 0:
         return man << shift
     return (man + (1 << (-shift - 1))) >> -shift
+
+
+def _lambert_weights(qtau, bits: int) -> tuple[int, ...]:
+    """(c_1, c_2, ...): c_j = 2^bits / (1 - qtau^j) rounded to the nearest
+    integer, exact for the mpf qtau, up to the last j where c_j != 2^bits.
+
+    |qtau|^j falls with j, so once c_j rounds to 2^bits every later c_j
+    does too.  With qtau = man * 2^exp, c_j = 2^(bits - j*exp) /
+    (2^(-j*exp) - man^j), one integer division.
+    """
+    man, exp = qtau.man_exp
+    if qtau < 0:
+        man = -man
+    one = 1 << bits
+    weights = []
+    x_man, x_exp = man, exp         # qtau^j = x_man * 2^x_exp, x_exp < 0
+    while True:
+        den = (1 << -x_exp) - x_man
+        c = ((1 << (bits - x_exp + 1)) + den) // (2 * den)
+        if c == one:
+            return tuple(weights)
+        weights.append(c)
+        x_man, x_exp = x_man * man, x_exp + exp
 
 
 def _significant_digits(decimal: str) -> int:
@@ -182,14 +205,11 @@ def make_context(curve: Curve, precision: int = 50) -> EisensteinContext:
         n_terms = int((dps + 2) * mp.log(10) / (mp.pi * root_q)) + 6
         qtau = +qtau
         bits = mp.mp.prec + (6 * n_terms).bit_length() + 8
-        with mp.workprec(2 * mp.mp.prec):
-            qtau2 = qtau * qtau     # exact: twice the mantissa bits
         ctx = EisensteinContext(
             curve=curve, precision=precision, dps=dps, omega=+omega,
             lam=+lam, root_q=+root_q, tau=+tau, qtau=qtau, g2=+g2, g3=+g3,
             scale=+scale, fac2=+fac2, fac3=+fac3, series_terms=n_terms,
-            bits=bits, qtau_scaled=_scaled(qtau, bits),
-            qtau2_scaled=_scaled(qtau2, bits),
+            bits=bits, lambert_scaled=_lambert_weights(qtau, bits),
             pass_tol=mp.mpf(10) ** (5 - precision),
         )
         # tripwire: the weight-4/6 Eisenstein series of omega*O_K must equal
@@ -342,18 +362,26 @@ class _PhaseTable:
             E1*(z) = (2*pi*i/lam) * [ (1+u)/(2(u-1)) + t
                      + sum_{n>=1} (qtau^n/u)/(1 - qtau^n/u) - qtau^n*u/(1 - qtau^n*u) ],
 
-        the two fractions of each term merged over one denominator: with
-        a = qtau^n*u and b = qtau^n/u, so that ab = qtau^2n, the term is
-        (b - a)/((1 - a)(1 - b)).  The terms n <= K = ctx.series_terms are
-        summed in Gaussian integers scaled by 2^B.  X, Y and R, the scaled
-        a, b and ab, start as qtau*u and qtau/u, rounded from products of
-        two table entries, and qtau^2 times 2^B, and step by one multiply by
-        Q = qtau*2^B (R by its start value) and a floor.  Each term is
-        floor(2^B * N*conj(D) / |D|^2) per component, with N = Y - X and
-        D = 2^B - X - Y + R.  The leading part is one Gaussian division at
-        scale 2^T.  The bracket is returned as integers (re, im) at scale
-        2^-T, negated when flip is set, so E1*(z) = ctx.scale * (re + i*im)
-        * 2^-T (_bracket_value).
+        and expanding both fractions as geometric series and summing over n
+        first gives the series in Lambert form,
+
+            sum_{j>=1} ((qtau/u)^j - (qtau*u)^j) / (1 - qtau^j).
+
+        As qtau/u = conj(omega^l) * P and qtau*u = omega^l * Q with the
+        reals P = -rho^(d-k) and Q = -rho^(d+k), term j is c_j * (conj(w) *
+        P^j - w * Q^j) with w = omega^m, m = l*j mod 2d, and c_j = 1/(1 -
+        qtau^j): real part c_j * Re(w) * (P^j - Q^j), imaginary part -c_j *
+        Im(w) * (P^j + Q^j).  p and q, the scaled P^j and Q^j, start at the
+        negated table entries rho^(d-k) and rho^(d+k) and step by one
+        product with that start and a rounding at scale 2^T; w is a table
+        entry.  While j runs through ctx.lambert_scaled, the c_j scaled by
+        2^B, each term is the exact integer c_j * (p -+ q) * w at scale
+        2^(B+2T); past them c_j rounds to 2^B, and the terms (p -+ q) * w at
+        scale 2^(2T) run until p rounds to 0.  One rounded shift brings both
+        sums to scale 2^T, so no term needs a division.  The leading part is
+        one Gaussian division at scale 2^T.  The bracket is returned as
+        integers (re, im) at scale 2^-T, negated when flip is set, so
+        E1*(z) = ctx.scale * (re + i*im) * 2^-T (_bracket_value).
 
         Table error, in units of 2^-T, against omega^l and rho^j times 2^T.
         omega and rho, computed at T + 16 bits, round to entries within
@@ -362,29 +390,41 @@ class _PhaseTable:
         the factor) + 0.71 (its rounding) + a product of errors below 2^-T,
         so omega^l, 0 <= l < d, is within 1.43d, and so is
         omega^(d+l) = -omega^l; each step of the rho recurrence adds at most
-        0.51 + 0.5 + 2^-T, so rho^j is within 1.02j <= 1.53d.  X is
-        -omega^l * rho^(d+k) rounded to 2^B: within sqrt(2)/2 of the exact
-        product of the entries, which is within (1.43d*r + 1.53d)/2^G of
-        qtau*u*2^B (r = |qtau| below; the entries are at most 2^T).  As
-        2^G > 16(2d + 1), X is within 0.71 + 0.05 < 1, and so is Y, whose
-        rho^(d-k) <= r^(1/2); R starts within 1/2.  u, rounded to 2^T, is
-        within 1.43d + 0.51d + 0.71 < 2d + 1 units of 2^-T (k <= d/2), that
-        is within 2^-(B+4).
+        0.51 + 0.5 + 2^-T, so rho^j is within 1.02j <= 1.53d.  u, rounded to
+        2^T, is within 1.43d + 0.51d + 0.71 < 2d + 1 units of 2^-T
+        (k <= d/2), that is within 2^-(B+4), as 2^G > 16(2d + 1).
 
-        Series error, in units of 2^-B, against the same sum taken exactly
-        with the mpf qtau and that u.  Let r = |qtau| <= e^(-pi*sqrt(7)) <
-        2.5e-4.  Then |a| <= r^n and, as t <= 1/2, |b| <= r^(n-1/2) < 0.016,
-        so |1 - a|*|1 - b| >= (1 - r)(1 - e^(-pi*sqrt(7)/2)) > 0.98.  X, Y
-        and R start within 1; a step from an error e <= 2 on a value x,
-        with |Q - qtau*2^B| <= 1/2, leaves r*e + |x|/2 + 2^-B + sqrt(2) < 2
-        (sqrt(2) bounds a floor in each component).  N is then off by at
-        most 4 and D by at most 6, so 2^B * N/D is off by at most
-        (4*1.02 + 0.016*6) / (0.98*0.97) < 4.5, and with the floor each
-        term by at most 6: the sum by at most 6K.  B = prec + 8 + the bit
-        length of 6K, prec the mantissa bits at ctx.dps, so the series is
-        off by less than 2^-(prec+8): under 1/256 of one rounding of a
-        unit-size running sum, where an mpc loop at ctx.dps rounds its
-        running sum K times.
+        Series error, in units of 2^-T, against the Lambert sum taken
+        exactly with the mpf qtau and u = omega^l * rho^k.  Let r = |qtau|
+        <= e^(-pi*sqrt(7)) < 2.5e-4 and s = rho^(d-k) <= r^(1/2) < 0.016
+        (k <= d/2); rho^(d+k) <= s.  Products of two errors are below 2^-T
+        and are dropped.
+        - rho-power steps: p starts within e_1 <= 1.02d (the table), and
+          |p_1| <= a * 2^T with a = 0.0161, so the step to p_j leaves
+          e_j <= a*e_(j-1) + a^(j-1)*e_1 + 1/2, that is e_j <= 1.02d*j*
+          a^(j-1) + 0.51; over J terms they sum to at most 1.06d + 0.51J.
+          The same holds for q.
+        - Terms: c_j, within 1/2 of 2^B/(1 - qtau^j) <= 1.0003 * 2^B, times
+          the w entry (within 1.43d) and p, q leaves term j within 1.0003 *
+          (1.43d * 2s^j + e_j + e'_j) + 2^G * s^j (the rounding of c_j, also
+          past the weights, where 2^B stands for c_j).  Over all terms that
+          is at most 2.17d + 1.03J + 0.017 * 2^G.
+        - Truncation tail: the weights cover j = 1, so the loop stops at
+          the first j >= 2 with p_j = 0, where s^j * 2^T <= e_j <= 0.033d +
+          0.51; the dropped terms, geometric with ratio s, come to at most
+          2 * 1.0003 * (0.033d + 0.51) / (1 - s) < 0.07d + 1.04.
+        - The final shift rounds each component once: 0.71.
+        In all, less than 2.24d + 1.03J + 1.75 + 0.017 * 2^G units of 2^-T.
+        |p_j| <= a^j * 2^T + 0.51, and p_j rounds to 0 once |p_(j-1)| < 31,
+        so J <= T/5.9 + 2 (the weights end earlier, as r < a^2).  With
+        2^G > 16(2d + 1) >= 80 and G/2^G <= 7/128, the series is within
+        0.07 + 0.017 + (0.175(B + G) + 3.9)/2^G < 0.15 + 0.0022B units of
+        2^-B.  As prec <= 3.33(dps + 2) and K > 0.057(dps + 2) + 5 (q <=
+        163), 0.0022B < K: the series is within K + 1 units of 2^-B, and
+        the bracket, whose leading part adds less than 3 units of 2^-T,
+        within 6K + 1.  B = prec + 8 + the bit length of 6K, prec the
+        mantissa bits at ctx.dps, so each bracket is off by less than
+        2^-(prec+8): under 1/256 of one rounding of a unit-size value.
 
         Leading part: (1+u)/(2(u-1)) moves by about |du|/|u-1|^2 for an
         error du in u, and the floors of the division and of t*2^T add
@@ -401,39 +441,41 @@ class _PhaseTable:
         2^(8-prec), 256 units of 2^-prec: inside the guard digits.
         """
         ctx = self.ctx
-        bits, guard, shift = ctx.bits, self.guard, self.shift
-        d = self.d
-        w_re, w_im = self.w_re[l], self.w_im[l]
-        # products of two entries carry 2^(2T); shifting by T + G leaves 2^B
-        down = shift + guard
-        half = 1 << (down - 1)
-        r_x, r_y = self.rho[d + k], self.rho[d - k]
-        x_re, x_im = -((w_re * r_x + half) >> down), -((w_im * r_x + half) >> down)
-        y_re, y_im = -((w_re * r_y + half) >> down), (w_im * r_y + half) >> down
-        one = 1 << bits
-        q_sc = ctx.qtau_scaled
-        q2_sc = r = ctx.qtau2_scaled
-        sum_re = sum_im = 0
-        for _ in range(ctx.series_terms):
-            n_re, n_im = y_re - x_re, y_im - x_im
-            d_re, d_im = one - x_re - y_re + r, -x_im - y_im
-            den = d_re * d_re + d_im * d_im
-            sum_re += ((n_re * d_re + n_im * d_im) << bits) // den
-            sum_im += ((n_im * d_re - n_re * d_im) << bits) // den
-            x_re, x_im = x_re * q_sc >> bits, x_im * q_sc >> bits
-            y_re, y_im = y_re * q_sc >> bits, y_im * q_sc >> bits
-            r = r * q2_sc >> bits
+        shift, d = self.shift, self.d
+        w_re, w_im, period = self.w_re, self.w_im, 2 * self.d
+        half = 1 << (shift - 1)
+        step_p, step_q = -self.rho[d - k], -self.rho[d + k]
+        p, q, m = step_p, step_q, l
+        weighted_re = weighted_im = 0       # scale 2^(B+2T)
+        for c in ctx.lambert_scaled:
+            weighted_re += c * (p - q) * w_re[m]
+            weighted_im -= c * (p + q) * w_im[m]
+            p = (p * step_p + half) >> shift
+            q = (q * step_q + half) >> shift
+            m = (m + l) % period
+        plain_re = plain_im = 0             # scale 2^(2T)
+        while p:
+            plain_re += (p - q) * w_re[m]
+            plain_im -= (p + q) * w_im[m]
+            p = (p * step_p + half) >> shift
+            q = (q * step_q + half) >> shift
+            m = (m + l) % period
+        bits = ctx.bits
+        down = bits + shift
+        half_down = 1 << (down - 1)
+        series_re = (weighted_re + (plain_re << bits) + half_down) >> down
+        series_im = (weighted_im + (plain_im << bits) + half_down) >> down
         # (1+u)/(2(u-1)) + t at scale 2^T, u = omega^l * rho^k
-        one_t, half_t = 1 << shift, 1 << (shift - 1)
-        u_re = (w_re * self.rho[k] + half_t) >> shift
-        u_im = (w_im * self.rho[k] + half_t) >> shift
+        one_t = 1 << shift
+        u_re = (w_re[l] * self.rho[k] + half) >> shift
+        u_im = (w_im[l] * self.rho[k] + half) >> shift
         p_re, p_im = one_t + u_re, u_im
         m_re, m_im = u_re - one_t, u_im
         den = m_re * m_re + m_im * m_im
         lead_re = ((p_re * m_re + p_im * m_im) << (shift - 1)) // den
         lead_im = ((p_im * m_re - p_re * m_im) << (shift - 1)) // den
-        acc_re = lead_re + (k << shift) // d + (sum_re << guard)
-        acc_im = lead_im + (sum_im << guard)
+        acc_re = lead_re + (k << shift) // d + series_re
+        acc_im = lead_im + series_im
         return (-acc_re, -acc_im) if flip else (acc_re, acc_im)
 
 
@@ -803,7 +845,7 @@ def averaging_check(ctx: EisensteinContext, pis: list[QuadInt]) -> AveragingRepo
         )
 
 
-LEMMA_DIV_MAX_N = 12  # 2^n sign vectors, each a 2^n-entry subset table
+LEMMA_DIV_MAX_N = 12  # 2^n sign vectors, each a subset table of 2^n bits
 
 
 def lemma_div_bruteforce(n: int) -> bool:
@@ -811,22 +853,31 @@ def lemma_div_bruteforce(n: int) -> bool:
 
     The sum over all subsets of a sign vector s in {+-1}^n equals 2^n when
     every s_i = +1 and vanishes otherwise; checked literally for all 2^n
-    vectors.  The subset products are built by doubling: after s_1..s_i
-    the list holds the product over each mask below 2^i, in mask order, so
-    s_{i+1} = +1 appends a copy of the list and -1 its negation.
+    vectors.  The subset products of one vector are the bits of one int,
+    bit T set when prod_{i in T} s_i = -1, built by doubling: after
+    s_1..s_i the int holds the products of the masks below 2^i, its width
+    w = 2^i, so s_{i+1} = +1 appends a copy of the w bits, x | x << w, and
+    -1 their complement, x | (x ^ (2^w - 1)) << w.  The sum is then 2^n
+    minus twice the number of set bits.
     """
     if not 1 <= n <= LEMMA_DIV_MAX_N:
         raise EisensteinError(f"n must be between 1 and {LEMMA_DIV_MAX_N}")
     size = 1 << n
     for signs in itertools.product((1, -1), repeat=n):
-        prods = [1]
-        for s in signs:
-            prods += prods if s == 1 else list(map(neg, prods))
-        total = sum(prods)
-        expected = size if all(s == 1 for s in signs) else 0
-        if total != expected:
+        expected = size if -1 not in signs else 0
+        if _subset_product_sum(signs) != expected:
             return False
     return True
+
+
+def _subset_product_sum(signs) -> int:
+    """sum_{T subset [n]} prod_{i in T} s_i for the signs s_1..s_n, by the
+    bit doubling of lemma_div_bruteforce."""
+    prods, width = 0, 1                 # the empty product is +1
+    for s in signs:
+        prods |= (prods if s == 1 else prods ^ ((1 << width) - 1)) << width
+        width <<= 1
+    return width - 2 * prods.bit_count()
 
 
 def phase_split(value):

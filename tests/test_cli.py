@@ -201,7 +201,7 @@ def test_table_work_counts_only_the_rows_under_the_cap():
     # of the seven rows of DEEP_TABLE, the four above the cap are refused
     # before any sum and count nothing; the symbols cost |D| per row
     assert _table_work(DEEP_TABLE[-1], *map(int, DEEP_TABLE[1:3])) == sum(
-        cli.TABLE_ROW_NS + cli.SYMBOL_NS_PER_UNIT * M
+        cli.TABLE_ROW_NS + cli.SYMBOL_NS_PER_UNIT["49a"] * M
         for M in (22877, 22893, 22901))
 
 
@@ -725,6 +725,29 @@ def test_scenarios_are_documented():
     helped = set(re.findall(r"[a-z0-9-]+", helped))
     assert set(cli.SCENARIOS) <= listed
     assert set(cli.SCENARIOS) <= helped
+
+
+PARSER_CASES = [[command, "--help"] for command in cli.COMMANDS] + [
+    ["--help"], [], ["tabel", "1"], ["twist", "x"],
+    ["twist", "5", "--precision", "3"], ["table", "5", "1"],
+    ["verify", "lemma-div", "--threads", "0"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_the_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # help, usage errors and the checks made after parsing print the same
+    # stdout and stderr, with the same exit code, whether the parser has
+    # every subcommand or only the one argv names
+    build = cli._build_parser
+    sub = next(a for a in build(argv)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    named = argv[:1] if argv and argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    assert list(sub.choices) == named
+    one = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: build())
+    assert run(capsys, *argv) == one
+    assert one[0] in (0, 2) and one[1] + one[2]
 
 
 def test_verify_refuses_an_omega_too_short_for_the_lattice(capsys, e29_file_25):

@@ -1,5 +1,6 @@
 """Lattice sums: wp ladders, the character chi, torsion-sum identities."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -105,6 +106,59 @@ def _e1star_mpc(ctx, s, t):
             acc += (b - a) / ((1 - a) * (1 - b))
         val = ctx.scale * acc
         return -val if flip else +val
+
+
+def _e1star_division_loop(table, k, l, flip):
+    """The bracket of _PhaseTable.e1star from the series in its own form:
+    the terms n <= K of (b - a)/((1 - a)(1 - b)), a = qtau^n*u and
+    b = qtau^n/u, each one Gaussian division at scale 2^B, with X, Y and R
+    (the scaled a, b and ab) stepped by a product with qtau*2^B or
+    qtau^2*2^B and a floor.  Each bracket is within 6K + 1 units of 2^-B
+    of the exact one, as e1star's: the oracle for its Lambert form."""
+    ctx = table.ctx
+    bits, guard, shift, d = ctx.bits, table.guard, table.shift, table.d
+    w_re, w_im = table.w_re[l], table.w_im[l]
+    down = shift + guard
+    half = 1 << (down - 1)
+    r_x, r_y = table.rho[d + k], table.rho[d - k]
+    x_re, x_im = -((w_re * r_x + half) >> down), -((w_im * r_x + half) >> down)
+    y_re, y_im = -((w_re * r_y + half) >> down), (w_im * r_y + half) >> down
+    one = 1 << bits
+    with mp.workprec(2 * bits):
+        qtau2 = ctx.qtau * ctx.qtau     # exact: B exceeds the mantissa bits
+    q_sc = eisenstein._scaled(ctx.qtau, bits)
+    q2_sc = r = eisenstein._scaled(qtau2, bits)
+    sum_re = sum_im = 0
+    for _ in range(ctx.series_terms):
+        n_re, n_im = y_re - x_re, y_im - x_im
+        d_re, d_im = one - x_re - y_re + r, -x_im - y_im
+        den = d_re * d_re + d_im * d_im
+        sum_re += ((n_re * d_re + n_im * d_im) << bits) // den
+        sum_im += ((n_im * d_re - n_re * d_im) << bits) // den
+        x_re, x_im = x_re * q_sc >> bits, x_im * q_sc >> bits
+        y_re, y_im = y_re * q_sc >> bits, y_im * q_sc >> bits
+        r = r * q2_sc >> bits
+    one_t, half_t = 1 << shift, 1 << (shift - 1)
+    u_re = (w_re * table.rho[k] + half_t) >> shift
+    u_im = (w_im * table.rho[k] + half_t) >> shift
+    p_re, p_im = one_t + u_re, u_im
+    m_re, m_im = u_re - one_t, u_im
+    den = m_re * m_re + m_im * m_im
+    lead_re = ((p_re * m_re + p_im * m_im) << (shift - 1)) // den
+    lead_im = ((p_im * m_re - p_re * m_im) << (shift - 1)) // den
+    acc_re = lead_re + (k << shift) // d + (sum_re << guard)
+    acc_im = lead_im + (sum_im << guard)
+    return (-acc_re, -acc_im) if flip else (acc_re, acc_im)
+
+
+def _lemma_div_list_total(signs) -> int:
+    """sum_{T subset [n]} prod_{i in T} s_i from the list of the 2^n subset
+    products, built by doubling: s = +1 appends a copy of the list and
+    s = -1 its negation.  The oracle for the bits of _subset_product_sum."""
+    prods = [1]
+    for s in signs:
+        prods += prods if s == 1 else [-x for x in prods]
+    return sum(prods)
 
 
 def _pairwise_sum(values: list):
@@ -439,6 +493,29 @@ def test_phase_table_within_its_error_bound(q, d):
     assert worst_w <= 1.43 * d and worst_r <= 1.02
 
 
+@pytest.mark.parametrize("q", [7, 11])
+@pytest.mark.parametrize("d", [7, 15, 29])
+def test_lambert_e1star_matches_the_division_loop(q, d):
+    # the Lambert sum against the series summed term by term with one
+    # Gaussian division each, at every point (k, l, flip) of the phase
+    # table (l = 2j + k mod 2d, the lattice point itself left out): each
+    # bracket is within 6K + 1 units of 2^-B, 2^G times that at scale 2^-T
+    ctx = _context(q, 50)
+    table = eisenstein._PhaseTable(ctx, d)
+    bound = 2 * (6 * ctx.series_terms + 1) << table.guard
+    points = 0
+    for k in range(d // 2 + 1):
+        for l in range(k % 2, 2 * d, 2):
+            for flip in (False, True):
+                if k == l == 0:
+                    continue
+                x, y = table.e1star(k, l, flip)
+                ox, oy = _e1star_division_loop(table, k, l, flip)
+                assert (x - ox) ** 2 + (y - oy) ** 2 <= bound ** 2, (k, l, flip)
+                points += 1
+    assert points == 2 * (d * (d // 2 + 1) - 1)
+
+
 @pytest.mark.parametrize("precision", [20, 50])
 @pytest.mark.parametrize("s, t", [
     (Fraction(1, 3), Fraction(1, 2)),    # |qtau/u| = |qtau|^(1/2), largest
@@ -765,6 +842,16 @@ def test_lemma_div_small():
         lemma_div_bruteforce(0)
     with pytest.raises(EisensteinError):
         lemma_div_bruteforce(13)
+
+
+def test_bit_parallel_subset_sums_match_the_list_oracle():
+    # every sign vector with n <= 8: 510 vectors, each summed both ways
+    vectors = 0
+    for n in range(1, 9):
+        for signs in itertools.product((1, -1), repeat=n):
+            assert eisenstein._subset_product_sum(signs) == _lemma_div_list_total(signs)
+            vectors += 1
+    assert vectors == 510
 
 
 def test_lemma_div_largest_n():

@@ -9,8 +9,8 @@ Usage, from the root of the repository:
 `table 1 400` for e29, the 29-twist of 49a read as a user curve, and prints
 the nanoseconds per unit of |D| of a modular-symbol row, per term of a
 series row, and of the rest of a row (its BSD report and CSV cells): the
-weights of cli._table_work, the symbol weight over both symbol tables and
-the last over all rows of the three tables.  Each series row is timed at
+weights of cli._table_work, the symbol weight per curve and the last over
+all rows of the three tables.  Each series row is timed at
 its best of 5, the symbol rows as one table on a fresh TwistSums, best of
 5, since an instance sums each S(D) once.
 
@@ -80,7 +80,6 @@ def symbol_rows_seconds(ctx: CurveContext, specs, digits: int) -> float:
 def weights(curves: str) -> None:
     digits = cli._table_digits(15)
     rests, count = 0.0, 0
-    symbol_seconds, symbol_units = 0.0, 0
     for label, m_max in (("49a", 3000), ("121b", 3000), ("e29", 400)):
         config = cli.RunConfig(label, curves, 15, 1, "csv", None)
         ctx = CurveContext(resolve_curve(label, curves))
@@ -92,7 +91,6 @@ def weights(curves: str) -> None:
             units = sum(spec.M for spec in specs)
             summed = min(symbol_rows_seconds(ctx, specs, digits)
                          for _ in range(5))
-            symbol_seconds, symbol_units = symbol_seconds + summed, symbol_units + units
         else:
             route, unit = algebraic_part, "series term"
             units = sum(series_cutoff(ctx.curve, s.M, digits) for s in specs)
@@ -106,8 +104,6 @@ def weights(curves: str) -> None:
               f"{summed / units * 1e9:.0f} ns per {unit}, "
               f"{rest / len(specs) * 1e9:.0f} ns per row besides")
         rests, count = rests + rest, count + len(specs)
-    print(f"both symbol tables: {symbol_seconds / symbol_units * 1e9:.0f} ns "
-          f"per unit of |D|")
     print(f"all {count} rows: {rests / count * 1e9:.0f} ns per row besides")
 
 
