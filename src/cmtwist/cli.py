@@ -56,18 +56,14 @@ MAX_LADDER_STEPS = 5 * 10 ** 5   # most wp steps of verify e1-ladder
 MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
 MAX_MODSYM_M = 5000            # largest m_max of verify modsym
-# The estimated serial work of a table's rows (_table_work), in nanoseconds
-# of one vCPU of a 2-vCPU Xeon under Python 3.11; CHANGES.md has the runs.
-# Measured by `python3 tools/fork_sweep.py weights`:
-SYMBOL_NS_PER_UNIT = {         # per unit of |D| of a modular-symbol row, by curve
-    "49a": 155,
-    "121b": 245,
-}
-SERIES_NS_PER_TERM = 71        # per term of a series row
-TABLE_ROW_NS = 37_000          # per row: the BSD report and its CSV cells
-# Measured by `python3 tools/fork_sweep.py sweep`: a table estimated below
-# this runs in one process
-FORK_BREAK_EVEN_NS = 10 ** 8
+# A table forks its row workers only when the work of its rows under the
+# MAX_TABLE cap (_table_work) reaches FORK_AT in the unit of its route: the
+# summed |D| of the modular-symbol rows (49a, 121b), or the summed series
+# terms of a user curve's rows.  Chosen by `python3 tools/fork_sweep.py
+# sweep` on a 2-vCPU Xeon under Python 3.11 (CHANGES.md has the runs); the
+# symbols' is held at 3x the 67,576 |D| of `table 1 1000 --curve 49a`, above
+# the sweeps' picks, so tables of that size keep running in one process
+FORK_AT = {"symbols": 205_000, "series": 900_000}
 
 
 @dataclass(frozen=True)
@@ -95,10 +91,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="working decimal digits, >= 15 (default 15)")
     p.add_argument("--threads", type=int, default=_env("THREADS", "1"),
                    help="most worker processes for table scans (default "
-                        "1): a table runs in one process unless its rows' "
-                        "estimated work, rows above the 10^6-term cap "
-                        "counting nothing, reaches a measured break-even "
-                        f"of {FORK_BREAK_EVEN_NS / 1e6:g} ms, and never "
+                        "1): a table runs in one process unless its rows "
+                        "under the 10^6-term cap sum to "
+                        f"{FORK_AT['symbols']:,} |D| on the modular symbols "
+                        f"or {FORK_AT['series']:,} series terms, and never "
                         "uses more processes than rows or usable CPUs")
     p.add_argument("--format", dest="fmt", choices=("csv", "text"),
                    default=_env("FORMAT", "text"),
@@ -205,20 +201,18 @@ def _table_digits(precision: int) -> int:
 
 
 def _table_work(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
-                symbols: bool) -> int:
-    """The estimated serial nanoseconds of the rows of specs on the symbol
-    route (symbols) or the series: TABLE_ROW_NS per row, plus the curve's
-    SYMBOL_NS_PER_UNIT per unit of |D| or SERIES_NS_PER_TERM per series
-    term.  A row above the MAX_TABLE cap counts nothing: _table_job refuses
-    it before any sum."""
-    unit = SYMBOL_NS_PER_UNIT[curve.label] if symbols else 0
-    work = 0
+                symbols: bool) -> tuple[int, int]:
+    """(work, n_max) of the rows of specs under the MAX_TABLE cap: work sums
+    their |D| on the symbol route (symbols) or their series terms, and n_max
+    is the largest of their cutoffs, 0 when there is no such row.  A row
+    above the cap counts nothing: _table_job refuses it before any sum."""
+    work = n_max = 0
     for spec in specs:
         terms = series_cutoff(curve, spec.M, digits)
         if terms <= MAX_TABLE:
-            work += TABLE_ROW_NS + (unit * spec.M if symbols
-                                    else SERIES_NS_PER_TERM * terms)
-    return work
+            work += spec.M if symbols else terms
+            n_max = max(n_max, terms)
+    return work, n_max
 
 
 def _table_job(ctx: CurveContext, digits: int, route, spec: bsd.TwistSpec):
@@ -385,24 +379,27 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     digits = _table_digits(config.precision)
     specs = _admissible_specs(curve, m_min, m_max)
     symbols = modsym.supports(curve)
-    # one process unless the rows' estimated serial work, rows above the
-    # MAX_TABLE cap counting nothing, reaches FORK_BREAK_EVEN_NS (100 ms):
-    # below it, the sweep of tools/fork_sweep.py found a second worker
-    # costing more than it saves.  Above it, no more workers than
-    # --threads, rows or usable CPUs
+    # one process unless the rows under the MAX_TABLE cap sum to FORK_AT
+    # units of their route; at or above it, no more workers than --threads,
+    # rows or usable CPUs
+    work, n_max = _table_work(curve, specs, digits, symbols)
     workers = 1
-    if _table_work(curve, specs, digits, symbols) >= FORK_BREAK_EVEN_NS:
+    if work >= FORK_AT["symbols" if symbols else "series"]:
         workers = min(config.threads, len(specs), _usable_cpus())
     route = algebraic_part                  # the series
-    if specs and symbols:
-        # exact L^alg from the modular symbols, built before the row workers fork
+    if specs:
+        # the point counts, checked before the row workers fork
         ctx.check_character()
+    # with no row under the cap (n_max 0) nothing is built: _table_job
+    # refuses every row before its route
+    if n_max and symbols:
+        # exact L^alg from the modular symbols, built before the row workers fork
         route = modsym.TwistSums(curve).algebraic_part
-    elif specs:
-        # one nonzero view of E0's a_n for the whole scan, up to the cutoff
-        # of the largest twist, built here window by window before the row
-        # workers fork: they share it and build none of their own
-        ctx.nonzero(min(series_cutoff(curve, specs[-1].M, digits), MAX_TABLE))
+    elif n_max:
+        # one nonzero view of E0's a_n for the whole scan, up to the largest
+        # cutoff of a computed row, built here window by window before the
+        # row workers fork: they share it and build none of their own
+        ctx.nonzero(n_max)
     # the longest row last: it is dealt first, so no worker is left with
     # a big twist at the end
     results = _fork_map(partial(_table_job, ctx, digits, route), specs, workers)

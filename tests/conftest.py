@@ -43,6 +43,6 @@ def theta_windows(monkeypatch):
 
 @pytest.fixture
 def forking(monkeypatch):
-    """Every table of the test forks its workers, however small its rows'
-    estimated work: the fork's break-even is 0."""
-    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", 0)
+    """Every table of the test forks its workers, however little its rows'
+    work: the thresholds of both routes are 0."""
+    monkeypatch.setattr(cli, "FORK_AT", {"symbols": 0, "series": 0})

@@ -161,15 +161,16 @@ def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch, forkin
 
 
 def _table_work(label, m_min, m_max, curve_file=None):
+    """The units of work of table m_min m_max on its route."""
     curve = resolve_curve(label, curve_file)
     return cli._table_work(curve, cli._admissible_specs(curve, m_min, m_max),
-                           cli._table_digits(15), modsym.supports(curve))
+                           cli._table_digits(15), modsym.supports(curve))[0]
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_table_below_the_break_even_forks_no_child(capsys, monkeypatch, label):
-    # table 1 1000 costs a second worker more than it saves: two usable CPUs
-    # and --threads 2 still run it in this process, with the serial bytes
+    # table 1 1000 sums less |D| than the symbols' threshold: two usable
+    # CPUs and --threads 2 still run it in this process, with the serial bytes
     _cpus(monkeypatch, 2)
     argv = ("table", "1", "1000", "--curve", label, "--format", "csv")
     serial = run(capsys, *argv, "--threads", "1")
@@ -177,45 +178,55 @@ def test_table_below_the_break_even_forks_no_child(capsys, monkeypatch, label):
     monkeypatch.setattr(os, "fork", _refuse("os.fork"))
     assert run(capsys, *argv, "--threads", "2") == serial
     assert maps == [] and serial[0] == 0
-    assert _table_work(label, 1, 1000) < cli.FORK_BREAK_EVEN_NS
+    assert _table_work(label, 1, 1000) < cli.FORK_AT["symbols"]
 
 
-def test_table_at_the_break_even_forks(capsys, monkeypatch):
-    # the same table forks two workers once its estimate reaches the
-    # break-even, and prints the same bytes; one nanosecond short, it forks none
+@pytest.mark.parametrize("route, other, label, m_max, units", [
+    ("symbols", "series", "49a", 1000, 67_576),     # the summed |D|
+    ("series", "symbols", "e29", 50, 130_761),      # the summed series terms
+], ids=["symbols", "series"])
+def test_table_at_the_threshold_forks(capsys, monkeypatch, e29_file, route, other,
+                                      label, m_max, units):
+    # a table forks two workers once its rows' units reach the threshold of
+    # its route, and prints the same bytes; one unit short, it forks none,
+    # whatever the other route's threshold
     _cpus(monkeypatch, 2)
-    argv = ("table", "1", "1000", "--curve", "49a", "--format", "csv")
+    argv = ("table", "1", str(m_max), "--curve", label, "--curve-file", e29_file,
+            "--format", "csv")
     serial = run(capsys, *argv, "--threads", "1")
     maps = _spy_maps(monkeypatch)
-    work = _table_work("49a", 1, 1000)
-    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", work)
+    assert _table_work(label, 1, m_max, e29_file) == units
+    monkeypatch.setattr(cli, "FORK_AT", {route: units, other: units + 1})
     assert run(capsys, *argv, "--threads", "2") == serial
     assert maps == [2]
-    monkeypatch.setattr(cli, "FORK_BREAK_EVEN_NS", work + 1)
+    monkeypatch.setattr(cli, "FORK_AT", {route: units + 1, other: 0})
     assert run(capsys, *argv, "--threads", "2") == serial
-    assert maps == [2]
+    assert maps == [2] and serial[0] == 0
     _no_children()
 
 
 def test_table_work_counts_only_the_rows_under_the_cap():
     # of the seven rows of DEEP_TABLE, the four above the cap are refused
-    # before any sum and count nothing; the symbols cost |D| per row
-    assert _table_work(DEEP_TABLE[-1], *map(int, DEEP_TABLE[1:3])) == sum(
-        cli.TABLE_ROW_NS + cli.SYMBOL_NS_PER_UNIT["49a"] * M
-        for M in (22877, 22893, 22901))
+    # before any sum and count nothing; the symbols count |D| per row
+    curve, digits = resolve_curve("49a"), cli._table_digits(15)
+    specs = cli._admissible_specs(curve, *map(int, DEEP_TABLE[1:3]))
+    assert cli._table_work(curve, specs, digits, True) == (
+        22877 + 22893 + 22901, series_cutoff(curve, 22901, digits))
 
 
 def test_user_curve_table_work_counts_series_terms(e29_file):
-    # a user curve's rows sum the series: each costs its cutoff in terms
+    # a user curve's rows sum the series: each counts its cutoff in terms
     curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
-    want = sum(cli.TABLE_ROW_NS + cli.SERIES_NS_PER_TERM *
-               series_cutoff(curve, spec.M, digits)
-               for spec in cli._admissible_specs(curve, 1, 400))
-    assert _table_work("e29", 1, 400, e29_file) == want
-    # above the cap, only the rows under it count: M = 773 and 785
-    assert _table_work("e29", *E29_DEEP, e29_file) == sum(
-        cli.TABLE_ROW_NS + cli.SERIES_NS_PER_TERM * series_cutoff(curve, M, digits)
-        for M in (773, 785))
+    specs = cli._admissible_specs(curve, 1, 400)
+    cutoffs = [series_cutoff(curve, spec.M, digits) for spec in specs]
+    assert cli._table_work(curve, specs, digits, False) == (sum(cutoffs), cutoffs[-1])
+    # above the cap, only the rows under it count, M = 773 and 785, and the
+    # largest cutoff is M = 785's; with no row under it, nothing counts
+    assert cli._table_work(curve, cli._admissible_specs(curve, *E29_DEEP), digits,
+                           False) == (sum(series_cutoff(curve, M, digits)
+                                          for M in (773, 785)), 993_140)
+    assert cli._table_work(curve, cli._admissible_specs(curve, *E29_ABOVE), digits,
+                           False) == (0, 0)
 
 
 def _e29_context(e29_file, threads=2):
@@ -256,6 +267,8 @@ DEEP_FLAGGED = (22921, 22929, 22937, 22945)
 # under the cap, 793 and 797 above it
 E29_DEEP = (770, 800)
 E29_DEEP_FLAGGED = (793, 797)
+# an e29 range whose every row is above the cap
+E29_ABOVE = (900, 1000)
 
 
 def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
@@ -263,7 +276,8 @@ def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
                                                               forking):
     # the parent builds every window of a view of many windows once, in
     # order; only then does the one row map fork, and its workers inherit
-    # the whole view
+    # the whole view.  The view ends at the cutoff of the last row under
+    # the cap, M = 785, not at the cap that the rows above it would need
     _cpus(monkeypatch, 2)
     config, ctx = _e29_context(e29_file)
     held = []       # (builds so far, view bound) at each fork
@@ -271,15 +285,50 @@ def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
         (list(theta_windows), ctx._nonzero_max)))
     theta_windows.clear()
     lines, code = cli.cmd_table(config, ctx, *E29_DEEP)
-    everything = _windows(1, coeffs.MAX_TABLE + 1)
+    everything = _windows(1, 993_140 + 1)
     assert maps == [2]
-    assert held == [(everything, coeffs.MAX_TABLE)]
+    assert held == [(everything, 993_140)]
     assert theta_windows == everything
     serial_config, serial_ctx = _e29_context(e29_file, threads=1)
     assert (lines, code) == cli.cmd_table(serial_config, serial_ctx, *E29_DEEP)
     flagged = [ln for ln in lines if ln.startswith("# M=")]
     assert code == 1 and [int(re.match(r"# M=(\d+) flagged", ln)[1])
                           for ln in flagged] == list(E29_DEEP_FLAGGED)
+
+
+def test_user_curve_table_above_the_cap_builds_no_view(monkeypatch, theta_windows,
+                                                      e29_file, forking):
+    # every row of E29_ABOVE is refused before any sum, so no window of the
+    # view is built; the point counts are still checked before the row map,
+    # and each row is flagged with the terms it would need
+    _cpus(monkeypatch, 2)
+    config, ctx = _e29_context(e29_file)
+    maps = _recording_map(monkeypatch)
+    theta_windows.clear()
+    lines, code = cli.cmd_table(config, ctx, *E29_ABOVE)
+    assert theta_windows == [] and ctx._nonzero_max == 0 and ctx._checked
+    assert maps == [2] and code == 1
+    flagged = ((901, 1143909), (905, 1149117), (921, 1169954), (929, 1180376),
+               (933, 1185588), (937, 1190800), (941, 1196013), (949, 1206441),
+               (953, 1211655), (965, 1227302), (969, 1232519), (977, 1242954),
+               (985, 1253392), (997, 1269051))
+    assert lines == [f"# M={M} flagged: precision unattainable at this scale: "
+                     f"{terms} terms needed" for M, terms in flagged] + [
+        "# rows=0", "# bound slack histogram: (empty)"]
+
+
+def test_builtin_table_above_the_cap_builds_no_symbols(capsys, monkeypatch):
+    # every row of 49a from M = 22921 on is refused before any sum, so no
+    # TwistSums is built; the point counts are still checked
+    checked = []
+    monkeypatch.setattr(coeffs, "check_point_counts", lambda curve, primes:
+                        checked.append(len(list(primes))) or 10)
+    monkeypatch.setattr(modsym, "TwistSums", _refuse("TwistSums"))
+    code, out, err = run(capsys, "table", "22921", "22960", "--curve", "49a")
+    assert (code, err) == (1, "") and checked == [coeffs.CHECK_SPLIT_PRIMES]
+    assert re.findall(r"^# M=(\d+) flagged", out, re.M)[:4] == [
+        str(M) for M in DEEP_FLAGGED]
+    assert "# rows=0" in out
 
 
 @pytest.mark.parametrize("m_min, m_max, cpus, rows", [
@@ -539,7 +588,8 @@ def test_table_path_imports_neither_eisenstein_nor_numpy():
     for argv in (["table", "1", "50"], ["table", "1", "200", "--threads", "2"],
                  ["twist", "5"], ["verify", "character"]):
         code = (f"import sys; from cmtwist import cli; "
-                f"cli.FORK_BREAK_EVEN_NS = 0; rc = cli.main({argv!r}); "
+                f"cli.FORK_AT = dict.fromkeys(cli.FORK_AT, 0); "
+                f"rc = cli.main({argv!r}); "
                 f"print(rc, *(m for m in {names!r} if m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
