@@ -108,6 +108,14 @@ E0's character (coeffs.character_ap).  When every p | m is 1 mod 4, -1 is
 a square, the two classes of W are one, and W = 2 sum over e in Sq:
 phi(m)/2^(k+1) chains instead of the phi(m)/2 of the units below m/2.
 Otherwise the classes are disjoint: phi(m)/2^k chains.
+
+The classes are read off one byte mask per D (_square_classes): sq[x] = 1
+for the x <= m in Sq.  Per p | m, one Python pass over x < p/2 marks the
+nonzero squares mod p in a bytearray of length p; bytes repetition tiles
+it to length m + 1, and the tiles are ANDed as integers.  With h = (m+1)/2,
+compress(range(h), sq) gives the e < m/2 in Sq, and compress(range(h),
+sq[m:m - h:-1]) the e with m - e in Sq (sq[m] = 0, as m is no unit), all
+in C.  No table outlives its D.
 """
 
 from __future__ import annotations
@@ -115,12 +123,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
-from operator import and_, itemgetter, mul
+from operator import itemgetter, mul
 
 import mpmath as mp
 
-from .coeffs import (CurveContext, _legendre_table, _twist_disc_primes,
-                     character_ap, theta_window)
+from .coeffs import (CurveContext, _twist_disc_primes, character_ap,
+                     theta_window)
 from .lseries import LValueResult, twist_root_number
 from .qfield import factor_int, kronecker, primes_below
 from .registry import BUILTIN, Curve
@@ -131,9 +139,6 @@ TWIST_SCALE = {"49a": (1, -4), "121b": (-1, 2)}
 HECKE_BOUND = 14        # the T_p with p < HECKE_BOUND, p != q, are at hand
 _P = (1 << 31) - 1      # the prime the conditions are solved modulo
 CHAIN_BOUND = 128       # Phi(y, r) is tabulated for 0 <= r < y < CHAIN_BOUND
-# _CODES[p % 4 == 1][(x/p)]: bit 1 set when x is a nonzero square mod p,
-# bit 2 when -x is; (x/p) = -1 reads the last entry
-_CODES = ([0, 1, 2], [0, 3, 0])
 
 
 class ModSymError(ValueError):
@@ -282,6 +287,22 @@ def chain_table(rows: list[list[int]], sign: int) -> list[int]:
     return phi
 
 
+def _square_classes(m: int, primes: list[int]):
+    """The e < m/2 in Sq and the e < m/2 with m - e in Sq, each in
+    increasing order, for m > 1 the product of the odd primes in primes:
+    two compress iterators over the byte mask sq of the module docstring."""
+    size, half = m + 1, (m + 1) // 2
+    sq = -1
+    for p in primes:
+        table = bytearray(p)
+        for x in range(1, p // 2 + 1):
+            table[x * x % p] = 1
+        sq &= int.from_bytes((table * (m // p + 1))[:size], "big")
+    sq = sq.to_bytes(size, "big")
+    units = range(half)
+    return compress(units, sq), compress(units, sq[m:m - half:-1])
+
+
 class TwistSums:
     """lambda_s of a builtin curve E = E0, for the sign s of its admissible
     twists, and the twisted sums S(D) for the D of that sign.
@@ -298,9 +319,10 @@ class TwistSums:
 
     twisted_sum walks the chains of W only (the module docstring): for a
     prime |D| = p, (p - 1)/4 chains when p = 1 mod 4 (the 49a twists of
-    prime |D|) and (p - 1)/2 when p = 3 mod 4 (those of 121b).  The S(D_d)
-    it needs, and every S(D) it returns, are kept in _sums, keyed by D:
-    each is walked once per instance.
+    prime |D|) and (p - 1)/2 when p = 3 mod 4 (those of 121b).  Its e come
+    from the byte mask of _square_classes, built for each D and dropped
+    with it.  The S(D_d) it needs, and every S(D) it returns, are kept in
+    _sums, keyed by D: each is walked once per instance.
     """
 
     def __init__(self, curve: Curve):
@@ -351,20 +373,11 @@ class TwistSums:
             return head
         primes = _twist_disc_primes(self.curve, d)
         m, k = abs(d), len(primes)
-        half = (m + 1) // 2
-        # codes[e], e < m/2: bit 1 when e is in Sq (a square mod every
-        # p | m), bit 2 when m - e is
-        codes = None
-        for p in primes:
-            legendre = (_legendre_table(p) * (half // p + 1))[:half]
-            code = list(map(_CODES[p % 4 == 1].__getitem__, legendre))
-            codes = code if codes is None else list(map(and_, codes, code))
-        units = range(half)
+        first, second = _square_classes(m, primes)
         if all(p % 4 == 1 for p in primes):         # -1 in Sq: one class
-            w = 2 * self._chain_sums(m, compress(units, codes))
+            w = 2 * self._chain_sums(m, first)
         else:
-            w = self._chain_sums(m, compress(units, map((1).__and__, codes))) \
-                + s * self._chain_sums(m, compress(units, map((2).__and__, codes)))
+            w = self._chain_sums(m, first) + s * self._chain_sums(m, second)
         total = w << k
         stars = [p if p % 4 == 1 else -p for p in primes]
         for mask in range((1 << k) - 1):            # the proper divisors

@@ -270,8 +270,14 @@ def _discriminants(curve, m_max, extra=()):
         [M if M % 4 == 1 else -M for M in extra]
 
 
+# the 121b twists above its series cap: a prime 1 mod 4 times a prime
+# 3 mod 4 (29 * 503, 19 * 769, 7 * 2089), and a prime
+ABOVE_THE_CAP_121B = (14587, 14611, 14623, 14627)
+
+
 @pytest.mark.parametrize("label, extra", [
-    ("49a", (22893, 22901, 22921, 22929, 22937, 22945)), ("121b", ())])
+    ("49a", (22893, 22901, 22921, 22929, 22937, 22945)),
+    ("121b", ABOVE_THE_CAP_121B)])
 def test_kernel_is_the_convergent_walk(label, extra):
     sums = modsym.TwistSums(BUILTIN[label])
     for d in _discriminants(sums.curve, 5000, extra):
@@ -298,17 +304,41 @@ def test_kernel_is_the_walk_for_any_symbol_values(monkeypatch, label):
 ABOVE_THE_CAP = (22921, 22929, 22937, 22945)
 
 
-@pytest.mark.parametrize("label, extra", [("49a", ABOVE_THE_CAP), ("121b", ())])
+@pytest.mark.parametrize("label, extra", [
+    ("49a", ABOVE_THE_CAP), ("121b", ABOVE_THE_CAP_121B)])
 def test_reduced_sum_is_the_unreduced_sum(label, extra):
-    # every admissible D <= 4000, D = 1 and the 49a twists above the
-    # series cap, on a fresh instance each, so each D is reduced from its
-    # own walk and the S(D_d) of its divisors
+    # every admissible D <= 4000, D = 1 and the twists above the series
+    # cap, on a fresh instance each, so each D is reduced from its own
+    # walk and the S(D_d) of its divisors
     curve = BUILTIN[label]
     oracle = modsym.TwistSums(curve)
     ds = _discriminants(curve, 4000, extra) + [1] * (label == "49a")
-    assert len(ds) == {"49a": 521, "121b": 230}[label]
+    assert len(ds) == {"49a": 521, "121b": 234}[label]
     for d in ds:
         assert modsym.TwistSums(curve).twisted_sum(d) == _unreduced_sum(oracle, d), d
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_square_classes_follow_eulers_criterion(q):
+    # every odd square-free m <= 2000 prime to q, whatever its primes are
+    # mod 4: e is in Sq when e^((p-1)/2) = 1 mod every p | m, so neither
+    # class holds e = 0, and the second reads m - e
+    def in_sq(x, primes):
+        return all(pow(x, (p - 1) // 2, p) == 1 for p in primes)
+
+    mixed = 0
+    for m in range(3, 2001, 2):
+        factors = factor_int(m)
+        if m % q == 0 or any(e > 1 for _, e in factors):
+            continue
+        primes = [p for p, _ in factors]
+        mixed += len({p % 4 for p in primes}) == 2
+        first, second = map(list, modsym._square_classes(m, primes))
+        units = range((m + 1) // 2)
+        assert first == [e for e in units if in_sq(e, primes)], m
+        assert second == [e for e in units if in_sq(m - e, primes)], m
+        assert 0 not in first and 0 not in second
+    assert mixed > 100
 
 
 def _spy_chain_sums(monkeypatch):

@@ -8,17 +8,21 @@ Usage, from the root of the repository:
 alternating, RUNS times per point: 49a and 121b at M in SYMBOL_POINTS, on
 the modular symbols, and e29, the 29-twist of 49a read as a user curve, at
 M in SERIES_POINTS, on the series.  The 2-worker runs force the fork by
-setting both thresholds of cli.FORK_AT to 0.  It prints each point's route,
-its work in the route's unit (cli._table_work: the summed |D| of the
-symbol rows, the summed terms of the series rows), the decision of the
-current thresholds and the median times.  Then, per route, it prints the
-threshold that minimises the route's summed medians when every point runs
-serially below it and forked at or above it; among the thresholds within 2%
-of that minimum it takes the largest, since each fork costs a process and
-its memory.
+setting both thresholds of cli.FORK_AT to 0.  Each run is bracketed by the
+frozen speed probe of perfbench/run.py and reported, as there, in
+reference milliseconds: the measured time times PROBE_REF_S over the mean
+of the probes just before and after it, so that two sweeps compare.  It
+prints each point's route, its work in the route's unit (cli._table_work:
+the summed |D| of the symbol rows, the summed terms of the series rows),
+the decision of the current thresholds and the median times.  Then, per
+route, it prints the threshold that minimises the route's summed medians
+when every point runs serially below it and forked at or above it; among
+the thresholds within 2% of that minimum it takes the largest, since each
+fork costs a process and its memory.
 """
 
 import contextlib
+import importlib.util
 import io
 import math
 import os
@@ -27,8 +31,12 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_run)
 
 import mpmath as mp  # noqa: E402
 
@@ -50,59 +58,71 @@ def e29_file(folder: str) -> str:
     return path
 
 
-def table_seconds(argv: list[str], threads: int) -> float:
+def table_ref_ms(argv: list[str], threads: int) -> float:
+    """One run of argv in reference milliseconds (perfbench/run.py)."""
     saved = cli.FORK_AT
     cli.FORK_AT = dict.fromkeys(saved, 0) if threads > 1 else saved
     try:
         with contextlib.redirect_stdout(io.StringIO()):
+            before = _run.speed_probe()
             start = time.perf_counter()
             code = cli.main(argv + ["--threads", str(threads)])
             seconds = time.perf_counter() - start
+            after = _run.speed_probe()
     finally:
         cli.FORK_AT = saved
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return seconds
+    return seconds * _run.PROBE_REF_S / ((before + after) / 2) * 1e3
 
 
-def choose(route: str, rows: list[tuple[int, float, float]]) -> None:
-    """Print the summed medians of each threshold of route and the one chosen."""
-    # a threshold t runs serially exactly the points of fewer units
+def summed_medians(rows: list[tuple[int, float, float]]) -> dict[float, float]:
+    """threshold -> the summed medians of rows (units, serial, forked) when
+    the rows of fewer units than the threshold run serially, the others
+    forked; the thresholds are the rows' units and infinity."""
     candidates = sorted({units for units, _, _ in rows}) + [math.inf]
-    total = {t: sum(one if units < t else two for units, one, two in rows)
-             for t in candidates}
+    return {t: sum(one if units < t else two for units, one, two in rows)
+            for t in candidates}
+
+
+def choose(rows: list[tuple[int, float, float]]) -> float:
+    """The largest threshold whose summed medians are within WITHIN of the
+    least."""
+    total = summed_medians(rows)
     least = min(total.values())
-    chosen = max(t for t in candidates if total[t] <= least * (1 + WITHIN))
-    for t in candidates:
-        print(f"{route} at {t:>11,}: summed medians {total[t]:8.1f} ms")
-    print(f"{route}: least {least:.1f} ms; largest threshold within "
-          f"{WITHIN:.0%}: {chosen:,} (FORK_AT {cli.FORK_AT[route]:,})")
+    return max(t for t, ms in total.items() if ms <= least * (1 + WITHIN))
 
 
 def sweep(curves: str, runs: int) -> None:
     points = [(label, m) for label in ("49a", "121b") for m in SYMBOL_POINTS]
     points += [("e29", m) for m in SERIES_POINTS]
     rows = {"symbols": [], "series": []}
-    print("table        route        units  decision  1_worker_ms  2_workers_ms")
+    print("table        route        units  decision  1_worker_ref_ms  "
+          "2_workers_ref_ms")
     for label, m in points:
         argv = ["table", "1", str(m), "--curve", label, "--curve-file", curves,
                 "--format", "csv"]
         times = {1: [], 2: []}
         for run in range(runs):
             for threads in ((1, 2) if run % 2 == 0 else (2, 1)):
-                times[threads].append(table_seconds(argv, threads))
+                times[threads].append(table_ref_ms(argv, threads))
         curve = resolve_curve(label, curves)
         symbols = modsym.supports(curve)
         route = "symbols" if symbols else "series"
         units, _ = cli._table_work(curve, cli._admissible_specs(curve, 1, m),
                                    cli._table_digits(15), symbols)
         decision = "fork" if units >= cli.FORK_AT[route] else "serial"
-        one, two = (statistics.median(times[t]) * 1e3 for t in (1, 2))
+        one, two = (statistics.median(times[t]) for t in (1, 2))
         rows[route].append((units, one, two))
         print(f"{label:4} 1 {m:<5}  {route:7}  {units:>11,}  {decision:8}"
-              f"  {one:11.1f}  {two:12.1f}")
+              f"  {one:15.1f}  {two:16.1f}")
     for route, route_rows in rows.items():
-        choose(route, route_rows)
+        total = summed_medians(route_rows)
+        for t, ms in total.items():
+            print(f"{route} at {t:>11,}: summed medians {ms:8.1f} ref ms")
+        print(f"{route}: least {min(total.values()):.1f} ref ms; largest "
+              f"threshold within {WITHIN:.0%}: {choose(route_rows):,} "
+              f"(FORK_AT {cli.FORK_AT[route]:,})")
 
 
 def main() -> None:
