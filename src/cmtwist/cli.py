@@ -29,10 +29,8 @@ import mpmath as mp
 
 from . import bsd
 from .bsd import BSDError, BSDReport
-from .coeffs import (MAX_TABLE, CoeffError, CurveContext, check_point_counts,
-                     good_odd_primes)
-from .lseries import (algebraic_part, recognize_rational, series_cutoff,
-                      series_terms)
+from .coeffs import CoeffError, CurveContext, check_point_counts, good_odd_primes
+from .lseries import LSeriesError, algebraic_part, recognize_rational, series_terms
 from .qfield import (
     ALLOWED_Q,
     QuadInt,
@@ -56,13 +54,15 @@ MAX_LADDER_STEPS = 5 * 10 ** 5   # most wp steps of verify e1-ladder
 MAX_TAMAGAWA_LIMIT = 10 ** 6   # largest limit of verify tamagawa-cross
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
 MAX_MODSYM_M = 5000            # largest m_max of verify modsym
-# A table forks its row workers only when the work of its rows under the
-# MAX_TABLE cap (_table_work) reaches FORK_AT in the unit of its route: the
-# summed |D| of the modular-symbol rows (49a, 121b), or the summed series
-# terms of a user curve's rows.  Chosen by `python3 tools/fork_sweep.py
-# sweep` on a 2-vCPU Xeon under Python 3.11 (CHANGES.md has the runs); the
-# symbols' is held at 3x the 67,576 |D| of `table 1 1000 --curve 49a`, above
-# the sweeps' picks, so tables of that size keep running in one process
+# A table forks its row workers only when its computed rows, those under
+# the MAX_TABLE cap (_table_rows), sum to FORK_AT units of their route:
+# - symbols (49a, 121b), in summed |D|: about 3x the 67,576 |D| of
+#   `table 1 1000 --curve 49a`, so tables of that size, which a fork slows
+#   down, keep running in one process;
+# - series (user curves), in summed terms: the 931,571-term break-even on
+#   which every recorded sweep agreed, rounded down.
+# The sweeps behind both, on a 2-vCPU Xeon under Python 3.11, are recorded
+# in CHANGES.md.
 FORK_AT = {"symbols": 205_000, "series": 900_000}
 
 
@@ -200,29 +200,39 @@ def _table_digits(precision: int) -> int:
     return max(12, precision - 3)
 
 
-def _table_work(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
-                symbols: bool) -> tuple[int, int]:
-    """(work, n_max) of the rows of specs under the MAX_TABLE cap: work sums
-    their |D| on the symbol route (symbols) or their series terms, and n_max
-    is the largest of their cutoffs, 0 when there is no such row.  A row
-    above the cap counts nothing: _table_job refuses it before any sum."""
+def _table_rows(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
+                symbols: bool) -> tuple[list[bsd.TwistSpec], list[tuple], int, int]:
+    """Split the rows of specs at the MAX_TABLE cap in one pass, which
+    takes each row's series cutoff once: (computed, refused, work, n_max).
+
+    computed lists the specs under the cap, in order.  refused holds
+    (M, None, message) for each spec above it, in order and in the shape
+    of a _table_job failure; the series' cap refuses symbol rows too, and
+    deep expects them flagged.  The cutoff grows with M, so every refused
+    row comes after every computed one.  work sums the |D| of the computed
+    rows on the symbol route (symbols), or their series terms; n_max is the
+    largest of their cutoffs, 0 when no row is computed."""
+    computed, refused = [], []
     work = n_max = 0
     for spec in specs:
-        terms = series_cutoff(curve, spec.M, digits)
-        if terms <= MAX_TABLE:
-            work += spec.M if symbols else terms
-            n_max = max(n_max, terms)
-    return work, n_max
+        try:
+            terms = series_terms(curve, spec.M, digits)
+        except LSeriesError as exc:
+            refused.append((spec.M, None, str(exc)))
+            continue
+        computed.append(spec)
+        work += spec.M if symbols else terms
+        n_max = max(n_max, terms)
+    return computed, refused, work, n_max
 
 
 def _table_job(ctx: CurveContext, digits: int, route, spec: bsd.TwistSpec):
-    """(M, row, failure message) for the admissible spec, its L-value from
-    route(ctx, d, digits), row = (CSV cells, ord2 slack, bound holds) or
-    None for no row: only what the table prints crosses back from a worker."""
+    """(M, row, failure message) for the admissible spec under the cap, its
+    L-value from route(ctx, d, digits), row = (CSV cells, ord2 slack, bound
+    holds) or None for no row: only what the table prints crosses back
+    from a worker."""
     M, d = spec.M, spec.epsilon * spec.M
     try:
-        # the series' MAX_TABLE cap refuses symbol rows too: deep expects them flagged
-        series_terms(ctx.curve, d, digits)
         rep = bsd.theorem18_report(ctx.curve, spec, route(ctx, d, digits))
     except ValueError as exc:
         return M, None, str(exc)
@@ -379,30 +389,31 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     digits = _table_digits(config.precision)
     specs = _admissible_specs(curve, m_min, m_max)
     symbols = modsym.supports(curve)
-    # one process unless the rows under the MAX_TABLE cap sum to FORK_AT
-    # units of their route; at or above it, no more workers than --threads,
-    # rows or usable CPUs
-    work, n_max = _table_work(curve, specs, digits, symbols)
+    # the rows above the MAX_TABLE cap are flagged here; only the computed
+    # ones reach the row map.  One process unless they sum to FORK_AT units
+    # of their route; at or above it, no more workers than --threads, rows
+    # or usable CPUs
+    computed, refused, work, n_max = _table_rows(curve, specs, digits, symbols)
     workers = 1
     if work >= FORK_AT["symbols" if symbols else "series"]:
-        workers = min(config.threads, len(specs), _usable_cpus())
+        workers = min(config.threads, len(computed), _usable_cpus())
     route = algebraic_part                  # the series
     if specs:
         # the point counts, checked before the row workers fork
         ctx.check_character()
-    # with no row under the cap (n_max 0) nothing is built: _table_job
-    # refuses every row before its route
-    if n_max and symbols:
+    # with no row computed nothing is built
+    if computed and symbols:
         # exact L^alg from the modular symbols, built before the row workers fork
         route = modsym.TwistSums(curve).algebraic_part
-    elif n_max:
+    elif computed:
         # one nonzero view of E0's a_n for the whole scan, up to the largest
         # cutoff of a computed row, built here window by window before the
         # row workers fork: they share it and build none of their own
         ctx.nonzero(n_max)
     # the longest row last: it is dealt first, so no worker is left with
     # a big twist at the end
-    results = _fork_map(partial(_table_job, ctx, digits, route), specs, workers)
+    results = _fork_map(partial(_table_job, ctx, digits, route), computed,
+                        workers) + refused
 
     rows = [bsd.CSV_HEADER[:]]
     flagged = []

@@ -204,7 +204,7 @@ def theta_window(q: int, lo: int, hi: int) -> list[int]:
     two bisects.  The window is a plain list: CPython specialises list
     subscripts, not array ones.
     """
-    values = [kronecker(r, q) for r in range(q)]
+    values = _legendre_table(q)
     half = (q + 1) // 2                     # the inverse of 2 mod q
     last = hi - 1
     runs = [[(a * a >> 2, values[a * half % q] * a)

@@ -380,14 +380,15 @@ class TwistSums:
             w = self._chain_sums(m, first) + s * self._chain_sums(m, second)
         total = w << k
         stars = [p if p % 4 == 1 else -p for p in primes]
+        aps = [character_ap(self.curve.q, p) for p in primes]
         for mask in range((1 << k) - 1):            # the proper divisors
             sub = prod(x for i, x in enumerate(stars) if mask >> i & 1)
             if (sub > 0) != (s > 0):
                 continue
             term = self.twisted_sum(sub)
-            for i, p in enumerate(primes):
+            for i, (p, ap) in enumerate(zip(primes, aps)):
                 if not mask >> i & 1:
-                    term *= character_ap(self.curve.q, p) - 2 * kronecker(sub, p)
+                    term *= ap - 2 * kronecker(sub, p)
             if mask == 0:
                 term -= prod(p - 1 for p in primes) * head
             total -= term

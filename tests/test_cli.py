@@ -163,8 +163,16 @@ def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch, forkin
 def _table_work(label, m_min, m_max, curve_file=None):
     """The units of work of table m_min m_max on its route."""
     curve = resolve_curve(label, curve_file)
-    return cli._table_work(curve, cli._admissible_specs(curve, m_min, m_max),
-                           cli._table_digits(15), modsym.supports(curve))[0]
+    return cli._table_rows(curve, cli._admissible_specs(curve, m_min, m_max),
+                           cli._table_digits(15), modsym.supports(curve))[2]
+
+
+def _refused(curve, Ms, digits):
+    """The flags of the rows M above the cap, as _table_rows returns them
+    to the parent process."""
+    return [(M, None, "precision unattainable at this scale: "
+                      f"{series_cutoff(curve, M, digits)} terms needed")
+            for M in Ms]
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -210,8 +218,20 @@ def test_table_work_counts_only_the_rows_under_the_cap():
     # before any sum and count nothing; the symbols count |D| per row
     curve, digits = resolve_curve("49a"), cli._table_digits(15)
     specs = cli._admissible_specs(curve, *map(int, DEEP_TABLE[1:3]))
-    assert cli._table_work(curve, specs, digits, True) == (
-        22877 + 22893 + 22901, series_cutoff(curve, 22901, digits))
+    computed, refused, *work = cli._table_rows(curve, specs, digits, True)
+    assert work == [22877 + 22893 + 22901, series_cutoff(curve, 22901, digits)]
+    assert [spec.M for spec in computed] == [22877, 22893, 22901]
+    assert refused == _refused(curve, DEEP_FLAGGED, digits)
+
+
+def test_rows_above_the_cap_follow_every_row_under_it(e29_file):
+    # cmd_table puts the parent's flags after the row map's results, which
+    # keeps M order because no cutoff falls as M grows
+    digits = cli._table_digits(15)
+    for label in ("49a", "121b", "e29"):
+        curve = resolve_curve(label, e29_file)
+        cutoffs = [series_cutoff(curve, M, digits) for M in range(1, 40_001)]
+        assert cutoffs == sorted(cutoffs), label
 
 
 def test_user_curve_table_work_counts_series_terms(e29_file):
@@ -219,14 +239,17 @@ def test_user_curve_table_work_counts_series_terms(e29_file):
     curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
     specs = cli._admissible_specs(curve, 1, 400)
     cutoffs = [series_cutoff(curve, spec.M, digits) for spec in specs]
-    assert cli._table_work(curve, specs, digits, False) == (sum(cutoffs), cutoffs[-1])
+    assert cli._table_rows(curve, specs, digits, False) == (
+        specs, [], sum(cutoffs), cutoffs[-1])
     # above the cap, only the rows under it count, M = 773 and 785, and the
     # largest cutoff is M = 785's; with no row under it, nothing counts
-    assert cli._table_work(curve, cli._admissible_specs(curve, *E29_DEEP), digits,
-                           False) == (sum(series_cutoff(curve, M, digits)
-                                          for M in (773, 785)), 993_140)
-    assert cli._table_work(curve, cli._admissible_specs(curve, *E29_ABOVE), digits,
-                           False) == (0, 0)
+    specs = cli._admissible_specs(curve, *E29_DEEP)
+    assert cli._table_rows(curve, specs, digits, False) == (
+        specs[:2], _refused(curve, E29_DEEP_FLAGGED, digits),
+        sum(series_cutoff(curve, M, digits) for M in (773, 785)), 993_140)
+    specs = cli._admissible_specs(curve, *E29_ABOVE)
+    assert cli._table_rows(curve, specs, digits, False) == (
+        [], _refused(curve, [spec.M for spec in specs], digits), 0, 0)
 
 
 def _e29_context(e29_file, threads=2):
@@ -298,16 +321,16 @@ def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
 
 def test_user_curve_table_above_the_cap_builds_no_view(monkeypatch, theta_windows,
                                                       e29_file, forking):
-    # every row of E29_ABOVE is refused before any sum, so no window of the
-    # view is built; the point counts are still checked before the row map,
-    # and each row is flagged with the terms it would need
+    # every row of E29_ABOVE is flagged in the parent, so no window of the
+    # view is built and no row map forks; the point counts are still
+    # checked, and each row is flagged with the terms it would need
     _cpus(monkeypatch, 2)
     config, ctx = _e29_context(e29_file)
     maps = _recording_map(monkeypatch)
     theta_windows.clear()
     lines, code = cli.cmd_table(config, ctx, *E29_ABOVE)
     assert theta_windows == [] and ctx._nonzero_max == 0 and ctx._checked
-    assert maps == [2] and code == 1
+    assert maps == [] and code == 1
     flagged = ((901, 1143909), (905, 1149117), (921, 1169954), (929, 1180376),
                (933, 1185588), (937, 1190800), (941, 1196013), (949, 1206441),
                (953, 1211655), (965, 1227302), (969, 1232519), (977, 1242954),
@@ -315,6 +338,55 @@ def test_user_curve_table_above_the_cap_builds_no_view(monkeypatch, theta_window
     assert lines == [f"# M={M} flagged: precision unattainable at this scale: "
                      f"{terms} terms needed" for M, terms in flagged] + [
         "# rows=0", "# bound slack histogram: (empty)"]
+
+
+@pytest.mark.parametrize("label, window, under, flagged", [
+    ("49a", tuple(map(int, DEEP_TABLE[1:3])), (22877, 22893, 22901), DEEP_FLAGGED),
+    ("e29", E29_DEEP, (773, 785), E29_DEEP_FLAGGED),
+], ids=["symbols", "series"])
+def test_table_straddling_the_cap_maps_only_the_rows_under_it(
+        capsys, monkeypatch, e29_file, forking, label, window, under, flagged):
+    # the parent flags the rows above the cap, in M order, with the
+    # series' refusal; the row map gets the rows under it alone, and the
+    # bytes are the serial ones
+    _cpus(monkeypatch, 2)
+    argv = ("table", *map(str, window), "--curve", label, "--curve-file", e29_file,
+            "--format", "csv")
+    serial = run(capsys, *argv, "--threads", "1")
+    mapped = []
+    maps = _recording_map(monkeypatch, lambda fn, items: mapped.append(
+        [spec.M for spec in items]))
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert maps == [2] and mapped == [list(under)] and serial[0] == 1
+    curve = resolve_curve(label, e29_file)
+    assert re.findall(r"^# M=.*", serial[1], re.M) == [
+        f"# M={M} flagged: {err}"
+        for M, _, err in _refused(curve, flagged, cli._table_digits(15))]
+
+
+def test_symbol_rows_call_no_series_function(capsys, monkeypatch):
+    # the cap is decided in the parent: a row job on the modular symbols
+    # runs no code of lseries but the root number and the ord2 of its
+    # result, so no series cutoff, term count, sum or recognition
+    job, jobs, called = cli._table_job, [], set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == lseries.__file__:
+            called.add(frame.f_code.co_name)
+
+    def spy(ctx, digits, route, spec):
+        jobs.append(spec.M)
+        sys.setprofile(profile)
+        try:
+            return job(ctx, digits, route, spec)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(cli, "_table_job", spy)
+    code, out, err = run(capsys, *DEEP_TABLE, "--threads", "1")
+    assert (code, err) == (1, "") and "# rows=3" in out
+    assert jobs == [22877, 22893, 22901]
+    assert called == {"twist_root_number", "ord2"}
 
 
 def test_builtin_table_above_the_cap_builds_no_symbols(capsys, monkeypatch):
