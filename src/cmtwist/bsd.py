@@ -9,6 +9,11 @@ over M; this module classifies twists, computes ord2 of the Tamagawa factors
 c_p at p | M from the 2-division polynomial and their sum (equal to r(M)
 when all factors are 1 mod 4, which the tests check), and forms the
 resulting prediction for the 2-part of the Tate-Shafarevich order.
+
+Each of these facts depends on one prime p of M alone: its kind in K, its
+special-ness and ord2(c_p).  twist_factor derives them from p once, the
+TwistFactors of TwistSpec.factors carry them, and the Tamagawa report and
+the Sha prediction only sum integers read off the spec.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import CurveContext
 from .lseries import LValueResult, algebraic_part
@@ -25,7 +31,7 @@ from .qfield import (
     cubic_root_count,
     factor_int,
     is_prime,
-    is_special_split,
+    is_special_element,
     ord2_fraction,
     ord2_int,
     split_type,
@@ -47,11 +53,14 @@ MAX_TWIST = 10**7
 # -------------------------------------------------------- classification
 
 
-@dataclass(frozen=True)
-class TwistFactor:
+class TwistFactor(NamedTuple):
+    """A prime p of M with the facts twist_factor derives from p alone (a
+    tuple: the tamagawa-cross walk builds one per prime)."""
     p: int
     kind: str          # "split" | "inert" | "ramified"
     special: bool
+    ord2: int | None   # ord2(c_p) of the twists at p; None for p = 2 or p | N
+    rule: str | None   # the rule that labels ord2, None with it
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,56 @@ class TwistSpec:
     k_of_M: int                      # rational primes dividing M
     admissible: bool
     reasons: tuple[str, ...]         # empty iff admissible
+
+
+def twist_factor(curve: Curve, p: int) -> TwistFactor:
+    """The facts of the prime p for every twist of the curve that p divides:
+    its kind in K, whether it is a special split prime, and, for odd p
+    prime to N, ord2 of the Tamagawa factor c_p of those twists and its rule.
+
+    The twisted curve has additive reduction at p and ord2(c_p) equals
+    ord2(#E(Q_p)[2]), which by good reduction at p is counted by the roots
+    of the 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 over F_p; the value
+    does not depend on M.  qfield.cubic_root_count counts them in O(log p)
+    steps: Stickelberger's theorem reads one root off a non-square
+    discriminant, and the Frobenius test x^p = x mod the cubic tells three
+    roots from none.  The rule labels the trace-parity / congruence case
+    analysis where it applies, and that case analysis is checked against
+    the root count (a mismatch is a hard error, since the two routes must
+    agree); outside its hypotheses the label is "division-poly-count".
+
+    One split_type and, for an odd split p, one cornacchia_split: special-
+    ness and the parity of a_p (that of the trace of any generator above
+    p) are both read off the same prime element.  p must be a prime.
+    """
+    q = curve.q
+    kind = split_type(q, p)
+    pi = cornacchia_split(q, p) if kind == "split" and p > 2 else None
+    special = pi is not None and is_special_element(pi)
+    if p == 2 or curve.conductor % p == 0:
+        return TwistFactor(p, kind, special, None, None)
+    try:
+        count = cubic_root_count(*curve.division2_cubic(), p)
+    except QFieldError:
+        raise BSDError(f"the 2-division cubic of {curve.label} has a repeated "
+                       f"root mod {p}, so {p} is not a good prime") from None
+    val = ord2_int(1 + count)
+    expected: int | None = None
+    if pi is not None:
+        if pi.trace() % 2:
+            rule, expected = "split-odd-ap", 0
+        else:
+            rule, expected = "split-even-ap", 2
+    elif kind == "inert" and p % 4 == 1:
+        rule, expected = "inert-case", 1
+    else:
+        rule = "division-poly-count"
+    if expected is not None and expected != val:
+        raise BSDError(
+            f"2-division root count gives ord2(c_{p}) = {val}, but the "
+            f"{rule} case analysis predicts {expected}"
+        )
+    return TwistFactor(p, kind, special, val, rule)
 
 
 def _factor_squarefree(M: int) -> list[int]:
@@ -79,22 +138,29 @@ def admissible_class_mod4(curve: Curve) -> int:
     return 1 if curve.w == 1 else 3
 
 
-def classify_twist(curve: Curve, M: int) -> TwistSpec:
+def classify_twist(curve: Curve, M: int,
+                   facts: dict[int, TwistFactor] | None = None) -> TwistSpec:
+    """The TwistSpec of M: its factors with their facts, r(M), k(M), and
+    whether M is admissible, with the reasons when it is not.
+
+    facts maps primes to their twist_factor; the factors of M missing from
+    it are derived and added, so a caller that classifies many M shares
+    one dict among them and derives each prime once."""
     if not isinstance(M, int) or M < 1:
         raise BSDError("twisting integer must be a positive integer")
     if M > MAX_TWIST:
         raise BSDError(f"twisting integer above {MAX_TWIST} not supported")
     primes = _factor_squarefree(M)
+    if facts is None:
+        facts = {}
     factors = []
-    r = 0
-    reasons = []
     for p in primes:
-        kind = split_type(curve.q, p)
-        special = kind == "split" and is_special_split(curve.q, p)
-        factors.append(TwistFactor(p=p, kind=kind, special=special))
-        r += 2 if kind == "split" else 1
-        if kind == "split" and not special:
-            reasons.append(f"split factor {p} is not special")
+        fac = facts.get(p)
+        if fac is None:
+            fac = facts[p] = twist_factor(curve, p)
+        factors.append(fac)
+    reasons = [f"split factor {f.p} is not special" for f in factors
+               if f.kind == "split" and not f.special]
     g = math.gcd(M, curve.conductor)
     if g != 1:
         reasons.append(f"gcd(M, N) = {g} != 1")
@@ -108,7 +174,7 @@ def classify_twist(curve: Curve, M: int) -> TwistSpec:
         M=M,
         epsilon=epsilon,
         factors=tuple(factors),
-        r_of_M=r,
+        r_of_M=sum(2 if f.kind == "split" else 1 for f in factors),
         k_of_M=len(primes),
         admissible=not reasons,
         reasons=tuple(reasons),
@@ -126,81 +192,34 @@ def _admissible_spec(curve: Curve, M: int) -> TwistSpec:
 
 
 @dataclass(frozen=True)
-class TamagawaEntry:
-    p: int
-    ord2: int
-    rule: str
-
-
-@dataclass(frozen=True)
 class TamagawaReport:
-    entries: tuple[TamagawaEntry, ...]
+    entries: tuple[TwistFactor, ...]     # the factors of M, with ord2 and rule
     product_ord2: int
 
 
 def tamagawa_ord2_at(curve: Curve, p: int) -> tuple[int, str]:
-    """ord2 of the Tamagawa factor of any eps*M-twist at the twist prime p.
-
-    The twisted curve has additive reduction at p and ord2(c_p) equals
-    ord2(#E(Q_p)[2]), which by good reduction at p is counted by the roots
-    of the 2-division cubic 4x^3 + b2 x^2 + 2 b4 x + b6 over F_p; the value
-    does not depend on M.  qfield.cubic_root_count counts them in O(log p)
-    steps: Stickelberger's theorem reads one root off a non-square
-    discriminant, and the Frobenius test x^p = x mod the cubic tells three
-    roots from none.  The returned rule labels the trace-parity /
-    congruence case analysis where it applies, and that case analysis is
-    checked against the root count (a mismatch is a hard error, since the
-    two routes must agree); outside its hypotheses the label is
-    "division-poly-count".
-    """
+    """ord2 of the Tamagawa factor of any eps*M-twist at the twist prime p,
+    and its rule (twist_factor)."""
     if p < 3 or not is_prime(p):
         raise BSDError(f"{p} is not an odd prime")
-    return _tamagawa_ord2_at_prime(curve, p)
-
-
-def _tamagawa_ord2_at_prime(curve: Curve, p: int) -> tuple[int, str]:
-    """tamagawa_ord2_at for a p already known to be an odd prime, without
-    testing it again: a prime of a sieve walk, or a factor_int factor of an
-    admissible M (odd, as M = 1 or 3 mod 4)."""
     if curve.conductor % p == 0:
         raise BSDError(
             f"{p} divides the conductor; Tamagawa factors at bad primes are "
             "not computed (they are equal for E and all its twists here)"
         )
-    try:
-        count = cubic_root_count(*curve.division2_cubic(), p)
-    except QFieldError:
-        raise BSDError(f"the 2-division cubic of {curve.label} has a repeated "
-                       f"root mod {p}, so {p} is not a good prime") from None
-    val = ord2_int(1 + count)
-    kind = split_type(curve.q, p)
-    expected: int | None = None
-    if kind == "split":
-        # parity of a_p = parity of the trace of any generator above p
-        if cornacchia_split(curve.q, p).trace() % 2:
-            rule, expected = "split-odd-ap", 0
-        else:
-            rule, expected = "split-even-ap", 2
-    elif kind == "inert" and p % 4 == 1:
-        rule, expected = "inert-case", 1
-    else:
-        rule = "division-poly-count"
-    if expected is not None and expected != val:
-        raise BSDError(
-            f"2-division root count gives ord2(c_{p}) = {val}, but the "
-            f"{rule} case analysis predicts {expected}"
-        )
-    return val, rule
+    fac = twist_factor(curve, p)
+    return fac.ord2, fac.rule
 
 
-def tamagawa_report(curve: Curve, spec: TwistSpec) -> TamagawaReport:
-    entries = []
-    total = 0
-    for fac in spec.factors:
-        val, rule = _tamagawa_ord2_at_prime(curve, fac.p)
-        entries.append(TamagawaEntry(p=fac.p, ord2=val, rule=rule))
-        total += val
-    return TamagawaReport(entries=tuple(entries), product_ord2=total)
+def tamagawa_report(spec: TwistSpec) -> TamagawaReport:
+    """The Tamagawa factors of the eps*M-twist at the p | M, as classify_twist
+    derived them, and the sum of their ord2."""
+    missing = [f.p for f in spec.factors if f.ord2 is None]
+    if missing:
+        raise BSDError(f"no Tamagawa factor at {missing}: 2 and the primes "
+                       f"of the conductor have none computed")
+    return TamagawaReport(entries=spec.factors,
+                          product_ord2=sum(f.ord2 for f in spec.factors))
 
 
 # ------------------------------------------------------------- reports
@@ -218,9 +237,13 @@ class BSDReport:
     sha_flags: tuple[str, ...]
 
 
-def _check_base(base: Fraction | None) -> None:
-    if base is None or base == 0 or ord2_fraction(base) >= 0:
+def _check_base(base: Fraction | None) -> int:
+    """ord2 of base, the curve's own L^alg; NotApplicable unless it is
+    nonzero with a negative ord2."""
+    val = None if base is None or base == 0 else ord2_fraction(base)
+    if val is None or val >= 0:
         raise NotApplicable("curve must have L(E,1) != 0 and ord2(lalg) < 0")
+    return val
 
 
 def theorem18_check(ctx: CurveContext, M: int, target_digits: int = 12) -> BSDReport:
@@ -238,7 +261,7 @@ def theorem18_report(curve: Curve, spec: TwistSpec, res: LValueResult) -> BSDRep
     modular symbols).  A vanishing central value satisfies the bound by the
     +infinity convention; a failed rational recognition is reported as
     indeterminate and never counts as a pass."""
-    tama = tamagawa_report(curve, spec)
+    tama = tamagawa_report(spec)
     bound_rhs = spec.r_of_M - phi_of(curve)
     indeterminate = res.lalg is None
     # ord2 is None for lalg = 0 as well, where the bound holds
@@ -273,8 +296,9 @@ def _sha_flags(value: int) -> tuple[str, ...]:
 
 def _sha_ord2(base: Fraction | None, spec: TwistSpec, res: LValueResult,
               tama: TamagawaReport) -> int:
-    """ord2(lalg(M)/base) - sum_p ord2(c_p) for an admissible spec."""
-    _check_base(base)
+    """ord2(lalg(M)/base) - sum_p ord2(c_p) for an admissible spec, from
+    the integer valuations of lalg(M) and base."""
+    base_ord2 = _check_base(base)
     bad = [f.p for f in spec.factors if f.p % 4 != 1]
     if bad:
         raise NotApplicable(f"factors {bad} are not 1 mod 4")
@@ -282,7 +306,7 @@ def _sha_ord2(base: Fraction | None, spec: TwistSpec, res: LValueResult,
         raise BSDError(f"rational recognition failed for M={spec.M}")
     if res.lalg == 0:
         raise NotApplicable("twisted central value vanishes")
-    return ord2_fraction(res.lalg / base) - tama.product_ord2
+    return res.ord2 - base_ord2 - tama.product_ord2
 
 
 def predicted_sha_ord2(ctx: CurveContext, M: int, target_digits: int = 12) -> int:
@@ -295,7 +319,7 @@ def predicted_sha_ord2(ctx: CurveContext, M: int, target_digits: int = 12) -> in
     _check_base(curve.lalg_base)
     spec = _admissible_spec(curve, M)
     res = algebraic_part(ctx, spec.epsilon * M, target_digits=target_digits)
-    return _sha_ord2(curve.lalg_base, spec, res, tamagawa_report(curve, spec))
+    return _sha_ord2(curve.lalg_base, spec, res, tamagawa_report(spec))
 
 
 def torsion2_order(curve: Curve) -> int:

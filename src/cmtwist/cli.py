@@ -23,7 +23,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count, takewhile
+from itertools import compress, count, takewhile
+from math import isqrt
 
 import mpmath as mp
 
@@ -36,9 +37,11 @@ from .qfield import (
     QuadInt,
     ResidueRing,
     cornacchia_split,
+    factor_int,
     is_prime,
     is_special_split,
     normalize_mod4,
+    primes_below,
     special_split_primes,
     split_type,
     torsion_modulus,
@@ -368,16 +371,49 @@ def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpe
     """The TwistSpecs of the admissible M with max(m_min, 2) <= M <= m_max,
     ascending.
 
-    An M outside the root number's class mod 4 is never admissible, so
-    only that class goes to classify_twist, which factors each M.
+    An M outside the root number's class mod 4 is never admissible, so only
+    the candidates M = start + 4i of that class are marked, in a bytearray.
+    Slice assignments strike the multiples of p^2 for every p <= sqrt(m_max),
+    so every survivor is square-free; the multiples of every prime of N; and,
+    among the primes up to the range's length (or sqrt(m_max) when larger),
+    the multiples of each non-special split prime.  classify_twist judges
+    every survivor, the one arbiter of admissibility: a non-special split
+    prime above that bound is caught there.
+    The facts of each prime are derived once, in a dict of this call that
+    the sieve and every classify_twist share.
     """
     first, need = max(m_min, 2), bsd.admissible_class_mod4(curve)
+    start = first + (need - first) % 4
+    size = max(0, (m_max - start) // 4 + 1)
+    alive = bytearray([1]) * size
+    facts: dict[int, bsd.TwistFactor] = {}
+
+    def multiples(m: int) -> slice:
+        """The candidates divisible by an odd m."""
+        return slice(-start * pow(4, -1, m) % m, None, m)
+
+    def strike(m: int) -> None:
+        where = multiples(m)
+        alive[where] = bytes(len(range(*where.indices(size))))
+
+    q, conductor = curve.q, curve.conductor
+    for p, _ in factor_int(conductor):
+        strike(p)
+    for p in primes_below(max(m_max - first + 1, isqrt(m_max)) + 1)[1:]:
+        if p * p <= m_max:
+            strike(p * p)
+        if conductor % p == 0 or split_type(q, p) != "split":
+            continue            # struck with N already, or inert: never struck
+        if p % 4 == 1:          # special or not: the facts of p tell
+            if 1 not in alive[multiples(p)]:
+                continue
+            fac = facts[p] = bsd.twist_factor(curve, p)
+            if fac.special:
+                continue
+        strike(p)               # a split p = 3 mod 4 is never special
     specs = []
-    for M in range(first + (need - first) % 4, m_max + 1, 4):
-        try:
-            spec = bsd.classify_twist(curve, M)
-        except BSDError:
-            continue            # square factor: never admissible
+    for M in compress(range(start, m_max + 1, 4), alive):
+        spec = bsd.classify_twist(curve, M, facts)
         if spec.admissible:
             specs.append(spec)
     return specs
@@ -387,6 +423,9 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     from . import modsym
     curve = ctx.curve
     digits = _table_digits(config.precision)
+    # the point counts, checked before any prime's facts are derived (their
+    # trace parity is read off E0's character) and before the workers fork
+    ctx.check_character()
     specs = _admissible_specs(curve, m_min, m_max)
     symbols = modsym.supports(curve)
     # the rows above the MAX_TABLE cap are flagged here; only the computed
@@ -398,9 +437,6 @@ def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> t
     if work >= FORK_AT["symbols" if symbols else "series"]:
         workers = min(config.threads, len(computed), _usable_cpus())
     route = algebraic_part                  # the series
-    if specs:
-        # the point counts, checked before the row workers fork
-        ctx.check_character()
     # with no row computed nothing is built
     if computed and symbols:
         # exact L^alg from the modular symbols, built before the row workers fork
@@ -490,6 +526,7 @@ def _twist_text(curve: Curve, rep: BSDReport) -> list[str]:
 
 def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], int]:
     curve = ctx.curve
+    ctx.check_character()                 # before the facts read E0's character
     spec = bsd.classify_twist(curve, M)   # BSDError (e.g. square factor) -> usage
     if not spec.admissible:
         if config.fmt == "csv":
@@ -684,7 +721,7 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
     counts: dict[str, int] = {}
     try:
         for p in takewhile(lambda p: p < limit, good_odd_primes(curve)):
-            _, rule = bsd._tamagawa_ord2_at_prime(curve, p)   # a sieved prime
+            rule = bsd.twist_factor(curve, p).rule
             counts[rule] = counts.get(rule, 0) + 1
     except BSDError as exc:
         return f"tamagawa-cross[{curve.label}]: {exc}", False

@@ -126,6 +126,8 @@ from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
 import mpmath as mp
+from mpmath.libmp import (dps_to_prec, from_int, mpf_div, mpf_mul_int,
+                          mpf_sqrt, round_nearest)
 
 from .coeffs import (CurveContext, _twist_disc_primes, character_ap,
                      theta_window)
@@ -309,9 +311,11 @@ class TwistSums:
 
     lambda_s is kept as rows[d][c] = lambda_s(c:d) for c, d mod n = q^2, so
     the sums look a symbol up without normalizing it.  For d prime to q,
-    rows[d][c] = lambda_s(c d^-1 : 1), so the row of d g is the row of d
-    read at the c g^-1: with g a generator of (Z/n)^*, each row is the one
-    before it permuted by one itemgetter.
+    rows[d][c] = lambda_s(c d^-1 : 1), and for d = q j, j prime to q,
+    rows[d][c] = lambda_s(c j^-1 : q).  Either way the row of d g is the
+    row of d read at the c g^-1: with g a generator of (Z/n)^*, each row
+    is the one before it permuted by one itemgetter, and only rows 0 and q
+    are read off lambda_s through _p1_index.
 
     _phi is chain_table(rows, s): Phi(y, r) for 0 <= r < y < CHAIN_BOUND,
     16,384 entries.  One TwistSums, table included, is built per command,
@@ -346,11 +350,16 @@ class TwistSums:
             rows[d] = row
             row, d = list(step(row)), d * g % n
         index = _p1_index(q)
-        for d in range(0, n, q):
-            rows[d] = [c % q and lam[index(c, d)] for c in range(n)]
+        rows[0], row = ([c % q and lam[index(c, d)] for c in range(n)]
+                        for d in (0, q))
+        d = q
+        for _ in range(q - 1):              # the rows of the d = q j, j prime to q
+            rows[d] = row
+            row, d = list(step(row)), d * g % n
         self._rows = rows
         self._phi = chain_table(rows, self.sign)
         self._sums: dict[int, int] = {}     # D -> S(D)
+        self._aps: dict[int, int] = {}      # p -> a_p(E0), for the p | D met
 
     def twisted_sum(self, d: int) -> int:
         """S(d) for a fundamental discriminant d of sign s prime to q; d = 1
@@ -380,7 +389,10 @@ class TwistSums:
             w = self._chain_sums(m, first) + s * self._chain_sums(m, second)
         total = w << k
         stars = [p if p % 4 == 1 else -p for p in primes]
-        aps = [character_ap(self.curve.q, p) for p in primes]
+        for p in primes:
+            if p not in self._aps:
+                self._aps[p] = character_ap(self.curve.q, p)
+        aps = [self._aps[p] for p in primes]
         for mask in range((1 << k) - 1):            # the proper divisors
             sub = prod(x for i, x in enumerate(stars) if mask >> i & 1)
             if (sub > 0) != (s > 0):
@@ -431,7 +443,12 @@ class TwistSums:
         if lalg < 0:
             raise ModSymError(f"S({d}) / c = {lalg} is negative")
         digits = max(target_digits, 15)
-        with mp.workdps(digits + 10):
-            value = ctx.omega(digits) * lalg.numerator / lalg.denominator \
-                / mp.sqrt(abs(d))
-        return LValueResult(curve.label, d, eps, value, 0, 0.0, lalg, 0.0)
+        # Omega * num / den / sqrt(|d|) by the libmp steps that mpf * int,
+        # mpf / int and mp.sqrt take inside workdps(digits + 10), each rounded
+        # to nearest at its precision, without entering that context per row
+        prec, near = dps_to_prec(digits + 10), round_nearest
+        value = mpf_mul_int(ctx.omega(digits)._mpf_, lalg.numerator, prec, near)
+        value = mpf_div(value, from_int(lalg.denominator), prec, near)
+        value = mpf_div(value, mpf_sqrt(from_int(abs(d)), prec, near), prec, near)
+        return LValueResult(curve.label, d, eps, mp.make_mpf(value), 0, 0.0,
+                            lalg, 0.0)

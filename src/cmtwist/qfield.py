@@ -199,6 +199,12 @@ def sqrt_mod(n: int, p: int) -> int:
         return 0
     if kronecker(n, p) != 1:
         raise QFieldError(f"{n} is not a square mod {p}")
+    return _sqrt_of_square(n, p)
+
+
+def _sqrt_of_square(n: int, p: int) -> int:
+    """sqrt_mod for an n already known to be a nonzero square mod p."""
+    n %= p
     if p % 4 == 3:
         return pow(n, (p + 1) // 4, p)
     # p = 1 (mod 4): write p - 1 = odd * 2^s and steer the error term down
@@ -283,7 +289,7 @@ def cornacchia_split(q: int, p: int) -> QuadInt:
         if pi.norm() != 2:
             raise QFieldError(f"{pi} has norm {pi.norm()}, not 2")
         return pi
-    x0 = sqrt_mod(-q, p)
+    x0 = _sqrt_of_square(-q, p)     # -q is a square mod the split p
     if x0 % 2 == 0:
         x0 = p - x0  # force x0 odd so x0^2 = -q (mod 4p)
     a, b = 2 * p, x0
@@ -324,9 +330,13 @@ def is_special_split(q: int, p: int) -> bool:
     """
     if split_type(q, p) != "split" or p % 4 != 1:
         return False
-    if q == 7:
-        return True
-    return cornacchia_split(q, p).b % 2 == 0
+    return q == 7 or is_special_element(cornacchia_split(q, p))
+
+
+def is_special_element(pi: QuadInt) -> bool:
+    """is_special_split for the norm p of pi, a prime element above a split
+    odd p: p = 1 (mod 4) and pi = a + b*tau with b even."""
+    return pi.b % 2 == 0 and pi.norm() % 4 == 1
 
 
 def special_split_primes(q: int, bound: int) -> list[int]:
@@ -642,5 +652,6 @@ def ord2_int(n: int) -> int:
 
 def ord2_fraction(x) -> int:
     """2-adic valuation of a nonzero rational, normalized ord2(2) = 1."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return ord2_int(x.numerator) - ord2_int(x.denominator)

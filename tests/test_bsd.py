@@ -6,6 +6,7 @@ from itertools import takewhile
 
 import pytest
 
+from cmtwist import cli
 from cmtwist.bsd import (
     MAX_TWIST,
     BSDError,
@@ -16,13 +17,15 @@ from cmtwist.bsd import (
     tamagawa_report,
     theorem18_check,
     torsion2_order,
+    twist_factor,
     _admissible_spec,
-    _tamagawa_ord2_at_prime,
     _check_base,
     _sha_flags,
+    _sha_ord2,
 )
 from cmtwist.coeffs import CurveContext, good_odd_primes
 from cmtwist.lseries import algebraic_part
+from cmtwist.modsym import TwistSums
 from cmtwist.qfield import cubic_root_count, ord2_fraction, ord2_int
 from cmtwist.registry import builtin_curve, resolve_curve, validate_user_curve
 from golden_tables import TABLE_121B, TABLE_49A
@@ -91,6 +94,12 @@ def test_tamagawa_rejects_bad_input():
     for p in (1, 2, 9):
         with pytest.raises(BSDError, match=f"^{p} is not an odd prime$"):
             tamagawa_ord2_at(C49, p)
+    # the factors 7 of 21 = 3 * 7 and 2 of 58 = 2 * 29 carry no ord2(c_p)
+    for M, p in ((21, 7), (58, 2)):
+        spec = classify_twist(C49, M)
+        assert [f.ord2 is None for f in spec.factors] == [f.p == p for f in spec.factors]
+        with pytest.raises(BSDError, match=rf"no Tamagawa factor at \[{p}\]"):
+            tamagawa_report(spec)
 
 
 def _roots_by_residues(curve, p):
@@ -108,8 +117,9 @@ def test_root_count_matches_the_residue_loop(e29_file):
             count = _roots_by_residues(curve, p)
             assert cubic_root_count(*cubic, p) == count, (curve.label, p)
             assert tamagawa_ord2_at(curve, p)[0] == ord2_int(1 + count)
-            # the entry for primes already known skips only the primality test
-            assert _tamagawa_ord2_at_prime(curve, p) == tamagawa_ord2_at(curve, p)
+            # the per-prime facts carry the same ord2 and rule
+            fac = twist_factor(curve, p)
+            assert (fac.ord2, fac.rule) == tamagawa_ord2_at(curve, p)
 
 
 @pytest.mark.parametrize("a2", [1, 0], ids=["double", "triple"])
@@ -129,7 +139,7 @@ def test_tamagawa_matches_golden_tables():
     for curve, table in ((C49, TABLE_49A), (C121, TABLE_121B)):
         for M, _L, _lalg, _ord2, r, cps in table:
             spec = classify_twist(curve, M)
-            rep = tamagawa_report(curve, spec)
+            rep = tamagawa_report(spec)
             got = {e.p: 2**e.ord2 for e in rep.entries}
             assert got == cps, (curve.label, M)
             assert rep.product_ord2 == sum(e.ord2 for e in rep.entries)
@@ -141,7 +151,7 @@ def product_check(curve, M: int) -> bool:
     bad = [f.p for f in spec.factors if f.p % 4 != 1]
     if bad:
         raise NotApplicable(f"factors {bad} are not 1 mod 4")
-    return tamagawa_report(curve, spec).product_ord2 == spec.r_of_M
+    return tamagawa_report(spec).product_ord2 == spec.r_of_M
 
 
 def test_product_identity():
@@ -222,6 +232,44 @@ def test_predicted_sha_anchors(ctx49, ctx121):
     assert predicted_sha_ord2(ctx49, 449) == 4
     with pytest.raises(NotApplicable):
         predicted_sha_ord2(ctx121, 7)
+
+
+def _sha_by_division(base, spec, res, tama):
+    """_sha_ord2 as the valuation of the quotient lalg / base: the oracle of
+    its integer form."""
+    _check_base(base)
+    bad = [f.p for f in spec.factors if f.p % 4 != 1]
+    if bad:
+        raise NotApplicable(f"factors {bad} are not 1 mod 4")
+    if res.lalg is None:
+        raise BSDError(f"rational recognition failed for M={spec.M}")
+    if res.lalg == 0:
+        raise NotApplicable("twisted central value vanishes")
+    return ord2_fraction(res.lalg / base) - tama.product_ord2
+
+
+@pytest.mark.parametrize("label, least", [("49a", 1000), ("121b", 0)])
+def test_sha_valuation_is_the_fraction_form(label, least):
+    # every admissible M <= 5000, on the curve's own base value (121b's
+    # vanishes) and on bases of other valuations; each admissible M of 121b
+    # is 3 mod 4, so has a factor 3 mod 4, and its prediction never applies
+    curve = builtin_curve(label)
+    ctx, sums = CurveContext(curve), TwistSums(curve)
+    numeric = 0
+    for spec in cli._admissible_specs(curve, 1, 5000):
+        res = sums.algebraic_part(ctx, spec.epsilon * spec.M, 12)
+        tama = tamagawa_report(spec)
+        for base in (curve.lalg_base, Fraction(1, 2), Fraction(5, 8),
+                     Fraction(6, 1)):
+            outcomes = []
+            for form in (_sha_ord2, _sha_by_division):
+                try:
+                    outcomes.append(form(base, spec, res, tama))
+                except NotApplicable as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (spec.M, base)
+            numeric += isinstance(outcomes[0], int)
+    assert numeric >= least
 
 
 def test_sha_flags():

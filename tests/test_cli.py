@@ -1,6 +1,7 @@
 """Command-line interface: arguments, output formats, exit codes."""
 
 import argparse
+import hashlib
 import math
 import os
 import re
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import mpmath as mp
 import pytest
@@ -16,7 +18,7 @@ from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import QuadInt, is_prime, split_type
-from cmtwist.registry import resolve_curve
+from cmtwist.registry import BUILTIN, resolve_curve
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -515,16 +517,25 @@ def test_pooled_table_builds_one_chain_table_in_the_parent(capsys, monkeypatch,
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_table_classifies_each_twist_once(capsys, monkeypatch, label):
-    # the pre-pass classifies each M of the admissible class mod 4 once and
-    # hands its TwistSpec to the row; no row classifies again
+    # the pre-pass classifies each M that survives its sieve once and hands
+    # its TwistSpec to the row; no row classifies again.  Below 1000 the
+    # sieve reaches every prime, so the survivors are the admissible M
     classify = bsd.classify_twist
+    first = 5 if label == "49a" else 3
+    curve = BUILTIN[label]
+    admissible = []
+    for M in range(first, 1001, 4):
+        try:
+            if classify(curve, M).admissible:
+                admissible.append(M)
+        except bsd.BSDError:
+            continue            # a square factor
     seen = []
-    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M:
-                        seen.append(M) or classify(curve, M))
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M, facts=None:
+                        seen.append(M) or classify(curve, M, facts))
     code, _, _ = run(capsys, "table", "1", "1000", "--curve", label)
     assert code == 0
-    first = 5 if label == "49a" else 3
-    assert seen == list(range(first, 1001, 4))
+    assert seen == admissible
 
 
 @pytest.mark.parametrize("label, M", [("49a", 449), ("121b", 7), ("49a", 31)])
@@ -627,25 +638,79 @@ def test_user_curve_table_grows_the_base_value_view(capsys, theta_windows, e29_f
 
 
 @pytest.mark.parametrize("label", ["49a", "121b", "e29"])
-def test_table_candidates_are_the_unfiltered_classification(label, e29_file):
-    # the scan classifies only the M of the root number's class mod 4; no
-    # M of the other classes may be admissible
+def test_table_candidates_are_the_unfiltered_classification(monkeypatch, label,
+                                                            e29_file):
+    # the TwistSpecs of the sieve, facts included, are those of the admissible
+    # classify_twist(curve, M) over every M, one at a time: no M of the other
+    # classes mod 4 may be admissible.  The survivors are classified without
+    # a square factor, and from 1 on the sieve reaches every prime, so each
+    # survivor is admissible
     curve = resolve_curve(label, e29_file)
-    every = []
-    for M in range(2, 1001):
-        try:
-            if bsd.classify_twist(curve, M).admissible:
-                every.append(M)
-        except bsd.BSDError:
-            continue
-    assert len(every) > 50
 
-    def twists(m_min, m_max):
-        return [spec.M for spec in cli._admissible_specs(curve, m_min, m_max)]
+    def plain(m_min, m_max):
+        specs = []
+        for M in range(max(m_min, 2), m_max + 1):
+            try:
+                spec = bsd.classify_twist(curve, M)
+            except bsd.BSDError:
+                continue            # a square factor
+            if spec.admissible:
+                specs.append(spec)
+        return specs
 
-    assert twists(1, 1000) == every
-    for m_min, m_max in ((2, 2), (5, 5), (6, 9), (7, 400), (400, 1000)):
-        assert twists(m_min, m_max) == [M for M in every if m_min <= M <= m_max]
+    ms = [spec.M for spec in plain(1, 3000)]
+    assert len(ms) > 150
+    gap = max(range(len(ms) - 1), key=lambda i: ms[i + 1] - ms[i])
+    ranges = [(1, 3000), (2, 2), (5, 5), (6, 9), (7, 400), (400, 1000),
+              (22877, 22945), (14580, 14630), (45, 60), (63, 80),
+              (ms[gap] + 1, ms[gap + 1] - 1)]
+    ranges += [(M, M) for M in ms[:3] + [ms[0] + 4, ms[gap] + 4]]
+    assert plain(ms[gap] + 1, ms[gap + 1] - 1) == []
+    classify = bsd.classify_twist
+    seen = []
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M, facts=None:
+                        seen.append(M) or classify(curve, M, facts))
+    for m_min, m_max in ranges:
+        seen.clear()
+        got = cli._admissible_specs(curve, m_min, m_max)
+        if m_min == 1:
+            assert seen == ms
+        assert got == plain(m_min, m_max), (m_min, m_max)
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_table_analyses_each_prime_once(capsys, monkeypatch, label):
+    # outside the character check, a table derives the root count and the
+    # prime element of each prime once, and its TwistSums each a_p once
+    calls = {}
+    for module, name, at in ((bsd, "cubic_root_count", 4),
+                             (bsd, "cornacchia_split", 1),
+                             (modsym, "character_ap", 1)):
+        seen = calls[name] = Counter()
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name),
+                            seen=seen, at=at: seen.update([args[at]]) or fn(*args))
+    assert cli.main(["table", "1", "1000", "--curve", label]) == 0
+    capsys.readouterr()
+    for name, seen in calls.items():
+        assert seen and max(seen.values()) == 1, name
+    specs = cli._admissible_specs(BUILTIN[label], 1, 1000)
+    assert {f.p for spec in specs for f in spec.factors} <= set(calls["cubic_root_count"])
+
+
+# sha256 of the standard output of `table 1 3000 --format csv`, taken before
+# the rows were judged from per-prime facts: every byte of every row holds
+TABLE_CSV_SHA256 = {
+    "49a": "ee1a520927875f35afb482f623047009ce5d48814ac7f29c64e8ca62a2b1c9be",
+    "121b": "d14595275e951a6c76581f54353c08abbdd2d08b85f112ad0ffd1c8efcdca056",
+}
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_table_csv_bytes_are_pinned(capsys, label):
+    code, out, err = run(capsys, "table", "1", "3000", "--format", "csv",
+                         "--curve", label)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[label]
 
 
 def test_table_path_imports_neither_eisenstein_nor_numpy():

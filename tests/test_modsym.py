@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -475,6 +476,33 @@ def test_algebraic_part_matches_the_series_result():
                                                          want.root_number)
         assert abs(got.analytic_value - want.analytic_value) < 1e-11
         assert got.n_terms == 0
+
+
+def _workdps_value(ctx, lalg, d, target_digits):
+    """The value of algebraic_part as it was formed inside an mpmath
+    precision context: the oracle of the context-free form."""
+    digits = max(target_digits, 15)
+    with mp.workdps(digits + 10):
+        return ctx.omega(digits) * lalg.numerator / lalg.denominator \
+            / mp.sqrt(abs(d))
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_algebraic_part_value_is_the_workdps_value(label):
+    # every admissible M <= 5000, at precision 15 and 50: the same mpf, bit
+    # for bit, as the value formed inside workdps
+    curve = BUILTIN[label]
+    ctx, sums = CurveContext(curve), modsym.TwistSums(curve)
+    specs = cli._admissible_specs(curve, 1, 5000)
+    assert len(specs) > 250
+    for precision in (15, 50):
+        digits = cli._table_digits(precision)
+        for spec in specs:
+            d = spec.epsilon * spec.M
+            got = sums.algebraic_part(ctx, d, digits)
+            want = _workdps_value(ctx, got.lalg, d, digits)
+            assert got.analytic_value == want, (spec.M, precision)
+            assert got.analytic_value._mpf_ == want._mpf_
 
 
 def test_only_builtin_curves_have_symbols(e29_file):
