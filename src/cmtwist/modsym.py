@@ -14,20 +14,21 @@ kills the 2-term relations x + x S, S = [[0, -1], [1, 0]], and the 3-term
 relations x + x t + x t^2, t = [[0, -1], [1, -1]]; lambda_s(x*) =
 s lambda_s(x) with (c:d)* = (-c:d); and lambda_s(T_p x) = a_p(E0)
 lambda_s(x) for the primes p != q, where T_p x is the sum of the x h over
-Merel's Heilbronn matrices h (ad - bc = p, a > b >= 0, d > c >= 0) and
-a_p comes from coeffs.theta_window.  These conditions cut out one line, and
-lambda_s is its primitive integer vector whose first nonzero entry is
-positive (winding_vector).
+Merel's Heilbronn matrices h (ad - bc = p, a > b >= 0, d > c >= 0).  These
+conditions cut out one line, and lambda_s is its primitive integer vector
+whose first nonzero entry is positive; T_2 alone, with the relations,
+already leaves that line for q = 7 and 11.
 
-The conditions are solved modulo the prime 2^31 - 1.  The 2-term and star
-relations sort the symbols into orbits of at most four, each one free
-unknown up to sign or forced to zero.  The 3-term rows, then the rows of
-T_2, T_3, T_5, ..., each prime's rows whole, are reduced one by one until
-at most one free direction is left (T_2 suffices for q = 7 and 11).  The
-kernel vector is read back by rational reconstruction and scaled to
-primitive integers, and the integer vector is checked exactly against
-every row that was reduced: it lies in their kernel over Q, whose
-dimension the reduction showed to be at most 1.
+The lambda_s of the builtin curves' twists, lambda_+ for 49a and lambda_-
+for 121b, are literal tuples on p1_points(q) (WINDING_VECTORS).  Every
+TwistSums build checks its tuple linearly (winding_rows): at every point
+of P^1(Z/q^2) it must kill the 2-term and 3-term relations, satisfy the
+star relation and take T_2 x to a_2 lambda_s(x), a_2 from
+coeffs.theta_window; the tuple must be primitive with its first nonzero
+entry positive.  A failure raises ModSymError.  That the conditions leave
+one line is a fact of the fixed data, not checked at run time: the tests
+rebuild each kernel over Q from the relations and every T_p, p < 14, with
+a_p from point counts, and find it one line equal to the tuple.
 
 Birch's formula gives, for a fundamental discriminant D prime to N with
 sign s, the twisted sum
@@ -63,9 +64,13 @@ The term of a is lambda_s(1:0) + s^(n-1) Phi(m, e), and so
 The first sum is 0 (lambda_-(1:0) = 0 as (1:0)* = (1:0), and an even chi
 sums to 0 over a < m/2 for m > 1).  Phi depends on its pair alone, so
 TwistSums tabulates it below CHAIN_BOUND, and a chain stops at its first
-pair (y, r) with y < CHAIN_BOUND.  No q_k recurrence and no per-step sign
-remain: two Euclid steps run per turn, the terms at even and odd depth go
-to their own sums, and the odd sum takes the factor s once.  The chain
+pair (y, r) with y < CHAIN_BOUND.  The table is built by columns
+(chain_table): for a fixed r, y -> lambda_s(y:r) has period q^2 and
+y -> Phi(r, y mod r) period r, so the column of r is a tiled row of
+lambda_s plus s times row r of Phi tiled, one C-level map, and row r is
+complete once the columns below r are.  No q_k recurrence and no per-step
+sign remain: two Euclid steps run per turn, the terms at even and odd
+depth go to their own sums, and the odd sum takes the factor s once.  The chain
 sums hold for any values on P^1; what follows needs lambda_s itself.
 
 TwistSums walks the chains of one square class only, and recovers the
@@ -120,10 +125,11 @@ in C.  No table outlives its D.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, compress
-from math import gcd, isqrt, lcm, prod
-from operator import itemgetter, mul
+from itertools import compress
+from math import gcd, prod
+from operator import add, itemgetter, sub
 
 import mpmath as mp
 from mpmath.libmp import (dps_to_prec, from_int, mpf_div, mpf_mul_int,
@@ -132,15 +138,29 @@ from mpmath.libmp import (dps_to_prec, from_int, mpf_div, mpf_mul_int,
 from .coeffs import (CurveContext, _twist_disc_primes, character_ap,
                      theta_window)
 from .lseries import LValueResult, twist_root_number
-from .qfield import factor_int, kronecker, primes_below
+from .qfield import factor_int, kronecker
 from .registry import BUILTIN, Curve
 
 # label -> (s, c): the sign of D of every admissible twist of the builtin
 # curve, and the constant with S(D) = c L^alg(E^(D)) for the lambda_s above
 TWIST_SCALE = {"49a": (1, -4), "121b": (-1, 2)}
-HECKE_BOUND = 14        # the T_p with p < HECKE_BOUND, p != q, are at hand
-_P = (1 << 31) - 1      # the prime the conditions are solved modulo
 CHAIN_BOUND = 128       # Phi(y, r) is tabulated for 0 <= r < y < CHAIN_BOUND
+# label -> lambda_s on p1_points(q), s the sign of TWIST_SCALE; winding_rows
+# checks it on every build
+WINDING_VECTORS = {
+    "49a": (
+        2, 0, 4, 4, 4, 2, 0, 1, 0, 2, -2, -2, -4, 0, -1, 0, -4, 0, 0, 0,
+        0, -1, 0, 0, -4, -4, 0, 0, -1, 0, 0, 0, 0, -4, 0, -1, 0, -4, -2,
+        -2, 2, 0, 1, 0, 2, 4, 4, 4, 0, -2, -1, 1, 1, 1, 1, -1),
+    "121b": (
+        0, 0, 0, 2, 2, 4, 4, 1, 2, -1, 0, 0, 0, -1, -3, -2, -1, -1, -1,
+        -3, -4, 0, -2, 0, -4, -2, -3, -1, -1, 2, -2, 0, 0, -1, 0, 0, -2,
+        -2, 0, 0, -2, -2, -2, 0, -1, 0, -2, 1, 0, -2, -2, -3, 1, -1, 0,
+        0, 0, -1, 0, 2, 0, 0, -2, 0, 1, 0, 0, 0, 1, -1, 3, 2, 2, 0, -1,
+        2, 0, 1, 0, 2, 2, 2, 0, 0, 2, 2, 0, 0, 1, 0, 0, 2, -2, 1, 1, 3,
+        2, 4, 0, 2, 0, 4, 3, 1, 1, 1, 2, 3, 1, 0, 0, 0, 1, -2, -1, -4,
+        -4, -2, -2, 0, 0, 0, 0, -2, -1, -1, 0, 0, 1, 1, 2, 0),
+}
 
 
 class ModSymError(ValueError):
@@ -158,20 +178,6 @@ def p1_points(q: int) -> list[tuple[int, int]]:
     return [(c, 1) for c in range(n)] + [(1, q * j) for j in range(q)]
 
 
-def _p1_index(q: int):
-    """index(c, d): the position in p1_points(q) of the point (c:d), for
-    any integers c, d not both divisible by q."""
-    n = q * q
-    inverse = [pow(u, -1, n) if u % q else 0 for u in range(n)]
-
-    def index(c: int, d: int) -> int:
-        if d % q:
-            return c * inverse[d % n] % n
-        return n + d * inverse[c % n] % n // q
-
-    return index
-
-
 def heilbronn(p: int) -> list[tuple[int, int, int, int]]:
     """Merel's matrices (a, b, c, d): ad - bc = p, a > b >= 0, d > c >= 0."""
     out = []
@@ -185,107 +191,86 @@ def heilbronn(p: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _small_fraction(x: int) -> Fraction:
-    """The u/v with |u|, |v| <= sqrt(_P / 2) and u = v x mod _P."""
-    bound = isqrt(_P // 2)
-    r0, r1, t0, t1 = _P, x, 0, 1
-    while r1 > bound:
-        k = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
-    if abs(t1) > bound:
-        raise ModSymError(f"{x} is no small fraction modulo {_P}")
-    return Fraction(r1, t1)
+def _lookup_rows(q: int, lam: Sequence[int]) -> list[list[int]]:
+    """rows[d][c] = lam(c:d) for c, d mod n = q^2, from lam on p1_points(q)
+    (the TwistSums docstring)."""
+    n, units = q * q, q * (q - 1)
+    g = next(g for g in range(2, n) if g % q and all(
+        pow(g, units // p, n) != 1 for p, _ in factor_int(units)))
+    back = pow(g, -1, n)
+    step = itemgetter(*(c * back % n for c in range(n)))
+    rows: list[list[int]] = [[]] * n
+    row, d = list(lam[:n]), 1
+    for _ in range(units):
+        rows[d] = row
+        row, d = list(step(row)), d * g % n
+    # (c:0) = (1:0) and (c:q) = (1 : q c^-1) for c prime to q
+    rows[0] = [c % q and lam[n] for c in range(n)]
+    row, d = [c % q and lam[n + pow(c, -1, q)] for c in range(n)], q
+    for _ in range(q - 1):              # the rows of the d = q j, j prime to q
+        rows[d] = row
+        row, d = list(step(row)), d * g % n
+    return rows
 
 
-def winding_vector(q: int, sign: int, ap: dict[int, int]) -> list[int]:
-    """lambda_sign on p1_points(q), from a_p(E0) for the primes p != q
-    below HECKE_BOUND (ap maps each to its a_p).
+def winding_rows(q: int, sign: int, lam: Sequence[int],
+                 a2: int) -> list[list[int]]:
+    """The lookup rows of lam (_lookup_rows), once lam is checked to be
+    lambda_sign: a vector on p1_points(q) that kills the 2-term and 3-term
+    relations, has lam(x*) = sign lam(x) and lam(T_2 x) = a2 lam(x) at
+    every point x, is primitive, and has its first nonzero entry positive.
 
-    Raises ModSymError when the conditions do not cut out one line.
+    Raises ModSymError on the first condition that lam fails.
     """
-    index = _p1_index(q)
-    points = p1_points(q)
-    # lambda(x) = coef[x] * unknown[orbit[x]]; coef 0 where the 2-term and
-    # star relations force lambda(x) = -lambda(x)
-    orbit, coef = [-1] * len(points), [0] * len(points)
-    free = []                   # a point of each orbit not forced to zero
-    for i, (c, d) in enumerate(points):
-        if orbit[i] < 0:
-            members = {i: 1}
-            clash = False
-            for cc, dd, s in ((d, -c, -1), (-c, d, sign), (d, c, -sign)):
-                clash |= members.setdefault(index(cc, dd), s) != s
-            for j, s in members.items():
-                orbit[j], coef[j] = len(free), 0 if clash else s
-            if not clash:
-                free.append((c, d))
-    width = len(free)
-
-    def row(terms) -> tuple[int, ...]:
-        out = [0] * width
-        for c, d in terms:
-            j = index(c, d)
-            if coef[j]:
-                out[orbit[j]] += coef[j]
-        return tuple(out)
-
-    three_term = {row(((c, d), (d, -c - d), (-c - d, c))) for c, d in points}
-
-    def hecke_rows(p: int) -> list[tuple[int, ...]]:
-        mats = heilbronn(p)
-        return [tuple(x - ap[p] * y for x, y in zip(
-                    row([(c * a + d * cc, c * b + d * dd) for a, b, cc, dd in mats]),
-                    row([(c, d)])))
-                for c, d in free]
-
-    groups = chain([sorted(three_term)],
-                   (hecke_rows(p) for p in primes_below(HECKE_BOUND) if p != q))
-    used, pivots = [], []       # pivots: (column, row with 1 there), in order
-    for group in groups:
-        for r in group:
-            v = [x % _P for x in r]
-            for col, piv in pivots:
-                f = v[col]
-                if f:
-                    v = [(x - f * y) % _P for x, y in zip(v, piv)]
-            lead = next((k for k, x in enumerate(v) if x), None)
-            if lead is not None:
-                scale = pow(v[lead], -1, _P)
-                pivots.append((lead, [x * scale % _P for x in v]))
-        used += group
-        if len(pivots) >= width - 1:
-            break
-    if len(pivots) != width - 1:
-        raise ModSymError(f"the relations and T_p for p < {HECKE_BOUND} leave "
-                          f"{width - len(pivots)} directions for q = {q}, "
-                          f"sign {sign:+d}")
-    (last,) = set(range(width)) - {col for col, _ in pivots}
-    v = [0] * width
-    v[last] = 1
-    for col, piv in reversed(pivots):
-        v[col] = -sum(map(mul, piv, v)) % _P
-    fractions = [_small_fraction(x) for x in v]
-    den = lcm(*(f.denominator for f in fractions))
-    ints = [int(f * den) for f in fractions]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    if any(sum(map(mul, r, ints)) for r in used):
-        raise ModSymError(f"the kernel vector for q = {q}, sign {sign:+d} "
-                          f"fails a relation over Q")
-    lam = [s and s * ints[k] for s, k in zip(coef, orbit)]
-    return [-x for x in lam] if next(filter(None, lam)) < 0 else lam
+    n = q * q
+    if len(lam) != n + q:
+        raise ModSymError(f"lambda_{sign:+d} for q = {q} has {len(lam)} "
+                          f"entries, not the {n + q} points of P^1")
+    rows = _lookup_rows(q, lam)
+    t2 = heilbronn(2)
+    for c, d in p1_points(q):
+        x = rows[d][c]
+        if x + rows[-c % n][d]:
+            fails = "the 2-term relation"
+        elif rows[d][-c % n] != sign * x:
+            fails = "the star relation"
+        elif x + rows[(-c - d) % n][d] + rows[c][(-c - d) % n]:
+            fails = "the 3-term relation"
+        elif sum(rows[(c * b + d * dd) % n][(c * a + d * cc) % n]
+                 for a, b, cc, dd in t2) != a2 * x:
+            fails = f"T_2 = {a2}"
+        else:
+            continue
+        raise ModSymError(f"lambda_{sign:+d} for q = {q} fails {fails} "
+                          f"at ({c}:{d})")
+    if gcd(*lam) != 1:
+        raise ModSymError(f"lambda_{sign:+d} for q = {q} is not primitive")
+    if next(filter(None, lam)) < 0:
+        raise ModSymError(f"the first nonzero entry of lambda_{sign:+d} for "
+                          f"q = {q} is negative")
+    return rows
 
 
 def chain_table(rows: list[list[int]], sign: int) -> list[int]:
-    """Phi(y, r) at index y * CHAIN_BOUND + r, for 0 <= r < y < CHAIN_BOUND
+    """Phi(y, r) at index r * CHAIN_BOUND + y, for 0 <= r < y < CHAIN_BOUND
     (0 elsewhere): Phi(y, 0) = 0 and Phi(y, r) = lambda(y:r) + sign *
-    Phi(r, y mod r), with lambda(y:r) = rows[r mod n][y mod n]."""
+    Phi(r, y mod r), with lambda(y:r) = rows[r mod n][y mod n].
+
+    Column r, the Phi(y, r) for r < y < CHAIN_BOUND, is one map: as y runs,
+    lambda(y:r) is row r mod n of rows tiled with period n, and
+    Phi(r, y mod r) is row r of Phi tiled with period r, complete once the
+    columns below r are.  The slice phi[r + B:(r + 1) B:B] (B =
+    CHAIN_BOUND) is that row from y mod r = 1, the value at y = r + 1,
+    closed by Phi(r, r) = 0 for y mod r = 0; the map stops with the
+    shorter lambda slice."""
     n, width = len(rows), CHAIN_BOUND
+    combine = add if sign > 0 else sub
+    tiles = [row * (width // n + 1) for row in rows[:width]]
     phi = [0] * (width * width)
-    for y in range(2, width):
-        col = y % n
-        for r in range(1, y):
-            phi[y * width + r] = rows[r % n][col] + sign * phi[r * width + y % r]
+    for r in range(1, width - 1):
+        phi[r * width + r + 1:(r + 1) * width] = map(
+            combine, tiles[r % n][r + 1:width],
+            phi[r + width:(r + 1) * width:width] * (width // r + 1))
     return phi
 
 
@@ -315,11 +300,15 @@ class TwistSums:
     rows[d][c] = lambda_s(c j^-1 : q).  Either way the row of d g is the
     row of d read at the c g^-1: with g a generator of (Z/n)^*, each row
     is the one before it permuted by one itemgetter, and only rows 0 and q
-    are read off lambda_s through _p1_index.
+    are read off lambda_s point by point: (c:0) = (1:0) and
+    (c:q) = (1 : q c^-1).
 
-    _phi is chain_table(rows, s): Phi(y, r) for 0 <= r < y < CHAIN_BOUND,
-    16,384 entries.  One TwistSums, table included, is built per command,
-    before any table worker forks.
+    The rows come from the literal lambda_s of WINDING_VECTORS, checked on
+    every build by winding_rows; nothing of lambda_s, its check or the
+    table outlives the instance.  _phi is chain_table(rows, s): Phi(y, r)
+    at r * CHAIN_BOUND + y for 0 <= r < y < CHAIN_BOUND, 16,384 entries,
+    built column by column.  One TwistSums, table included, is built per
+    command, before any table worker forks.
 
     twisted_sum walks the chains of W only (the module docstring): for a
     prime |D| = p, (p - 1)/4 chains when p = 1 mod 4 (the 49a twists of
@@ -336,28 +325,9 @@ class TwistSums:
         self.curve = curve
         self.sign, self.scale = TWIST_SCALE[curve.label]
         q = curve.q
-        window = theta_window(q, 1, HECKE_BOUND)
-        ap = {p: window[p - 1] for p in primes_below(HECKE_BOUND) if p != q}
-        lam = winding_vector(q, self.sign, ap)
-        n, units = q * q, q * (q - 1)
-        g = next(g for g in range(2, n) if g % q and all(
-            pow(g, units // p, n) != 1 for p, _ in factor_int(units)))
-        back = pow(g, -1, n)
-        step = itemgetter(*(c * back % n for c in range(n)))
-        rows: list[list[int]] = [[]] * n
-        row, d = lam[:n], 1
-        for _ in range(units):
-            rows[d] = row
-            row, d = list(step(row)), d * g % n
-        index = _p1_index(q)
-        rows[0], row = ([c % q and lam[index(c, d)] for c in range(n)]
-                        for d in (0, q))
-        d = q
-        for _ in range(q - 1):              # the rows of the d = q j, j prime to q
-            rows[d] = row
-            row, d = list(step(row)), d * g % n
-        self._rows = rows
-        self._phi = chain_table(rows, self.sign)
+        self._rows = winding_rows(q, self.sign, WINDING_VECTORS[curve.label],
+                                  theta_window(q, 2, 3)[0])
+        self._phi = chain_table(self._rows, self.sign)
         self._sums: dict[int, int] = {}     # D -> S(D)
         self._aps: dict[int, int] = {}      # p -> a_p(E0), for the p | D met
 
@@ -419,12 +389,12 @@ class TwistSums:
                 even += rows[r % n][y % n]
                 y, r = r, y % r
                 if y < bound:
-                    odd += phi[y * bound + r]
+                    odd += phi[r * bound + y]
                     break
                 odd += rows[r % n][y % n]
                 y, r = r, y % r
             else:
-                even += phi[y * bound + r]
+                even += phi[r * bound + y]
         return even + self.sign * odd
 
     def lalg(self, d: int) -> Fraction:

@@ -1,7 +1,12 @@
 """Modular symbols: lambda+- rebuilt from scratch, the constant of Birch's
 formula, and the twisted sums against the series."""
 
+import functools
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -80,9 +85,11 @@ def _kernel(rows, width):
     return basis
 
 
-def _rebuilt(label, sign):
-    """lambda_sign of the builtin curve, from the relations and the T_p of
-    HECKE, over the points of _points; the kernel must be one line."""
+def _kernel_vectors(label, sign, three_term=True, primes=None):
+    """A basis of the rational kernel of the 2-term, star and (unless
+    three_term is false) 3-term relations and T_p - a_p for the p of
+    primes (HECKE by default), a_p by point counts, over the points of
+    _points: each vector a primitive integer dict point -> value."""
     curve = BUILTIN[label]
     q = curve.q
     points = _points(q)
@@ -100,42 +107,139 @@ def _rebuilt(label, sign):
     rows = []
     for c, d in points:
         rows.append(relation((1, (c, d)), (1, (d, -c))))
-        rows.append(relation((1, (c, d)), (1, (d, -c - d)), (1, (-c - d, c))))
+        if three_term:
+            rows.append(relation((1, (c, d)), (1, (d, -c - d)), (1, (-c - d, c))))
         rows.append(relation((1, (-c, d)), (-sign, (c, d))))
-    for p in HECKE[q]:
+    for p in HECKE[q] if primes is None else primes:
         ap, mats = _ap_by_count(curve, p), _heilbronn_by_search(p)
         for c, d in points:
             rows.append(relation((-ap, (c, d)), *((1, (c * a + d * cc, c * b + d * dd))
                                                   for a, b, cc, dd in mats)))
-    basis = _kernel(rows, len(points))
+    vectors = []
+    for v in _kernel(rows, len(points)):
+        den = lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = gcd(*ints)
+        vectors.append({pt: x // g for pt, x in zip(points, ints)})
+    return vectors
+
+
+@functools.cache
+def _rebuilt(label, sign):
+    """lambda_sign of the builtin curve, from the relations and the T_p of
+    HECKE, over the points of _points; the kernel must be one line.  Kept
+    for the whole test run: several tests compare against it."""
+    basis = _kernel_vectors(label, sign)
     assert len(basis) == 1, (label, sign, len(basis))
-    (v,) = basis
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = gcd(*ints)
-    return {pt: x // g for pt, x in zip(points, ints)}
+    return basis[0]
 
 
-def _module_ap(q):
-    window = theta_window(q, 1, modsym.HECKE_BOUND)
-    return {p: window[p - 1] for p in range(2, modsym.HECKE_BOUND) if p != q}
-
-
-@pytest.mark.parametrize("label, sign", [("49a", 1), ("49a", -1),
-                                         ("121b", 1), ("121b", -1)])
-def test_winding_vector_is_the_rebuilt_kernel(label, sign):
-    # the module's lambda is the rebuilt one, both with their first nonzero
-    # entry in the module's point order positive
+def _rebuilt_vector(label, sign, rebuilt=None):
+    """_rebuilt (or the given vector of _kernel_vectors) in the order of
+    modsym.p1_points, its first nonzero entry made positive: the tuple that
+    modsym.WINDING_VECTORS ships."""
     q = BUILTIN[label].q
-    rebuilt = _rebuilt(label, sign)
-    got = modsym.winding_vector(q, sign, _module_ap(q))
+    rebuilt = _rebuilt(label, sign) if rebuilt is None else rebuilt
     points = modsym.p1_points(q)
     assert len(points) == len(rebuilt) == q * (q + 1)
     assert sorted(_canonical(q, c, d) for c, d in points) == sorted(rebuilt)
     want = [rebuilt[_canonical(q, c, d)] for c, d in points]
     if next(x for x in want if x) < 0:
         want = [-x for x in want]
-    assert got == want
+    return tuple(want)
+
+
+def _a2(q):
+    return theta_window(q, 2, 3)[0]
+
+
+@pytest.mark.parametrize("label, sign", [("49a", 1), ("49a", -1),
+                                         ("121b", 1), ("121b", -1)])
+def test_winding_vector_is_the_rebuilt_kernel(label, sign):
+    # the kernel rebuilt over Q from the relations and every T_p of HECKE,
+    # a_p by point counts, passes the run-time check at its sign; at the
+    # sign of the curve's twists it is the shipped tuple, printed on a
+    # mismatch so that the data regenerates by one copy
+    q = BUILTIN[label].q
+    want = _rebuilt_vector(label, sign)
+    modsym.winding_rows(q, sign, want, _a2(q))
+    if sign == modsym.TWIST_SCALE[label][0]:
+        assert modsym.WINDING_VECTORS[label] == want, \
+            f"expected WINDING_VECTORS[{label!r}] = {want}"
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_shipped_winding_vectors_pass_the_check(label):
+    curve = BUILTIN[label]
+    sign, _ = modsym.TWIST_SCALE[label]
+    lam = modsym.WINDING_VECTORS[label]
+    rows = modsym.winding_rows(curve.q, sign, lam, _a2(curve.q))
+    assert rows == modsym._lookup_rows(curve.q, lam)
+
+
+def _refusal(label, lam):
+    """The message with which winding_rows refuses lam as the lambda of
+    the label, or None."""
+    q = BUILTIN[label].q
+    try:
+        modsym.winding_rows(q, modsym.TWIST_SCALE[label][0], lam, _a2(q))
+    except modsym.ModSymError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_winding_check_refuses_every_other_vector(label):
+    # one entry +1 at any point, the other sign's lambda, 2 lambda, -lambda,
+    # a point too few or too many, 0, and vectors that meet the 2-term and
+    # star relations only: each fails the check with ModSymError, at the
+    # condition it breaks first
+    lam = modsym.WINDING_VECTORS[label]
+    sign = modsym.TWIST_SCALE[label][0]
+    assert _refusal(label, lam) is None
+    for i in range(len(lam)):
+        bumped = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+        assert _refusal(label, bumped), i
+    assert "star" in _refusal(label, _rebuilt_vector(label, -sign))
+    assert "primitive" in _refusal(label, tuple(2 * x for x in lam))
+    assert "negative" in _refusal(label, tuple(-x for x in lam))
+    assert "entries" in _refusal(label, lam[:-1])
+    assert "entries" in _refusal(label, lam + (0,))
+    assert "primitive" in _refusal(label, (0,) * len(lam))
+    # with T_2, the 2-term and star relations already leave the line, so
+    # no vector breaks the 3-term relation alone; of the vectors that meet
+    # only the 2-term and star relations, some break it at a point before
+    # any T_2 failure, and some break T_2 first
+    wider = [_refusal(label, _rebuilt_vector(label, sign, v)) or ""
+             for v in _kernel_vectors(label, sign, three_term=False, primes=())]
+    assert len(wider) > 10
+    assert any("3-term" in m for m in wider) and any("T_2" in m for m in wider)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_mutated_vector_is_refused_under_python_o(tmp_path, flags):
+    # the check raises ModSymError, no assert, so python -O keeps it: a
+    # TwistSums over a mutated tuple raises, and table exits 2
+    script = tmp_path / "mutated.py"
+    script.write_text(
+        "import sys\n"
+        "from cmtwist import cli, modsym\n"
+        "from cmtwist.registry import BUILTIN\n"
+        "lam = modsym.WINDING_VECTORS['49a']\n"
+        "modsym.WINDING_VECTORS['49a'] = (lam[0] + 1,) + lam[1:]\n"
+        "try:\n"
+        "    modsym.TwistSums(BUILTIN['49a'])\n"
+        "except modsym.ModSymError as exc:\n"
+        "    print('refused:', exc)\n"
+        "sys.exit(cli.main(['table', '1', '100', '--curve', '49a']))\n",
+        encoding="utf-8")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run([sys.executable, *flags, str(script)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout.startswith("refused: lambda_+1 for q = 7 fails")
+    assert "lambda_+1 for q = 7 fails" in done.stderr
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -145,7 +249,7 @@ def test_twist_sums_use_the_rebuilt_lambda(label):
     curve = BUILTIN[label]
     q, n = curve.q, curve.q ** 2
     sign, _ = modsym.TWIST_SCALE[label]
-    lam = modsym.winding_vector(q, sign, _module_ap(q))
+    lam = _rebuilt_vector(label, sign)
     index = {_canonical(q, c, d): i for i, (c, d) in enumerate(modsym.p1_points(q))}
     rows = modsym.TwistSums(curve)._rows
     assert len(rows) == n and all(len(row) == n for row in rows)
@@ -162,7 +266,7 @@ def test_heilbronn_matrices_are_merels():
 
 def test_twist_scale_is_pinned():
     # S(D) = c L^alg: c = -4 for 49a (lambda_+) and 2 for 121b (lambda_-),
-    # under the normalization of winding_vector.  D = 1 reads
+    # under the normalization of WINDING_VECTORS.  D = 1 reads
     # lambda({oo, 0}) = -2 = -4 * L^alg(49a) = -4 * 1/2
     assert modsym.TWIST_SCALE == {"49a": (1, -4), "121b": (-1, 2)}
     sums = modsym.TwistSums(BUILTIN["49a"])
@@ -174,7 +278,7 @@ def _full_sum(sums, d):
     normalized by search: the sum without the pairing of a with |d| - a."""
     curve = sums.curve
     q, s = curve.q, sums.sign
-    lam = modsym.winding_vector(q, s, _module_ap(q))
+    lam = modsym.WINDING_VECTORS[curve.label]
     index = {_canonical(q, c, d): i for i, (c, d) in enumerate(modsym.p1_points(q))}
     m = abs(d)
     chi = [kronecker(d, a) if a else int(m == 1) for a in range(m)]
@@ -294,8 +398,9 @@ def test_kernel_is_the_walk_for_any_symbol_values(monkeypatch, label):
     # needs lambda_s to be a T_p eigenvector, so random values are no test
     # of it
     rng = random.Random(label)
-    monkeypatch.setattr(modsym, "winding_vector", lambda q, sign, ap: [
-        rng.randrange(-50, 51) for _ in range(q * (q + 1))])
+    monkeypatch.setattr(modsym, "winding_rows", lambda q, sign, lam, a2:
+                        modsym._lookup_rows(q, [rng.randrange(-50, 51)
+                                                for _ in range(q * (q + 1))]))
     sums = modsym.TwistSums(BUILTIN[label])
     assert sums._rows[0][1]
     for d in _discriminants(sums.curve, 1000):
@@ -397,7 +502,8 @@ def test_the_memo_is_keyed_by_the_signed_discriminant(label, d):
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_chain_table_is_the_euclid_chain_sum(label):
     # Phi(y, r) = sum_j s^j lambda(y_j : y_(j+1)) over the Euclid chain
-    # y_0 = y, y_1 = r, y_(j+2) = y_j mod y_(j+1), for every r < y < B
+    # y_0 = y, y_1 = r, y_(j+2) = y_j mod y_(j+1), for every r < y < B, at
+    # index r * B + y
     sums = modsym.TwistSums(BUILTIN[label])
     rows, s, bound = sums._rows, sums.sign, modsym.CHAIN_BOUND
     n = len(rows)
@@ -408,7 +514,41 @@ def test_chain_table_is_the_euclid_chain_sum(label):
             while r < y and b:
                 want += sk * rows[b % n][a % n]
                 a, b, sk = b, a % b, sk * s
-            assert sums._phi[y * bound + r] == want, (y, r)
+            assert sums._phi[r * bound + y] == want, (y, r)
+
+
+def _fundamental(label, lo, hi):
+    """The fundamental D of the sign of the label's twists, prime to q,
+    with lo <= |D| <= hi, in increasing |D|."""
+    q, s = BUILTIN[label].q, modsym.TWIST_SCALE[label][0]
+    out = []
+    for m in range(lo, hi + 1):
+        if m % 2 == 0 or m % q == 0 or any(e > 1 for _, e in factor_int(m)):
+            continue
+        d = m if m % 4 == 1 else -m
+        if (d > 0) == (s > 0):
+            out.append(d)
+    return out
+
+
+# sha256 of "D:S(D)" joined by spaces, taken before chain_table was built
+# by columns and lambda_s shipped as literals: every fundamental D of the
+# twists' sign prime to q with |D| <= 5000 (D = 1 included), then the 49a
+# D from 22877 to 22945 or the 121b ABOVE_THE_CAP_121B
+PINNED_SUMS = {
+    "49a": (895, "2e4a397ab03a0d53b2791e5554b83aa87f968438f31080e2061177ac4158d4ee"),
+    "121b": (939, "227dc1a741319e9033eace7a6b8b59c2e81f4ebdccf491fa4be7d4b140f41e75"),
+}
+
+
+@pytest.mark.parametrize("label", ["49a", "121b"])
+def test_twisted_sums_are_pinned(label):
+    extra = (_fundamental(label, 22877, 22945) if label == "49a"
+             else [-M for M in ABOVE_THE_CAP_121B])
+    ds = _fundamental(label, 1, 5000) + extra
+    sums = modsym.TwistSums(BUILTIN[label])
+    text = " ".join(f"{d}:{sums.twisted_sum(d)}" for d in ds)
+    assert (len(ds), hashlib.sha256(text.encode()).hexdigest()) == PINNED_SUMS[label]
 
 
 def _convergent_denominators(a, m):
@@ -514,9 +654,13 @@ def test_only_builtin_curves_have_symbols(e29_file):
         modsym.TwistSums(BUILTIN["49a"]).twisted_sum(-3)
 
 
-def test_inconsistent_eigenvalues_are_refused():
-    # a wrong a_2 leaves no line that T_2 fixes
-    ap = _module_ap(7)
-    ap[2] += 1
-    with pytest.raises(modsym.ModSymError, match="directions"):
-        modsym.winding_vector(7, 1, ap)
+def test_inconsistent_eigenvalues_are_refused(monkeypatch):
+    # a wrong a_2: the shipped lambda is no eigenvector of that T_2
+    for label in ("49a", "121b"):
+        q = BUILTIN[label].q
+        monkeypatch.setattr(modsym, "theta_window",
+                            lambda q, lo, hi: [x + 1 for x in theta_window(q, lo, hi)])
+        wrong = f"q = {q} fails T_2 = {_a2(q) + 1}"
+        with pytest.raises(modsym.ModSymError, match=wrong):
+            modsym.TwistSums(BUILTIN[label])
+        monkeypatch.undo()
