@@ -74,7 +74,7 @@ class TwistSpec:
     reasons: tuple[str, ...]         # empty iff admissible
 
 
-def twist_factor(curve: Curve, p: int, kind: str | None = None) -> TwistFactor:
+def twist_factor(curve: Curve, p: int) -> TwistFactor:
     """The facts of the prime p for every twist of the curve that p divides:
     its kind in K, whether it is a special split prime, and, for odd p
     prime to N, ord2 of the Tamagawa factor c_p of those twists and its rule.
@@ -90,15 +90,13 @@ def twist_factor(curve: Curve, p: int, kind: str | None = None) -> TwistFactor:
     the root count (a mismatch is a hard error, since the two routes must
     agree); outside its hypotheses the label is "division-poly-count".
 
-    One split_type, or the kind the caller read off split_kinds, and, for
-    an odd split p, one cornacchia_split: special-ness and the parity of
-    a_p (that of the trace of any generator above p) are both read off the
-    same prime element.  p must be a prime.
+    One split_type and, for an odd split p, one cornacchia_split: special-
+    ness and the parity of a_p (that of the trace of any generator above
+    p) are both read off the same prime element.  p must be a prime.
     """
     q = curve.q
-    if kind is None:
-        kind = split_type(q, p)
-    pi = cornacchia_split(q, p, kind) if kind == "split" and p > 2 else None
+    kind = split_type(q, p)
+    pi = cornacchia_split(q, p) if kind == "split" and p > 2 else None
     special = pi is not None and is_special_element(pi)
     if p == 2 or curve.conductor % p == 0:
         return TwistFactor(p, kind, special, None, None)
@@ -141,16 +139,13 @@ def admissible_class_mod4(curve: Curve) -> int:
 
 
 def classify_twist(curve: Curve, M: int,
-                   facts: dict[int, TwistFactor] | None = None,
-                   kinds: list[str] | None = None) -> TwistSpec:
+                   facts: dict[int, TwistFactor] | None = None) -> TwistSpec:
     """The TwistSpec of M: its factors with their facts, r(M), k(M), and
     whether M is admissible, with the reasons when it is not.
 
     facts maps primes to their twist_factor; the factors of M missing from
     it are derived and added, so a caller that classifies many M shares
-    one dict among them and derives each prime once.  kinds, when given,
-    is split_kinds(curve.q), and the split type of each new prime is read
-    off it."""
+    one dict among them and derives each prime once."""
     if not isinstance(M, int) or M < 1:
         raise BSDError("twisting integer must be a positive integer")
     if M > MAX_TWIST:
@@ -162,8 +157,7 @@ def classify_twist(curve: Curve, M: int,
     for p in primes:
         fac = facts.get(p)
         if fac is None:
-            kind = None if kinds is None else kinds[p % curve.q]
-            fac = facts[p] = twist_factor(curve, p, kind)
+            fac = facts[p] = twist_factor(curve, p)
         factors.append(fac)
     reasons = [f"split factor {f.p} is not special" for f in factors
                if f.kind == "split" and not f.special]

@@ -43,7 +43,6 @@ from .qfield import (
     normalize_mod4,
     primes_below,
     special_split_primes,
-    split_kinds,
     split_type,
     torsion_modulus,
 )
@@ -381,8 +380,7 @@ def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpe
     every survivor, the one arbiter of admissibility: a non-special split
     prime above that bound is caught there.
     The facts of each prime are derived once, in a dict of this call that
-    the sieve and every classify_twist share, and every split type is read
-    off one table of the residues mod q (split_kinds).
+    the sieve and every classify_twist share.
     """
     first, need = max(m_min, 2), bsd.admissible_class_mod4(curve)
     start = first + (need - first) % 4
@@ -399,25 +397,23 @@ def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpe
         alive[where] = bytes(len(range(*where.indices(size))))
 
     q, conductor = curve.q, curve.conductor
-    kinds = split_kinds(q)
     for p, _ in factor_int(conductor):
         strike(p)
     for p in primes_below(max(m_max - first + 1, isqrt(m_max)) + 1)[1:]:
         if p * p <= m_max:
             strike(p * p)
-        kind = kinds[p % q]
-        if conductor % p == 0 or kind != "split":
+        if conductor % p == 0 or split_type(q, p) != "split":
             continue            # struck with N already, or inert: never struck
         if p % 4 == 1:          # special or not: the facts of p tell
             if 1 not in alive[multiples(p)]:
                 continue
-            fac = facts[p] = bsd.twist_factor(curve, p, kind)
+            fac = facts[p] = bsd.twist_factor(curve, p)
             if fac.special:
                 continue
         strike(p)               # a split p = 3 mod 4 is never special
     specs = []
     for M in compress(range(start, m_max + 1, 4), alive):
-        spec = bsd.classify_twist(curve, M, facts, kinds)
+        spec = bsd.classify_twist(curve, M, facts)
         if spec.admissible:
             specs.append(spec)
     return specs

@@ -36,7 +36,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .qfield import (cornacchia_split, factor_int, hecke_chi, kronecker,
-                     primes_below, split_kinds, split_type)
+                     primes_below, split_type)
 from .registry import Curve, omega_lattice
 
 MAX_TABLE = 10 ** 6  # 32-bit storage is safe: |a_n| <= n at this scale
@@ -97,7 +97,7 @@ def character_ap(q: int, p: int) -> int:
     when p splits in Q(sqrt(-q)), 0 when p is inert."""
     if split_type(q, p) != "split":
         return 0
-    pi = cornacchia_split(q, p, "split")
+    pi = cornacchia_split(q, p)
     return hecke_chi(pi) * pi.trace()
 
 
@@ -147,9 +147,9 @@ class CurveContext:
     def check_character(self) -> None:
         """check_point_counts at the first good split primes, once per context."""
         if not self._checked:
-            q, kinds = self.curve.q, split_kinds(self.curve.q)
+            q = self.curve.q
             split = (p for p in good_odd_primes(self.curve)
-                     if kinds[p % q] == "split")
+                     if split_type(q, p) == "split")
             check_point_counts(self.curve, islice(split, CHECK_SPLIT_PRIMES))
             self._checked = True
 

@@ -28,7 +28,9 @@ coeffs.theta_window; the tuple must be primitive with its first nonzero
 entry positive.  A failure raises ModSymError.  That the conditions leave
 one line is a fact of the fixed data, not checked at run time: the tests
 rebuild each kernel over Q from the relations and every T_p, p < 14, with
-a_p from point counts, and find it one line equal to the tuple.
+a_p from point counts, and find it one line equal to the tuple; the kernel
+of the checked conditions alone, with or without the 3-term relation, is
+that same line at both signs.
 
 Birch's formula gives, for a fundamental discriminant D prime to N with
 sign s, the twisted sum

@@ -182,20 +182,15 @@ def hecke_chi(beta: QuadInt) -> int:
 
 
 def split_type(q: int, p: int) -> str:
-    """'split', 'inert' or 'ramified' for the rational prime p in Q(sqrt(-q))."""
-    return split_kinds(q)[p % q]
+    """'split', 'inert' or 'ramified' for the rational prime p in Q(sqrt(-q)).
 
-
-def split_kinds(q: int) -> list[str]:
-    """kinds[p % q] = split_type(q, p) for every rational prime p, from the
-    squares mod q.  p splits iff (-q/p) = 1, and as q = 3 mod 4, (-q/p) =
-    (p/q) for odd p != q by quadratic reciprocity, and (-q/2) = (2/q)."""
+    p splits iff (-q/p) = 1, and as q = 3 mod 4, (-q/p) = (p/q) for odd
+    p != q by quadratic reciprocity, and (-q/2) = (2/q); Euler's criterion
+    decides (p/q) with one pow."""
     _check_q(q)
-    kinds = ["inert"] * q
-    kinds[0] = "ramified"
-    for x in range(1, q // 2 + 1):
-        kinds[x * x % q] = "split"
-    return kinds
+    if p % q == 0:
+        return "ramified"
+    return "split" if pow(p, (q - 1) // 2, q) == 1 else "inert"
 
 
 def sqrt_mod(n: int, p: int) -> int:
@@ -281,15 +276,14 @@ def cubic_root_count(a: int, b: int, c: int, d: int, p: int) -> int:
     return 3 if (r0, r1, r2) == (0, 1, 0) else 0
 
 
-def cornacchia_split(q: int, p: int, kind: str | None = None) -> QuadInt:
+def cornacchia_split(q: int, p: int) -> QuadInt:
     """A prime element of norm p, for p split in Q(sqrt(-q)).
 
     Solves x^2 + q*y^2 = 4p by Euclidean descent on a square root of -q
     (integer arithmetic only) and returns pi = (x + y*sqrt(-q))/2, defined
-    up to sign and conjugation.  kind is split_type(q, p) when the caller
-    has it already.
+    up to sign and conjugation.
     """
-    if (split_type(q, p) if kind is None else kind) != "split":
+    if split_type(q, p) != "split":
         raise QFieldError(f"{p} is not split in Q(sqrt(-{q}))")
     if p == 2:  # only q = 7; norm equation 4*2 = 1 + 7
         pi = QuadInt(q, 0, 1)

@@ -14,7 +14,7 @@ from collections import Counter
 import mpmath as mp
 import pytest
 
-from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym, qfield
+from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import QuadInt, is_prime, split_type
@@ -477,8 +477,8 @@ def test_bad_a1_is_refused_before_any_fork(monkeypatch, e29_file):
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_builtin_table_sums_no_series(capsys, monkeypatch, theta_windows, label):
     # the rows come from the modular symbols: the only theta_window call
-    # reads the a_2 their lambda is checked with, no view of E0's a_n is built and
-    # no central value is summed; the point counts are still checked
+    # reads the a_2 their lambda is checked with, no view of E0's a_n is
+    # built and no central value is summed; the point counts are still checked
     build = modsym.theta_window
     monkeypatch.setattr(modsym, "theta_window", lambda q, lo, hi:
                         theta_windows.append((lo, hi)) or build(q, lo, hi))
@@ -531,9 +531,8 @@ def test_table_classifies_each_twist_once(capsys, monkeypatch, label):
         except bsd.BSDError:
             continue            # a square factor
     seen = []
-    monkeypatch.setattr(bsd, "classify_twist",
-                        lambda curve, M, facts=None, kinds=None:
-                        seen.append(M) or classify(curve, M, facts, kinds))
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M, facts=None:
+                        seen.append(M) or classify(curve, M, facts))
     code, _, _ = run(capsys, "table", "1", "1000", "--curve", label)
     assert code == 0
     assert seen == admissible
@@ -669,9 +668,8 @@ def test_table_candidates_are_the_unfiltered_classification(monkeypatch, label,
     assert plain(ms[gap] + 1, ms[gap + 1] - 1) == []
     classify = bsd.classify_twist
     seen = []
-    monkeypatch.setattr(bsd, "classify_twist",
-                        lambda curve, M, facts=None, kinds=None:
-                        seen.append(M) or classify(curve, M, facts, kinds))
+    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M, facts=None:
+                        seen.append(M) or classify(curve, M, facts))
     for m_min, m_max in ranges:
         seen.clear()
         got = cli._admissible_specs(curve, m_min, m_max)
@@ -697,21 +695,6 @@ def test_table_analyses_each_prime_once(capsys, monkeypatch, label):
         assert seen and max(seen.values()) == 1, name
     specs = cli._admissible_specs(BUILTIN[label], 1, 1000)
     assert {f.p for spec in specs for f in spec.factors} <= set(calls["cubic_root_count"])
-
-
-@pytest.mark.parametrize("label", ["49a", "121b"])
-def test_table_sieve_reads_split_types_off_one_table(monkeypatch, label):
-    # _admissible_specs reads each prime's split type off split_kinds, and
-    # hands it to twist_factor and cornacchia_split: no split_type call,
-    # and the same specs as with split_type
-    curve = BUILTIN[label]
-    want = cli._admissible_specs(curve, 1, 3000)
-    calls = []
-    for module in (cli, bsd, qfield):
-        monkeypatch.setattr(module, "split_type", lambda q, p, fn=split_type:
-                            calls.append(p) or fn(q, p))
-    assert cli._admissible_specs(curve, 1, 3000) == want
-    assert calls == []
 
 
 # sha256 of the standard output of `table 1 3000 --format csv`, taken before

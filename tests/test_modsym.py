@@ -168,6 +168,18 @@ def test_winding_vector_is_the_rebuilt_kernel(label, sign):
             f"expected WINDING_VECTORS[{label!r}] = {want}"
 
 
+@pytest.mark.parametrize("three_term", [True, False], ids=["3-term", "no-3-term"])
+@pytest.mark.parametrize("label, sign", [("49a", 1), ("49a", -1),
+                                         ("121b", 1), ("121b", -1)])
+def test_checked_conditions_leave_one_line(label, sign, three_term):
+    # the run-time check refuses every wrong vector only if the kernel of
+    # its conditions alone (2-term, star, 3-term and T_2) is one line: it
+    # is, the line of _rebuilt, and it stays one without the 3-term rows
+    basis = _kernel_vectors(label, sign, three_term=three_term, primes=(2,))
+    assert len(basis) == 1, (label, sign, three_term, len(basis))
+    assert _rebuilt_vector(label, sign, basis[0]) == _rebuilt_vector(label, sign)
+
+
 @pytest.mark.parametrize("label", ["49a", "121b"])
 def test_shipped_winding_vectors_pass_the_check(label):
     curve = BUILTIN[label]

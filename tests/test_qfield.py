@@ -29,7 +29,6 @@ from cmtwist.qfield import (
     qr_symbol,
     residue_size,
     special_split_primes,
-    split_kinds,
     split_type,
     sqrt_minus_q,
     sqrt_mod,
@@ -92,15 +91,13 @@ def test_split_type_examples():
     assert split_type(7, 2) == "split"
 
 
-def test_split_kinds_follow_the_kronecker_symbol():
-    # the table of residues mod q gives the split type of every prime, 2
-    # and q included: p splits iff (-q/p) = 1, ramifies iff p = q
+def test_split_type_follows_the_kronecker_symbol():
+    # Euler's criterion mod q gives the split type of every prime, 2 and q
+    # included: p splits iff (-q/p) = 1, ramifies iff p = q
     for q in ALLOWED_Q:
-        kinds = split_kinds(q)
-        assert len(kinds) == q
         for p in primes_below(5000):
             want = {1: "split", -1: "inert", 0: "ramified"}[kronecker(-q, p)]
-            assert kinds[p % q] == split_type(q, p) == want, (q, p)
+            assert split_type(q, p) == want, (q, p)
 
 
 def test_two_splits_only_for_q_7_mod_8():
