@@ -19,7 +19,6 @@ the Sha prediction only sum integers read off the spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -63,8 +62,7 @@ class TwistFactor(NamedTuple):
     rule: str | None   # the rule that labels ord2, None with it
 
 
-@dataclass(frozen=True)
-class TwistSpec:
+class TwistSpec(NamedTuple):
     M: int
     epsilon: int                     # +1 for M = 1 mod 4, -1 for 3 mod 4
     factors: tuple[TwistFactor, ...]
@@ -191,8 +189,7 @@ def _admissible_spec(curve: Curve, M: int) -> TwistSpec:
 # ------------------------------------------------------ Tamagawa factors
 
 
-@dataclass(frozen=True)
-class TamagawaReport:
+class TamagawaReport(NamedTuple):
     entries: tuple[TwistFactor, ...]     # the factors of M, with ord2 and rule
     product_ord2: int
 
@@ -225,8 +222,7 @@ def tamagawa_report(spec: TwistSpec) -> TamagawaReport:
 # ------------------------------------------------------------- reports
 
 
-@dataclass(frozen=True)
-class BSDReport:
+class BSDReport(NamedTuple):
     spec: TwistSpec
     lvalue: LValueResult
     tamagawa: TamagawaReport

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, cycle, repeat
 from operator import floordiv, mul, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import mpmath as mp
 
@@ -68,8 +66,7 @@ def series_terms(curve: Curve, d: int, target_digits: int) -> int:
     return n_max
 
 
-@dataclass(frozen=True)
-class LValueResult:
+class LValueResult(NamedTuple):
     label: str
     twist_disc: int
     root_number: int
@@ -79,7 +76,7 @@ class LValueResult:
     lalg: Fraction | None
     lalg_residual: float
 
-    @cached_property
+    @property
     def ord2(self) -> int | None:
         """ord2 of lalg; None when lalg is None or 0."""
         return ord2_fraction(self.lalg) if self.lalg else None
@@ -209,7 +206,10 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValue
     under which the algebraic part is a 2-integral-denominator rational.
     When the residual exceeds 1e-6 * max(1, |candidate|) no rational is
     claimed (lalg = None) and the raw ratio stays available through
-    analytic_value and lalg_residual.
+    analytic_value and lalg_residual.  Neither is claimed when the ratio
+    overflows a float (residual inf), nor an exact 0 unless |L| lies within
+    the series' proven error bound: a true zero always does, and a ratio
+    that only rounds to 0 (an omega far too large) does not.
     """
     curve = ctx.curve
     eps = twist_root_number(curve, d)
@@ -220,8 +220,12 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValue
     with mp.workdps(max(target_digits, 15) + 10):
         omega = ctx.omega(max(target_digits, 15))
         ratio = abs(mp.mpf(value)) * mp.sqrt(abs(d) if d else 1) / omega
-        fr, residual = recognize_rational(ratio)
-    if residual >= 1e-6 * max(1.0, abs(float(fr))):
+        try:
+            fr, residual = recognize_rational(ratio)
+        except OverflowError:               # |ratio| beyond any float
+            fr, residual = None, math.inf
+    if (fr is None or residual >= 1e-6 * max(1.0, abs(float(fr)))
+            or (fr == 0 and abs(value) > tail)):
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             None, residual)
     if fr == 0:

@@ -5,23 +5,21 @@ Supported fields have q in {7, 11, 19, 43, 67, 163}: class number one, q = 3
 tau^2 = tau - m, m = (q+1)/4.  Everything here is exact: QuadInt arithmetic
 in K (integral or with Fraction coordinates), prime splitting, unit
 normalization mod 4, the Kronecker symbol, the character chi of conductor
-sqrt(-q) (hecke_chi), quadratic residue symbols in residue fields, ideal
-factorization, the symbols chi_M((beta)) of K(sqrt(M))/K for M = 1 mod 4,
-read modulo M by the product formula (chi_m_symbol_table), residue rings
-modulo an odd element (used to enumerate torsion points exactly), root
-counts of cubics over F_p (cubic_root_count), the prime sieve behind the
-walks over primes (primes_below) and 2-adic valuations of rationals.  A
-prime P of O_K is its residue map (p, t0), t0 the image of tau in
-O_K/P = F_p (None when P = (p) is inert); Cornacchia's norm equation is
-solved only where a generator's coordinates are read.
+sqrt(-q) (hecke_chi), root counts of cubics over F_p (cubic_root_count),
+the prime sieve behind the walks over primes (primes_below), integer
+factorization and 2-adic valuations of rationals.  Cornacchia's norm
+equation is solved only where a generator's coordinates are read.  The
+ideal arithmetic that only the torsion sums use (prime ideals, residue
+symbols, residue rings) lives in eisenstein, so that a table or a twist
+report never compiles it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
+from typing import NamedTuple
 
 ALLOWED_Q = (7, 11, 19, 43, 67, 163)
 
@@ -35,12 +33,13 @@ def _check_q(q: int) -> None:
         raise QFieldError(f"field not supported: q={q}")
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
     """a + b*tau, an element of K = Q(sqrt(-q)).
 
     It lies in the ring of integers O_K = Z[tau] when a and b are ints;
-    Fraction coordinates give the other elements of K.
+    Fraction coordinates give the other elements of K.  A tuple underneath,
+    but no sequence in arithmetic: + and * take QuadInts only, and n * x
+    and tuple + x raise instead of repeating or concatenating the tuple.
     """
 
     q: int
@@ -59,6 +58,10 @@ class QuadInt:
         self._same_field(other)
         return QuadInt(self.q, self.a + other.a, self.b + other.b)
 
+    def __radd__(self, other):
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"'{type(other).__name__}' and 'QuadInt'")
+
     def __sub__(self, other: "QuadInt") -> "QuadInt":
         self._same_field(other)
         return QuadInt(self.q, self.a - other.a, self.b - other.b)
@@ -71,6 +74,10 @@ class QuadInt:
         self._same_field(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         return QuadInt(self.q, a1 * a2 - self.m * b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+    def __rmul__(self, other):
+        raise TypeError(f"unsupported operand type(s) for *: "
+                        f"'{type(other).__name__}' and 'QuadInt'")
 
     def __truediv__(self, other: "QuadInt") -> "QuadInt":
         """self / other in K, with Fraction coordinates: other^-1 = conj/norm."""
@@ -117,23 +124,6 @@ def sqrt_minus_q(q: int) -> QuadInt:
     """sqrt(-q) = 2*tau - 1."""
     _check_q(q)
     return QuadInt(q, -1, 2)
-
-
-def torsion_modulus(q: int, pis) -> QuadInt:
-    """g = sqrt(-q) * prod(pi_i), the modulus of the torsion sums twisted
-    by the elements pi_i."""
-    g = sqrt_minus_q(q)
-    for pi in pis:
-        g = g * pi
-    return g
-
-
-def as_quadint(q: int, x) -> QuadInt:
-    if isinstance(x, QuadInt):
-        if x.q != q:
-            raise QFieldError(f"{x} is not in Q(sqrt(-{q}))")
-        return x
-    return QuadInt(q, int(x), 0)
 
 
 # ---------------------------------------------------------------- splitting
@@ -415,234 +405,6 @@ def factor_int(n: int) -> list[tuple[int, int]]:
     return out
 
 
-# ------------------------------------------------------------- prime ideals
-
-def primes_above(q: int, p: int) -> list[tuple[int, int | None]]:
-    """The primes P above p, ascending, as residue maps (p, t0): t0 is a root
-    of t^2 - t + m mod p and a + b*tau lies in P iff a + b*t0 = 0 mod p;
-    t0 is None for the inert P = (p)."""
-    kind = split_type(q, p)
-    if kind == "inert":
-        return [(p, None)]
-    if kind == "ramified":  # the double root 1/2 mod q
-        return [(p, (q + 1) // 2)]
-    if p == 2:  # only q = 7: t^2 - t = 0 mod 2
-        return [(2, 0), (2, 1)]
-    s = sqrt_mod(-q, p)  # t0 = (1 +- s)/2, and (p + 1)/2 = 1/2 mod p
-    return sorted((p, (1 + r) * (p + 1) // 2 % p) for r in (s, -s))
-
-
-def residue_size(P: tuple[int, int | None]) -> int:
-    """|O_K/P|: p^2 for the inert P = (p), else p."""
-    p, t0 = P
-    return p * p if t0 is None else p
-
-
-def qr_symbol(alpha: QuadInt, P: tuple[int, int | None]) -> int:
-    """Quadratic residue symbol of alpha modulo P = (p, t0), +1 or -1.
-
-    P must be an odd unramified prime not dividing (alpha).  At a split P
-    it is the Legendre symbol of the image a + b*t0 of alpha in F_p; at an
-    inert P = (p), where Frobenius is conjugation, alpha^((p^2-1)/2) =
-    N(alpha)^((p-1)/2), the Legendre symbol of the norm.
-    """
-    p, t0 = P
-    if p == 2:
-        raise QFieldError("symbol undefined at primes above 2")
-    if p == alpha.q:
-        raise QFieldError("symbol undefined at the ramified prime")
-    # p is prime in O_K when inert, so it divides N(alpha) iff alpha in (p)
-    r = alpha.norm() if t0 is None else alpha.a + alpha.b * t0
-    if r % p == 0:
-        raise QFieldError(f"symbol undefined: {alpha} lies in a prime above {p}")
-    return kronecker(r, p)
-
-
-def factor_ideal(beta: QuadInt) -> list[tuple[tuple[int, int | None], int]]:
-    """[((p, t0), e)], ascending: the primes of (beta) as residue maps
-    (primes_above), read from the factorization of N(beta).
-
-    With p^e exactly dividing N(beta): an inert (p) has exponent e/2 and
-    the ramified prime e.  For split p, beta = p^c * beta' with p dividing
-    not both coordinates of beta', so beta' lies in at most one of the two
-    primes above p, with exponent e - 2c, and their residue maps tell
-    which; integers only.
-    """
-    if beta.a == 0 and beta.b == 0:
-        raise QFieldError("cannot factor the zero ideal")
-    out = []
-    for p, e in factor_int(beta.norm()):
-        primes = primes_above(beta.q, p)
-        if len(primes) == 1:
-            out.append((primes[0], e // 2 if primes[0][1] is None else e))
-            continue
-        a, b, c = beta.a, beta.b, 0
-        while a % p == 0 and b % p == 0:
-            a, b, c = a // p, b // p, c + 1
-        inside = [(a + b * t0) % p == 0 for _, t0 in primes]
-        if sum(inside) != (e > 2 * c):
-            raise QFieldError(
-                f"{beta}: {p}^{e - 2 * c} of its norm is not in one prime above {p}")
-        for P, hit in zip(primes, inside):
-            if c + (e - 2 * c) * hit:
-                out.append((P, c + (e - 2 * c) * hit))
-    return out
-
-
-def chi_m_symbol_table(ms: list, betas: list[QuadInt]) -> list[list[int]]:
-    """[[chi_M((beta)) for beta in betas] for M in ms], M = 1 mod 4.
-
-    chi_M is the Artin symbol of K(sqrt(M))/K, the multiplicative extension
-    of qr_symbol(M, .) over the primes of (beta).  For M = 1 mod 4,
-    K_v(sqrt(M))/K_v is unramified at every v above 2, where an odd beta is
-    a unit, so the Hilbert symbol (M, beta)_v is 1 there; the product
-    formula then turns chi_M((beta)) into prod (beta/P) over the primes P
-    dividing M to an odd power.  So each M is factored once and no beta.
-    beta must be odd and prime to M.  Entries are visited row by row,
-    which fixes the first error raised.
-    """
-    table = []
-    for M in ms:
-        primes = None
-        row = []
-        for beta in betas:
-            if primes is None:
-                M = as_quadint(beta.q, M)
-                if M.a % 4 != 1 or M.b % 4 != 0:
-                    raise QFieldError(f"chi_M needs M = 1 mod 4, got {M}")
-                primes = [P for P, e in factor_ideal(M) if e % 2]
-            if not beta.is_odd():
-                raise QFieldError(f"chi_M needs an odd argument, got {beta}")
-            s = 1
-            for P in primes:
-                s *= qr_symbol(beta, P)
-            row.append(s)
-        table.append(row)
-    return table
-
-
-# ------------------------------------------------------------ residue rings
-
-class ResidueRing:
-    """O_K modulo an odd nonzero g, with exact coset enumeration.
-
-    The ideal (g) is a rank-2 sublattice of Z + Z*tau; a Hermite basis
-    (d1, 0), (r0, d2) gives canonical representatives 0 <= a < d1,
-    0 <= b < d2.  d1 is the smallest positive rational integer in (g),
-    which is the exact additive order of the torsion point 1/g mod O_K.
-    prime_factors holds the primes of (g) as the residue maps (p, t0) of
-    factor_ideal, which decide coprimality without a generator.
-    """
-
-    def __init__(self, g: QuadInt):
-        if g.norm() == 0:
-            raise QFieldError("modulus must be nonzero")
-        if g.norm() % 2 == 0:
-            raise QFieldError("modulus must be odd")
-        if g.is_unit():
-            raise QFieldError("modulus must not be a unit")
-        self.g = g
-        self.q = g.q
-        n = abs(g.norm())
-        # lattice rows: g = (a, b) and tau*g = (-m*b, a+b)
-        a, b = g.a, g.b
-        m = g.m
-        e = gcd(b, a + b)
-        if e == 0:
-            # g rational: lattice a*Z + a*tau*Z
-            d1, d2, r0 = abs(a), abs(a), 0
-        else:
-            # unimodular combination with second coordinate e
-            u, v = _bezout(b, a + b)
-            r0 = u * a + v * (-m * b)
-            d1 = n // e
-            d2 = e
-            r0 %= d1
-        self.d1, self.d2, self.r0 = d1, d2, r0
-        if d1 * d2 != n:
-            raise QFieldError(f"Hermite basis of ({g}) has index {d1 * d2}, not {n}")
-        self.prime_factors = [P for P, _ in factor_ideal(g)]
-
-    @property
-    def smallest_positive_integer(self) -> int:
-        return self.d1
-
-    def reduce(self, x: QuadInt) -> QuadInt:
-        """Canonical representative of x mod (g) in the Hermite box."""
-        k = x.b // self.d2
-        b = x.b - k * self.d2
-        a = (x.a - k * self.r0) % self.d1
-        return QuadInt(self.q, a, b)
-
-    def _coprime(self, a: int, b: int) -> bool:
-        """a + b*tau lies in no prime factor (p, t0) of g: a + b*t0 != 0
-        mod p when P is split or ramified, p does not divide both a and b
-        when P = (p) is inert."""
-        for p, t0 in self.prime_factors:
-            if t0 is None:
-                if a % p == 0 and b % p == 0:
-                    return False
-            elif (a + b * t0) % p == 0:
-                return False
-        return True
-
-    def unit_count(self) -> int:
-        n = abs(self.g.norm())
-        for P in self.prime_factors:
-            n = n // residue_size(P) * (residue_size(P) - 1)
-        return n
-
-    def coprime_residues_mod_units(self) -> list[QuadInt]:
-        """Odd representatives of (O_K/g)* / {+-1}, deterministic order.
-
-        Each class is represented by an element of odd norm (needed by
-        chi_M symbols); oddness is arranged by adding 0, g, tau*g or
-        (1 + tau)*g, which stays in the residue class.  The Hermite box is
-        walked in (a, b) order, and each class marks its negative, reduced
-        into the box, as seen.
-        """
-        d1, d2, r0 = self.d1, self.d2, self.r0
-        m = self.g.m
-        ga, gb = self.g.a, self.g.b
-        shifts = ((0, 0), (ga, gb), (-m * gb, ga + gb), (ga - m * gb, ga + 2 * gb))
-        seen = bytearray(d1 * d2)
-        reps: list[QuadInt] = []
-        for a in range(d1):
-            for b in range(d2):
-                if seen[a * d2 + b] or not self._coprime(a, b):
-                    continue
-                # -(a + b*tau) reduced into the box, as reduce() does
-                nb = -b % d2
-                na = (-a + (b > 0) * r0) % d1
-                seen[a * d2 + b] = seen[na * d2 + nb] = 1
-                for sa, sb in shifts:
-                    x, y = a + sa, b + sb
-                    if (x * x + x * y + m * y * y) % 2:
-                        reps.append(QuadInt(self.q, x, y))
-                        break
-                else:
-                    raise QFieldError("no odd representative found")
-        if len(reps) * 2 != self.unit_count():
-            # degenerate case -1 = 1 mod g cannot occur for odd non-unit g
-            raise QFieldError("unit pairing failed")
-        return reps
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with u*x + v*y = gcd(x, y)."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_u, u = u, old_u - qt * u
-        old_v, v = v, old_v - qt * v
-    if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
-
-
 # -------------------------------------------------------- 2-adic valuations
 
 def ord2_int(n: int) -> int:
@@ -656,3 +418,13 @@ def ord2_fraction(x) -> int:
     if type(x) is not Fraction:
         x = Fraction(x)
     return ord2_int(x.numerator) - ord2_int(x.denominator)
+
+
+def __getattr__(name: str):
+    """qfield.ResidueRing, looked up by callers outside the package from
+    before the class moved to eisenstein, which is imported on that first
+    lookup only."""
+    if name == "ResidueRing":
+        from .eisenstein import ResidueRing
+        return ResidueRing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,8 +11,9 @@ the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -23,8 +24,7 @@ class RegistryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     label: str
     a1: int
     a2: int
@@ -161,6 +161,11 @@ def phi_of(curve: Curve) -> int:
     return max(curve.alpha, -ord2_fraction(curve.lalg_base))
 
 
+# the decimal |Omega| of a user curve: digits with at most one point, then
+# an optional exponent
+_DECIMAL = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+
+
 def validate_user_curve(
     label: str,
     a_invariants: tuple[int, int, int, int, int],
@@ -173,7 +178,7 @@ def validate_user_curve(
 
     Checks: integral nonsingular model, odd discriminant (good reduction
     at 2), q in the allow-list, q^2 dividing the conductor (q | disc, before
-    any factoring).  The conductor is derived from the bad primes of the
+    any factoring), and an omega that is a finite positive decimal.  The conductor is derived from the bad primes of the
     (assumed minimal) model, each entering squared; factor_int refuses, in
     bounded time, a disc it cannot factor.  CM by O_K itself is assumed, not
     verified here; the point-count check of coeffs.CurveContext raises on a
@@ -207,7 +212,9 @@ def validate_user_curve(
             d0 *= p if p % 4 == 1 else -p
     if omega is None:
         raise RegistryError("user curves require an omega override")
-    return replace(curve, conductor=n, base_twist=d0)
+    if not re.fullmatch(_DECIMAL, omega) or not mp.mpf(omega) > 0:
+        raise RegistryError(f"omega must be a finite positive decimal, got {omega!r}")
+    return curve._replace(conductor=n, base_twist=d0)
 
 
 def parse_curve_file(path: str) -> list[Curve]:
@@ -217,9 +224,11 @@ def parse_curve_file(path: str) -> list[Curve]:
 
         label a1 a2 a3 a4 a6 q w_E [omega]
 
-    Fields are whitespace- or comma-separated; omega is a positive decimal
-    |Omega| and is required unless the label is a built-in.  A file that
-    cannot be opened or read raises RegistryError.
+    Fields are whitespace- or comma-separated; omega is a finite positive
+    decimal |Omega| and is required unless the label is a built-in.  A file
+    that cannot be opened or read, or a record that fails validation
+    (validate_user_curve), raises RegistryError, the latter naming its
+    path:line.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -249,9 +258,12 @@ def parse_curve_file(path: str) -> list[Curve]:
                 raise RegistryError(f"{path}:{lineno}: data disagrees with built-in {label}")
             curves.append(ref)
             continue
-        curves.append(validate_user_curve(
-            label, (nums[0], nums[1], nums[2], nums[3], nums[4]),
-            q=nums[5], w=nums[6], omega=omega))
+        try:
+            curves.append(validate_user_curve(
+                label, (nums[0], nums[1], nums[2], nums[3], nums[4]),
+                q=nums[5], w=nums[6], omega=omega))
+        except RegistryError as exc:
+            raise RegistryError(f"{path}:{lineno}: {exc}") from None
     return curves
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 import mpmath as mp
 import pytest
 
-from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym
+from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym, verify
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import QuadInt, is_prime, split_type
@@ -910,8 +910,8 @@ def test_scenarios_are_documented():
                if isinstance(a, argparse._SubParsersAction))
     helped = next(a.help for a in sub._choices_actions if a.dest == "verify")
     helped = set(re.findall(r"[a-z0-9-]+", helped))
-    assert set(cli.SCENARIOS) <= listed
-    assert set(cli.SCENARIOS) <= helped
+    assert set(verify.SCENARIOS) <= listed
+    assert set(verify.SCENARIOS) <= helped
 
 
 PARSER_CASES = [[command, "--help"] for command in cli.COMMANDS] + [
@@ -991,14 +991,14 @@ def test_verify_refuses_a_torsion_modulus_past_the_bound(capsys, scenario, norm)
     assert code == 2 and out == ""
     name = scenario.partition(":")[0]
     assert (f"error: {name}: the modulus has norm N(g) = {norm}, above the "
-            f"bound {cli.MAX_TORSION_NORM}") in err
+            f"bound {verify.MAX_TORSION_NORM}") in err
 
 
 def test_verify_accepts_the_largest_modulus_in_use():
     # N(g) = 7 * 9 * 25 * 29 = 45,675 stays under the bound
-    (run_check, (entries, pis)), = cli.parse_scenarios(
+    (run_check, (entries, pis)), = verify.parse_scenarios(
         resolve_curve("49a"), ["averaging:-3,5,29"])
-    assert run_check is cli._averaging and entries == ["-3", "5", "29"]
+    assert run_check is verify._averaging and entries == ["-3", "5", "29"]
     assert 7 * math.prod(pi.norm() for pi in pis) == 45675
 
 
@@ -1013,9 +1013,9 @@ def test_e1_ladder_past_the_step_bound_is_refused_at_parse_time(
     # refused from the residue ring alone, before any scenario runs
     monkeypatch.setattr(eisenstein, "ladder_discrepancy", _refuse("the ladder"))
     why = (f"e1-ladder: the ladder takes {steps} wp steps ({reps} representatives "
-           f"of order {order}), above the bound {cli.MAX_LADDER_STEPS}")
+           f"of order {order}), above the bound {verify.MAX_LADDER_STEPS}")
     with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
-        cli.parse_scenarios(resolve_curve(label), [f"e1-ladder:{arg}"])
+        verify.parse_scenarios(resolve_curve(label), [f"e1-ladder:{arg}"])
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "lemma-div:2", f"e1-ladder:{arg}",
                          "--curve", label)
@@ -1026,9 +1026,9 @@ def test_e1_ladder_past_the_step_bound_is_refused_at_parse_time(
 @pytest.mark.parametrize("arg", ["17", "113"])
 def test_e1_ladder_under_the_step_bound_is_accepted(arg):
     # 101,952 and 265,440 steps: the largest ladders the tests know to finish
-    (run_check, (entries, _)), = cli.parse_scenarios(resolve_curve("49a"),
+    (run_check, (entries, _)), = verify.parse_scenarios(resolve_curve("49a"),
                                                     [f"e1-ladder:{arg}"])
-    assert run_check is cli._e1_ladder and entries == [arg]
+    assert run_check is verify._e1_ladder and entries == [arg]
 
 
 @pytest.mark.parametrize("scenario, why", [
@@ -1041,10 +1041,10 @@ def test_e1_ladder_under_the_step_bound_is_accepted(arg):
 def test_verify_refuses_a_torsion_list_before_any_scenario_runs(
         capsys, monkeypatch, scenario, why):
     with pytest.raises(ValueError, match=re.escape(why)):
-        cli.parse_scenarios(resolve_curve("49a"), [scenario])
+        verify.parse_scenarios(resolve_curve("49a"), [scenario])
     calls = []
-    parse, _ = cli.SCENARIOS["tamagawa-cross"]
-    monkeypatch.setitem(cli.SCENARIOS, "tamagawa-cross",
+    parse, _ = verify.SCENARIOS["tamagawa-cross"]
+    monkeypatch.setitem(verify.SCENARIOS, "tamagawa-cross",
                         (parse, lambda *args: calls.append(args)))
     code, out, err = run(capsys, "verify", "tamagawa-cross:10000", scenario,
                          "--curve", "49a")

@@ -15,19 +15,21 @@ from cmtwist import eisenstein
 from cmtwist.eisenstein import (
     LEMMA_DIV_MAX_N,
     EisensteinError,
+    ResidueRing,
     averaging_check,
+    chi_m_symbol_table,
     e1star_values,
     ladder_discrepancy,
     lemma_div_bruteforce,
     make_context,
     phase_split,
+    primes_above,
     prop2_sum,
+    torsion_modulus,
     twisted_sum,
 )
-from cmtwist.qfield import (QFieldError, QuadInt, ResidueRing, chi_m_symbol_table,
-                            cornacchia_split, from_int, hecke_chi, normalize_mod4,
-                            primes_above, sqrt_minus_q,
-                            torsion_modulus)
+from cmtwist.qfield import (QFieldError, QuadInt, cornacchia_split, from_int,
+                            hecke_chi, normalize_mod4, sqrt_minus_q)
 from cmtwist.registry import builtin_curve
 from test_qfield import conductor_moduli, min_ord2_roots
 

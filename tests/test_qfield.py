@@ -6,16 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmtwist.eisenstein import (
+    ResidueRing,
+    as_quadint,
+    chi_m_symbol_table,
+    factor_ideal,
+    primes_above,
+    qr_symbol,
+    residue_size,
+)
 from cmtwist.qfield import (
     ALLOWED_Q,
     QFieldError,
     QuadInt,
-    ResidueRing,
-    as_quadint,
-    chi_m_symbol_table,
     cornacchia_split,
     cubic_root_count,
-    factor_ideal,
     factor_int,
     from_int,
     is_prime,
@@ -24,10 +29,7 @@ from cmtwist.qfield import (
     normalize_mod4,
     ord2_fraction,
     ord2_int,
-    primes_above,
     primes_below,
-    qr_symbol,
-    residue_size,
     special_split_primes,
     split_type,
     sqrt_minus_q,
