@@ -1,5 +1,6 @@
 """Command-line front end: twist tables, single-twist reports, identity
-verification, and special-prime listings.
+verification, and special-prime listings.  This module parses the command
+line and prints; census computes the table's rows and verify the scenarios.
 
 Commands
     table [m_min] [m_max]   BSD-style rows for admissible twists in range
@@ -21,32 +22,19 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
-from functools import partial
-from itertools import compress
-from math import isqrt
 from typing import NamedTuple
 
-from . import bsd
+from . import bsd, census
 from .bsd import BSDReport
 from .coeffs import CurveContext
-from .lseries import LSeriesError, algebraic_part, series_terms
-from .qfield import ALLOWED_Q, factor_int, primes_below, special_split_primes, split_type
-from .registry import Curve, RegistryError, resolve_curve
+from .lseries import algebraic_part
+from .qfield import ALLOWED_Q, special_split_primes
+from .registry import Curve, resolve_curve
 
 ENV_PREFIX = "CMTWIST_"
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 MAX_SPECIAL_LIMIT = 10 ** 6    # largest limit of special-primes
-# A table forks its row workers only when its computed rows, those under
-# the MAX_TABLE cap (_table_rows), sum to FORK_AT units of their route:
-# - symbols (49a, 121b), in summed |D|: about 3x the 67,576 |D| of
-#   `table 1 1000 --curve 49a`, so tables of that size, which a fork slows
-#   down, keep running in one process;
-# - series (user curves), in summed terms: the 931,571-term break-even on
-#   which every recorded sweep agreed, rounded down.
-# The sweeps behind both, on a 2-vCPU Xeon under Python 3.11, are recorded
-# in CHANGES.md.
-FORK_AT = {"symbols": 205_000, "series": 900_000}
 
 
 class RunConfig(NamedTuple):
@@ -75,8 +63,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="most worker processes for table scans (default "
                         "1): a table runs in one process unless its rows "
                         "under the 10^6-term cap sum to "
-                        f"{FORK_AT['symbols']:,} |D| on the modular symbols "
-                        f"or {FORK_AT['series']:,} series terms, and never "
+                        f"{census.FORK_AT['symbols']:,} |D| on the modular symbols "
+                        f"or {census.FORK_AT['series']:,} series terms, and never "
                         "uses more processes than rows or usable CPUs")
     p.add_argument("--format", dest="fmt", choices=("csv", "text"),
                    default=_env("FORMAT", "text"),
@@ -176,260 +164,10 @@ def _format_rows(rows: list[list[str]], fmt: str) -> list[str]:
 
 # --------------------------------------------------------------- table
 
-
-def _table_digits(precision: int) -> int:
-    # three guard digits over the 10 printed, more if asked for
-    return max(12, precision - 3)
-
-
-def _table_rows(curve: Curve, specs: list[bsd.TwistSpec], digits: int,
-                symbols: bool) -> tuple[list[bsd.TwistSpec], list[tuple], int, int]:
-    """Split the rows of specs at the MAX_TABLE cap in one pass, which
-    takes each row's series cutoff once: (computed, refused, work, n_max).
-
-    computed lists the specs under the cap, in order.  refused holds
-    (M, None, message) for each spec above it, in order and in the shape
-    of a _table_job failure; the series' cap refuses symbol rows too, and
-    deep expects them flagged.  The cutoff grows with M, so every refused
-    row comes after every computed one.  work sums the |D| of the computed
-    rows on the symbol route (symbols), or their series terms; n_max is the
-    largest of their cutoffs, 0 when no row is computed."""
-    computed, refused = [], []
-    work = n_max = 0
-    for spec in specs:
-        try:
-            terms = series_terms(curve, spec.M, digits)
-        except LSeriesError as exc:
-            refused.append((spec.M, None, str(exc)))
-            continue
-        computed.append(spec)
-        work += spec.M if symbols else terms
-        n_max = max(n_max, terms)
-    return computed, refused, work, n_max
-
-
-def _table_job(ctx: CurveContext, digits: int, route, spec: bsd.TwistSpec):
-    """(M, row, failure message) for the admissible spec under the cap, its
-    L-value from route(ctx, d, digits), row = (CSV cells, ord2 slack, bound
-    holds) or None for no row: only what the table prints crosses back
-    from a worker."""
-    M, d = spec.M, spec.epsilon * spec.M
-    try:
-        rep = bsd.theorem18_report(ctx.curve, spec, route(ctx, d, digits))
-    except ValueError as exc:
-        return M, None, str(exc)
-    if rep.lvalue.lalg == 0:
-        return M, None, None                # vanishing central value
-    if rep.indeterminate:
-        return M, None, "rational recognition failed"
-    return M, (bsd.csv_row(ctx.curve, rep), rep.lvalue.ord2 - rep.bound_rhs,
-               rep.bound_holds), None
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one (taskset and container cpusets narrow it), else
-    os.cpu_count()."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _attempt(fn, item) -> tuple[bool, object]:
-    try:
-        return True, fn(item)
-    except Exception as exc:
-        return False, exc
-
-
-def _fork_map(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], computed by this process and workers - 1
-    children forked from it, at most one process per item.
-
-    The items are dealt from the last, the largest, round-robin: the parent
-    takes the last, the first child the one before it, and so on.  A child
-    inherits fn and the items with the rest of this process, so nothing is
-    pickled on the way in; it pickles its results, or the exceptions its
-    items raised, into a pipe and ends with os._exit.  When items raise,
-    the exception of the first of them in order is raised here, as the
-    serial loop would raise it; a child that dies without an answer raises
-    RuntimeError.  Every read end is closed before its child is waited for,
-    so a child blocked on a full pipe gets EPIPE and ends; on any error the
-    children still running are killed, and every child is reaped.  The
-    process must run no other thread, since a fork copies only this one.
-    """
-    items = list(items)
-    workers = min(workers, len(items))
-    if workers < 2:
-        return [fn(x) for x in items]
-    # imported here: only a pooled scan uses them, and they weigh on the
-    # start-up of every command
-    import pickle
-    import signal
-    shares = [range(len(items) - 1 - w, -1, -workers) for w in range(workers)]
-    pids: list[int] = []                        # children not yet reaped
-    reads: list[int] = []                       # their read ends still open
-    done = False
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                raise
-            if pid == 0:                        # the child never returns
-                for fd in reads:
-                    os.close(fd)
-                _child(fn, items, share, write)
-            os.close(write)
-            pids.append(pid)
-        outcomes = [None] * len(items)
-        for i in shares[0]:
-            outcomes[i] = _attempt(fn, items[i])
-        for share in shares[1:]:
-            data = _read_all(reads[0])
-            os.close(reads.pop(0))
-            # unpickled while the child ends, unless it sent nothing
-            answer = data and pickle.loads(data)
-            _, status = os.waitpid(pids[0], 0)
-            pid = pids.pop(0)
-            if not data:
-                raise RuntimeError(f"table worker {pid} ended without an answer "
-                                   f"({_ending(status)})")
-            for i, outcome in zip(share, answer):
-                outcomes[i] = outcome
-        done = True
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for ok, value in outcomes:
-        if not ok:
-            raise value
-    return [value for _, value in outcomes]
-
-
-def _child(fn, items, share, write: int):
-    """Run a _fork_map child's share and end the process: a child never
-    returns into its caller, whatever it raises."""
-    import pickle
-    code = 0
-    try:
-        try:
-            data = pickle.dumps([_attempt(fn, items[i]) for i in share])
-        except BaseException as exc:        # an unpicklable result, an interrupt
-            data = pickle.dumps([(False, RuntimeError(
-                f"table worker failed: {exc!r}"))] * len(share))
-        with open(write, "wb") as pipe:
-            pipe.write(data)
-    except BaseException:
-        code = 1
-    finally:
-        os._exit(code)
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _ending(status: int) -> str:
-    if os.WIFSIGNALED(status):
-        return f"signal {os.WTERMSIG(status)}"
-    return f"exit code {os.waitstatus_to_exitcode(status)}"
-
-
-def _admissible_specs(curve: Curve, m_min: int, m_max: int) -> list[bsd.TwistSpec]:
-    """The TwistSpecs of the admissible M with max(m_min, 2) <= M <= m_max,
-    ascending.
-
-    An M outside the root number's class mod 4 is never admissible, so only
-    the candidates M = start + 4i of that class are marked, in a bytearray.
-    Slice assignments strike the multiples of p^2 for every p <= sqrt(m_max),
-    so every survivor is square-free; the multiples of every prime of N; and,
-    among the primes up to the range's length (or sqrt(m_max) when larger),
-    the multiples of each non-special split prime.  classify_twist judges
-    every survivor, the one arbiter of admissibility: a non-special split
-    prime above that bound is caught there.
-    The facts of each prime are derived once, in a dict of this call that
-    the sieve and every classify_twist share.
-    """
-    first, need = max(m_min, 2), bsd.admissible_class_mod4(curve)
-    start = first + (need - first) % 4
-    size = max(0, (m_max - start) // 4 + 1)
-    alive = bytearray([1]) * size
-    facts: dict[int, bsd.TwistFactor] = {}
-
-    def multiples(m: int) -> slice:
-        """The candidates divisible by an odd m."""
-        return slice(-start * pow(4, -1, m) % m, None, m)
-
-    def strike(m: int) -> None:
-        where = multiples(m)
-        alive[where] = bytes(len(range(*where.indices(size))))
-
-    q, conductor = curve.q, curve.conductor
-    for p, _ in factor_int(conductor):
-        strike(p)
-    for p in primes_below(max(m_max - first + 1, isqrt(m_max)) + 1)[1:]:
-        if p * p <= m_max:
-            strike(p * p)
-        if conductor % p == 0 or split_type(q, p) != "split":
-            continue            # struck with N already, or inert: never struck
-        if p % 4 == 1:          # special or not: the facts of p tell
-            if 1 not in alive[multiples(p)]:
-                continue
-            fac = facts[p] = bsd.twist_factor(curve, p)
-            if fac.special:
-                continue
-        strike(p)               # a split p = 3 mod 4 is never special
-    specs = []
-    for M in compress(range(start, m_max + 1, 4), alive):
-        spec = bsd.classify_twist(curve, M, facts)
-        if spec.admissible:
-            specs.append(spec)
-    return specs
-
-
 def cmd_table(config: RunConfig, ctx: CurveContext, m_min: int, m_max: int) -> tuple[list[str], int]:
-    from . import modsym
-    curve = ctx.curve
-    digits = _table_digits(config.precision)
-    # the point counts, checked before any prime's facts are derived (their
-    # trace parity is read off E0's character) and before the workers fork
-    ctx.check_character()
-    specs = _admissible_specs(curve, m_min, m_max)
-    symbols = modsym.supports(curve)
-    # the rows above the MAX_TABLE cap are flagged here; only the computed
-    # ones reach the row map.  One process unless they sum to FORK_AT units
-    # of their route; at or above it, no more workers than --threads, rows
-    # or usable CPUs
-    computed, refused, work, n_max = _table_rows(curve, specs, digits, symbols)
-    workers = 1
-    if work >= FORK_AT["symbols" if symbols else "series"]:
-        workers = min(config.threads, len(computed), _usable_cpus())
-    route = algebraic_part                  # the series
-    # with no row computed nothing is built
-    if computed and symbols:
-        # exact L^alg from the modular symbols, built before the row workers fork
-        route = modsym.TwistSums(curve).algebraic_part
-    elif computed:
-        # one nonzero view of E0's a_n for the whole scan, up to the largest
-        # cutoff of a computed row, built here window by window before the
-        # row workers fork: they share it and build none of their own
-        ctx.nonzero(n_max)
-    # the longest row last: it is dealt first, so no worker is left with
-    # a big twist at the end
-    results = _fork_map(partial(_table_job, ctx, digits, route), computed,
-                        workers) + refused
-
+    # the census computes the rows; M = 1, the curve itself, is never one
+    results = census.table_results(ctx, max(m_min, 2), m_max, config.precision,
+                                   config.threads)
     rows = [bsd.CSV_HEADER[:]]
     flagged = []
     violations = 0
@@ -515,7 +253,7 @@ def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], 
         lines += [f"  - {r}" for r in spec.reasons]
         return lines, 0
     rep = bsd.theorem18_report(curve, spec, algebraic_part(
-        ctx, spec.epsilon * M, _table_digits(config.precision)))
+        ctx, spec.epsilon * M, census.table_digits(config.precision)))
     if config.fmt == "csv":
         lines = [",".join(bsd.CSV_HEADER), ",".join(bsd.csv_row(curve, rep))]
     else:
@@ -528,11 +266,11 @@ def cmd_twist(config: RunConfig, ctx: CurveContext, M: int) -> tuple[list[str], 
 
 def cmd_verify(config: RunConfig, ctx: CurveContext, checks: list[tuple]) -> tuple[list[str], int]:
     """Run the (run, parsed argument) checks of verify.parse_scenarios, in
-    order: one PASS or FAIL line each."""
+    order, at the working precision: one PASS or FAIL line each."""
     lines = []
     all_ok = True
     for run, parsed in checks:
-        msg, ok = run(config, ctx, parsed)
+        msg, ok = run(config.precision, ctx, parsed)
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'}  {msg}")
     return lines, 0 if all_ok else CHECK_FAILED
@@ -550,25 +288,6 @@ def cmd_special_primes(config: RunConfig, q: int, limit: int) -> tuple[list[str]
 
 
 # ----------------------------------------------------------------- main
-
-def _ensure_base_value(ctx: CurveContext, config: RunConfig) -> None:
-    """Fill in L^(alg)(E, 1) for user curves that do not record it.
-
-    The valuation bound needs phi(E), which depends on the base algebraic
-    value; builtin curves carry it, user curves get it computed once here.
-    The context keeps its nonzero view: it does not depend on the base value.
-    """
-    curve = ctx.curve
-    if curve.lalg_base is not None:
-        return
-    res = algebraic_part(ctx, 1, target_digits=_table_digits(config.precision))
-    if res.lalg is None:
-        raise RegistryError(
-            f"could not recognize the base L-value of {curve.label} "
-            f"(residual {res.lalg_residual:.2e}); check omega"
-        )
-    ctx.curve = curve._replace(lalg_base=res.lalg)
-
 
 def main(argv: list[str] | None = None) -> int:
     try:
@@ -590,12 +309,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "table":
                 if not (1 <= args.m_min <= args.m_max <= 10 ** 6):
                     parser.error("need 1 <= m_min <= m_max <= 10^6")
-                _ensure_base_value(ctx, config)
+                census.ensure_base_value(ctx, config.precision)
                 lines, code = cmd_table(config, ctx, args.m_min, args.m_max)
             elif args.command == "twist":
                 if args.M < 1:
                     parser.error("M must be a positive integer")
-                _ensure_base_value(ctx, config)
+                census.ensure_base_value(ctx, config.precision)
                 lines, code = cmd_twist(config, ctx, args.M)
             else:
                 # the scenarios' code is loaded by this command alone

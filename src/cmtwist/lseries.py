@@ -204,7 +204,8 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValue
     Omega_L is the period-lattice scale (omega_lattice, taken once per
     context and precision through CurveContext.omega), the normalization
     under which the algebraic part is a 2-integral-denominator rational.
-    When the residual exceeds 1e-6 * max(1, |candidate|) no rational is
+    When the residual reaches 1e-6 * max(1, |candidate|) or 1/(2 * 64^2),
+    half the least gap of rationals of denominator <= 64, no rational is
     claimed (lalg = None) and the raw ratio stays available through
     analytic_value and lalg_residual.  Neither is claimed when the ratio
     overflows a float (residual inf), nor an exact 0 unless |L| lies within
@@ -224,7 +225,7 @@ def algebraic_part(ctx: CurveContext, d: int, target_digits: int = 10) -> LValue
             fr, residual = recognize_rational(ratio)
         except OverflowError:               # |ratio| beyond any float
             fr, residual = None, math.inf
-    if (fr is None or residual >= 1e-6 * max(1.0, abs(float(fr)))
+    if (fr is None or residual >= min(1e-6 * max(1.0, abs(float(fr))), 0.5 / 64 ** 2)
             or (fr == 0 and abs(value) > tail)):
         return LValueResult(curve.label, d, eps, value, n_terms, tail,
                             None, residual)

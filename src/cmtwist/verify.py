@@ -12,9 +12,10 @@ the command line as NAME or NAME:ARGUMENT.
     modsym[:<m_max>]       the modular symbols' L^alg against the series
 
 parse_scenarios reads every argument, and refuses a usage error, before any
-scenario runs; cli.cmd_verify runs them.  cli.main imports this module for
-`verify` alone, and the scenarios that sum over torsion points import
-eisenstein themselves, so no other command compiles either.
+scenario runs; cli.cmd_verify runs them, each with the working precision.
+cli.main imports this module for `verify` alone, and the scenarios that sum
+over torsion points import eisenstein themselves, so no other command
+compiles either.  This module imports census, never cli.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from itertools import count, takewhile
 
 import mpmath as mp
 
-from . import bsd
+from . import bsd, census
 from .bsd import BSDError
-from .cli import RunConfig, _admissible_specs, _ensure_base_value, _table_digits
 from .coeffs import CoeffError, CurveContext, check_point_counts, good_odd_primes
 from .lseries import algebraic_part, recognize_rational
 from .qfield import QuadInt, cornacchia_split, is_prime, is_special_split, normalize_mod4, split_type
@@ -141,17 +141,17 @@ def _lemma_div_n(curve: Curve, name: str, arg: str) -> int:
     return _int_arg(name, arg, 10, 1, LEMMA_DIV_MAX_N)
 
 
-def _eis_context(config: RunConfig, curve: Curve):
+def _eis_context(precision: int, curve: Curve):
     from . import eisenstein as eis
-    return eis.make_context(curve, precision=max(config.precision, 30))
+    return eis.make_context(curve, precision=max(precision, 30))
 
 
-def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
+def _eisenstein_base(precision: int, ctx: CurveContext, _) -> tuple[str, bool]:
     from . import eisenstein as eis
     ctx.check_character()
-    _ensure_base_value(ctx, config)
+    census.ensure_base_value(ctx, precision)
     curve = ctx.curve
-    eis_ctx = _eis_context(config, curve)
+    eis_ctx = _eis_context(precision, curve)
     val = eis.prop2_sum(eis_ctx, eis.torsion_modulus(curve.q, []))
     with mp.workdps(eis_ctx.dps):
         amp, _phase = eis.phase_split(val)
@@ -161,12 +161,12 @@ def _eisenstein_base(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool
             f"recognized {target}, residual {residual:.3g}", ok)
 
 
-def _averaging(config: RunConfig, ctx: CurveContext,
+def _averaging(precision: int, ctx: CurveContext,
                pis: tuple[list[str], list[QuadInt]]) -> tuple[str, bool]:
     from . import eisenstein as eis
     entries, elements = pis
     ctx.check_character()
-    eis_ctx = _eis_context(config, ctx.curve)
+    eis_ctx = _eis_context(precision, ctx.curve)
     rep = eis.averaging_check(eis_ctx, elements)
     ord2 = "n/a" if rep.ord2 is None else str(rep.ord2)
     msg = (f"averaging[{rep.label}: {','.join(entries)}]: "
@@ -178,12 +178,12 @@ def _averaging(config: RunConfig, ctx: CurveContext,
     return msg, rep.ok
 
 
-def _e1_ladder(config: RunConfig, ctx: CurveContext,
+def _e1_ladder(precision: int, ctx: CurveContext,
                pis: tuple[list[str], list[QuadInt]]) -> tuple[str, bool]:
     from . import eisenstein as eis
     curve = ctx.curve
     entries, elements = pis
-    eis_ctx = _eis_context(config, curve)
+    eis_ctx = _eis_context(precision, curve)
     count, worst = eis.ladder_discrepancy(eis_ctx, eis.torsion_modulus(curve.q, elements))
     ok = worst < eis_ctx.pass_tol
     where = "*".join([f"sqrt(-{curve.q})"] + [f"({e})" for e in entries])
@@ -191,13 +191,13 @@ def _e1_ladder(config: RunConfig, ctx: CurveContext,
             f"worst |direct - ladder| = {mp.nstr(worst, 3)}", ok)
 
 
-def _lemma_div(config: RunConfig, ctx: CurveContext, n: int) -> tuple[str, bool]:
+def _lemma_div(precision: int, ctx: CurveContext, n: int) -> tuple[str, bool]:
     from . import eisenstein as eis
     ok = eis.lemma_div_bruteforce(n)
     return f"lemma-div[n={n}]: {2 ** n} sign vectors checked", ok
 
 
-def _character(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
+def _character(precision: int, ctx: CurveContext, _) -> tuple[str, bool]:
     curve = ctx.curve
     primes = takewhile(lambda p: p < CHARACTER_BOUND, good_odd_primes(curve))
     try:
@@ -209,7 +209,7 @@ def _character(config: RunConfig, ctx: CurveContext, _) -> tuple[str, bool]:
             f"sqrt(-{curve.q}), d0 = {curve.base_twist}", True)
 
 
-def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[str, bool]:
+def _tamagawa_cross(precision: int, ctx: CurveContext, limit: int) -> tuple[str, bool]:
     curve = ctx.curve
     counts: dict[str, int] = {}
     try:
@@ -224,13 +224,6 @@ def _tamagawa_cross(config: RunConfig, ctx: CurveContext, limit: int) -> tuple[s
             f"agree ({detail})", True)
 
 
-def _modsym_specs(curve: Curve, m_max: int) -> list[bsd.TwistSpec]:
-    """The TwistSpecs of the admissible M <= m_max, M = 1 included when
-    admissible."""
-    base = bsd.classify_twist(curve, 1)
-    return [base] * base.admissible + _admissible_specs(curve, 1, m_max)
-
-
 def _modsym_m_max(curve: Curve, name: str, arg: str) -> int:
     """An m_max no smaller than the curve's first admissible M: a smaller
     one would check no twist."""
@@ -238,17 +231,17 @@ def _modsym_m_max(curve: Curve, name: str, arg: str) -> int:
     if not modsym.supports(curve):
         raise ValueError(f"{name} needs one of the builtin curves "
                          f"{', '.join(modsym.TWIST_SCALE)}, not {curve.label}")
-    first = next(m for m in count(1) if _modsym_specs(curve, m))
+    first = next(m for m in count(1) if census.admissible_specs(curve, 1, m))
     return _int_arg(name, arg, 1000, first, MAX_MODSYM_M)
 
 
-def _modsym(config: RunConfig, ctx: CurveContext, m_max: int) -> tuple[str, bool]:
+def _modsym(precision: int, ctx: CurveContext, m_max: int) -> tuple[str, bool]:
     """S(D)/c from the modular symbols against the series' L^alg, at every
     admissible M <= m_max (M = 1 included when admissible)."""
     from . import modsym
     curve = ctx.curve
-    digits = _table_digits(config.precision)
-    specs = _modsym_specs(curve, m_max)
+    digits = census.table_digits(precision)
+    specs = census.admissible_specs(curve, 1, m_max)
     symbols = modsym.TwistSums(curve)
     nonzero = 0
     for spec in specs:

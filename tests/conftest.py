@@ -3,7 +3,7 @@
 import mpmath as mp
 import pytest
 
-from cmtwist import cli, coeffs
+from cmtwist import census, coeffs
 from cmtwist.registry import builtin_curve, omega_infinity
 
 
@@ -45,4 +45,4 @@ def theta_windows(monkeypatch):
 def forking(monkeypatch):
     """Every table of the test forks its workers, however little its rows'
     work: the thresholds of both routes are 0."""
-    monkeypatch.setattr(cli, "FORK_AT", {"symbols": 0, "series": 0})
+    monkeypatch.setattr(census, "FORK_AT", {"symbols": 0, "series": 0})

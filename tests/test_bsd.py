@@ -5,7 +5,7 @@ from itertools import takewhile
 
 import pytest
 
-from cmtwist import cli
+from cmtwist import census
 from cmtwist.bsd import (
     MAX_TWIST,
     BSDError,
@@ -255,7 +255,7 @@ def test_sha_valuation_is_the_fraction_form(label, least):
     curve = builtin_curve(label)
     ctx, sums = CurveContext(curve), TwistSums(curve)
     numeric = 0
-    for spec in cli._admissible_specs(curve, 1, 5000):
+    for spec in census.admissible_specs(curve, 2, 5000):
         res = sums.algebraic_part(ctx, spec.epsilon * spec.M, 12)
         tama = tamagawa_report(spec)
         for base in (curve.lalg_base, Fraction(1, 2), Fraction(5, 8),

@@ -5,7 +5,6 @@ import hashlib
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -14,11 +13,13 @@ from collections import Counter
 import mpmath as mp
 import pytest
 
-from cmtwist import bsd, cli, coeffs, eisenstein, lseries, modsym, verify
+from cmtwist import bsd, census, cli, coeffs, eisenstein, lseries, modsym, verify
 from cmtwist.cli import main
 from cmtwist.lseries import series_cutoff
 from cmtwist.qfield import QuadInt, is_prime, split_type
 from cmtwist.registry import BUILTIN, resolve_curve
+from test_census import (DEEP_FLAGGED, DEEP_TABLE, E29_ABOVE, E29_DEEP,
+                         E29_DEEP_FLAGGED, _no_children, _refused)
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -60,7 +61,7 @@ def test_table_thread_determinism(capsys, forking):
 
 
 def _recording_map(monkeypatch, at_fork=lambda fn, items: None):
-    """Put an in-process stand-in for cli._fork_map in its place: it runs
+    """Put an in-process stand-in for census.fork_map in its place: it runs
     fn over the items here, in order, and starts no process.  The number of
     processes of every map that would fork (two or more) goes to the list
     returned, and at_fork sees fn and the items of such a map first."""
@@ -73,15 +74,15 @@ def _recording_map(monkeypatch, at_fork=lambda fn, items: None):
             at_fork(fn, items)
         return [fn(x) for x in items]
 
-    monkeypatch.setattr(cli, "_fork_map", fork_map)
+    monkeypatch.setattr(census, "fork_map", fork_map)
     return sizes
 
 
 def _spy_maps(monkeypatch):
-    """Record the number of processes of every cli._fork_map call that
+    """Record the number of processes of every census.fork_map call that
     forks; the maps are real and fork real children."""
     sizes = []
-    fork_map = cli._fork_map
+    fork_map = census.fork_map
 
     def spy(fn, items, workers):
         items = list(items)
@@ -89,13 +90,8 @@ def _spy_maps(monkeypatch):
             sizes.append(min(workers, len(items)))
         return fork_map(fn, items, workers)
 
-    monkeypatch.setattr(cli, "_fork_map", spy)
+    monkeypatch.setattr(census, "fork_map", spy)
     return sizes
-
-
-def _no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _windows(lo, hi):
@@ -146,7 +142,7 @@ def test_table_without_an_affinity_mask_or_a_cpu_count_forks_nothing(capsys,
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     maps = _spy_maps(monkeypatch)
-    assert cli._usable_cpus() == 1
+    assert census.usable_cpus() == 1
     assert run(capsys, "table", "1", "200", "--curve", "49a", "--threads", "8") == serial
     assert maps == [] and serial[0] == 0
 
@@ -165,16 +161,9 @@ def test_table_pool_no_larger_than_the_affinity_mask(capsys, monkeypatch, forkin
 def _table_work(label, m_min, m_max, curve_file=None):
     """The units of work of table m_min m_max on its route."""
     curve = resolve_curve(label, curve_file)
-    return cli._table_rows(curve, cli._admissible_specs(curve, m_min, m_max),
-                           cli._table_digits(15), modsym.supports(curve))[2]
-
-
-def _refused(curve, Ms, digits):
-    """The flags of the rows M above the cap, as _table_rows returns them
-    to the parent process."""
-    return [(M, None, "precision unattainable at this scale: "
-                      f"{series_cutoff(curve, M, digits)} terms needed")
-            for M in Ms]
+    specs = census.admissible_specs(curve, max(m_min, 2), m_max)
+    return census.table_rows(curve, specs, census.table_digits(15),
+                             modsym.supports(curve))[2]
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -188,7 +177,7 @@ def test_table_below_the_break_even_forks_no_child(capsys, monkeypatch, label):
     monkeypatch.setattr(os, "fork", _refuse("os.fork"))
     assert run(capsys, *argv, "--threads", "2") == serial
     assert maps == [] and serial[0] == 0
-    assert _table_work(label, 1, 1000) < cli.FORK_AT["symbols"]
+    assert _table_work(label, 1, 1000) < census.FORK_AT["symbols"]
 
 
 @pytest.mark.parametrize("route, other, label, m_max, units", [
@@ -206,52 +195,13 @@ def test_table_at_the_threshold_forks(capsys, monkeypatch, e29_file, route, othe
     serial = run(capsys, *argv, "--threads", "1")
     maps = _spy_maps(monkeypatch)
     assert _table_work(label, 1, m_max, e29_file) == units
-    monkeypatch.setattr(cli, "FORK_AT", {route: units, other: units + 1})
+    monkeypatch.setattr(census, "FORK_AT", {route: units, other: units + 1})
     assert run(capsys, *argv, "--threads", "2") == serial
     assert maps == [2]
-    monkeypatch.setattr(cli, "FORK_AT", {route: units + 1, other: 0})
+    monkeypatch.setattr(census, "FORK_AT", {route: units + 1, other: 0})
     assert run(capsys, *argv, "--threads", "2") == serial
     assert maps == [2] and serial[0] == 0
     _no_children()
-
-
-def test_table_work_counts_only_the_rows_under_the_cap():
-    # of the seven rows of DEEP_TABLE, the four above the cap are refused
-    # before any sum and count nothing; the symbols count |D| per row
-    curve, digits = resolve_curve("49a"), cli._table_digits(15)
-    specs = cli._admissible_specs(curve, *map(int, DEEP_TABLE[1:3]))
-    computed, refused, *work = cli._table_rows(curve, specs, digits, True)
-    assert work == [22877 + 22893 + 22901, series_cutoff(curve, 22901, digits)]
-    assert [spec.M for spec in computed] == [22877, 22893, 22901]
-    assert refused == _refused(curve, DEEP_FLAGGED, digits)
-
-
-def test_rows_above_the_cap_follow_every_row_under_it(e29_file):
-    # cmd_table puts the parent's flags after the row map's results, which
-    # keeps M order because no cutoff falls as M grows
-    digits = cli._table_digits(15)
-    for label in ("49a", "121b", "e29"):
-        curve = resolve_curve(label, e29_file)
-        cutoffs = [series_cutoff(curve, M, digits) for M in range(1, 40_001)]
-        assert cutoffs == sorted(cutoffs), label
-
-
-def test_user_curve_table_work_counts_series_terms(e29_file):
-    # a user curve's rows sum the series: each counts its cutoff in terms
-    curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
-    specs = cli._admissible_specs(curve, 1, 400)
-    cutoffs = [series_cutoff(curve, spec.M, digits) for spec in specs]
-    assert cli._table_rows(curve, specs, digits, False) == (
-        specs, [], sum(cutoffs), cutoffs[-1])
-    # above the cap, only the rows under it count, M = 773 and 785, and the
-    # largest cutoff is M = 785's; with no row under it, nothing counts
-    specs = cli._admissible_specs(curve, *E29_DEEP)
-    assert cli._table_rows(curve, specs, digits, False) == (
-        specs[:2], _refused(curve, E29_DEEP_FLAGGED, digits),
-        sum(series_cutoff(curve, M, digits) for M in (773, 785)), 993_140)
-    specs = cli._admissible_specs(curve, *E29_ABOVE)
-    assert cli._table_rows(curve, specs, digits, False) == (
-        [], _refused(curve, [spec.M for spec in specs], digits), 0, 0)
 
 
 def _e29_context(e29_file, threads=2):
@@ -260,7 +210,7 @@ def _e29_context(e29_file, threads=2):
     config = cli.RunConfig(curve_label="e29", curve_file=e29_file, precision=15,
                            threads=threads, fmt="text", output=None)
     ctx = coeffs.CurveContext(resolve_curve("e29", e29_file))
-    cli._ensure_base_value(ctx, config)
+    census.ensure_base_value(ctx, config.precision)
     return config, coeffs.CurveContext(ctx.curve)
 
 
@@ -270,8 +220,8 @@ def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file,
     # to the cutoff of the largest twist; no job builds one
     _cpus(monkeypatch, 2)
     config, ctx = _e29_context(e29_file)
-    cutoff = series_cutoff(ctx.curve, cli._admissible_specs(ctx.curve, 1, 50)[-1].M,
-                           cli._table_digits(15))
+    cutoff = series_cutoff(ctx.curve, census.admissible_specs(ctx.curve, 2, 50)[-1].M,
+                           census.table_digits(15))
     held = []       # (builds so far, view bound) at the row fork
     maps = _recording_map(monkeypatch, lambda fn, items: held.append(
         (list(theta_windows), ctx._nonzero_max)))
@@ -282,18 +232,6 @@ def test_table_workers_inherit_the_view(monkeypatch, theta_windows, e29_file,
     assert theta_windows == _windows(1, cutoff + 1) and ctx._nonzero_max >= cutoff
     serial_config, serial_ctx = _e29_context(e29_file, threads=1)
     assert lines == cli.cmd_table(serial_config, serial_ctx, 1, 50)[0]
-
-
-# a window of 49a whose largest twist needs the whole 10^6-term series:
-# three rows under the cap, and the four above it flagged
-DEEP_TABLE = ("table", "22877", "22945", "--curve", "49a")
-DEEP_FLAGGED = (22921, 22929, 22937, 22945)
-# the same for e29, whose series are 29 times longer: M = 773 and 785
-# under the cap, 793 and 797 above it
-E29_DEEP = (770, 800)
-E29_DEEP_FLAGGED = (793, 797)
-# an e29 range whose every row is above the cap
-E29_ABOVE = (900, 1000)
 
 
 def test_pooled_table_builds_the_whole_view_before_its_row_map(monkeypatch,
@@ -363,14 +301,14 @@ def test_table_straddling_the_cap_maps_only_the_rows_under_it(
     curve = resolve_curve(label, e29_file)
     assert re.findall(r"^# M=.*", serial[1], re.M) == [
         f"# M={M} flagged: {err}"
-        for M, _, err in _refused(curve, flagged, cli._table_digits(15))]
+        for M, _, err in _refused(curve, flagged, census.table_digits(15))]
 
 
 def test_symbol_rows_call_no_series_function(capsys, monkeypatch):
     # the cap is decided in the parent: a row job on the modular symbols
     # runs no code of lseries but the root number and the ord2 of its
     # result, so no series cutoff, term count, sum or recognition
-    job, jobs, called = cli._table_job, [], set()
+    job, jobs, called = census.table_job, [], set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == lseries.__file__:
@@ -384,7 +322,7 @@ def test_symbol_rows_call_no_series_function(capsys, monkeypatch):
         finally:
             sys.setprofile(None)
 
-    monkeypatch.setattr(cli, "_table_job", spy)
+    monkeypatch.setattr(census, "table_job", spy)
     code, out, err = run(capsys, *DEEP_TABLE, "--threads", "1")
     assert (code, err) == (1, "") and "# rows=3" in out
     assert jobs == [22877, 22893, 22901]
@@ -550,68 +488,6 @@ def test_twist_classifies_its_twist_once(capsys, monkeypatch, label, M):
     assert code == 0 and seen == [M]
 
 
-def test_fork_map_returns_the_results_in_order():
-    parent = os.getpid()
-    for workers in (1, 2, 3, 10):
-        got = cli._fork_map(lambda x: (x * x, os.getpid() == parent),
-                            range(10), workers)
-        assert [v for v, _ in got] == [x * x for x in range(10)]
-        # the parent takes the last item and every workers-th before it
-        here = [x for x, (_, mine) in enumerate(got) if mine]
-        assert here == sorted(range(9, -1, -workers))
-        _no_children()
-
-
-def test_fork_map_raises_the_first_exception_of_a_child():
-    def fn(x):
-        if x in (4, 7):
-            raise ValueError(f"item {x}")
-        return x
-
-    for workers in (1, 2, 3):
-        with pytest.raises(ValueError, match=r"^item 4$"):
-            cli._fork_map(fn, range(10), workers)
-        _no_children()
-
-
-def test_fork_map_raises_when_a_child_is_killed():
-    parent = os.getpid()
-
-    def fn(x):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return x
-
-    with pytest.raises(RuntimeError, match=f"signal {signal.SIGKILL}"):
-        cli._fork_map(fn, range(4), 2)
-    _no_children()
-
-
-def test_fork_map_parent_failure_ends_a_child_blocked_on_its_pipe():
-    # the child's answer is larger than a pipe holds, so it blocks writing
-    # it while the parent's own item fails: the parent closes the read end,
-    # so the child ends on EPIPE, and reaps it, without hanging
-    parent = os.getpid()
-
-    def fn(x):
-        if os.getpid() == parent:
-            time.sleep(0.2)             # the child fills its pipe meanwhile
-            raise KeyboardInterrupt
-        return b"x" * (1 << 22)
-
-    def hung(*_):
-        raise TimeoutError("the fork map hung")
-
-    before = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)                    # a hang fails the test instead
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            cli._fork_map(fn, range(2), 2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, before)
-    _no_children()
-
 E29_TABLE_1_60 = """\
 M   epsilon  L_value       L_alg_num  L_alg_den  ord2  r_M  bound_rhs  bound_ok  tamagawa  sha_ord2
 5   +1       0.6422111932  4          1          2     1    0          1         5:1
@@ -630,52 +506,11 @@ def test_user_curve_table_grows_the_base_value_view(capsys, theta_windows, e29_f
     code, out, _ = run(capsys, "table", "1", "60", "--curve", "e29",
                        "--curve-file", e29_file)
     assert code == 0 and out == E29_TABLE_1_60
-    curve, digits = resolve_curve("e29", e29_file), cli._table_digits(15)
+    curve, digits = resolve_curve("e29", e29_file), census.table_digits(15)
     base = series_cutoff(curve, 1, digits)
-    top = series_cutoff(curve, cli._admissible_specs(curve, 1, 60)[-1].M, digits)
+    top = series_cutoff(curve, census.admissible_specs(curve, 2, 60)[-1].M, digits)
     assert top > 2 * base
     assert theta_windows == [(1, base + 1), *_windows(base + 1, top + 1)]
-
-
-@pytest.mark.parametrize("label", ["49a", "121b", "e29"])
-def test_table_candidates_are_the_unfiltered_classification(monkeypatch, label,
-                                                            e29_file):
-    # the TwistSpecs of the sieve, facts included, are those of the admissible
-    # classify_twist(curve, M) over every M, one at a time: no M of the other
-    # classes mod 4 may be admissible.  The survivors are classified without
-    # a square factor, and from 1 on the sieve reaches every prime, so each
-    # survivor is admissible
-    curve = resolve_curve(label, e29_file)
-
-    def plain(m_min, m_max):
-        specs = []
-        for M in range(max(m_min, 2), m_max + 1):
-            try:
-                spec = bsd.classify_twist(curve, M)
-            except bsd.BSDError:
-                continue            # a square factor
-            if spec.admissible:
-                specs.append(spec)
-        return specs
-
-    ms = [spec.M for spec in plain(1, 3000)]
-    assert len(ms) > 150
-    gap = max(range(len(ms) - 1), key=lambda i: ms[i + 1] - ms[i])
-    ranges = [(1, 3000), (2, 2), (5, 5), (6, 9), (7, 400), (400, 1000),
-              (22877, 22945), (14580, 14630), (45, 60), (63, 80),
-              (ms[gap] + 1, ms[gap + 1] - 1)]
-    ranges += [(M, M) for M in ms[:3] + [ms[0] + 4, ms[gap] + 4]]
-    assert plain(ms[gap] + 1, ms[gap + 1] - 1) == []
-    classify = bsd.classify_twist
-    seen = []
-    monkeypatch.setattr(bsd, "classify_twist", lambda curve, M, facts=None:
-                        seen.append(M) or classify(curve, M, facts))
-    for m_min, m_max in ranges:
-        seen.clear()
-        got = cli._admissible_specs(curve, m_min, m_max)
-        if m_min == 1:
-            assert seen == ms
-        assert got == plain(m_min, m_max), (m_min, m_max)
 
 
 @pytest.mark.parametrize("label", ["49a", "121b"])
@@ -693,7 +528,7 @@ def test_table_analyses_each_prime_once(capsys, monkeypatch, label):
     capsys.readouterr()
     for name, seen in calls.items():
         assert seen and max(seen.values()) == 1, name
-    specs = cli._admissible_specs(BUILTIN[label], 1, 1000)
+    specs = census.admissible_specs(BUILTIN[label], 2, 1000)
     assert {f.p for spec in specs for f in spec.factors} <= set(calls["cubic_root_count"])
 
 
@@ -724,8 +559,8 @@ def test_table_path_imports_neither_eisenstein_nor_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     for argv in (["table", "1", "50"], ["table", "1", "200", "--threads", "2"],
                  ["twist", "5"], ["verify", "character"]):
-        code = (f"import sys; from cmtwist import cli; "
-                f"cli.FORK_AT = dict.fromkeys(cli.FORK_AT, 0); "
+        code = (f"import sys; from cmtwist import census, cli; "
+                f"census.FORK_AT = dict.fromkeys(census.FORK_AT, 0); "
                 f"rc = cli.main({argv!r}); "
                 f"print(rc, *(m for m in {names!r} if m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=env,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmtwist import bsd, cli
+from cmtwist import bsd, census
 from cmtwist.cli import main
 from cmtwist.coeffs import CurveContext
 from cmtwist.lseries import central_value
@@ -23,7 +23,7 @@ from cmtwist.registry import builtin_curve, omega_infinity, resolve_curve
 RECORD = "e29 1 -22 0 -1682 -24389 7 1 {}\n"
 with mp.workdps(60):
     OMEGA = mp.nstr(omega_infinity(builtin_curve("49a"), 50) / mp.sqrt(29), 45)
-DIGITS = cli._table_digits(15)
+DIGITS = census.table_digits(15)
 
 OMEGAS = st.one_of(
     st.sampled_from([OMEGA, OMEGA[:12], "inf", "-inf", "+inf", "Infinity",
@@ -50,7 +50,7 @@ def nonzero(curve_file):
     curve = resolve_curve("e29", curve_file)
     ctx = CurveContext(curve)
     found = set()
-    for spec in cli._admissible_specs(curve, 1, 60) + [bsd.classify_twist(curve, 5)]:
+    for spec in census.admissible_specs(curve, 2, 60) + [bsd.classify_twist(curve, 5)]:
         value, _, bound = central_value(ctx, spec.epsilon * spec.M, DIGITS)
         if abs(value) > bound:
             found.add(spec.M)
@@ -104,10 +104,14 @@ def test_an_omega_that_is_no_finite_positive_decimal_is_refused(curve_file, omeg
                    f"decimal, got {omega!r}\n")
 
 
-@pytest.mark.parametrize("omega, residual", [("1e30", "7.18e-31"), ("1e-400", "inf")])
+@pytest.mark.parametrize("omega, residual", [("1e30", "7.18e-31"), ("1e-400", "inf"),
+                                             ("1e-30", "7.44e+11"), ("1e-5", "2.56e-04")])
 def test_an_omega_off_by_a_huge_factor_recognizes_no_base_value(curve_file, omega,
                                                                residual):
-    # 1e30 once made every value an exact 0, 1e-400 an OverflowError
+    # 1e30 once made every value an exact 0, 1e-400 an OverflowError, 1e-30
+    # a 31-digit integer L^alg (a float that large is an integer to within
+    # its rounding) and 1e-5 L^alg = 7467345/52: the residuals of both are
+    # below 1e-6 of the ratio but not below 1/(2 * 64^2)
     with open(curve_file, "w", encoding="utf-8") as fh:
         fh.write(RECORD.format(omega))
     for argv in (["twist", "5"], ["table", "1", "60"]):

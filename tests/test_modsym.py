@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmtwist import cli, modsym
+from cmtwist import census, cli, modsym
 from cmtwist.coeffs import CurveContext, theta_window, twist_symbol_period
 from cmtwist.lseries import algebraic_part
 from cmtwist.qfield import factor_int, kronecker
@@ -315,7 +315,7 @@ def _full_sum(sums, d):
 def test_paired_sum_is_the_full_sum(label):
     curve = BUILTIN[label]
     sums = modsym.TwistSums(curve)
-    for spec in cli._admissible_specs(curve, 1, 200):
+    for spec in census.admissible_specs(curve, 2, 200):
         d = spec.epsilon * spec.M
         assert sums.twisted_sum(d) == _full_sum(sums, d), d
 
@@ -329,7 +329,7 @@ def test_twisted_sums_are_c_times_the_series_lalg(label, nonzero_to_1000):
     sums = modsym.TwistSums(curve)
     scale = modsym.TWIST_SCALE[label][1]
     nonzero = {}
-    for spec in cli._admissible_specs(curve, 1, 1500):
+    for spec in census.admissible_specs(curve, 2, 1500):
         M, d = spec.M, spec.epsilon * spec.M
         want = algebraic_part(ctx, d, target_digits=12).lalg
         assert want is not None and want >= 0
@@ -383,7 +383,7 @@ def _unreduced_sum(sums, d):
 
 def _discriminants(curve, m_max, extra=()):
     return [spec.epsilon * spec.M
-            for spec in cli._admissible_specs(curve, 1, m_max)] + \
+            for spec in census.admissible_specs(curve, 2, m_max)] + \
         [M if M % 4 == 1 else -M for M in extra]
 
 
@@ -485,7 +485,7 @@ def test_each_sum_is_walked_once_per_instance(capsys, monkeypatch, label):
     for m, n in calls.items():
         one_class = all(p % 4 == 1 for p, _ in factor_int(m))
         assert n == (1 if one_class else 2), m
-    assert len(calls) >= len(cli._admissible_specs(BUILTIN[label], 1, 3000))
+    assert len(calls) >= len(census.admissible_specs(BUILTIN[label], 2, 3000))
 
 
 def test_a_second_instance_starts_with_an_empty_memo(monkeypatch):
@@ -645,10 +645,10 @@ def test_algebraic_part_value_is_the_workdps_value(label):
     # for bit, as the value formed inside workdps
     curve = BUILTIN[label]
     ctx, sums = CurveContext(curve), modsym.TwistSums(curve)
-    specs = cli._admissible_specs(curve, 1, 5000)
+    specs = census.admissible_specs(curve, 2, 5000)
     assert len(specs) > 250
     for precision in (15, 50):
-        digits = cli._table_digits(precision)
+        digits = census.table_digits(precision)
         for spec in specs:
             d = spec.epsilon * spec.M
             got = sums.algebraic_part(ctx, d, digits)
